@@ -54,6 +54,7 @@ from .noise import (  # noqa: F401
     SpamModel,
     fold_to_end,
     layer_channel,
+    process_infidelities_exact,
     process_infidelity_exact,
     sample_error_model,
     sample_fault,

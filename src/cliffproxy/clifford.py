@@ -37,6 +37,7 @@ __all__ = [
     "one_qubit_cliffords",
     "clifford_mult",
     "clifford_inverse_index",
+    "inverse_conjugation_codes",
     "euler_unitary",
     "zxzxz_angles",
     "RX90",
@@ -262,7 +263,7 @@ class OneQubitClifford:
 
     def conj_code(self, code: int) -> tuple[int, int]:
         """Image (code, sign) of a single letter under g P g'."""
-        return _CONJ_TABLE[self.index][code]
+        return _conj_table_cache()[self.index][code]
 
     def tableau(self, n: int = 1, qubit: int = 0) -> CliffordTableau:
         return _embed_one_qubit(self.index, qubit, n)
@@ -371,14 +372,6 @@ def _conj_table_cache() -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(table)
 
 
-class _ConjTableProxy:
-    def __getitem__(self, idx):
-        return _conj_table_cache()[idx]
-
-
-_CONJ_TABLE = _ConjTableProxy()
-
-
 @lru_cache(maxsize=1)
 def _mult_table() -> np.ndarray:
     """24x24 table: index of the matrix product U_i @ U_j."""
@@ -419,6 +412,21 @@ def _inverse_table() -> tuple[int, ...]:
 
 def clifford_inverse_index(i: int) -> int:
     return _inverse_table()[i]
+
+
+@lru_cache(maxsize=1)
+def inverse_conjugation_codes() -> np.ndarray:
+    """Read-only (24, 4) table: letter code of g' P g for Clifford index g
+    and letter code P, signs dropped."""
+    table = np.array(
+        [
+            [_conj_table_cache()[clifford_inverse_index(g)][code][0] for code in range(4)]
+            for g in range(24)
+        ],
+        dtype=np.intp,
+    )
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=1)

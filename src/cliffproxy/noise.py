@@ -19,13 +19,20 @@ Idle qubits in entangling layers carry no gate and hence no error.
 
 For Clifford-only circuits the per-layer channels fold exactly into a
 single end-of-circuit Pauli channel.  The fold runs in the Walsh
-(transfer-matrix-diagonal) domain where conjugation is a label permutation
-and channel composition is a pointwise product.
+(transfer-matrix-diagonal) domain, on a ``(K,) + (4,) * n`` array that holds
+K circuits sharing their entangling layers.  Conjugation through a layer
+permutes the letters on each qubit axis (a 4-entry map per one-qubit
+Clifford, a 16-entry map per CZ or CNOT pair), and channel composition
+multiplies each axis by its gate's eigenvalues.  The eigenvalues come from
+tables compiled once per model: a (24, 4) table per qubit over all
+Clifford indices (:meth:`NoiseModel.compiled_1q_eigenvalues`) and a
+16-entry vector per two-qubit gate entry (:attr:`GateNoise.eigenvalues`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,6 +59,7 @@ __all__ = [
     "fold_eigenvalues",
     "sample_fault",
     "process_infidelity_exact",
+    "process_infidelities_exact",
     "layer_infidelities",
     "noise_to_dict",
     "noise_from_dict",
@@ -59,6 +67,9 @@ __all__ = [
 ]
 
 FOLD_LIMIT = 10
+
+# largest total probability fold_to_end may clip away as rounding noise
+CLIP_TOLERANCE = 1e-12
 
 # letter-product table on label codes (Klein group: X*Y=Z etc.)
 _CODE_XOR = np.zeros((4, 4), dtype=np.int64)
@@ -110,6 +121,11 @@ class GateNoise:
     def num_qubits(self) -> int:
         return 1 if len(self.probs) == 4 else 2
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Transfer-matrix diagonal of the gate's channel, computed once."""
+        return pauli_walsh(self.probs, self.num_qubits)
+
 
 def _convolve_local(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Distribution of the product of two independent local faults."""
@@ -145,6 +161,7 @@ class NoiseModel:
         self.one_qubit = dict(one_qubit)
         self.two_qubit = dict(two_qubit)
         self._compiled: dict = {}
+        self._eig_1q: dict = {}
 
     @staticmethod
     def pair_key(name: str, pair) -> tuple:
@@ -200,6 +217,19 @@ class NoiseModel:
             out = _convolve_local(eps, eps)
         self._compiled[cache_key] = out
         return out
+
+    def compiled_1q_eigenvalues(self, position: int, qubit: int) -> np.ndarray:
+        """(24, 4) table: transfer-matrix diagonal of the compiled channel
+        after each one-qubit Clifford index on ``qubit``."""
+        key = (-1 if self.markovian else position, qubit)
+        if key not in self._eig_1q:
+            self._eig_1q[key] = np.array(
+                [
+                    pauli_walsh(self.compiled_1q_channel(position, qubit, CliffordGate1Q(g)), 1)
+                    for g in range(24)
+                ]
+            )
+        return self._eig_1q[key]
 
 
 def _zrot_index(phi: float) -> int:
@@ -325,10 +355,16 @@ class LayerErrorChannel:
         return pauli_walsh(eig, self.n) / 4**self.n
 
     def dense_eigenvalues(self) -> np.ndarray:
-        out = np.ones(4**self.n)
+        """Transfer-matrix diagonal over all 4^n labels: the product of the
+        local diagonals, each broadcast over its qubits' axes."""
+        out = np.ones((4,) * self.n)
         for qubits, eig in self._eigs():
-            out *= eig[_extract_codes(self.n, qubits)]
-        return out
+            local = eig.reshape((4,) * len(qubits)).transpose(np.argsort(qubits))
+            shape = [1] * self.n
+            for q in qubits:
+                shape[q] = 4
+            out *= local.reshape(shape)
+        return out.reshape(4**self.n)
 
     def sample(self, rng: np.random.Generator) -> PauliString:
         """One fault drawn from the product distribution."""
@@ -343,24 +379,6 @@ class LayerErrorChannel:
                 if code:
                     fault = fault * PauliString.single(self.n, q, "IXYZ"[code])
         return fault.with_sign(1)
-
-
-_EXTRACT_CACHE: dict = {}
-
-
-def _extract_codes(n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Index array mapping a global label to its restriction on ``qubits``."""
-    key = (n, qubits)
-    hit = _EXTRACT_CACHE.get(key)
-    if hit is None:
-        labels = np.arange(4**n, dtype=np.int64)
-        idx = np.zeros(4**n, dtype=np.int64)
-        for q in qubits:
-            idx = 4 * idx + ((labels >> (2 * (n - 1 - q))) & 3)
-        hit = idx
-        if 4**n <= 4**FOLD_LIMIT:
-            _EXTRACT_CACHE[key] = hit
-    return hit
 
 
 def layer_channel(
@@ -396,53 +414,94 @@ def circuit_channels(
     ]
 
 
-def _layer_conj_dagger_perm(circuit: LayeredCircuit, layer_index: int) -> np.ndarray:
-    """Label permutation Q -> label(C' Q C) for one Clifford layer."""
-    n = circuit.n
-    layer = circuit.layers[layer_index]
-    labels = np.arange(4**n, dtype=np.int64)
-    if isinstance(layer, OneQubitLayer):
-        if not layer.is_clifford:
-            raise cl.NotCliffordError("cannot fold through non-Clifford gates")
-        out = np.zeros(4**n, dtype=np.int64)
-        for q, gate in enumerate(layer.gates):
-            inv = cl.clifford_inverse_index(gate.index)
-            elem = cl.one_qubit_cliffords()[inv]
-            local = np.array([elem.conj_code(c)[0] for c in range(4)], dtype=np.int64)
-            codes = (labels >> (2 * (n - 1 - q))) & 3
-            out += local[codes] << (2 * (n - 1 - q))
-        return out
-    out = labels.copy()
-    local = _twoq_conj_labels(layer.gate)
-    for pair in layer.pairs:
-        a, b = pair
-        sa = 2 * (n - 1 - a)
-        sb = 2 * (n - 1 - b)
-        ca = (labels >> sa) & 3
-        cb = (labels >> sb) & 3
-        mapped = local[4 * ca + cb]
-        out = (
-            (out & ~((3 << sa) | (3 << sb)))
-            | ((mapped >> 2) << sa)
-            | ((mapped & 3) << sb)
-        )
-    return out
-
-
-_TWOQ_CONJ_CACHE: dict[str, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def _twoq_conj_labels(gate: str) -> np.ndarray:
     """Label map of the entangling gate's conjugation; CZ and CNOT are
     involutions so the map equals its own inverse."""
-    hit = _TWOQ_CONJ_CACHE.get(gate)
-    if hit is None:
-        tab = cl.from_gate(gate, (0, 1), 2)
-        hit = np.zeros(16, dtype=np.int64)
-        for code in range(16):
-            hit[code] = cl.conjugate(tab, PauliString.from_label(2, code)).label
-        _TWOQ_CONJ_CACHE[gate] = hit
-    return hit
+    tab = cl.from_gate(gate, (0, 1), 2)
+    out = np.array(
+        [cl.conjugate(tab, PauliString.from_label(2, code)).label for code in range(16)],
+        dtype=np.intp,
+    )
+    out.setflags(write=False)
+    return out
+
+
+def _gate_indices(circuits, limit: int):
+    """First circuit and the (K, one-qubit layers, n) Clifford indices of
+    all K circuits, read one circuit at a time; (None, None) if K = 0."""
+    template = None
+    rows = []
+    for circuit in circuits:
+        if template is None:
+            template = circuit
+            if circuit.n > limit:
+                raise FoldSizeError(
+                    f"exact folding capped at n={limit}; "
+                    "sample faults by Monte Carlo instead"
+                )
+        elif circuit.n != template.n or len(circuit.layers) != len(template.layers):
+            raise ValueError("batched folds need circuits of one width and layer count")
+        if not circuit.is_clifford:
+            raise cl.NotCliffordError("exact folding requires a Clifford-only circuit")
+        # layers alternate, one-qubit layers at even positions
+        if circuit.layers[1::2] != template.layers[1::2]:
+            raise ValueError("batched folds need shared entangling layers")
+        rows.append(
+            np.array([[g.index for g in layer.gates] for layer in circuit.layers[::2]], dtype=np.int8)
+        )
+    return template, np.stack(rows) if rows else None
+
+
+def _gather(h, order, batch, qubits, local_map, eig):
+    """``h <- eig * (h o map)`` on the axes of ``qubits``.
+
+    ``local_map`` and ``eig`` hold 4^k entries per circuit (one row per
+    circuit, or one shared row) in the label order of ``qubits``.  Array
+    indices on the batch axis and the gate's axes put those axes first, so
+    the gate's qubits move to axes 1..k; the returned order lists the qubit
+    each non-batch axis holds.
+    """
+    k = len(qubits)
+    shape = (-1,) + (4,) * k
+    index = [slice(None)] * h.ndim
+    index[0] = batch.reshape((-1,) + (1,) * k)
+    for j, q in enumerate(qubits):
+        index[1 + order.index(q)] = ((local_map >> (2 * (k - 1 - j))) & 3).reshape(shape)
+    h = h[tuple(index)]
+    h *= eig.reshape(shape + (1,) * (h.ndim - 1 - k))
+    return h, list(qubits) + [q for q in order if q not in qubits]
+
+
+def _fold(circuits, noise: NoiseModel, limit: int, layer_offset: int):
+    """Transfer-matrix diagonals, shape (K, 4^n), of the folded channels of
+    K Clifford circuits that share their entangling layers (None if K = 0).
+
+    Walks the layers forward with ``h <- lambda_i * (h o pi_i)``, where
+    pi_i maps a label Q to the label of C_i' Q C_i.
+    """
+    template, gates = _gate_indices(circuits, limit)
+    if template is None:
+        return None
+    n = template.n
+    batch = np.arange(len(gates))
+    inverse_conj = cl.inverse_conjugation_codes()
+    h = np.ones((len(gates),) + (4,) * n)
+    order = list(range(n))
+    for i, layer in enumerate(template.layers):
+        pos = i + layer_offset
+        if isinstance(layer, OneQubitLayer):
+            for q in range(n):
+                g = gates[:, i // 2, q]
+                eig = noise.compiled_1q_eigenvalues(pos, q)[g]
+                h, order = _gather(h, order, batch, (q,), inverse_conj[g], eig)
+        else:
+            local_map = _twoq_conj_labels(layer.gate)[None]
+            for pair in layer.pairs:
+                eig = noise.twoq_noise(pos, layer.gate, pair).eigenvalues[None]
+                h, order = _gather(h, order, batch, pair, local_map, eig)
+    h = h.transpose([0] + [1 + order.index(q) for q in range(n)])
+    return h.reshape(len(gates), 4**n)
 
 
 def fold_eigenvalues(
@@ -452,20 +511,7 @@ def fold_eigenvalues(
     layer_offset: int = 0,
 ) -> np.ndarray:
     """Transfer-matrix diagonal of the folded end-of-circuit error channel."""
-    if circuit.n > limit:
-        raise FoldSizeError(
-            f"exact folding capped at n={limit}; sample faults by Monte Carlo instead"
-        )
-    if not circuit.is_clifford:
-        raise cl.NotCliffordError("exact folding requires a Clifford-only circuit")
-    size = 4**circuit.n
-    eig = np.ones(size)
-    mapping = np.arange(size, dtype=np.int64)
-    for i in range(len(circuit.layers) - 1, -1, -1):
-        chan = layer_channel(circuit, i, noise, layer_offset)
-        eig *= chan.dense_eigenvalues()[mapping]
-        mapping = _layer_conj_dagger_perm(circuit, i)[mapping]
-    return eig
+    return _fold([circuit], noise, limit, layer_offset)[0]
 
 
 def fold_to_end(
@@ -477,10 +523,18 @@ def fold_to_end(
     """Exact end-of-circuit Pauli channel of a noisy Clifford circuit.
 
     Each layer's error is conjugated through all downstream Clifford layers
-    and the distributions are convolved, all in the Walsh domain.
+    and the distributions are convolved, all in the Walsh domain.  Negative
+    probabilities left by rounding are clipped; a clipped mass above
+    ``CLIP_TOLERANCE`` raises ValueError instead.
     """
     eig = fold_eigenvalues(circuit, noise, limit, layer_offset)
     probs = pauli_walsh(eig, circuit.n) / 4**circuit.n
+    clipped = -probs[probs < 0.0].sum()
+    if clipped > CLIP_TOLERANCE:
+        raise ValueError(
+            f"folded channel has negative probability mass {clipped:.3g}, "
+            f"above the rounding bound {CLIP_TOLERANCE:g}"
+        )
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     return PauliChannel(circuit.n, probs)
@@ -493,8 +547,26 @@ def process_infidelity_exact(
     layer_offset: int = 0,
 ) -> float:
     """1 - p_I of the folded channel (= process infidelity of the circuit)."""
-    eig = fold_eigenvalues(circuit, noise, limit, layer_offset)
-    return float(1.0 - eig.mean())
+    return float(process_infidelities_exact([circuit], noise, limit, layer_offset)[0])
+
+
+def process_infidelities_exact(
+    circuits,
+    noise: NoiseModel,
+    limit: int = FOLD_LIMIT,
+    layer_offset: int = 0,
+) -> np.ndarray:
+    """Process infidelities of K Clifford circuits, folded in one pass.
+
+    ``circuits`` is any iterable, a generator included; each circuit is read
+    once and not kept.  The circuits must share their width, layer count
+    and entangling layers, as the Cliffordizations of one target do;
+    mismatched circuits raise ValueError.  Memory grows as K * 4^n.
+    """
+    eig = _fold(circuits, noise, limit, layer_offset)
+    if eig is None:
+        return np.zeros(0)
+    return 1.0 - eig.mean(axis=1)
 
 
 def layer_infidelities(

@@ -185,6 +185,14 @@ def validate_config(
                 "randomizations", "shots", "calib_shots", "scrambler_depth", "width"):
         if key in params and (not isinstance(params[key], int) or params[key] < 1):
             problems.append(f"field {key!r} must be a positive integer")
+    if params.get("cliffordizations") == 1:
+        problems.append(
+            "field 'cliffordizations' must be at least 2 (the coefficient of "
+            "variation needs two samples)"
+        )
+    depth_range = (params.get("min_depth"), params.get("max_depth"))
+    if all(isinstance(d, int) for d in depth_range) and depth_range[0] > depth_range[1]:
+        problems.append("field 'min_depth' must not exceed 'max_depth'")
     for key in ("two_qubit_budget", "one_qubit_budget"):
         if not 0.0 <= params[key] < 1.0:
             problems.append(f"field {key!r} must lie in [0, 1)")
@@ -305,11 +313,11 @@ def _uniformity_like(config: ExperimentConfig, with_diamond: bool, out: "_Output
                     p["markovian"],
                 )
                 exp_id = f"{config.scenario}-n{n}-{kind}-{t:03d}"
-                rs = []
-                for k in range(p["cliffordizations"]):
-                    proxy = cc.cliffordize(target, rng)
-                    r = nz.process_infidelity_exact(proxy, noise)
-                    rs.append(r)
+                rs = nz.process_infidelities_exact(
+                    (cc.cliffordize(target, rng) for _ in range(p["cliffordizations"])),
+                    noise,
+                ).tolist()
+                for k, r in enumerate(rs):
                     rows.append(
                         _result_row(exp_id, "exact_r", n, depth, k, "",
                                     r, 0.0, 0, "/".join(map(str, label)))

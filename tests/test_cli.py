@@ -78,6 +78,15 @@ class TestConfigValidation:
     def test_range_checks(self):
         with pytest.raises(ConfigError, match="two_qubit_budget"):
             validate_config("uniformity", {"two_qubit_budget": 2.0}, 0, ".")
+        with pytest.raises(ConfigError, match="cliffordizations"):
+            validate_config("accuracy", {"cliffordizations": 1}, 0, ".")
+        with pytest.raises(ConfigError, match="min_depth"):
+            validate_config("uniformity", {"min_depth": 50, "max_depth": 20}, 0, ".")
+        with pytest.raises(ConfigError) as err:
+            validate_config(
+                "uniformity", {"cliffordizations": 1, "min_depth": 9, "max_depth": 8}, 0, "."
+            )
+        assert "cliffordizations" in str(err.value) and "min_depth" in str(err.value)
 
     def test_paper_scale_overrides(self):
         small = default_config("uniformity")
@@ -174,6 +183,13 @@ class TestCliCommands:
             ["run", "uniformity", "--config", str(cfg_file), "--out", str(tmp_path)]
         )
         assert rc == 2
+        # rejected before the run, not part-way through its fold loop
+        cfg_file.write_text(json.dumps({**SMALL_UNIFORMITY, "cliffordizations": 1}))
+        rc = main(
+            ["run", "uniformity", "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+        )
+        assert rc == 2
+        assert not (tmp_path / "run").exists()
 
     def test_unreadable_config_exit_code(self, tmp_path):
         rc = main(["run", "uniformity", "--config", str(tmp_path / "missing.json")])

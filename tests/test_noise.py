@@ -219,6 +219,179 @@ class TestFolding:
         with pytest.raises(cl.NotCliffordError):
             nz.fold_to_end(circ, model)
 
+    def test_clipping_is_bounded(self, monkeypatch):
+        circ, rng = brickwork(3, 6, 24)
+        model = nz.sample_error_model(circ, rng, 2e-2, 2e-3)
+        chan = nz.fold_to_end(circ, model)
+        assert chan.probs.min() >= 0.0
+        # eigenvalues of a "channel" with -1e-9 on the XII label
+        probs = np.zeros(64)
+        probs[0] = 1.0 + 1e-9
+        probs[PauliString.from_text("XII").label] = -1e-9
+        bad = pauli_walsh(probs, 3)
+        monkeypatch.setattr(nz, "fold_eigenvalues", lambda *args, **kwargs: bad)
+        with pytest.raises(ValueError, match="negative probability mass"):
+            nz.fold_to_end(circ, model)
+
+
+# ---------------------------------------------------------------------------
+# oracle for the batched fold: the label-permutation fold it replaced, which
+# walks the layers backward over dense 4^n label maps
+# ---------------------------------------------------------------------------
+
+
+def _restriction(n, qubits, labels):
+    """Local label of each global label on ``qubits`` (first qubit most
+    significant)."""
+    idx = np.zeros_like(labels)
+    for q in qubits:
+        idx = 4 * idx + ((labels >> (2 * (n - 1 - q))) & 3)
+    return idx
+
+
+def _conj_dagger_perm(layer, n, labels):
+    """Label permutation Q -> label(C' Q C) for one Clifford layer."""
+    if isinstance(layer, cc.OneQubitLayer):
+        out = np.zeros_like(labels)
+        for q, gate in enumerate(layer.gates):
+            elem = cl.one_qubit_cliffords()[cl.clifford_inverse_index(gate.index)]
+            local = np.array([elem.conj_code(c)[0] for c in range(4)])
+            out += local[(labels >> (2 * (n - 1 - q))) & 3] << (2 * (n - 1 - q))
+        return out
+    tab = cl.from_gate(layer.gate, (0, 1), 2)
+    local = np.array(
+        [cl.conjugate(tab, PauliString.from_label(2, c)).label for c in range(16)]
+    )
+    out = labels.copy()
+    for a, b in layer.pairs:
+        sa, sb = 2 * (n - 1 - a), 2 * (n - 1 - b)
+        mapped = local[4 * ((labels >> sa) & 3) + ((labels >> sb) & 3)]
+        out = (out & ~((3 << sa) | (3 << sb))) | ((mapped >> 2) << sa) | ((mapped & 3) << sb)
+    return out
+
+
+def _oracle_fold(circuit, noise, layer_offset=0):
+    n = circuit.n
+    labels = np.arange(4**n, dtype=np.int64)
+    eig = np.ones(4**n)
+    mapping = labels.copy()
+    for i in range(len(circuit.layers) - 1, -1, -1):
+        chan = nz.layer_channel(circuit, i, noise, layer_offset)
+        dense = np.ones(4**n)
+        for qubits, probs in chan.terms:
+            dense *= pauli_walsh(probs, len(qubits))[_restriction(n, qubits, labels)]
+        eig *= dense[mapping]
+        mapping = _conj_dagger_perm(circuit.layers[i], n, labels)[mapping]
+    return eig
+
+
+def _fold_case(n, topology, gate, rng):
+    """A random Clifford template; CNOT pairs are reversed so that the
+    control sits above the target on the (0, 1)-style bricks."""
+    if n == 1:
+        layers = (cc.identity_layer(1), cc.TwoQubitLayer(())) * 3 + (cc.identity_layer(1),)
+        return cc.cliffordize(cc.LayeredCircuit(1, layers), rng)
+    base = cc.sample_brickwork(cc.BrickworkSpec(n, 5, topology), "clifford", rng)
+    layers = []
+    for layer in base.layers:
+        if isinstance(layer, cc.TwoQubitLayer):
+            pairs = layer.pairs if gate == "CZ" else tuple((b, a) for a, b in layer.pairs)
+            layer = cc.TwoQubitLayer(pairs, gate)
+        layers.append(layer)
+    return cc.LayeredCircuit(n, tuple(layers))
+
+
+def _fold_model(template, rng, markovian, layer_offset):
+    """Strong-noise model whose non-Markovian keys sit at shifted positions."""
+    model = nz.sample_error_model(template, rng, 5e-2, 5e-3, markovian)
+    if markovian:
+        return model
+    return nz.NoiseModel(
+        False,
+        {(pos + layer_offset, q): g for (pos, q), g in model.one_qubit.items()},
+        {(key[0] + layer_offset,) + key[1:]: g for key, g in model.two_qubit.items()},
+    )
+
+
+class TestBatchedFold:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("gate", ["CZ", "CNOT"])
+    def test_matches_label_permutation_oracle(self, n, gate):
+        rng = np.random.default_rng(300 + 10 * n + (gate == "CNOT"))
+        worst = 0.0
+        for topology in ("line", "ring"):
+            template = _fold_case(n, topology, gate, rng)
+            for markovian in (True, False):
+                for offset in (0, 3):
+                    model = _fold_model(template, rng, markovian, offset)
+                    for k in (1, 5):
+                        circs = [cc.cliffordize(template, rng) for _ in range(k)]
+                        batch = nz.process_infidelities_exact(
+                            (c for c in circs), model, layer_offset=offset
+                        )
+                        single = [
+                            nz.process_infidelity_exact(c, model, layer_offset=offset)
+                            for c in circs
+                        ]
+                        assert np.array_equal(batch, single)
+                        for c, r in zip(circs, batch):
+                            want = _oracle_fold(c, model, offset)
+                            got = nz.fold_eigenvalues(c, model, layer_offset=offset)
+                            worst = max(
+                                worst,
+                                np.max(np.abs(got - want)),
+                                abs(r - (1.0 - want.mean())),
+                            )
+        assert worst < 1e-13
+
+    def test_ring_wraparound_pair_is_folded(self):
+        # the (n-1, 0) brick of an even ring, in both CNOT orientations
+        rng = np.random.default_rng(330)
+        for pair in ((3, 0), (0, 3)):
+            layers = (cc.identity_layer(4), cc.TwoQubitLayer((pair,), "CNOT"),
+                      cc.identity_layer(4))
+            circ = cc.cliffordize(cc.LayeredCircuit(4, layers), rng)
+            model = nz.sample_error_model(circ, rng, 5e-2, 5e-3)
+            got = nz.fold_eigenvalues(circ, model)
+            assert np.max(np.abs(got - _oracle_fold(circ, model))) < 1e-13
+
+    def test_mismatched_batches_rejected(self):
+        rng = np.random.default_rng(331)
+        template = _fold_case(3, "line", "CZ", rng)
+        model = nz.sample_error_model(template, rng)
+        good = cc.cliffordize(template, rng)
+        other_pairs = cc.LayeredCircuit(
+            3,
+            tuple(
+                cc.TwoQubitLayer(((0, 2),)) if isinstance(layer, cc.TwoQubitLayer) else layer
+                for layer in good.layers
+            ),
+        )
+        shorter = cc.LayeredCircuit(3, good.layers[:-2])
+        wider = _fold_case(4, "line", "CZ", rng)
+        for bad in (other_pairs, shorter, wider):
+            with pytest.raises(ValueError, match="batched folds"):
+                nz.process_infidelities_exact([good, bad], model)
+
+    def test_batch_raises_the_single_circuit_errors(self):
+        rng = np.random.default_rng(332)
+        target = cc.sample_brickwork(cc.BrickworkSpec(2, 3), "haar", rng)
+        model = nz.sample_error_model(target, rng)
+        proxy = cc.cliffordize(target, rng)
+        with pytest.raises(cl.NotCliffordError):
+            nz.process_infidelity_exact(target, model)
+        with pytest.raises(cl.NotCliffordError):
+            nz.process_infidelities_exact([proxy, target], model)
+        with pytest.raises(nz.FoldSizeError):
+            nz.process_infidelity_exact(proxy, model, limit=1)
+        with pytest.raises(nz.FoldSizeError):
+            nz.process_infidelities_exact(iter([proxy, proxy]), model, limit=1)
+
+    def test_empty_batch(self):
+        circ, rng = brickwork(2, 2, 333)
+        model = nz.sample_error_model(circ, rng)
+        assert nz.process_infidelities_exact(iter(()), model).shape == (0,)
+
 
 class TestProcessInfidelity:
     def test_zero_noise(self):
