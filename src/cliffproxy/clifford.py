@@ -147,9 +147,6 @@ class CliffordTableau:
     def conjugate(self, p: PauliString) -> PauliString:
         return conjugate(self, p)
 
-    def then(self, other: "CliffordTableau") -> "CliffordTableau":
-        return compose(self, other)
-
     def inverse(self) -> "CliffordTableau":
         return inverse(self)
 

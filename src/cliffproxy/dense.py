@@ -29,8 +29,8 @@ from .circuits import (
     TwoQubitLayer,
     gate_unitary,
 )
-from .clifford import RX90 as _RX90
-from .noise import NoiseModel, SpamModel, layer_channel
+from .clifford import RX90 as _RX90, _rz
+from .noise import NoiseModel, SpamModel, _local_pauli, layer_channel
 from .pauli import PauliChannel, PauliString
 
 __all__ = [
@@ -231,12 +231,6 @@ def _spam_eigenvalues(n: int, factors: list[float]) -> np.ndarray:
     return eig
 
 
-def _rz(phi: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * phi), 0], [0, np.exp(0.5j * phi)]], dtype=complex
-    )
-
-
 def _gate_error_ptm_1q(noise: NoiseModel, position: int, qubit: int, gate) -> np.ndarray:
     """Exact 4x4 transfer matrix of one gate's X90 error channels.
 
@@ -350,15 +344,6 @@ def pauli_channel_diamond(channel: PauliChannel) -> float:
     return channel.infidelity
 
 
-def matrix_to_csv(mat: np.ndarray, path: str) -> None:
-    """Row-major CSV dump with shortest round-trip decimal strings."""
-    mat = np.asarray(mat)
-    with open(path, "w") as fh:
-        for row in mat:
-            fh.write(",".join(repr(complex(v)) if np.iscomplexobj(mat) else repr(float(v)) for v in row))
-            fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # statevector simulation
 # ---------------------------------------------------------------------------
@@ -460,7 +445,7 @@ def statevector_simulate(
             entry = draws[di]
             if entry[0] == "post":
                 _, li, qubits, _ = entry
-                post.setdefault(li, []).append(_local_fault(n, qubits, lab))
+                post.setdefault(li, []).append(_local_pauli(n, qubits, lab))
             else:
                 _, li, q, pulse, _ = entry
                 pulse_faults.setdefault((li, q), {})[pulse] = lab
@@ -493,23 +478,13 @@ def _apply_layer_with_faults(state, layer, n, layer_index, pulse_faults):
         state = apply_1q(state, _rz(phi3), q, n)
         state = apply_1q(state, _RX90, q, n)
         if 0 in faults:
-            state = apply_pauli(state, _local_fault(n, (q,), faults[0]))
+            state = apply_pauli(state, _local_pauli(n, (q,), faults[0]))
         state = apply_1q(state, _rz(phi2), q, n)
         state = apply_1q(state, _RX90, q, n)
         if 1 in faults:
-            state = apply_pauli(state, _local_fault(n, (q,), faults[1]))
+            state = apply_pauli(state, _local_pauli(n, (q,), faults[1]))
         state = apply_1q(state, _rz(phi1), q, n)
     return state
-
-
-def _local_fault(n: int, qubits: tuple[int, ...], label: int) -> PauliString:
-    p = PauliString.identity(n)
-    for q in reversed(qubits):
-        code = label & 3
-        label >>= 2
-        if code:
-            p = p * PauliString.single(n, q, "IXYZ"[code])
-    return p.with_sign(1)
 
 
 def _apply_meas_flips(

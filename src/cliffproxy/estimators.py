@@ -11,6 +11,10 @@ value 1, so the estimator is
 
     F = (1 + (4^n - 1) * mean_parity) / 4^n.
 
+Back-propagation walks per-qubit letter codes through the noise tables
+the exact fold reads (:func:`cliffproxy.noise.propagate_codes`) and drops
+signs: the estimate uses only the letters and their support.
+
 Shots are simulated exactly: a fault pattern flips the measured parity iff
 it anticommutes with the back-propagated observable at its insertion
 point, so each (Pauli, twirl) reduces to a Bernoulli parameter assembled
@@ -34,15 +38,12 @@ import numpy as np
 from . import clifford as cl
 from .circuits import (
     BrickworkSpec,
-    CliffordGate1Q,
     LayeredCircuit,
-    OneQubitLayer,
     TwoQubitLayer,
     brickwork_pairs,
     cliffordize,
     concatenate,
     identity_layer,
-    layer_tableau,
     sample_brickwork,
     scrambling_circuit,
 )
@@ -51,8 +52,8 @@ from .noise import (
     NoiseBudget,
     NoiseModel,
     SpamModel,
-    circuit_channels,
     process_infidelity_exact,
+    propagate_codes,
     sample_error_model,
 )
 from .pauli import PauliString, sample_uniform_nonidentity
@@ -131,10 +132,6 @@ def fidelity_to_polarization(f: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dagger_tableaux(circuit: LayeredCircuit) -> list[cl.CliffordTableau]:
-    return [cl.inverse(layer_tableau(layer, circuit.n)) for layer in circuit.layers]
-
-
 def pauli_expectation(
     circuit: LayeredCircuit,
     noise: NoiseModel | None,
@@ -145,28 +142,28 @@ def pauli_expectation(
     """Noise-averaged measured parity for one sampled observable.
 
     Returns the expectation of the signed parity together with the
-    back-propagated input observable.
+    back-propagated input observable's letters; its sign is dropped
+    (always +1), since the estimate depends only on letters and support.
     """
     if not circuit.is_clifford:
         raise cl.NotCliffordError("fidelity estimation requires a Clifford circuit")
-    channels = circuit_channels(circuit, noise, layer_offset)
-    daggers = _dagger_tableaux(circuit)
-    return _walk(circuit, channels, daggers, spam, pauli)
+    lam, codes = _walk(circuit, noise, spam, pauli, layer_offset)
+    return lam, PauliString.from_text("".join("IXYZ"[c] for c in codes))
 
 
-def _walk(circuit, channels, daggers, spam, pauli):
-    lam = 1.0
-    q = pauli
-    for i in range(len(circuit.layers) - 1, -1, -1):
-        if channels[i] is not None:
-            lam *= channels[i].eigenvalue_at(q)
-        q = cl.conjugate(daggers[i], q)
+def _walk(circuit, noise, spam, pauli, layer_offset):
+    """Gate-noise eigenvalues along the back-propagated letters times the
+    prep (input support) and measurement (output support) attenuation."""
+    lam, codes = propagate_codes(
+        circuit, noise, [pauli.code(q) for q in range(pauli.n)], layer_offset
+    )
     if spam is not None:
-        for qi in q.support:
-            lam *= spam.prep_factor(qi)
-        for qi in pauli.support:
-            lam *= spam.meas_factor(qi)
-    return lam, q
+        for q, code in enumerate(codes):
+            if code:
+                lam *= spam.prep_factor(q)
+        for q in pauli.support:
+            lam *= spam.meas_factor(q)
+    return lam, codes
 
 
 def _draw_parity(expected: float, shots: int, rng: np.random.Generator) -> float:
@@ -178,7 +175,6 @@ def _draw_parity(expected: float, shots: int, rng: np.random.Generator) -> float
 @dataclass
 class _PauliSample:
     pauli: PauliString
-    back_propagated: PauliString
     value: float
 
 
@@ -201,30 +197,29 @@ def _sample_paulis(
                 "fidelity estimation requires a Clifford circuit; Cliffordize first"
             )
         n = circuit.n
-        channels = circuit_channels(circuit, noise, layer_offset)
-        daggers = _dagger_tableaux(circuit)
         out = []
         for _ in range(config.num_paulis):
             p = sample_uniform_nonidentity(n, rng)
-            expected, pprime = _walk(circuit, channels, daggers, spam, p)
+            expected, _ = _walk(circuit, noise, spam, p, layer_offset)
             value = _draw_parity(expected, config.shots_per_pauli, rng)
-            out.append(_PauliSample(p, pprime, value))
+            out.append(_PauliSample(p, value))
         return out
 
     # combined randomization: a fresh Cliffordization per twirl
+    if append is not None and not append.is_clifford:
+        raise cl.NotCliffordError("the appended circuit must be Clifford")
     n = target.n
     out = []
     for _ in range(config.num_paulis):
         p = sample_uniform_nonidentity(n, rng)
         values = []
-        pprime = None
         for _ in range(config.num_twirls):
             circ = cliffordize(target, rng)
             if append is not None:
                 circ = concatenate(circ, append)
-            expected, pprime = pauli_expectation(circ, noise, spam, p, layer_offset)
+            expected, _ = _walk(circ, noise, spam, p, layer_offset)
             values.append(_draw_parity(expected, config.shots_per_twirl, rng))
-        out.append(_PauliSample(p, pprime, float(np.mean(values))))
+        out.append(_PauliSample(p, float(np.mean(values))))
     return out
 
 
@@ -410,15 +405,11 @@ class LayerFidelityResult:
 def _repeated_layer_circuit(
     layer: TwoQubitLayer, n: int, reps: int, rng: np.random.Generator
 ) -> LayeredCircuit:
-    layers: list = [_random_clifford_layer(n, rng)]
+    """``layer`` repeated ``reps`` times between random one-qubit Clifford layers."""
+    layers: list = [identity_layer(n)]
     for _ in range(reps):
-        layers.append(layer)
-        layers.append(_random_clifford_layer(n, rng))
-    return LayeredCircuit(n, tuple(layers))
-
-
-def _random_clifford_layer(n: int, rng: np.random.Generator) -> OneQubitLayer:
-    return OneQubitLayer(tuple(CliffordGate1Q(int(k)) for k in rng.integers(24, size=n)))
+        layers += [layer, identity_layer(n)]
+    return cliffordize(LayeredCircuit(n, tuple(layers)), rng)
 
 
 def layer_fidelity_estimate(

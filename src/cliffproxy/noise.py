@@ -17,16 +17,16 @@ Every layer of a circuit is followed by one error channel:
 
 Idle qubits in entangling layers carry no gate and hence no error.
 
-For Clifford-only circuits the per-layer channels fold exactly into a
-single end-of-circuit Pauli channel.  The fold runs in the Walsh
-(transfer-matrix-diagonal) domain, on a ``(K,) + (4,) * n`` array that holds
-K circuits sharing their entangling layers.  Conjugation through a layer
-permutes the letters on each qubit axis (a 4-entry map per one-qubit
-Clifford, a 16-entry map per CZ or CNOT pair), and channel composition
-multiplies each axis by its gate's eigenvalues.  The eigenvalues come from
-tables compiled once per model: a (24, 4) table per qubit over all
+For Clifford circuits the per-layer channels are read from tables
+compiled once per model: a (24, 4) eigenvalue table per qubit over all
 Clifford indices (:meth:`NoiseModel.compiled_1q_eigenvalues`) and a
 16-entry vector per two-qubit gate entry (:attr:`GateNoise.eigenvalues`).
+Conjugation through a layer maps per-qubit letter codes (a 4-entry map
+per one-qubit Clifford, a 16-entry map per CZ or CNOT pair).  The exact
+fold (:func:`process_infidelities_exact`) applies these maps and tables to
+a ``(K,) + (4,) * n`` Walsh-domain array of K circuits sharing their
+entangling layers; direct fidelity estimation walks single Paulis back
+through the same tables (:func:`propagate_codes`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .circuits import (
     OneQubitLayer,
     TwoQubitLayer,
 )
-from .pauli import PauliChannel, PauliString, pauli_walsh
+from .pauli import CODE_FROM_XZ, XZ_FROM_CODE, PauliChannel, PauliString, pauli_walsh
 
 __all__ = [
     "GateNoise",
@@ -54,10 +54,10 @@ __all__ = [
     "FoldSizeError",
     "sample_error_model",
     "layer_channel",
-    "circuit_channels",
     "fold_to_end",
     "fold_eigenvalues",
     "sample_fault",
+    "propagate_codes",
     "process_infidelity_exact",
     "process_infidelities_exact",
     "layer_infidelities",
@@ -72,14 +72,10 @@ FOLD_LIMIT = 10
 CLIP_TOLERANCE = 1e-12
 
 # letter-product table on label codes (Klein group: X*Y=Z etc.)
-_CODE_XOR = np.zeros((4, 4), dtype=np.int64)
-for _a in range(4):
-    for _b in range(4):
-        _xa, _za = ((0, 0), (1, 0), (1, 1), (0, 1))[_a]
-        _xb, _zb = ((0, 0), (1, 0), (1, 1), (0, 1))[_b]
-        _CODE_XOR[_a, _b] = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[
-            (_xa ^ _xb, _za ^ _zb)
-        ]
+_CODE_XOR = np.array(
+    [[CODE_FROM_XZ[(xa ^ xb, za ^ zb)] for xb, zb in XZ_FROM_CODE] for xa, za in XZ_FROM_CODE],
+    dtype=np.int64,
+)
 
 
 class FoldSizeError(ValueError):
@@ -138,12 +134,6 @@ def _convolve_local(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
             else:
                 prod = (_CODE_XOR[i >> 2, j >> 2] << 2) | _CODE_XOR[i & 3, j & 3]
             out[prod] += p1[i] * p2[j]
-    return out
-
-
-def _permute_local(p: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    out[perm] = p
     return out
 
 
@@ -330,23 +320,6 @@ class LayerErrorChannel:
             out.append((qubits, pauli_walsh(probs, k)))
         return tuple(out)
 
-    def eigenvalue_at(self, p: PauliString) -> float:
-        """Transfer-matrix diagonal entry at one Pauli label."""
-        out = 1.0
-        for qubits, eig in self._eigs():
-            idx = 0
-            for q in qubits:
-                idx = 4 * idx + p.code(q)
-            out *= eig[idx]
-        return float(out)
-
-    def _eigs(self):
-        cached = getattr(self, "_eig_cache", None)
-        if cached is None:
-            cached = self.local_eigenvalues()
-            object.__setattr__(self, "_eig_cache", cached)
-        return cached
-
     def dense_probs(self) -> np.ndarray:
         """Global distribution over 4^n labels (small n only)."""
         if self.n > FOLD_LIMIT:
@@ -358,7 +331,7 @@ class LayerErrorChannel:
         """Transfer-matrix diagonal over all 4^n labels: the product of the
         local diagonals, each broadcast over its qubits' axes."""
         out = np.ones((4,) * self.n)
-        for qubits, eig in self._eigs():
+        for qubits, eig in self.local_eigenvalues():
             local = eig.reshape((4,) * len(qubits)).transpose(np.argsort(qubits))
             shape = [1] * self.n
             for q in qubits:
@@ -371,14 +344,21 @@ class LayerErrorChannel:
         fault = PauliString.identity(self.n)
         for qubits, probs in self.terms:
             label = int(rng.choice(len(probs), p=probs))
-            if label == 0:
-                continue
-            for q in reversed(qubits):
-                code = label & 3
-                label >>= 2
-                if code:
-                    fault = fault * PauliString.single(self.n, q, "IXYZ"[code])
+            if label:
+                fault = fault * _local_pauli(self.n, qubits, label)
         return fault.with_sign(1)
+
+
+def _local_pauli(n: int, qubits, label: int) -> PauliString:
+    """n-qubit Pauli, sign +1, with a local label's letters on ``qubits``
+    (the first qubit takes the most significant digit)."""
+    x = z = 0
+    for q in reversed(qubits):
+        xq, zq = XZ_FROM_CODE[label & 3]
+        label >>= 2
+        x |= xq << q
+        z |= zq << q
+    return PauliString(n, x, z)
 
 
 def layer_channel(
@@ -400,18 +380,6 @@ def layer_channel(
             probs = noise.compiled_1q_channel(pos, q, gate)
             terms.append(((q,), probs))
     return LayerErrorChannel(circuit.n, tuple(terms))
-
-
-def circuit_channels(
-    circuit: LayeredCircuit, noise: NoiseModel | None, layer_offset: int = 0
-) -> list[LayerErrorChannel | None]:
-    """Per-layer error channels (None entries when no noise is given)."""
-    if noise is None:
-        return [None] * len(circuit.layers)
-    return [
-        layer_channel(circuit, i, noise, layer_offset)
-        for i in range(len(circuit.layers))
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -502,6 +470,44 @@ def _fold(circuits, noise: NoiseModel, limit: int, layer_offset: int):
                 h, order = _gather(h, order, batch, pair, local_map, eig)
     h = h.transpose([0] + [1 + order.index(q) for q in range(n)])
     return h.reshape(len(gates), 4**n)
+
+
+def propagate_codes(
+    circuit: LayeredCircuit,
+    noise: NoiseModel | None,
+    codes,
+    layer_offset: int = 0,
+) -> tuple[float, list[int]]:
+    """Walk a Pauli's letter codes back through a Clifford circuit.
+
+    Goes from the last layer to the first.  At each layer the eigenvalue
+    of its error channel at the current letters (a product over the
+    layer's gates) multiplies into the running value, then the letters
+    map through the layer to those of L' P L.  Returns the product, 1.0
+    without noise, and the letters of C' P C with the sign dropped.
+    """
+    codes = list(codes)
+    inverse_conj = cl.inverse_conjugation_codes().tolist()
+    lam = 1.0
+    for i in range(len(circuit.layers) - 1, -1, -1):
+        layer = circuit.layers[i]
+        pos = i + layer_offset
+        layer_eig = 1.0
+        if isinstance(layer, OneQubitLayer):
+            gates = [gate.index for gate in layer.gates]
+            if noise is not None:
+                for q, g in enumerate(gates):
+                    layer_eig *= noise.compiled_1q_eigenvalues(pos, q)[g, codes[q]]
+            codes = [inverse_conj[g][c] for g, c in zip(gates, codes)]
+        else:
+            local_map = _twoq_conj_labels(layer.gate)
+            for a, b in layer.pairs:
+                label = 4 * codes[a] + codes[b]
+                if noise is not None:
+                    layer_eig *= noise.twoq_noise(pos, layer.gate, (a, b)).eigenvalues[label]
+                codes[a], codes[b] = divmod(int(local_map[label]), 4)
+        lam *= layer_eig
+    return float(lam), codes
 
 
 def fold_eigenvalues(

@@ -190,6 +190,30 @@ def validate_config(
             "field 'cliffordizations' must be at least 2 (the coefficient of "
             "variation needs two samples)"
         )
+    if params.get("width") == 1:
+        problems.append("field 'width' must be at least 2 (brickwork circuits)")
+    # list fields: element types and ranges, checked before any work starts
+    for key, low in (("widths", 2), ("depths", 1), ("layer_fit_depths", 0)):
+        values = params.get(key)
+        if values is None:
+            continue
+        if not values or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= low for v in values
+        ):
+            problems.append(f"field {key!r} must be a non-empty list of integers >= {low}")
+    if scenario in ("uniformity", "accuracy", "xeb-compare"):
+        folded = params["widths"] if "widths" in params else [params["width"]]
+        if any(isinstance(v, int) and v > nz.FOLD_LIMIT for v in folded):
+            problems.append(f"widths above the exact-folding limit n={nz.FOLD_LIMIT}")
+    if "kinds" in params and (
+        not params["kinds"] or any(k not in ("disordered", "periodic") for k in params["kinds"])
+    ):
+        problems.append("field 'kinds' must list 'disordered' and/or 'periodic'")
+    if scenario == "spam-compare" and not params["markovian"]:
+        problems.append("field 'markovian' must be true: spam-compare fits layer decays")
+    fit_depths = params.get("layer_fit_depths")
+    if fit_depths is not None and len({v for v in fit_depths if isinstance(v, int)}) < 3:
+        problems.append("field 'layer_fit_depths' needs at least three distinct depths")
     depth_range = (params.get("min_depth"), params.get("max_depth"))
     if all(isinstance(d, int) for d in depth_range) and depth_range[0] > depth_range[1]:
         problems.append("field 'min_depth' must not exceed 'max_depth'")
@@ -588,10 +612,6 @@ class _OutputSet:
     def flush_partial(self) -> None:
         if self._rows and "results.csv" not in self.files:
             _write_csv(self._path("results.csv"), RESULT_COLUMNS, self._rows)
-
-    def results(self, rows) -> None:
-        self.stage_results(rows)
-        self.finalize_results()
 
     def summary(self, name: str, columns, rows) -> None:
         _write_csv(self._path(name), columns, rows)

@@ -88,6 +88,39 @@ class TestConfigValidation:
             )
         assert "cliffordizations" in str(err.value) and "min_depth" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "scenario, overrides, field",
+        [
+            ("uniformity", {"widths": ["a"]}, "widths"),
+            ("uniformity", {"widths": [1]}, "widths"),
+            ("volumetric", {"widths": [4, True]}, "widths"),
+            ("accuracy", {"kinds": ["weird"]}, "kinds"),
+            ("uniformity", {"kinds": []}, "kinds"),
+            ("uniformity", {"widths": [12]}, "exact-folding limit"),
+            ("accuracy", {"widths": [2, 11]}, "exact-folding limit"),
+            ("xeb-compare", {"width": 11}, "exact-folding limit"),
+            ("spam-compare", {"width": 1}, "width"),
+            ("spam-compare", {"layer_fit_depths": [2, 4]}, "layer_fit_depths"),
+            ("volumetric", {"layer_fit_depths": [2, 2, 4]}, "layer_fit_depths"),
+            ("volumetric", {"depths": []}, "depths"),
+            ("xeb-compare", {"depths": [2, 0]}, "depths"),
+            ("spam-compare", {"markovian": False}, "markovian"),
+        ],
+    )
+    def test_fields_checked_up_front(self, scenario, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            validate_config(scenario, overrides, 0, ".")
+
+    def test_list_problems_listed_together(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config(
+                "volumetric", {"widths": ["a"], "depths": [], "layer_fit_depths": [2, 4]}, 0, "."
+            )
+        msg = str(err.value)
+        assert "'widths'" in msg and "'depths'" in msg and "'layer_fit_depths'" in msg
+        # a depth-0 decay point is a valid fit depth
+        validate_config("volumetric", {"layer_fit_depths": [0, 2, 4]}, 0, ".")
+
     def test_paper_scale_overrides(self):
         small = default_config("uniformity")
         big = default_config("uniformity", paper_scale=True)
@@ -190,6 +223,13 @@ class TestCliCommands:
         )
         assert rc == 2
         assert not (tmp_path / "run").exists()
+        for bad in ({"widths": ["a"]}, {"kinds": ["weird"]}, {"widths": [12]}):
+            cfg_file.write_text(json.dumps({**SMALL_UNIFORMITY, **bad}))
+            rc = main(
+                ["run", "uniformity", "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+            )
+            assert rc == 2
+            assert not (tmp_path / "run").exists()
 
     def test_unreadable_config_exit_code(self, tmp_path):
         rc = main(["run", "uniformity", "--config", str(tmp_path / "missing.json")])

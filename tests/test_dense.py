@@ -312,17 +312,6 @@ class TestStatevector:
             dn.statevector_simulate(circ, None, np.random.default_rng(0), 1)
 
 
-class TestMatrixCsv:
-    def test_round_trip(self, tmp_path):
-        mat = np.array([[1.0, -0.25], [1e-17, 3.5]])
-        path = tmp_path / "m.csv"
-        dn.matrix_to_csv(mat, str(path))
-        back = np.array(
-            [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()]
-        )
-        assert np.array_equal(back, mat)
-
-
 class TestIdealOutputProbs:
     def test_identity_point_mass(self):
         probs = dn.ideal_output_probs(cc.LayeredCircuit.identity(4))

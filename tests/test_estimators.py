@@ -9,6 +9,7 @@ from cliffproxy import dense as dn
 from cliffproxy import estimators as est
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, sample_uniform_nonidentity
+from test_noise import _fold_case, _fold_model
 
 
 def brickwork(n, depth, seed, kind="clifford"):
@@ -28,6 +29,27 @@ class TestDfeConfig:
             est.DfeConfig(shots_per_twirl=0)
 
 
+def _tableau_walk(circuit, noise, layer_offset):
+    """Oracle: conjugate a signed Pauli by each layer's inverted tableau and
+    read each layer's eigenvalue from its dense transfer-matrix diagonal."""
+    steps = [
+        (
+            nz.layer_channel(circuit, i, noise, layer_offset).dense_eigenvalues(),
+            cl.inverse(cc.layer_tableau(layer, circuit.n)),
+        )
+        for i, layer in enumerate(circuit.layers)
+    ]
+
+    def walk(p):
+        lam = 1.0
+        for eig, dagger in reversed(steps):
+            lam *= eig[p.label]
+            p = cl.conjugate(dagger, p)
+        return lam, p
+
+    return walk
+
+
 class TestPauliExpectation:
     def test_invariant_under_frame_twirls(self):
         circ, rng = brickwork(4, 5, 0)
@@ -40,13 +62,32 @@ class TestPauliExpectation:
             assert base == pytest.approx(twirled, abs=1e-12)
 
     def test_matches_folded_diagonal(self):
-        circ, rng = brickwork(3, 4, 1)
-        model = nz.sample_error_model(circ, rng, 1e-2, 1e-3)
-        eig = nz.fold_eigenvalues(circ, model)
-        for label in (1, 7, 23, 63):
-            p = PauliString.from_label(3, label)
-            val, _ = est.pauli_expectation(circ, model, None, p)
-            assert val == pytest.approx(eig[label], abs=1e-12)
+        # against the folded diagonal and the tableau walk the letter-code
+        # kernel replaced; every non-identity label up to n = 3
+        rng = np.random.default_rng(1)
+        cases = [
+            (n, gate, topology, markovian, offset)
+            for n in (1, 2, 3, 4)
+            for gate in ("CZ", "CNOT")
+            for topology in ("line", "ring")
+            for markovian in (True, False)
+            for offset in (0, 3)
+        ]
+        for n, gate, topology, markovian, offset in cases:
+            template = _fold_case(n, topology, gate, rng)
+            model = _fold_model(template, rng, markovian, offset)
+            circ = cc.cliffordize(template, rng)
+            eig = nz.fold_eigenvalues(circ, model, layer_offset=offset)
+            oracle = _tableau_walk(circ, model, offset)
+            labels = range(1, 4**n) if n <= 3 else rng.integers(1, 4**n, size=30)
+            for label in labels:
+                p = PauliString.from_label(n, int(label))
+                val, pprime = est.pauli_expectation(circ, model, None, p, offset)
+                want, q = oracle(p)
+                assert abs(val - want) < 1e-12
+                assert val == pytest.approx(eig[label], abs=1e-12)
+                assert pprime == cl.backpropagate(circ, p).with_sign(1)
+                assert pprime.label == q.label
 
     def test_spam_attenuation_factors(self):
         circ, rng = brickwork(3, 2, 2)
@@ -69,6 +110,13 @@ class TestDfe:
         circ = cc.sample_brickwork(cc.BrickworkSpec(3, 2), "haar", rng)
         with pytest.raises(cl.NotCliffordError):
             est.dfe(circ, None, None, est.DfeConfig(2, 1, 10), rng)
+
+    def test_rejects_non_clifford_append(self):
+        rng = np.random.default_rng(6)
+        target = cc.sample_brickwork(cc.BrickworkSpec(3, 2), "haar", rng)
+        tail = cc.sample_brickwork(cc.BrickworkSpec(3, 1), "haar", rng)
+        with pytest.raises(cl.NotCliffordError):
+            est.dfe(None, None, None, est.DfeConfig(2, 1, 10), rng, target=target, append=tail)
 
     def test_unbiased_against_folding(self):
         hits = 0

@@ -108,15 +108,6 @@ class TestLayerChannel:
             probs = chan.dense_probs()
             assert np.max(np.abs(pauli_walsh(probs, 3) - eig)) < 1e-12
 
-    def test_eigenvalue_at_matches_dense(self):
-        circ, rng = brickwork(3, 1, 9)
-        model = nz.sample_error_model(circ, rng, 5e-2, 5e-3)
-        chan = nz.layer_channel(circ, 1, model)
-        eig = chan.dense_eigenvalues()
-        for label in range(64):
-            p = PauliString.from_label(3, label)
-            assert chan.eigenvalue_at(p) == pytest.approx(eig[label], abs=1e-14)
-
 
 class TestFolding:
     def test_zero_noise_point_mass(self):
