@@ -11,11 +11,9 @@ all at exact-simulation scale with deterministic seeding.
 __version__ = "0.1.0"
 
 from .pauli import (  # noqa: F401
-    EigenstatePrep,
     PauliChannel,
     PauliString,
     commutes,
-    eigenstate_spec,
     multiply,
     sample_uniform_nonidentity,
 )

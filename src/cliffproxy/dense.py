@@ -26,7 +26,6 @@ from .circuits import (
     EulerGate1Q,
     LayeredCircuit,
     OneQubitLayer,
-    TwoQubitLayer,
     gate_unitary,
 )
 from .clifford import RX90 as _RX90, _rz
@@ -56,6 +55,8 @@ __all__ = [
 PTM_LIMIT = 4
 DIAMOND_LIMIT = 3
 STATEVECTOR_LIMIT = 14
+# amplitudes the statevector sampler holds at once (2^20 complex = 16 MB)
+_CHUNK_AMPLITUDES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +150,8 @@ def _parity(values: np.ndarray, mask: int) -> np.ndarray:
 
 
 def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
-    """Apply a signed Pauli to a statevector (qubit 0 = msb)."""
+    """Apply a signed Pauli to a statevector (qubit 0 = msb); trailing axes
+    of ``state`` are batch axes."""
     n = p.n
     xmask = zmask = 0
     n_y = 0
@@ -163,9 +165,9 @@ def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
         if code == 2:
             n_y += 1
     idx = np.arange(len(state), dtype=np.int64)
-    out = state[idx ^ xmask].copy()
+    out = state[idx ^ xmask]
     signs = 1.0 - 2.0 * _parity(idx, zmask)
-    out *= signs
+    out *= signs.reshape((-1,) + (1,) * (state.ndim - 1))
     out *= p.phase * (-1j) ** n_y
     return out
 
@@ -375,8 +377,10 @@ def statevector_simulate(
 
     Each shot draws one Pauli fault per layer (Monte Carlo unravelling of
     the stochastic layer errors) plus SPAM bit flips.  Shots sharing a
-    fault pattern reuse one statevector run, so the common no-fault case is
-    simulated once.  Returns integers with qubit 0 on the most significant
+    fault pattern share one column of a (2^n, patterns) amplitude array
+    that runs through the circuit in a single pass; patterns are taken in
+    chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes, each sampled before
+    the next starts.  Returns integers with qubit 0 on the most significant
     bit.
     """
     n = circuit.n
@@ -386,16 +390,17 @@ def statevector_simulate(
         raise ValueError("need at least one shot")
 
     # draw local fault labels for all shots and group identical patterns;
-    # prep flips enter as X faults before the first layer (index -1);
-    # faults on Euler gates sit at their X90 pulse positions inside the gate,
-    # faults on Clifford gates use the exactly-equivalent compiled channel
+    # each draw is (layer index, qubits, pulse, labels): prep flips enter as
+    # X faults before the first layer (index -1); faults on Euler gates sit
+    # at their X90 pulse (0 or 1) inside the gate, faults on Clifford gates
+    # use the exactly-equivalent compiled channel after it (pulse None)
     draws: list[tuple] = []
     if spam is not None:
         for q in range(n):
             p = spam.prep[q]
             if p > 0.0:
                 labels = rng.choice(4, size=shots, p=[1.0 - p, p, 0.0, 0.0])
-                draws.append(("post", -1, (q,), labels))
+                draws.append((-1, (q,), None, labels.astype(np.uint8)))
     if noise is not None:
         for li, layer in enumerate(circuit.layers):
             pos = li + layer_offset
@@ -407,84 +412,95 @@ def statevector_simulate(
                             continue
                         for pulse in (0, 1):
                             labels = rng.choice(4, size=shots, p=eps)
-                            draws.append(("pulse", li, q, pulse, labels))
+                            draws.append((li, (q,), pulse, labels.astype(np.uint8)))
                     else:
                         probs = noise.compiled_1q_channel(pos, q, gate)
                         if probs[0] >= 1.0:
                             continue
                         labels = rng.choice(4, size=shots, p=probs)
-                        draws.append(("post", li, (q,), labels))
+                        draws.append((li, (q,), None, labels.astype(np.uint8)))
             else:
                 chan = layer_channel(circuit, li, noise, layer_offset)
                 for qubits, probs in chan.terms:
                     if probs[0] >= 1.0:
                         continue
                     labels = rng.choice(len(probs), size=shots, p=probs)
-                    draws.append(("post", li, qubits, labels))
+                    draws.append((li, qubits, None, labels.astype(np.uint8)))
 
+    all_labels = np.zeros((shots, len(draws)), dtype=np.uint8)
+    for i, d in enumerate(draws):
+        all_labels[:, i] = d[-1]
     patterns: dict[tuple, list[int]] = {(): []}
-    if draws:
-        all_labels = np.stack([d[-1] for d in draws], axis=1)
-        nz_rows = np.nonzero(all_labels.any(axis=1))[0]
-        patterns[()] = [int(s) for s in np.setdiff1d(np.arange(shots), nz_rows)]
-        for shot in nz_rows:
-            key = tuple(
-                (i, int(lab)) for i, lab in enumerate(all_labels[shot]) if lab
-            )
-            patterns.setdefault(key, []).append(int(shot))
-    else:
-        patterns[()] = list(range(shots))
+    nz_rows = np.nonzero(all_labels.any(axis=1))[0]
+    patterns[()] = [int(s) for s in np.setdiff1d(np.arange(shots), nz_rows)]
+    for shot in nz_rows:
+        key = tuple((i, int(lab)) for i, lab in enumerate(all_labels[shot]) if lab)
+        patterns.setdefault(key, []).append(int(shot))
+    groups = [ids for _, ids in sorted(patterns.items()) if ids]
+
+    after: dict[int, list[int]] = {}
+    pulses: dict[tuple[int, int], list[int]] = {}
+    for di, (li, qubits, pulse, _) in enumerate(draws):
+        if pulse is None:
+            after.setdefault(li, []).append(di)
+        else:
+            pulses.setdefault((li, qubits[0]), []).append(di)
+    unitaries = {
+        li: [gate_unitary(g) for g in layer.gates]
+        for li, layer in enumerate(circuit.layers)
+        if isinstance(layer, OneQubitLayer)
+    }
+    pulse_rz = {
+        (li, q): [_rz(phi) for phi in reversed(circuit.layers[li].gates[q].angles)]
+        for li, q in pulses
+    }
 
     results = np.zeros(shots, dtype=np.int64)
-    for key, shot_ids in sorted(patterns.items()):
-        if not shot_ids:
-            continue
-        post: dict[int, list[PauliString]] = {}
-        pulse_faults: dict[tuple[int, int], dict[int, int]] = {}
-        for di, lab in key:
-            entry = draws[di]
-            if entry[0] == "post":
-                _, li, qubits, _ = entry
-                post.setdefault(li, []).append(_local_pauli(n, qubits, lab))
-            else:
-                _, li, q, pulse, _ = entry
-                pulse_faults.setdefault((li, q), {})[pulse] = lab
-        state = _zero_state(n)
-        for fault in post.get(-1, []):
-            state = apply_pauli(state, fault)
+    width = max(1, _CHUNK_AMPLITUDES // 2**n)
+    for start in range(0, len(groups), width):
+        chunk = groups[start : start + width]
+        faults = all_labels[[ids[0] for ids in chunk]]
+        state = np.zeros((2**n, len(chunk)), dtype=complex)
+        state[0] = 1.0
+        _apply_faults(state, n, draws, after.get(-1, ()), faults)
         for li, layer in enumerate(circuit.layers):
-            state = _apply_layer_with_faults(state, layer, n, li, pulse_faults)
-            for fault in post.get(li, []):
-                state = apply_pauli(state, fault)
+            if isinstance(layer, OneQubitLayer):
+                for q, u in enumerate(unitaries[li]):
+                    pair = pulses.get((li, q), [])
+                    hit = np.nonzero(faults[:, pair].any(axis=1))[0]
+                    if len(hit):
+                        # Z(phi3), X90, fault 0, Z(phi2), X90, fault 1, Z(phi1)
+                        rz3, rz2, rz1 = pulse_rz[li, q]
+                        sub = apply_1q(state[:, hit], rz3, q, n)
+                        for di, rz in zip(pair, (rz2, rz1)):
+                            sub = apply_1q(sub, _RX90, q, n)
+                            _apply_faults(sub, n, draws, (di,), faults[hit])
+                            sub = apply_1q(sub, rz, q, n)
+                    state = apply_1q(state, u, q, n)
+                    if len(hit):
+                        state[:, hit] = sub
+            else:
+                state = apply_circuit_layer(state, layer, n)
+            _apply_faults(state, n, draws, after.get(li, ()), faults)
         probs = np.abs(state) ** 2
-        probs /= probs.sum()
-        samples = rng.choice(2**n, size=len(shot_ids), p=probs)
-        results[np.array(shot_ids)] = samples
+        for j, ids in enumerate(chunk):
+            p = probs[:, j]
+            results[ids] = rng.choice(2**n, size=len(ids), p=p / p.sum())
 
     if spam is not None:
         results = _apply_meas_flips(results, spam, rng)
     return results
 
 
-def _apply_layer_with_faults(state, layer, n, layer_index, pulse_faults):
-    if isinstance(layer, TwoQubitLayer) or not pulse_faults:
-        return apply_circuit_layer(state, layer, n)
-    for q, gate in enumerate(layer.gates):
-        faults = pulse_faults.get((layer_index, q))
-        if faults is None:
-            state = apply_1q(state, gate_unitary(gate), q, n)
-            continue
-        phi1, phi2, phi3 = gate.angles
-        state = apply_1q(state, _rz(phi3), q, n)
-        state = apply_1q(state, _RX90, q, n)
-        if 0 in faults:
-            state = apply_pauli(state, _local_pauli(n, (q,), faults[0]))
-        state = apply_1q(state, _rz(phi2), q, n)
-        state = apply_1q(state, _RX90, q, n)
-        if 1 in faults:
-            state = apply_pauli(state, _local_pauli(n, (q,), faults[1]))
-        state = apply_1q(state, _rz(phi1), q, n)
-    return state
+def _apply_faults(state, n, draws, indices, faults) -> None:
+    """Apply the faults of draws ``indices``, in order and in place, each to
+    the columns of ``state`` whose row of ``faults`` carries its label."""
+    for di in indices:
+        column = faults[:, di]
+        for lab in np.unique(column[column > 0]):
+            hit = np.nonzero(column == lab)[0]
+            fault = _local_pauli(n, draws[di][1], int(lab))
+            state[:, hit] = apply_pauli(state[:, hit], fault)
 
 
 def _apply_meas_flips(

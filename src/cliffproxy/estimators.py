@@ -52,6 +52,7 @@ from .noise import (
     NoiseBudget,
     NoiseModel,
     SpamModel,
+    _draw_missing_entries,
     process_infidelity_exact,
     propagate_codes,
     sample_error_model,
@@ -549,8 +550,9 @@ def volumetric_run(
 
     Each cell runs unmitigated DFE, the scrambled-reference method,
     readout-mitigated DFE, and a layer-fidelity prediction; widths inside
-    the exact-folding limit also record the exact fidelity.  Failed
-    estimators are recorded per cell instead of aborting the sweep.
+    the exact-folding limit also record the exact fidelity.  Estimators
+    failing with a domain error (a ValueError) are recorded per cell
+    instead of aborting the sweep; any other exception propagates.
     """
     depths = [int(d) for d in depths]
     cells = []
@@ -564,6 +566,15 @@ def volumetric_run(
             template, rng, noise.two_qubit, noise.one_qubit, noise.markovian
         )
         scrambler = scrambling_circuit(n, scrambler_depth, rng)
+        if not noise.markovian:
+            # the reference estimator runs the scrambler after each target,
+            # at layer positions (and brick parities) the template lacks
+            for d in dict.fromkeys(depths):
+                body = LayeredCircuit(n, template.layers[: 2 * d + 1])
+                _draw_missing_entries(
+                    noise_model, concatenate(body, scrambler), rng,
+                    noise.two_qubit, noise.one_qubit,
+                )
         fit_layers = (
             TwoQubitLayer(brickwork_pairs(n, 0)),
             TwoQubitLayer(brickwork_pairs(n, 1)),
@@ -572,7 +583,7 @@ def volumetric_run(
             fit = layer_fidelity_estimate(
                 fit_layers, n, noise_model, layer_fit_depths, config, rng, spam=spam_model
             )
-        except Exception as exc:  # recorded per cell below
+        except ValueError as exc:  # recorded per cell below
             fit = None
             fit_error = str(exc)
         for d in depths:
@@ -583,7 +594,7 @@ def volumetric_run(
             def attempt(name, fn):
                 try:
                     cell.estimates[name] = fn()
-                except Exception as exc:
+                except ValueError as exc:
                     cell.errors[name] = str(exc)
 
             attempt(

@@ -269,6 +269,20 @@ def sample_error_model(
     for budget in (two_q_budget, one_q_budget):
         if not 0.0 <= budget < 1.0:
             raise ValueError(f"budget {budget} outside [0, 1)")
+    model = NoiseModel(markovian, {}, {})
+    _draw_missing_entries(model, circuit, rng, two_q_budget, one_q_budget)
+    return model
+
+
+def _draw_missing_entries(
+    model: NoiseModel,
+    circuit: LayeredCircuit,
+    rng: np.random.Generator,
+    two_q_budget: float,
+    one_q_budget: float,
+) -> None:
+    """Draw, in layer order, an entry for every gate of ``circuit`` that
+    ``model`` has none for; existing entries are kept."""
 
     def sample_gate(k: int, budget: float) -> GateNoise:
         total = float(rng.uniform(0.0, budget)) if budget > 0 else 0.0
@@ -277,22 +291,19 @@ def sample_error_model(
         split = rng.dirichlet(np.ones(4**k - 1))
         return GateNoise.from_rates(total * split)
 
-    one_qubit: dict = {}
-    two_qubit: dict = {}
     for pos, layer in enumerate(circuit.layers):
         if isinstance(layer, OneQubitLayer):
             for q in range(circuit.n):
-                key = q if markovian else (pos, q)
-                if key not in one_qubit:
-                    one_qubit[key] = sample_gate(1, one_q_budget)
+                key = q if model.markovian else (pos, q)
+                if key not in model.one_qubit:
+                    model.one_qubit[key] = sample_gate(1, one_q_budget)
         else:
             for pair in layer.pairs:
                 key = NoiseModel.pair_key(layer.gate, pair)
-                if not markovian:
+                if not model.markovian:
                     key = (pos,) + key
-                if key not in two_qubit:
-                    two_qubit[key] = sample_gate(2, two_q_budget)
-    return NoiseModel(markovian, one_qubit, two_qubit)
+                if key not in model.two_qubit:
+                    model.two_qubit[key] = sample_gate(2, two_q_budget)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,12 +28,10 @@ import numpy as np
 __all__ = [
     "PauliString",
     "PauliChannel",
-    "EigenstatePrep",
     "multiply",
     "commutes",
     "sample_uniform",
     "sample_uniform_nonidentity",
-    "eigenstate_spec",
     "pauli_walsh",
     "CODE_FROM_XZ",
     "XZ_FROM_CODE",
@@ -251,65 +249,6 @@ def sample_uniform_nonidentity(n: int, rng: np.random.Generator) -> PauliString:
     if n < 1:
         raise ValueError("n must be at least 1")
     return PauliString.from_label(n, 1 + int(rng.integers(4**n - 1)))
-
-
-_EIGENSTATES = {
-    "I": "Z+",
-    "X": "X+",
-    "Y": "Y+",
-    "Z": "Z+",
-}
-_FLIPPED = {"Z+": "Z-", "Z-": "Z+", "X+": "X-", "X-": "X+", "Y+": "Y-", "Y-": "Y+"}
-
-_STATE_VECTORS = {
-    "Z+": np.array([1, 0], dtype=complex),
-    "Z-": np.array([0, 1], dtype=complex),
-    "X+": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "X-": np.array([1, -1], dtype=complex) / np.sqrt(2),
-    "Y+": np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    "Y-": np.array([1, -1j], dtype=complex) / np.sqrt(2),
-}
-
-
-@dataclass(frozen=True)
-class EigenstatePrep:
-    """Per-qubit product-state labels preparing a +1 eigenstate of a Pauli."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        for lab in self.labels:
-            if lab not in _STATE_VECTORS:
-                raise ValueError(f"unknown state label {lab!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def statevector(self) -> np.ndarray:
-        """Dense product state, qubit 0 on the most significant bit."""
-        v = np.array([1], dtype=complex)
-        for lab in self.labels:
-            v = np.kron(v, _STATE_VECTORS[lab])
-        return v
-
-
-def eigenstate_spec(p: PauliString) -> EigenstatePrep:
-    """Separable +1 eigenstate of a signed Pauli.
-
-    Identity letters map to Z+.  A -1 sign is absorbed by flipping the
-    eigenstate on the first non-identity qubit, which keeps the output
-    deterministic.
-    """
-    if not p.is_hermitian:
-        raise ValueError("eigenstates are defined for +-1 phases only")
-    if p.sign == -1 and p.is_identity:
-        raise ValueError("-I has no +1 eigenstate")
-    labels = [_EIGENSTATES[p.letter(q)] for q in range(p.n)]
-    if p.sign == -1:
-        q0 = p.support[0]
-        labels[q0] = _FLIPPED[labels[q0]]
-    return EigenstatePrep(tuple(labels))
 
 
 def pauli_walsh(vec: np.ndarray, n: int) -> np.ndarray:

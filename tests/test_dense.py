@@ -8,6 +8,7 @@ from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliChannel, PauliString
+from test_noise import _fold_model
 
 
 def brickwork(n, depth, seed, kind="clifford"):
@@ -247,6 +248,124 @@ class TestPauliChannelDiamond:
         assert dn.pauli_channel_diamond(ch) == pytest.approx(0.01)
 
 
+def _check_against_ptm(circ, model, rng, shots=200_000):
+    """Sampled distribution against the dense noisy transfer matrix."""
+    n = circ.n
+    samples = dn.statevector_simulate(circ, model, rng, shots)
+    emp = np.bincount(samples, minlength=2**n) / shots
+    ptm = dn.circuit_ptm(circ, model).mat
+    stack = dn._pauli_stack(n)
+    rho_in = np.real(stack[:, 0, 0])  # <0|P|0> per label
+    out = ptm @ rho_in
+    probs = np.real(np.einsum("k,kss->s", out, stack)) / 2**n
+    sigma = np.sqrt(np.maximum(probs * (1 - probs), 1e-12) / shots)
+    assert np.all(np.abs(emp - probs) < 5 * sigma + 1e-6)
+
+
+def _per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
+    """The sampler before batching, kept as the oracle: the same draws, then
+    one statevector run per distinct fault pattern in sorted order."""
+    n = circuit.n
+    draws = []
+    if spam is not None:
+        for q in range(n):
+            p = spam.prep[q]
+            if p > 0.0:
+                labels = rng.choice(4, size=shots, p=[1.0 - p, p, 0.0, 0.0])
+                draws.append(("post", -1, (q,), labels))
+    if noise is not None:
+        for li, layer in enumerate(circuit.layers):
+            pos = li + layer_offset
+            if isinstance(layer, cc.OneQubitLayer):
+                for q, gate in enumerate(layer.gates):
+                    if isinstance(gate, cc.EulerGate1Q):
+                        eps = noise.xpi2_noise(pos, q).probs
+                        if eps[0] >= 1.0:
+                            continue
+                        for pulse in (0, 1):
+                            labels = rng.choice(4, size=shots, p=eps)
+                            draws.append(("pulse", li, q, pulse, labels))
+                    else:
+                        probs = noise.compiled_1q_channel(pos, q, gate)
+                        if probs[0] >= 1.0:
+                            continue
+                        labels = rng.choice(4, size=shots, p=probs)
+                        draws.append(("post", li, (q,), labels))
+            else:
+                chan = nz.layer_channel(circuit, li, noise, layer_offset)
+                for qubits, probs in chan.terms:
+                    if probs[0] >= 1.0:
+                        continue
+                    labels = rng.choice(len(probs), size=shots, p=probs)
+                    draws.append(("post", li, qubits, labels))
+
+    patterns = {(): list(range(shots))}
+    if draws:
+        all_labels = np.stack([d[-1] for d in draws], axis=1)
+        nz_rows = np.nonzero(all_labels.any(axis=1))[0]
+        patterns[()] = [int(s) for s in np.setdiff1d(np.arange(shots), nz_rows)]
+        for shot in nz_rows:
+            key = tuple((i, int(lab)) for i, lab in enumerate(all_labels[shot]) if lab)
+            patterns.setdefault(key, []).append(int(shot))
+
+    results = np.zeros(shots, dtype=np.int64)
+    for key, shot_ids in sorted(patterns.items()):
+        if not shot_ids:
+            continue
+        post, pulse_faults = {}, {}
+        for di, lab in key:
+            entry = draws[di]
+            if entry[0] == "post":
+                post.setdefault(entry[1], []).append(nz._local_pauli(n, entry[2], lab))
+            else:
+                pulse_faults.setdefault((entry[1], entry[2]), {})[entry[3]] = lab
+        state = np.zeros(2**n, dtype=complex)
+        state[0] = 1.0
+        for fault in post.get(-1, []):
+            state = dn.apply_pauli(state, fault)
+        for li, layer in enumerate(circuit.layers):
+            if isinstance(layer, cc.TwoQubitLayer):
+                state = dn.apply_circuit_layer(state, layer, n)
+            else:
+                for q, gate in enumerate(layer.gates):
+                    faults = pulse_faults.get((li, q))
+                    if faults is None:
+                        state = dn.apply_1q(state, cc.gate_unitary(gate), q, n)
+                        continue
+                    phi1, phi2, phi3 = gate.angles
+                    for u, pulse in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None), (cl.RX90, 1)):
+                        state = dn.apply_1q(state, u, q, n)
+                        if pulse in faults:
+                            state = dn.apply_pauli(state, nz._local_pauli(n, (q,), faults[pulse]))
+                    state = dn.apply_1q(state, cl._rz(phi1), q, n)
+            for fault in post.get(li, []):
+                state = dn.apply_pauli(state, fault)
+        probs = np.abs(state) ** 2
+        probs /= probs.sum()
+        results[np.array(shot_ids)] = rng.choice(2**n, size=len(shot_ids), p=probs)
+
+    if spam is not None:
+        results = dn._apply_meas_flips(results, spam, rng)
+    return results
+
+
+def _same_seed_case(kind, n, spam, markovian, offset, seed=20):
+    template, rng = brickwork(n, 4, seed + n, kind)
+    model = _fold_model(template, rng, markovian, offset)
+    spam_model = nz.SpamModel.uniform(n, 0.05, 0.05) if spam else None
+    return template, model, spam_model
+
+
+def _assert_same_samples(circ, model, spam, offset, shots=1500, seed=21):
+    want = _per_pattern_simulate(
+        circ, model, np.random.default_rng(seed), shots, spam, offset
+    )
+    got = dn.statevector_simulate(
+        circ, model, np.random.default_rng(seed), shots, spam=spam, layer_offset=offset
+    )
+    np.testing.assert_array_equal(got, want)
+
+
 class TestStatevector:
     def test_identity_circuit_all_zeros(self):
         rng = np.random.default_rng(10)
@@ -276,26 +395,15 @@ class TestStatevector:
     def test_noisy_distribution_matches_transfer_matrix(self):
         circ, rng = brickwork(3, 3, 12)
         model = nz.sample_error_model(circ, rng, 2e-2, 2e-3)
-        shots = 200_000
-        samples = dn.statevector_simulate(circ, model, rng, shots)
-        emp = np.bincount(samples, minlength=8) / shots
+        _check_against_ptm(circ, model, rng)
 
-        # expected distribution from the dense noisy transfer matrix
-        ptm = dn.circuit_ptm(circ, model).mat
-        stack = dn._pauli_stack(3)
-        rho_vec = np.array([np.trace(p) / 8 for p in stack])  # |0..0> components
-        rho_in = np.real(
-            np.array([stack[k][0, 0] for k in range(64)])
-        )  # <0|P|0> per label
-        out = ptm @ rho_in
-        probs = np.zeros(8)
-        for s in range(8):
-            val = 0.0
-            for k in range(64):
-                val += out[k] * np.real(stack[k][s, s]) / 8
-            probs[s] = val
-        sigma = np.sqrt(np.maximum(probs * (1 - probs), 1e-12) / shots)
-        assert np.all(np.abs(emp - probs) < 5 * sigma + 1e-6)
+    def test_noisy_haar_distribution_matches_transfer_matrix(self):
+        # Euler gates take their faults at the X90 pulses inside the gate,
+        # which circuit_ptm treats exactly; strong one-qubit noise makes a
+        # misplaced fault visible
+        circ, rng = brickwork(3, 3, 15, kind="haar")
+        model = nz.sample_error_model(circ, rng, 2e-2, 1e-1)
+        _check_against_ptm(circ, model, rng)
 
     def test_spam_flips_applied(self):
         rng = np.random.default_rng(13)
@@ -330,3 +438,52 @@ class TestIdealOutputProbs:
         circ, _ = brickwork(5, 4, 14, kind="haar")
         probs = dn.ideal_output_probs(circ)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBatchedSampler:
+    """Same seed, same bitstrings as the per-pattern oracle."""
+
+    @pytest.mark.parametrize(
+        "kind, n, spam, markovian, offset",
+        [
+            ("haar", 2, False, True, 0),
+            ("haar", 3, True, False, 3),
+            ("haar", 4, True, True, 3),
+            ("haar", 5, False, False, 0),
+            ("clifford", 2, True, False, 0),
+            ("clifford", 3, False, True, 0),
+            ("clifford", 4, False, False, 3),
+            ("clifford", 5, True, True, 0),
+        ],
+    )
+    def test_matches_per_pattern_oracle(self, kind, n, spam, markovian, offset):
+        circ, model, spam_model = _same_seed_case(kind, n, spam, markovian, offset)
+        _assert_same_samples(circ, model, spam_model, offset)
+
+    @pytest.mark.parametrize("kind", ["haar", "clifford"])
+    def test_zero_rate_gates_skipped_alike(self, kind):
+        circ, model, spam = _same_seed_case(kind, 3, True, False, 0)
+        # every other entry noiseless, so some gates draw no labels at all
+        one = {k: nz.GateNoise.identity(1) if i % 2 else g
+               for i, (k, g) in enumerate(sorted(model.one_qubit.items()))}
+        two = {k: nz.GateNoise.identity(2) if i % 2 else g
+               for i, (k, g) in enumerate(sorted(model.two_qubit.items()))}
+        _assert_same_samples(circ, nz.NoiseModel(False, one, two), spam, 0)
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_chunk_boundaries(self, monkeypatch, per_chunk):
+        circ, model, spam = _same_seed_case("haar", 3, True, True, 0)
+        monkeypatch.setattr(dn, "_CHUNK_AMPLITUDES", per_chunk * 2**3)
+        _assert_same_samples(circ, model, spam, 0)
+
+    def test_noiseless_single_pattern(self):
+        circ, _, _ = _same_seed_case("haar", 4, False, True, 0)
+        _assert_same_samples(circ, None, None, 0)
+
+    def test_apply_pauli_batch_matches_columns(self):
+        rng = np.random.default_rng(22)
+        states = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+        p = PauliString.from_text("-YXZ")
+        batch = dn.apply_pauli(states, p)
+        for j in range(5):
+            np.testing.assert_array_equal(batch[:, j], dn.apply_pauli(states[:, j], p))

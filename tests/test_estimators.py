@@ -402,6 +402,41 @@ class TestVolumetric:
         assert len(cells) == 1
         assert cells[0].errors or cells[0].estimates
 
+    def test_non_markovian_reference_at_every_depth(self):
+        # the reference runs the scrambler past the template's positions, and
+        # after an odd depth at the other brick parity
+        cfg = est.DfeConfig(5, 1, 100)
+        cells = est.volumetric_run(
+            [4], [3, 4], nz.NoiseBudget(1e-3, 1e-4, markovian=False), (0.01, 0.02),
+            cfg, np.random.default_rng(37), layer_fit_depths=(2, 4, 8),
+        )
+        for cell in cells:
+            assert set(cell.errors) == {"layer_fidelity"}, cell.errors
+            assert "reference" in cell.estimates
+
+    def test_markovian_draws_no_extra_entries(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Markovian sweeps draw no extra noise entries")
+
+        monkeypatch.setattr(est, "_draw_missing_entries", refuse)
+        cells = est.volumetric_run(
+            [3], [2], nz.NoiseBudget(1e-3, 1e-4), None, est.DfeConfig(2, 1, 20),
+            np.random.default_rng(38), layer_fit_depths=(2, 4, 8),
+        )
+        assert not cells[0].errors
+
+    @pytest.mark.parametrize("name", ["dfe_with_reference", "layer_fidelity_estimate"])
+    def test_bug_errors_propagate(self, monkeypatch, name):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a domain error")
+
+        monkeypatch.setattr(est, name, broken)
+        with pytest.raises(TypeError, match="a bug"):
+            est.volumetric_run(
+                [3], [2], nz.NoiseBudget(1e-3, 1e-4), None, est.DfeConfig(2, 1, 20),
+                np.random.default_rng(39), layer_fit_depths=(2, 4, 8),
+            )
+
 
 class TestCov:
     def test_constant_list(self):

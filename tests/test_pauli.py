@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from cliffproxy.pauli import (
-    EigenstatePrep,
     PauliChannel,
     PauliString,
     commutes,
-    eigenstate_spec,
     multiply,
     pauli_walsh,
     sample_uniform,
@@ -129,44 +127,6 @@ class TestSampling:
             sample_uniform_nonidentity(0, np.random.default_rng(0))
 
 
-class TestEigenstates:
-    def test_plus_z(self):
-        prep = eigenstate_spec(PauliString.from_text("Z"))
-        assert prep.labels == ("Z+",)
-
-    def test_minus_z(self):
-        prep = eigenstate_spec(PauliString.from_text("-Z"))
-        assert prep.labels == ("Z-",)
-
-    def test_identity_letters_map_to_z_plus(self):
-        prep = eigenstate_spec(PauliString.from_text("XIZ"))
-        assert prep.labels == ("X+", "Z+", "Z+")
-
-    def test_sign_absorbed_on_first_support_qubit(self):
-        prep = eigenstate_spec(PauliString.from_text("-IXZ"))
-        assert prep.labels == ("Z+", "X-", "Z+")
-
-    def test_rejects_imaginary_phase_and_negative_identity(self):
-        p = PauliString(1, 1, 0, 1)
-        with pytest.raises(ValueError):
-            eigenstate_spec(p)
-        with pytest.raises(ValueError):
-            eigenstate_spec(PauliString.identity(2).negate())
-
-    def test_statevector_oracle(self):
-        rng = np.random.default_rng(10)
-        cases = [PauliString.from_text("-XZ")]
-        for _ in range(100):
-            p = random_pauli(4, rng, signed=True)
-            if p.is_identity and p.sign == -1:
-                continue
-            cases.append(p)
-        for p in cases:
-            psi = eigenstate_spec(p).statevector()
-            val = np.vdot(psi, p.to_matrix() @ psi)
-            assert abs(val - 1.0) < 1e-12
-
-
 class TestTextEncoding:
     def test_round_trip(self):
         rng = np.random.default_rng(11)
@@ -237,14 +197,3 @@ class TestPauliChannel:
         for label, p in ((0, 0.7), (1, 0.2), (2, 0.1), (3, 0.0)):
             sigma = max(np.sqrt(draws * p * (1 - p)), 1.0)
             assert abs(counts[label] - draws * p) < 5 * sigma
-
-
-class TestEigenstatePrep:
-    def test_rejects_unknown_label(self):
-        with pytest.raises(ValueError):
-            EigenstatePrep(("Q+",))
-
-    def test_product_state_order(self):
-        psi = EigenstatePrep(("Z-", "Z+")).statevector()
-        # qubit 0 is the most significant bit
-        assert np.allclose(psi, [0, 0, 1, 0])
