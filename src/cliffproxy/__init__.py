@@ -50,6 +50,7 @@ from .noise import (  # noqa: F401
     NoiseBudget,
     NoiseModel,
     SpamModel,
+    cliffordization_infidelities,
     fold_to_end,
     layer_channel,
     process_infidelities_exact,

@@ -70,19 +70,14 @@ class EulerGate1Q:
 
 Gate1Q = CliffordGate1Q | EulerGate1Q
 
-IDENTITY_GATE = CliffordGate1Q(0)
+_CLIFFORD_GATES = tuple(CliffordGate1Q(k) for k in range(24))
+IDENTITY_GATE = _CLIFFORD_GATES[0]
 
 
 def gate_unitary(gate: Gate1Q) -> np.ndarray:
     if isinstance(gate, CliffordGate1Q):
         return cl.one_qubit_cliffords()[gate.index].unitary
     return cl.euler_unitary(*gate.angles)
-
-
-def gate_euler_angles(gate: Gate1Q) -> tuple[float, float, float]:
-    if isinstance(gate, CliffordGate1Q):
-        return cl.one_qubit_cliffords()[gate.index].euler
-    return gate.angles
 
 
 @dataclass(frozen=True)
@@ -242,11 +237,20 @@ def brickwork_pairs(n: int, layer_index: int, topology: str = "line", offset: in
     return tuple(pairs)
 
 
+def _draw_cliffords(rng: np.random.Generator, k: int, layers: int, n: int) -> np.ndarray:
+    """(k, layers, n) uniform one-qubit Clifford indices.  Drawn as int64 and
+    cast: that consumes ``rng`` exactly as k * layers draws of
+    ``rng.integers(24, size=n)``, where an int8 draw would not."""
+    return rng.integers(24, size=(k, layers, n)).astype(np.int8)
+
+
+def _clifford_layer(indices: np.ndarray) -> OneQubitLayer:
+    return OneQubitLayer(tuple(_CLIFFORD_GATES[k] for k in indices.tolist()))
+
+
 def _sample_1q_layer(n: int, kind: str, rng: np.random.Generator) -> OneQubitLayer:
     if kind == "clifford":
-        return OneQubitLayer(
-            tuple(CliffordGate1Q(int(k)) for k in rng.integers(24, size=n))
-        )
+        return _clifford_layer(_draw_cliffords(rng, 1, 1, n)[0, 0])
     if kind == "haar":
         return OneQubitLayer(tuple(haar_su2(rng) for _ in range(n)))
     raise ValueError(f"unknown one-qubit gate kind {kind!r}")
@@ -319,12 +323,10 @@ def cliffordize(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCir
 
     Entangling layers are passed through untouched.
     """
-    layers: list[Layer] = []
-    for layer in circuit.layers:
-        if isinstance(layer, OneQubitLayer):
-            layers.append(_sample_1q_layer(circuit.n, "clifford", rng))
-        else:
-            layers.append(layer)
+    # layers alternate, one-qubit layers at even positions
+    layers = list(circuit.layers)
+    gates = _draw_cliffords(rng, 1, len(layers[::2]), circuit.n)[0]
+    layers[::2] = [_clifford_layer(row) for row in gates]
     return LayeredCircuit(circuit.n, tuple(layers))
 
 

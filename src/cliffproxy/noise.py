@@ -42,6 +42,7 @@ from .circuits import (
     LayeredCircuit,
     OneQubitLayer,
     TwoQubitLayer,
+    _draw_cliffords,
 )
 from .pauli import CODE_FROM_XZ, XZ_FROM_CODE, PauliChannel, PauliString, pauli_walsh
 
@@ -60,6 +61,7 @@ __all__ = [
     "propagate_codes",
     "process_infidelity_exact",
     "process_infidelities_exact",
+    "cliffordization_infidelities",
     "layer_infidelities",
     "noise_to_dict",
     "noise_from_dict",
@@ -67,6 +69,9 @@ __all__ = [
 ]
 
 FOLD_LIMIT = 10
+
+# amplitude budget of one batched fold chunk (8 MB), at least one circuit
+_FOLD_AMPLITUDES = 2**20
 
 # largest total probability fold_to_end may clip away as rounding noise
 CLIP_TOLERANCE = 1e-12
@@ -406,6 +411,13 @@ def _twoq_conj_labels(gate: str) -> np.ndarray:
     return out
 
 
+def _check_width(n: int, limit: int) -> None:
+    if n > limit:
+        raise FoldSizeError(
+            f"exact folding capped at n={limit}; sample faults by Monte Carlo instead"
+        )
+
+
 def _gate_indices(circuits, limit: int):
     """First circuit and the (K, one-qubit layers, n) Clifford indices of
     all K circuits, read one circuit at a time; (None, None) if K = 0."""
@@ -414,11 +426,7 @@ def _gate_indices(circuits, limit: int):
     for circuit in circuits:
         if template is None:
             template = circuit
-            if circuit.n > limit:
-                raise FoldSizeError(
-                    f"exact folding capped at n={limit}; "
-                    "sample faults by Monte Carlo instead"
-                )
+            _check_width(circuit.n, limit)
         elif circuit.n != template.n or len(circuit.layers) != len(template.layers):
             raise ValueError("batched folds need circuits of one width and layer count")
         if not circuit.is_clifford:
@@ -452,16 +460,14 @@ def _gather(h, order, batch, qubits, local_map, eig):
     return h, list(qubits) + [q for q in order if q not in qubits]
 
 
-def _fold(circuits, noise: NoiseModel, limit: int, layer_offset: int):
+def _fold(template, gates, noise: NoiseModel, layer_offset: int):
     """Transfer-matrix diagonals, shape (K, 4^n), of the folded channels of
-    K Clifford circuits that share their entangling layers (None if K = 0).
+    K Clifford circuits: the entangling layers of ``template`` with the
+    one-qubit Clifford indices ``gates``, shape (K, one-qubit layers, n).
 
     Walks the layers forward with ``h <- lambda_i * (h o pi_i)``, where
     pi_i maps a label Q to the label of C_i' Q C_i.
     """
-    template, gates = _gate_indices(circuits, limit)
-    if template is None:
-        return None
     n = template.n
     batch = np.arange(len(gates))
     inverse_conj = cl.inverse_conjugation_codes()
@@ -481,6 +487,17 @@ def _fold(circuits, noise: NoiseModel, limit: int, layer_offset: int):
                 h, order = _gather(h, order, batch, pair, local_map, eig)
     h = h.transpose([0] + [1 + order.index(q) for q in range(n)])
     return h.reshape(len(gates), 4**n)
+
+
+def _infidelities(template, gates, noise: NoiseModel, layer_offset: int):
+    """1 - p_I of each fold of :func:`_fold`, over chunks of at most
+    ``_FOLD_AMPLITUDES`` amplitudes; circuits fold independently."""
+    chunk = max(1, _FOLD_AMPLITUDES // 4**template.n)
+    out = np.empty(len(gates))
+    for start in range(0, len(gates), chunk):
+        eig = _fold(template, gates[start : start + chunk], noise, layer_offset)
+        out[start : start + chunk] = 1.0 - eig.mean(axis=1)
+    return out
 
 
 def propagate_codes(
@@ -528,7 +545,8 @@ def fold_eigenvalues(
     layer_offset: int = 0,
 ) -> np.ndarray:
     """Transfer-matrix diagonal of the folded end-of-circuit error channel."""
-    return _fold([circuit], noise, limit, layer_offset)[0]
+    template, gates = _gate_indices([circuit], limit)
+    return _fold(template, gates, noise, layer_offset)[0]
 
 
 def fold_to_end(
@@ -578,12 +596,35 @@ def process_infidelities_exact(
     ``circuits`` is any iterable, a generator included; each circuit is read
     once and not kept.  The circuits must share their width, layer count
     and entangling layers, as the Cliffordizations of one target do;
-    mismatched circuits raise ValueError.  Memory grows as K * 4^n.
+    mismatched circuits raise ValueError.  The fold runs in chunks of at
+    most 2^20 amplitudes (at least one circuit), so memory stays bounded.
     """
-    eig = _fold(circuits, noise, limit, layer_offset)
-    if eig is None:
+    template, gates = _gate_indices(circuits, limit)
+    if template is None:
         return np.zeros(0)
-    return 1.0 - eig.mean(axis=1)
+    return _infidelities(template, gates, noise, layer_offset)
+
+
+def cliffordization_infidelities(
+    target: LayeredCircuit,
+    noise: NoiseModel,
+    k: int,
+    rng: np.random.Generator,
+    limit: int = FOLD_LIMIT,
+    layer_offset: int = 0,
+) -> np.ndarray:
+    """Process infidelities of ``k`` Cliffordizations of ``target``.
+
+    Draws the same Clifford indices from ``rng``, leaving it in the same
+    state, as ``k`` calls of ``cliffordize(target, rng)``, and returns the
+    values :func:`process_infidelities_exact` gives for those circuits,
+    without building them.  Only the target's width and entangling layers
+    are read, so its one-qubit gates may be any gates.  A target wider
+    than ``limit`` raises FoldSizeError before anything is drawn.
+    """
+    _check_width(target.n, limit)
+    gates = _draw_cliffords(rng, k, len(target.layers[::2]), target.n)
+    return _infidelities(target, gates, noise, layer_offset)
 
 
 def layer_infidelities(

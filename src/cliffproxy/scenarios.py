@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -337,9 +338,8 @@ def _uniformity_like(config: ExperimentConfig, with_diamond: bool, out: "_Output
                     p["markovian"],
                 )
                 exp_id = f"{config.scenario}-n{n}-{kind}-{t:03d}"
-                rs = nz.process_infidelities_exact(
-                    (cc.cliffordize(target, rng) for _ in range(p["cliffordizations"])),
-                    noise,
+                rs = nz.cliffordization_infidelities(
+                    target, noise, p["cliffordizations"], rng
                 ).tolist()
                 for k, r in enumerate(rs):
                     rows.append(
@@ -563,7 +563,9 @@ def _run_xeb_compare(config: ExperimentConfig, out: "_OutputSet"):
                     "group": f"d={depth}",
                     "series": name,
                     "mean": float(arr.mean()),
-                    "stderr": float(arr.std(ddof=1) / np.sqrt(len(arr))),
+                    # one randomization has no spread to estimate
+                    "stderr": float(arr.std(ddof=1) / np.sqrt(len(arr)))
+                    if len(arr) > 1 else math.nan,
                     "n": n,
                     "depth": depth,
                     "entanglers": num_ent,

@@ -65,15 +65,11 @@ def _target_ensemble():
                 sampler = cc.sample_brickwork if kind == "disordered" else cc.sample_periodic
                 target = sampler(spec, "haar", rng)
                 noise = nz.sample_error_model(target, rng, TWO_Q_BUDGET, ONE_Q_BUDGET)
-                rs = nz.process_infidelities_exact(
-                    (cc.cliffordize(target, rng) for _ in range(100)), noise
-                )
+                rs = nz.cliffordization_infidelities(target, noise, 100, rng)
                 mu, sigma, cov = est.coefficient_of_variation(rs)
                 refined = False
                 if cov > 1.5e-5:
-                    rs = nz.process_infidelities_exact(
-                        (cc.cliffordize(target, rng) for _ in range(500)), noise
-                    )
+                    rs = nz.cliffordization_infidelities(target, noise, 500, rng)
                     mu, sigma, cov = est.coefficient_of_variation(rs)
                     refined = True
                 entry = {

@@ -122,6 +122,18 @@ class TestCliffordize:
             seen.update(g.index for g in proxy.layers[0].gates)
         assert len(seen) == 24
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_draws_like_one_layer_at_a_time(self, n):
+        layers = (cc.identity_layer(n),) + (cc.TwoQubitLayer(()), cc.identity_layer(n)) * 3
+        circ = cc.LayeredCircuit(n, layers)
+        for seed in range(20):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            proxy = cc.cliffordize(circ, rng)
+            oracle = [[int(k) for k in twin.integers(24, size=n)] for _ in range(4)]
+            assert [[g.index for g in layer.gates] for layer in proxy.layers[::2]] == oracle
+            assert proxy.layers[1::2] == circ.layers[1::2]
+            assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestPauliTwirl:
     def test_clifford_tableau_preserved_exactly(self):

@@ -1,5 +1,8 @@
+import csv
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -175,9 +178,19 @@ class TestRunScenario:
         again = emit_figure(str(tmp_path / "uniformity_summary.csv"), "hist")
         assert svg == again
 
-    def test_spam_compare_mitigation_ordering(self, tmp_path):
-        import csv
+    def test_single_randomization_xeb_compare_warns_nothing(self, tmp_path):
+        overrides = dict(SMALL_XEB, depths=[2], randomizations=1)
+        cfg = validate_config("xeb-compare", overrides, 4, str(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_scenario(cfg)
+        with open(tmp_path / "xeb_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        assert all(r["stderr"] == "nan" for r in rows)
+        assert all(math.isfinite(float(r["mean"])) for r in rows)
 
+    def test_spam_compare_mitigation_ordering(self, tmp_path):
         overrides = {"depths": [4, 8], "randomizations": 8, "shots": 200,
                      "layer_fit_depths": [2, 4, 8], "calib_shots": 2000}
         cfg = validate_config("spam-compare", overrides, 2, str(tmp_path))

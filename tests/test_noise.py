@@ -384,6 +384,76 @@ class TestBatchedFold:
         assert nz.process_infidelities_exact(iter(()), model).shape == (0,)
 
 
+def _haar_target(n, kind, rng):
+    """A disordered or periodic Haar target; at n = 1 the same shapes are
+    built by hand around empty entangling layers."""
+    if n > 1:
+        sampler = cc.sample_brickwork if kind == "disordered" else cc.sample_periodic
+        return sampler(cc.BrickworkSpec(n, 4, "ring"), "haar", rng)
+    unit = cc.OneQubitLayer((cc.haar_su2(rng),))
+    layers = [unit]
+    for _ in range(4):
+        layer = unit if kind == "periodic" else cc.OneQubitLayer((cc.haar_su2(rng),))
+        layers += [cc.TwoQubitLayer(()), layer]
+    return cc.LayeredCircuit(1, tuple(layers))
+
+
+class TestCliffordizationInfidelities:
+    """The drawn-index path against folding cliffordize's circuits."""
+
+    @staticmethod
+    def _both(target, model, k, seed, offset=0):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = nz.cliffordization_infidelities(target, model, k, rng, layer_offset=offset)
+        want = nz.process_infidelities_exact(
+            (cc.cliffordize(target, twin) for _ in range(k)), model, layer_offset=offset
+        )
+        assert rng.bit_generator.state == twin.bit_generator.state
+        return got, want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["disordered", "periodic"])
+    def test_matches_folded_cliffordizations(self, n, kind):
+        rng = np.random.default_rng(400 + n + 10 * (kind == "periodic"))
+        target = _haar_target(n, kind, rng)
+        assert not target.is_clifford
+        for markovian in (True, False):
+            for offset in (0, 3):
+                model = _fold_model(target, rng, markovian, offset)
+                for k in (1, 5):
+                    got, want = self._both(target, model, k, int(rng.integers(2**32)), offset)
+                    assert got.shape == (k,)
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chunks_fold_like_one_batch(self, n, monkeypatch):
+        rng = np.random.default_rng(420 + n)
+        target = _haar_target(n, "disordered", rng)
+        model = nz.sample_error_model(target, rng, 5e-2, 5e-3)
+        whole, _ = self._both(target, model, 5, 7)
+        for circuits_per_chunk in (1, 3):
+            monkeypatch.setattr(nz, "_FOLD_AMPLITUDES", circuits_per_chunk * 4**n)
+            got, want = self._both(target, model, 5, 7)
+            assert np.array_equal(got, whole)
+            assert np.array_equal(want, whole)
+
+    def test_too_wide_raises_before_drawing(self):
+        rng = np.random.default_rng(430)
+        target = _haar_target(3, "disordered", rng)
+        model = nz.sample_error_model(target, rng)
+        before = rng.bit_generator.state
+        with pytest.raises(nz.FoldSizeError):
+            nz.cliffordization_infidelities(target, model, 5, rng, limit=2)
+        assert rng.bit_generator.state == before
+
+    def test_empty_ensemble(self):
+        rng = np.random.default_rng(431)
+        target = _haar_target(2, "periodic", rng)
+        model = nz.sample_error_model(target, rng)
+        got, want = self._both(target, model, 0, 8)
+        assert got.shape == want.shape == (0,)
+
+
 class TestProcessInfidelity:
     def test_zero_noise(self):
         circ, rng = brickwork(3, 3, 18)
