@@ -21,12 +21,9 @@ from .clifford import (  # noqa: F401
     CliffordTableau,
     NotCliffordError,
     OneQubitClifford,
-    backpropagate,
     compose,
     conjugate,
-    euler_angles,
     from_gate,
-    inverse,
     one_qubit_cliffords,
 )
 from .circuits import (  # noqa: F401
@@ -56,17 +53,13 @@ from .noise import (  # noqa: F401
     process_infidelities_exact,
     process_infidelity_exact,
     sample_error_model,
-    sample_fault,
 )
 from .dense import (  # noqa: F401
     ChoiMatrix,
     Ptm,
-    Statevector,
-    average_fidelity,
     circuit_ptm,
     diamond_distance,
     ideal_output_probs,
-    pauli_channel_diamond,
     process_fidelity,
     statevector_simulate,
 )

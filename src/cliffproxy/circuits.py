@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford as cl
-from .pauli import PauliString, sample_uniform
+from .pauli import sample_uniform
 
 __all__ = [
     "CliffordGate1Q",
@@ -37,7 +37,6 @@ __all__ = [
     "scrambling_circuit",
     "haar_su2",
     "concatenate",
-    "layer_tableau",
     "gate_unitary",
     "circuit_to_dict",
     "circuit_from_dict",
@@ -103,12 +102,6 @@ class TwoQubitLayer:
             raise ValueError(f"unsupported entangling gate {self.gate!r}")
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
 
-    def touched(self) -> tuple[int, ...]:
-        out = []
-        for a, b in self.pairs:
-            out.extend((a, b))
-        return tuple(out)
-
 
 Layer = OneQubitLayer | TwoQubitLayer
 
@@ -171,31 +164,6 @@ class LayeredCircuit:
 
 def identity_layer(n: int) -> OneQubitLayer:
     return OneQubitLayer((IDENTITY_GATE,) * n)
-
-
-def layer_tableau(layer: Layer, n: int) -> cl.CliffordTableau:
-    """Tableau of one layer, built row by row (gates act on disjoint qubits)."""
-    if isinstance(layer, OneQubitLayer):
-        if not layer.is_clifford:
-            raise cl.NotCliffordError("layer contains non-Clifford one-qubit gates")
-        elems = cl.one_qubit_cliffords()
-        xs, zs = [], []
-        for q, gate in enumerate(layer.gates):
-            elem = elems[gate.index]
-            for (code, sign), dest in ((elem.x_image, xs), (elem.z_image, zs)):
-                dest.append(PauliString.single(n, q, "IXYZ"[code], sign))
-        return cl.CliffordTableau(n, xs, zs)
-    gate_tab = cl.from_gate(layer.gate, (0, 1), 2)
-    xs = [PauliString.single(n, q, "X") for q in range(n)]
-    zs = [PauliString.single(n, q, "Z") for q in range(n)]
-    for a, b in layer.pairs:
-        for local, dest in ((gate_tab.x_images, xs), (gate_tab.z_images, zs)):
-            for k, q in ((0, a), (1, b)):
-                img = local[k]
-                x_bits = (((img.x_bits >> 0) & 1) << a) | (((img.x_bits >> 1) & 1) << b)
-                z_bits = (((img.z_bits >> 0) & 1) << a) | (((img.z_bits >> 1) & 1) << b)
-                dest[q] = PauliString(n, x_bits, z_bits, img.phase_exp)
-    return cl.CliffordTableau(n, xs, zs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +338,19 @@ def pauli_twirl(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCir
         if not isinstance(layer, TwoQubitLayer):
             continue
         frame = sample_uniform(circuit.n, rng)
-        conj = cl.conjugate(layer_tableau(layer, circuit.n), frame)
+        codes = [frame.code(q) for q in range(circuit.n)]
+        # letters of C F C': each gate maps the letters of its pair
+        conj = list(codes)
+        local_map = cl.twoq_conjugation_codes(layer.gate)
+        for a, b in layer.pairs:
+            conj[a], conj[b] = divmod(int(local_map[4 * codes[a] + codes[b]]), 4)
         before = gates[i - 1]
         after = gates[i + 1]
         for q in range(circuit.n):
-            code = frame.code(q)
-            if code:
-                before[q] = _left_multiply(before[q], _letter_elem_index(code))
-            code_after = conj.code(q)
-            if code_after:
-                after[q] = _right_multiply(after[q], _letter_elem_index(code_after))
+            if codes[q]:
+                before[q] = _left_multiply(before[q], _letter_elem_index(codes[q]))
+            if conj[q]:
+                after[q] = _right_multiply(after[q], _letter_elem_index(conj[q]))
     layers = [
         OneQubitLayer(tuple(g)) if g is not None else circuit.layers[i]
         for i, g in enumerate(gates)

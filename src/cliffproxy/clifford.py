@@ -11,6 +11,10 @@ fixed-length Euler decomposition Z(phi1) X90 Z(phi2) X90 Z(phi3) with
 angles in {0, +-pi/2, pi}.  Every single-qubit gate in the package is
 expanded in this same five-pulse form so that all of them see identical
 noise exposure.
+
+Tableaux build the two read-only letter-code tables that every circuit
+walk reads: :func:`inverse_conjugation_codes` over the 24 one-qubit
+elements and :func:`twoq_conjugation_codes` for CZ and CNOT.
 """
 
 from __future__ import annotations
@@ -29,15 +33,12 @@ __all__ = [
     "NotCliffordError",
     "conjugate",
     "compose",
-    "inverse",
     "from_gate",
-    "backpropagate",
-    "circuit_tableau",
-    "euler_angles",
     "one_qubit_cliffords",
     "clifford_mult",
     "clifford_inverse_index",
     "inverse_conjugation_codes",
+    "twoq_conjugation_codes",
     "euler_unitary",
     "zxzxz_angles",
     "RX90",
@@ -144,12 +145,6 @@ class CliffordTableau:
     def __hash__(self) -> int:
         return hash(self.key())
 
-    def conjugate(self, p: PauliString) -> PauliString:
-        return conjugate(self, p)
-
-    def inverse(self) -> "CliffordTableau":
-        return inverse(self)
-
     def validate(self) -> None:
         """Check the symplectic condition on all generator images."""
         for k in range(self.n):
@@ -195,49 +190,6 @@ def compose(first: CliffordTableau, second: CliffordTableau) -> CliffordTableau:
     return CliffordTableau(first.n, xs, zs)
 
 
-def _gf2_inverse(rows: list[int], width: int) -> list[int]:
-    """Invert a GF(2) matrix given as bit-mask rows."""
-    aug = [rows[i] | (1 << (width + i)) for i in range(width)]
-    for col in range(width):
-        pivot = next(
-            (r for r in range(col, width) if (aug[r] >> col) & 1), None
-        )
-        if pivot is None:
-            raise ValueError("singular symplectic matrix: invalid tableau")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(width):
-            if r != col and (aug[r] >> col) & 1:
-                aug[r] ^= aug[col]
-    return [aug[i] >> width for i in range(width)]
-
-
-def inverse(t: CliffordTableau) -> CliffordTableau:
-    """Tableau of the inverse Clifford, with exact signs."""
-    n = t.n
-    # Row r of the binary matrix maps generator r to its image bits (x|z).
-    rows = []
-    for img in list(t.x_images) + list(t.z_images):
-        rows.append(img.x_bits | (img.z_bits << n))
-    inv_rows = _gf2_inverse(rows, 2 * n)
-    mask = (1 << n) - 1
-
-    def signed_preimage(row_bits: int, target: PauliString) -> PauliString:
-        cand = PauliString(n, row_bits & mask, row_bits >> n, 0)
-        image = conjugate(t, cand)
-        if image.x_bits != target.x_bits or image.z_bits != target.z_bits:
-            raise ValueError("inconsistent symplectic inverse")
-        return cand if image.phase_exp == 0 else cand.negate()
-
-    xs = [
-        signed_preimage(inv_rows[q], PauliString.single(n, q, "X")) for q in range(n)
-    ]
-    zs = [
-        signed_preimage(inv_rows[n + q], PauliString.single(n, q, "Z"))
-        for q in range(n)
-    ]
-    return CliffordTableau(n, xs, zs)
-
-
 # ---------------------------------------------------------------------------
 # single-qubit Clifford group
 # ---------------------------------------------------------------------------
@@ -261,9 +213,6 @@ class OneQubitClifford:
     def conj_code(self, code: int) -> tuple[int, int]:
         """Image (code, sign) of a single letter under g P g'."""
         return _conj_table_cache()[self.index][code]
-
-    def tableau(self, n: int = 1, qubit: int = 0) -> CliffordTableau:
-        return _embed_one_qubit(self.index, qubit, n)
 
 
 def _one_qubit_key(x_img: PauliString, z_img: PauliString) -> tuple:
@@ -426,6 +375,20 @@ def inverse_conjugation_codes() -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def twoq_conjugation_codes(gate: str) -> np.ndarray:
+    """Read-only (16,) table: two-letter label of C P C' for the entangling
+    gate C on qubits (0, 1) and label P (qubit 0 the high digit), signs
+    dropped.  CZ and CNOT are involutions, so it also maps P to C' P C."""
+    tab = from_gate(gate, (0, 1), 2)
+    table = np.array(
+        [conjugate(tab, PauliString.from_label(2, label)).label for label in range(16)],
+        dtype=np.intp,
+    )
+    table.setflags(write=False)
+    return table
+
+
 @lru_cache(maxsize=1)
 def _named_one_qubit_indices() -> dict[str, int]:
     index = _one_qubit_index()
@@ -451,13 +414,8 @@ def one_qubit_gate_index(name: str) -> int:
         raise ValueError(f"unknown one-qubit gate {name!r}") from None
 
 
-def euler_angles(c: OneQubitClifford) -> tuple[float, float, float]:
-    """Fixed-length decomposition angles, each in {0, +-pi/2, pi}."""
-    return c.euler
-
-
 # ---------------------------------------------------------------------------
-# gate tableaux and circuit propagation
+# gate tableaux
 # ---------------------------------------------------------------------------
 
 
@@ -508,22 +466,3 @@ def from_gate(name: str, qubits, n: int) -> CliffordTableau:
             raise ValueError(f"Clifford index {index} out of range")
         return _embed_one_qubit(index, qubits[0], n)
     return _embed_one_qubit(one_qubit_gate_index(name), qubits[0], n)
-
-
-def circuit_tableau(circuit) -> CliffordTableau:
-    """Whole-circuit tableau of a Clifford-only layered circuit."""
-    from . import circuits as _c
-
-    if not circuit.is_clifford:
-        raise NotCliffordError("circuit contains non-Clifford one-qubit gates")
-    tab = CliffordTableau.identity(circuit.n)
-    for layer in circuit.layers:
-        tab = compose(tab, _c.layer_tableau(layer, circuit.n))
-    return tab
-
-
-def backpropagate(circuit, p: PauliString) -> PauliString:
-    """C' P C for the whole-circuit Clifford C, with exact sign."""
-    if circuit.n != p.n:
-        raise ValueError(f"size mismatch: circuit n={circuit.n}, Pauli n={p.n}")
-    return conjugate(inverse(circuit_tableau(circuit)), p)

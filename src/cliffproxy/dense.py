@@ -1,5 +1,5 @@
-"""Exact small-n channel mathematics: statevectors, transfer matrices,
-process/average fidelity, Choi matrices, and diamond distance.
+"""Exact small-n channel mathematics: transfer matrices, process fidelity,
+Choi matrices, diamond distance, and statevector sampling.
 
 Transfer matrices ("Ptm") are real 4^n x 4^n in the normalised Pauli basis,
 ordered lexicographically in (I, X, Y, Z) per qubit with qubit 0 slowest,
@@ -10,8 +10,8 @@ probability vector.
 
 Computational-basis integers put qubit 0 on the most significant bit.
 Dense transfer matrices are capped at n <= 4 and the diamond-norm SDP at
-n <= 3 (n = 3 already takes minutes); statevector simulation runs to
-n <= 14 by default.
+n <= 3 (one n = 3 solve takes tens of seconds); statevector simulation
+runs to n <= 14.
 """
 
 from __future__ import annotations
@@ -30,22 +30,19 @@ from .circuits import (
 )
 from .clifford import RX90 as _RX90, _rz
 from .noise import NoiseModel, SpamModel, _local_pauli, layer_channel
-from .pauli import PauliChannel, PauliString
+from .pauli import PauliString
 
 __all__ = [
     "Ptm",
     "ChoiMatrix",
-    "Statevector",
     "PTM_LIMIT",
+    "DIAMOND_LIMIT",
     "STATEVECTOR_LIMIT",
-    "circuit_unitary",
     "ptm_of_unitary",
     "circuit_ptm",
     "process_fidelity",
-    "average_fidelity",
     "choi_of_ptm",
     "diamond_distance",
-    "pauli_channel_diamond",
     "apply_circuit",
     "apply_pauli",
     "statevector_simulate",
@@ -72,12 +69,6 @@ class Ptm:
             raise ValueError(f"expected {4 ** self.n} x {4 ** self.n} matrix")
         object.__setattr__(self, "mat", m)
 
-    @property
-    def is_trace_preserving(self) -> bool:
-        first = np.zeros(4**self.n)
-        first[0] = 1.0
-        return bool(np.max(np.abs(self.mat[0] - first)) < 1e-10)
-
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
@@ -93,21 +84,6 @@ class ChoiMatrix:
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("Choi matrix must be Hermitian")
         object.__setattr__(self, "mat", m)
-
-
-@dataclass(frozen=True, eq=False)
-class Statevector:
-    n: int
-    amps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=complex)
-        if a.shape != (2**self.n,):
-            raise ValueError(f"expected {2 ** self.n} amplitudes")
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm} is not 1")
-        object.__setattr__(self, "amps", a)
 
 
 @lru_cache(maxsize=8)
@@ -188,14 +164,6 @@ def _entangler_unitary(gate: str) -> np.ndarray:
         m[[2, 3]] = m[[3, 2]]
         return m
     raise ValueError(f"unsupported entangling gate {gate!r}")
-
-
-def circuit_unitary(circuit: LayeredCircuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (small n only)."""
-    if circuit.n > 2 * PTM_LIMIT:
-        raise ValueError("dense unitary requested for too many qubits")
-    dim = 2**circuit.n
-    return apply_circuit(np.eye(dim, dtype=complex), circuit)
 
 
 def ptm_of_unitary(u: np.ndarray, n: int) -> Ptm:
@@ -298,15 +266,6 @@ def process_fidelity(ideal: Ptm, noisy: Ptm) -> float:
     return float(np.trace(ideal.mat.T @ noisy.mat)) / 4**ideal.n
 
 
-def average_fidelity(f_pro: float, n: int) -> float:
-    """Haar-average state fidelity from the process fidelity."""
-    dim = 2**n
-    lo = -1.0 / (4**n - 1)
-    if not lo - 1e-12 <= f_pro <= 1.0 + 1e-12:
-        raise ValueError(f"process fidelity {f_pro} outside [{lo}, 1]")
-    return (dim * f_pro + 1.0) / (dim + 1.0)
-
-
 def choi_of_ptm(ptm: Ptm) -> ChoiMatrix:
     """Choi matrix (output factor first) of a transfer matrix."""
     n = ptm.n
@@ -328,8 +287,8 @@ def diamond_distance(
     """Half diamond-norm distance between two channels via the SDP.
 
     Exact for n <= 2 in well under a second; n = 3 is supported but takes
-    minutes per call because the Newton systems are dense in 4^3-dimensional
-    Hermitian space.
+    tens of seconds per call because the Newton systems are dense in
+    4^3-dimensional Hermitian space.
     """
     if ideal.n != noisy.n:
         raise ValueError(f"size mismatch: {ideal.n} vs {noisy.n}")
@@ -339,11 +298,6 @@ def diamond_distance(
     return sdp.solve_diamond_sdp(
         delta, 2**ideal.n, gap_tol=gap_tol, gap_required=gap_required
     )
-
-
-def pauli_channel_diamond(channel: PauliChannel) -> float:
-    """Closed form for Pauli error channels: 1 - p_identity."""
-    return channel.infidelity
 
 
 # ---------------------------------------------------------------------------

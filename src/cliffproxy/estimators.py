@@ -73,7 +73,6 @@ __all__ = [
     "xeb",
     "volumetric_run",
     "coefficient_of_variation",
-    "pauli_expectation",
     "polarization_to_fidelity",
     "fidelity_to_polarization",
 ]
@@ -133,25 +132,6 @@ def fidelity_to_polarization(f: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pauli_expectation(
-    circuit: LayeredCircuit,
-    noise: NoiseModel | None,
-    spam: SpamModel | None,
-    pauli: PauliString,
-    layer_offset: int = 0,
-) -> tuple[float, PauliString]:
-    """Noise-averaged measured parity for one sampled observable.
-
-    Returns the expectation of the signed parity together with the
-    back-propagated input observable's letters; its sign is dropped
-    (always +1), since the estimate depends only on letters and support.
-    """
-    if not circuit.is_clifford:
-        raise cl.NotCliffordError("fidelity estimation requires a Clifford circuit")
-    lam, codes = _walk(circuit, noise, spam, pauli, layer_offset)
-    return lam, PauliString.from_text("".join("IXYZ"[c] for c in codes))
-
-
 def _walk(circuit, noise, spam, pauli, layer_offset):
     """Gate-noise eigenvalues along the back-propagated letters times the
     prep (input support) and measurement (output support) attenuation."""
@@ -168,6 +148,9 @@ def _walk(circuit, noise, spam, pauli, layer_offset):
 
 
 def _draw_parity(expected: float, shots: int, rng: np.random.Generator) -> float:
+    # a walk's product of eigenvalues leaves [-1, 1] only by rounding
+    if abs(expected) > 1.0 + 1e-12:
+        raise RuntimeError(f"expected parity {expected!r} outside [-1, 1]")
     flip_prob = min(max((1.0 - expected) / 2.0, 0.0), 1.0)
     flips = int(rng.binomial(shots, flip_prob))
     return 1.0 - 2.0 * flips / shots

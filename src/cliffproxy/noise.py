@@ -32,7 +32,7 @@ through the same tables (:func:`propagate_codes`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "layer_channel",
     "fold_to_end",
     "fold_eigenvalues",
-    "sample_fault",
     "propagate_codes",
     "process_infidelity_exact",
     "process_infidelities_exact",
@@ -336,13 +335,6 @@ class LayerErrorChannel:
             out.append((qubits, pauli_walsh(probs, k)))
         return tuple(out)
 
-    def dense_probs(self) -> np.ndarray:
-        """Global distribution over 4^n labels (small n only)."""
-        if self.n > FOLD_LIMIT:
-            raise FoldSizeError(f"dense channel above n={FOLD_LIMIT}")
-        eig = self.dense_eigenvalues()
-        return pauli_walsh(eig, self.n) / 4**self.n
-
     def dense_eigenvalues(self) -> np.ndarray:
         """Transfer-matrix diagonal over all 4^n labels: the product of the
         local diagonals, each broadcast over its qubits' axes."""
@@ -354,15 +346,6 @@ class LayerErrorChannel:
                 shape[q] = 4
             out *= local.reshape(shape)
         return out.reshape(4**self.n)
-
-    def sample(self, rng: np.random.Generator) -> PauliString:
-        """One fault drawn from the product distribution."""
-        fault = PauliString.identity(self.n)
-        for qubits, probs in self.terms:
-            label = int(rng.choice(len(probs), p=probs))
-            if label:
-                fault = fault * _local_pauli(self.n, qubits, label)
-        return fault.with_sign(1)
 
 
 def _local_pauli(n: int, qubits, label: int) -> PauliString:
@@ -396,19 +379,6 @@ def layer_channel(
             probs = noise.compiled_1q_channel(pos, q, gate)
             terms.append(((q,), probs))
     return LayerErrorChannel(circuit.n, tuple(terms))
-
-
-@lru_cache(maxsize=None)
-def _twoq_conj_labels(gate: str) -> np.ndarray:
-    """Label map of the entangling gate's conjugation; CZ and CNOT are
-    involutions so the map equals its own inverse."""
-    tab = cl.from_gate(gate, (0, 1), 2)
-    out = np.array(
-        [cl.conjugate(tab, PauliString.from_label(2, code)).label for code in range(16)],
-        dtype=np.intp,
-    )
-    out.setflags(write=False)
-    return out
 
 
 def _check_width(n: int, limit: int) -> None:
@@ -481,7 +451,7 @@ def _fold(template, gates, noise: NoiseModel, layer_offset: int):
                 eig = noise.compiled_1q_eigenvalues(pos, q)[g]
                 h, order = _gather(h, order, batch, (q,), inverse_conj[g], eig)
         else:
-            local_map = _twoq_conj_labels(layer.gate)[None]
+            local_map = cl.twoq_conjugation_codes(layer.gate)[None]
             for pair in layer.pairs:
                 eig = noise.twoq_noise(pos, layer.gate, pair).eigenvalues[None]
                 h, order = _gather(h, order, batch, pair, local_map, eig)
@@ -528,7 +498,7 @@ def propagate_codes(
                     layer_eig *= noise.compiled_1q_eigenvalues(pos, q)[g, codes[q]]
             codes = [inverse_conj[g][c] for g, c in zip(gates, codes)]
         else:
-            local_map = _twoq_conj_labels(layer.gate)
+            local_map = cl.twoq_conjugation_codes(layer.gate)
             for a, b in layer.pairs:
                 label = 4 * codes[a] + codes[b]
                 if noise is not None:
@@ -635,19 +605,6 @@ def layer_infidelities(
     out = []
     for i in range(len(circuit.layers)):
         out.append(layer_channel(circuit, i, noise, layer_offset).infidelity)
-    return out
-
-
-def sample_fault(
-    circuit: LayeredCircuit,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    layer_offset: int = 0,
-) -> list[PauliString]:
-    """One fault per layer, drawn from each layer's error channel."""
-    out = []
-    for i in range(len(circuit.layers)):
-        out.append(layer_channel(circuit, i, noise, layer_offset).sample(rng))
     return out
 
 

@@ -178,10 +178,6 @@ class PauliString:
     def adjoint(self) -> "PauliString":
         return PauliString(self.n, self.x_bits, self.z_bits, -self.phase_exp)
 
-    def inverse(self) -> "PauliString":
-        # Hermitian letter part squares to I, so the inverse is the adjoint.
-        return self.adjoint()
-
     def negate(self) -> "PauliString":
         return PauliString(self.n, self.x_bits, self.z_bits, self.phase_exp + 2)
 
@@ -303,10 +299,6 @@ class PauliChannel:
             label = key if isinstance(key, int) else PauliString.from_text(key).label
             p[label] += val
         return cls(n, p)
-
-    @classmethod
-    def from_eigenvalues(cls, n: int, eigs: np.ndarray) -> "PauliChannel":
-        return cls(n, pauli_walsh(eigs, n) / 4**n)
 
     @property
     def p_identity(self) -> float:

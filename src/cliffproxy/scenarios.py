@@ -206,6 +206,10 @@ def validate_config(
         folded = params["widths"] if "widths" in params else [params["width"]]
         if any(isinstance(v, int) and v > nz.FOLD_LIMIT for v in folded):
             problems.append(f"widths above the exact-folding limit n={nz.FOLD_LIMIT}")
+    if scenario == "accuracy" and any(
+        isinstance(v, int) and v > dn.DIAMOND_LIMIT for v in params["widths"]
+    ):
+        problems.append(f"widths above the diamond-norm SDP limit n={dn.DIAMOND_LIMIT}")
     if "kinds" in params and (
         not params["kinds"] or any(k not in ("disordered", "periodic") for k in params["kinds"])
     ):
@@ -357,7 +361,7 @@ def _uniformity_like(config: ExperimentConfig, with_diamond: bool, out: "_Output
                     "cov": cov,
                     "value": cov,
                 }
-                if with_diamond and n <= 2:
+                if with_diamond:
                     ptm_ideal = dn.circuit_ptm(target)
                     ptm_noisy = dn.circuit_ptm(target, noise)
                     res = dn.diamond_distance(ptm_ideal, ptm_noisy)

@@ -5,6 +5,7 @@ from cliffproxy import circuits as cc
 from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy.pauli import PauliString, sample_uniform_nonidentity
+from oracles import circuit_tableau, circuit_unitary, layer_tableau, tableau_twirl
 
 
 def phase_aligned_distance(a, b):
@@ -100,8 +101,8 @@ class TestPeriodic:
             half = cc.sample_periodic(cc.BrickworkSpec(4, 3), "clifford", rng)
             rng = np.random.default_rng(100 + seed)
             full = cc.sample_periodic(cc.BrickworkSpec(4, 6), "clifford", rng)
-            t_half = cl.circuit_tableau(half)
-            assert cl.compose(t_half, t_half) == cl.circuit_tableau(full)
+            t_half = circuit_tableau(half)
+            assert cl.compose(t_half, t_half) == circuit_tableau(full)
 
 
 class TestCliffordize:
@@ -135,23 +136,48 @@ class TestCliffordize:
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
+def _twirl_cases(kind, rng, n=4):
+    """Brickwork circuits on a line and a ring, with CZ layers and with CNOT
+    layers; every other CNOT layer swaps control and target."""
+    for topology in ("line", "ring"):
+        for gate in ("CZ", "CNOT"):
+            base = cc.sample_brickwork(cc.BrickworkSpec(n, 4, topology), kind, rng)
+            layers = list(base.layers)
+            for i in range(1, len(layers), 2):
+                pairs = layers[i].pairs
+                if gate == "CNOT" and i % 4 == 1:
+                    pairs = tuple((b, a) for a, b in pairs)
+                layers[i] = cc.TwoQubitLayer(pairs, gate)
+            yield cc.LayeredCircuit(n, tuple(layers))
+
+
 class TestPauliTwirl:
     def test_clifford_tableau_preserved_exactly(self):
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            circ = cc.sample_brickwork(cc.BrickworkSpec(4, 3), "clifford", rng)
-            twirled = cc.pauli_twirl(circ, rng)
-            assert cl.circuit_tableau(twirled) == cl.circuit_tableau(circ)
+        for _ in range(5):
+            for circ in _twirl_cases("clifford", rng):
+                twirled = cc.pauli_twirl(circ, rng)
+                assert circuit_tableau(twirled) == circuit_tableau(circ)
 
     def test_dense_unitary_preserved_up_to_phase(self):
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            circ = cc.sample_brickwork(cc.BrickworkSpec(3, 3), "haar", rng)
-            twirled = cc.pauli_twirl(circ, rng)
-            err = phase_aligned_distance(
-                dn.circuit_unitary(circ), dn.circuit_unitary(twirled)
-            )
-            assert err < 1e-10
+        for _ in range(5):
+            for circ in _twirl_cases("haar", rng):
+                twirled = cc.pauli_twirl(circ, rng)
+                err = phase_aligned_distance(
+                    circuit_unitary(circ), circuit_unitary(twirled)
+                )
+                assert err < 1e-10
+
+    @pytest.mark.parametrize("kind", ["clifford", "haar"])
+    def test_matches_tableau_twirl(self, kind):
+        # letter codes through the two-qubit table against the signed tableau
+        rng = np.random.default_rng(12)
+        for seed in range(10):
+            for circ in _twirl_cases(kind, rng, n=2 + seed % 5):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert cc.pauli_twirl(circ, got_rng) == tableau_twirl(circ, want_rng)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_entangling_layers_untouched(self):
         rng = np.random.default_rng(8)
@@ -174,7 +200,7 @@ class TestPauliTwirl:
         )
         angle = 0.15
         coherent = dn.ptm_of_unitary(
-            dn.circuit_unitary(
+            circuit_unitary(
                 cc.LayeredCircuit(
                     n,
                     (
@@ -234,7 +260,7 @@ class TestScrambler:
             scr = cc.scrambling_circuit(n, 4, rng)
             p = sample_uniform_nonidentity(n, rng)
             for layer in scr.layers:
-                p = cl.conjugate(cc.layer_tableau(layer, n), p)
+                p = cl.conjugate(layer_tableau(layer, n), p)
             weights[p.weight] += 1
         emp = weights / trials
         # exact weight distribution of a uniform non-identity Pauli
@@ -303,7 +329,7 @@ class TestConcatenate:
         c2 = cc.sample_brickwork(cc.BrickworkSpec(3, 2), "haar", rng)
         joined = cc.concatenate(c1, c2)
         err = phase_aligned_distance(
-            dn.circuit_unitary(c2) @ dn.circuit_unitary(c1), dn.circuit_unitary(joined)
+            circuit_unitary(c2) @ circuit_unitary(c1), circuit_unitary(joined)
         )
         assert err < 1e-10
         assert joined.depth == c1.depth + c2.depth
@@ -314,6 +340,6 @@ class TestConcatenate:
         c2 = cc.sample_brickwork(cc.BrickworkSpec(3, 1), "clifford", rng)
         joined = cc.concatenate(c1, c2)
         assert joined.is_clifford
-        assert cl.circuit_tableau(joined) == cl.compose(
-            cl.circuit_tableau(c1), cl.circuit_tableau(c2)
+        assert circuit_tableau(joined) == cl.compose(
+            circuit_tableau(c1), circuit_tableau(c2)
         )

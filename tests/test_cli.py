@@ -108,6 +108,7 @@ class TestConfigValidation:
             ("volumetric", {"depths": []}, "depths"),
             ("xeb-compare", {"depths": [2, 0]}, "depths"),
             ("spam-compare", {"markovian": False}, "markovian"),
+            ("accuracy", {"widths": [4]}, "diamond-norm SDP limit"),
         ],
     )
     def test_fields_checked_up_front(self, scenario, overrides, field):
@@ -236,10 +237,15 @@ class TestCliCommands:
         )
         assert rc == 2
         assert not (tmp_path / "run").exists()
-        for bad in ({"widths": ["a"]}, {"kinds": ["weird"]}, {"widths": [12]}):
+        for scenario, bad in (
+            ("uniformity", {"widths": ["a"]}),
+            ("uniformity", {"kinds": ["weird"]}),
+            ("uniformity", {"widths": [12]}),
+            ("accuracy", {"widths": [4]}),
+        ):
             cfg_file.write_text(json.dumps({**SMALL_UNIFORMITY, **bad}))
             rc = main(
-                ["run", "uniformity", "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+                ["run", scenario, "--config", str(cfg_file), "--out", str(tmp_path / "run")]
             )
             assert rc == 2
             assert not (tmp_path / "run").exists()

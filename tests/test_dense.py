@@ -8,6 +8,7 @@ from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliChannel, PauliString
+from oracles import circuit_unitary, per_pattern_simulate
 from test_noise import _fold_model
 
 
@@ -25,7 +26,8 @@ class TestCircuitPtm:
     def test_identity(self):
         ptm = dn.circuit_ptm(cc.LayeredCircuit.identity(2))
         assert np.allclose(ptm.mat, np.eye(16))
-        assert ptm.is_trace_preserving
+        # trace preserving: the first row is (1, 0, ..., 0)
+        assert np.array_equal(ptm.mat[0], np.eye(16)[0])
 
     def test_x_gate_diagonal(self):
         ptm = dn.circuit_ptm(single_gate_circuit("X"))
@@ -77,44 +79,6 @@ class TestProcessFidelity:
             dn.process_fidelity(dn.Ptm(1, np.eye(4)), dn.Ptm(2, np.eye(16)))
 
 
-class TestAverageFidelity:
-    def test_endpoints(self):
-        assert dn.average_fidelity(1.0, 3) == pytest.approx(1.0)
-        assert dn.average_fidelity(0.25, 1) == pytest.approx(0.5)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            dn.average_fidelity(1.2, 1)
-
-    def test_haar_average_monte_carlo(self):
-        # Haar-average output-state fidelity of a noisy channel matches the
-        # conversion formula within Monte Carlo error
-        n = 2
-        circ, rng = brickwork(n, 2, 5)
-        model = nz.sample_error_model(circ, rng, 5e-2, 5e-3)
-        chan = nz.fold_to_end(circ, model)
-        f_pro = chan.p_identity
-        expect = dn.average_fidelity(f_pro, n)
-
-        u = dn.circuit_unitary(circ)
-        draws = 4000
-        vals = np.empty(draws)
-        for i in range(draws):
-            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            psi /= np.linalg.norm(psi)
-            out = u @ psi
-            # apply the folded Pauli channel to the ideal output state
-            fid = 0.0
-            for label, p in enumerate(chan.probs):
-                if p < 1e-15:
-                    continue
-                w = PauliString.from_label(n, label).to_matrix() @ out
-                fid += p * abs(np.vdot(out, w)) ** 2
-            vals[i] = fid
-        sem = vals.std(ddof=1) / math.sqrt(draws)
-        assert abs(vals.mean() - expect) < 3 * sem + 1e-12
-
-
 class TestChoi:
     def test_identity_channel_is_bell_projector(self):
         choi = dn.choi_of_ptm(dn.Ptm(1, np.eye(4)))
@@ -149,7 +113,7 @@ class TestDiamond:
             model = nz.sample_error_model(circ, rng, 3e-2, 3e-3)
             chan = nz.fold_to_end(circ, model)
             res = dn.diamond_distance(dn.circuit_ptm(circ), dn.circuit_ptm(circ, model))
-            assert res.value == pytest.approx(dn.pauli_channel_diamond(chan), abs=1e-7)
+            assert res.value == pytest.approx(chan.infidelity, abs=1e-7)
             assert res.duality_gap <= 1e-8
 
     def test_z_rotation_against_maximization_oracle(self):
@@ -162,7 +126,7 @@ class TestDiamond:
 
         # brute force: maximize ancilla-assisted trace distance over pure
         # inputs by random search plus local refinement
-        u = dn.circuit_unitary(circ)
+        u = circuit_unitary(circ)
         u_big = np.kron(u, np.eye(2))
 
         def objective(psi):
@@ -240,12 +204,22 @@ class TestDiamond:
 
 
 class TestPauliChannelDiamond:
+    """The closed form for Pauli channels, d_diamond = 1 - p_I, against the SDP."""
+
+    @staticmethod
+    def _sdp(ch):
+        eye = dn.Ptm(ch.n, np.eye(4**ch.n))
+        return dn.diamond_distance(eye, dn.Ptm(ch.n, np.diag(ch.eigenvalues()))).value
+
     def test_point_mass(self):
-        assert dn.pauli_channel_diamond(PauliChannel.identity(2)) == 0.0
+        ch = PauliChannel.identity(2)
+        assert ch.infidelity == 0.0
+        assert abs(self._sdp(ch)) < 1e-8
 
     def test_simple_mixture(self):
         ch = PauliChannel.from_dict(1, {"I": 0.99, "X": 0.01})
-        assert dn.pauli_channel_diamond(ch) == pytest.approx(0.01)
+        assert ch.infidelity == pytest.approx(0.01)
+        assert self._sdp(ch) == pytest.approx(ch.infidelity, abs=1e-7)
 
 
 def _check_against_ptm(circ, model, rng, shots=200_000):
@@ -262,93 +236,6 @@ def _check_against_ptm(circ, model, rng, shots=200_000):
     assert np.all(np.abs(emp - probs) < 5 * sigma + 1e-6)
 
 
-def _per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
-    """The sampler before batching, kept as the oracle: the same draws, then
-    one statevector run per distinct fault pattern in sorted order."""
-    n = circuit.n
-    draws = []
-    if spam is not None:
-        for q in range(n):
-            p = spam.prep[q]
-            if p > 0.0:
-                labels = rng.choice(4, size=shots, p=[1.0 - p, p, 0.0, 0.0])
-                draws.append(("post", -1, (q,), labels))
-    if noise is not None:
-        for li, layer in enumerate(circuit.layers):
-            pos = li + layer_offset
-            if isinstance(layer, cc.OneQubitLayer):
-                for q, gate in enumerate(layer.gates):
-                    if isinstance(gate, cc.EulerGate1Q):
-                        eps = noise.xpi2_noise(pos, q).probs
-                        if eps[0] >= 1.0:
-                            continue
-                        for pulse in (0, 1):
-                            labels = rng.choice(4, size=shots, p=eps)
-                            draws.append(("pulse", li, q, pulse, labels))
-                    else:
-                        probs = noise.compiled_1q_channel(pos, q, gate)
-                        if probs[0] >= 1.0:
-                            continue
-                        labels = rng.choice(4, size=shots, p=probs)
-                        draws.append(("post", li, (q,), labels))
-            else:
-                chan = nz.layer_channel(circuit, li, noise, layer_offset)
-                for qubits, probs in chan.terms:
-                    if probs[0] >= 1.0:
-                        continue
-                    labels = rng.choice(len(probs), size=shots, p=probs)
-                    draws.append(("post", li, qubits, labels))
-
-    patterns = {(): list(range(shots))}
-    if draws:
-        all_labels = np.stack([d[-1] for d in draws], axis=1)
-        nz_rows = np.nonzero(all_labels.any(axis=1))[0]
-        patterns[()] = [int(s) for s in np.setdiff1d(np.arange(shots), nz_rows)]
-        for shot in nz_rows:
-            key = tuple((i, int(lab)) for i, lab in enumerate(all_labels[shot]) if lab)
-            patterns.setdefault(key, []).append(int(shot))
-
-    results = np.zeros(shots, dtype=np.int64)
-    for key, shot_ids in sorted(patterns.items()):
-        if not shot_ids:
-            continue
-        post, pulse_faults = {}, {}
-        for di, lab in key:
-            entry = draws[di]
-            if entry[0] == "post":
-                post.setdefault(entry[1], []).append(nz._local_pauli(n, entry[2], lab))
-            else:
-                pulse_faults.setdefault((entry[1], entry[2]), {})[entry[3]] = lab
-        state = np.zeros(2**n, dtype=complex)
-        state[0] = 1.0
-        for fault in post.get(-1, []):
-            state = dn.apply_pauli(state, fault)
-        for li, layer in enumerate(circuit.layers):
-            if isinstance(layer, cc.TwoQubitLayer):
-                state = dn.apply_circuit_layer(state, layer, n)
-            else:
-                for q, gate in enumerate(layer.gates):
-                    faults = pulse_faults.get((li, q))
-                    if faults is None:
-                        state = dn.apply_1q(state, cc.gate_unitary(gate), q, n)
-                        continue
-                    phi1, phi2, phi3 = gate.angles
-                    for u, pulse in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None), (cl.RX90, 1)):
-                        state = dn.apply_1q(state, u, q, n)
-                        if pulse in faults:
-                            state = dn.apply_pauli(state, nz._local_pauli(n, (q,), faults[pulse]))
-                    state = dn.apply_1q(state, cl._rz(phi1), q, n)
-            for fault in post.get(li, []):
-                state = dn.apply_pauli(state, fault)
-        probs = np.abs(state) ** 2
-        probs /= probs.sum()
-        results[np.array(shot_ids)] = rng.choice(2**n, size=len(shot_ids), p=probs)
-
-    if spam is not None:
-        results = dn._apply_meas_flips(results, spam, rng)
-    return results
-
-
 def _same_seed_case(kind, n, spam, markovian, offset, seed=20):
     template, rng = brickwork(n, 4, seed + n, kind)
     model = _fold_model(template, rng, markovian, offset)
@@ -357,7 +244,7 @@ def _same_seed_case(kind, n, spam, markovian, offset, seed=20):
 
 
 def _assert_same_samples(circ, model, spam, offset, shots=1500, seed=21):
-    want = _per_pattern_simulate(
+    want = per_pattern_simulate(
         circ, model, np.random.default_rng(seed), shots, spam, offset
     )
     got = dn.statevector_simulate(

@@ -9,6 +9,7 @@ from cliffproxy import dense as dn
 from cliffproxy import estimators as est
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, sample_uniform_nonidentity
+from oracles import backpropagate, inverse, layer_tableau
 from test_noise import _fold_case, _fold_model
 
 
@@ -35,7 +36,7 @@ def _tableau_walk(circuit, noise, layer_offset):
     steps = [
         (
             nz.layer_channel(circuit, i, noise, layer_offset).dense_eigenvalues(),
-            cl.inverse(cc.layer_tableau(layer, circuit.n)),
+            inverse(layer_tableau(layer, circuit.n)),
         )
         for i, layer in enumerate(circuit.layers)
     ]
@@ -51,14 +52,17 @@ def _tableau_walk(circuit, noise, layer_offset):
 
 
 class TestPauliExpectation:
+    """The noise-averaged parity of one observable: the letter-code walk
+    (``noise.propagate_codes``) times the SPAM factors (``est._walk``)."""
+
     def test_invariant_under_frame_twirls(self):
         circ, rng = brickwork(4, 5, 0)
         model = nz.sample_error_model(circ, rng, 1e-2, 1e-3)
         spam = nz.SpamModel.uniform(4, 0.01, 0.02)
         for _ in range(25):
             p = sample_uniform_nonidentity(4, rng)
-            base, _ = est.pauli_expectation(circ, model, spam, p)
-            twirled, _ = est.pauli_expectation(cc.pauli_twirl(circ, rng), model, spam, p)
+            base, _ = est._walk(circ, model, spam, p, 0)
+            twirled, _ = est._walk(cc.pauli_twirl(circ, rng), model, spam, p, 0)
             assert base == pytest.approx(twirled, abs=1e-12)
 
     def test_matches_folded_diagonal(self):
@@ -82,20 +86,24 @@ class TestPauliExpectation:
             labels = range(1, 4**n) if n <= 3 else rng.integers(1, 4**n, size=30)
             for label in labels:
                 p = PauliString.from_label(n, int(label))
-                val, pprime = est.pauli_expectation(circ, model, None, p, offset)
+                val, codes = nz.propagate_codes(
+                    circ, model, [p.code(q) for q in range(n)], offset
+                )
                 want, q = oracle(p)
                 assert abs(val - want) < 1e-12
                 assert val == pytest.approx(eig[label], abs=1e-12)
-                assert pprime == cl.backpropagate(circ, p).with_sign(1)
-                assert pprime.label == q.label
+                bp = backpropagate(circ, p)
+                assert codes == [bp.code(k) for k in range(n)]
+                assert codes == [q.code(k) for k in range(n)]
 
     def test_spam_attenuation_factors(self):
         circ, rng = brickwork(3, 2, 2)
         model = nz.sample_error_model(circ, rng, 0.0, 0.0)
         spam = nz.SpamModel.uniform(3, 0.02, 0.03)
         p = PauliString.from_text("XZI")
-        val, pprime = est.pauli_expectation(circ, model, spam, p)
-        expect = (1 - 2 * 0.02) ** pprime.weight * (1 - 2 * 0.03) ** p.weight
+        val, codes = est._walk(circ, model, spam, p, 0)
+        weight = sum(1 for c in codes if c)
+        expect = (1 - 2 * 0.02) ** weight * (1 - 2 * 0.03) ** p.weight
         assert val == pytest.approx(expect, abs=1e-12)
 
 
@@ -152,6 +160,24 @@ class TestDfe:
         model = nz.sample_error_model(circ, rng, 0.3, 0.05)
         res = est.dfe(circ, model, None, est.DfeConfig(1, 1, 50), rng)
         assert res.stderr > 0
+
+    def test_parity_outside_unit_interval_raises(self, monkeypatch):
+        # a RuntimeError, which volumetric sweeps do not record as a cell failure
+        monkeypatch.setattr(est, "_walk", lambda *args: (1.5, []))
+        circ, rng = brickwork(3, 2, 8)
+        with pytest.raises(RuntimeError, match="outside"):
+            est.dfe(circ, None, None, est.DfeConfig(2, 1, 10), rng)
+        with pytest.raises(RuntimeError, match="outside"):
+            est.volumetric_run(
+                [3], [2], nz.NoiseBudget(1e-3, 1e-4), None, est.DfeConfig(2, 1, 20),
+                rng, layer_fit_depths=(2, 4, 8),
+            )
+
+    def test_parity_rounding_above_one_draws_normally(self, monkeypatch):
+        monkeypatch.setattr(est, "_walk", lambda *args: (1.0 + 1e-13, []))
+        circ, rng = brickwork(3, 2, 9)
+        res = est.dfe(circ, None, None, est.DfeConfig(5, 2, 10), rng)
+        assert res.mean == 1.0 and res.stderr == 0.0
 
 
 class TestReference:

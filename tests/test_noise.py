@@ -9,6 +9,7 @@ from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, pauli_walsh
+from oracles import circuit_tableau, inverse, layer_tableau
 
 
 def brickwork(n, depth, seed, kind="clifford"):
@@ -78,8 +79,7 @@ class TestLayerChannel:
         model = nz.sample_error_model(circ, rng, 0.0, 0.0)
         chan = nz.layer_channel(circ, 1, model)
         assert chan.p_identity == 1.0
-        probs = chan.dense_probs()
-        assert probs[0] == pytest.approx(1.0)
+        assert np.array_equal(chan.dense_eigenvalues(), np.ones(64))
 
     def test_single_cz_rate_becomes_global_channel(self):
         circ = cc.LayeredCircuit(
@@ -94,18 +94,28 @@ class TestLayerChannel:
             {("CZ", 0, 1): nz.GateNoise.from_rates(rates)},
         )
         chan = nz.layer_channel(circ, 1, model)
-        probs = chan.dense_probs()
+        probs = pauli_walsh(chan.dense_eigenvalues(), 2) / 16
         assert probs[0] == pytest.approx(1 - p)
         assert probs[PauliString.from_text("ZI").label] == pytest.approx(p)
         assert probs.sum() == pytest.approx(1.0)
 
     def test_dense_diagonal_matches_walsh_transform(self):
+        # against the Walsh transform of the global distribution: the
+        # product of the local probabilities at each label's restrictions
         circ, rng = brickwork(3, 2, 8)
         model = nz.sample_error_model(circ, rng, 5e-2, 5e-3)
+        labels = np.arange(64)
         for i in range(len(circ.layers)):
             chan = nz.layer_channel(circ, i, model)
+            probs = np.ones(64)
+            touched = set()
+            for qubits, local in chan.terms:
+                probs *= local[_restriction(3, qubits, labels)]
+                touched.update(qubits)
+            # idle qubits carry no error
+            idle = [q for q in range(3) if q not in touched]
+            probs[_restriction(3, idle, labels) != 0] = 0.0
             eig = chan.dense_eigenvalues()
-            probs = chan.dense_probs()
             assert np.max(np.abs(pauli_walsh(probs, 3) - eig)) < 1e-12
 
 
@@ -149,7 +159,7 @@ class TestFolding:
             for label in range(4**n):
                 table[label] = cl.conjugate(suffix, PauliString.from_label(n, label)).label
             suffix_maps.append(table)
-            suffix = cl.compose(cc.layer_tableau(circ.layers[i], n), suffix)
+            suffix = cl.compose(layer_tableau(circ.layers[i], n), suffix)
         suffix_maps.reverse()
 
         net = np.zeros(shots, dtype=np.int64)
@@ -191,10 +201,10 @@ class TestFolding:
         eig_half = nz.fold_eigenvalues(half, model)
         eig_full = nz.fold_eigenvalues(full, model)
         e0 = nz.layer_channel(full, 0, model).dense_eigenvalues()
-        tab = cl.circuit_tableau(half)
+        tab = circuit_tableau(half)
         perm = np.zeros(64, dtype=np.int64)
         for label in range(64):
-            perm[label] = cl.conjugate(cl.inverse(tab), PauliString.from_label(3, label)).label
+            perm[label] = cl.conjugate(inverse(tab), PauliString.from_label(3, label)).label
         assert np.max(np.abs(eig_full * e0[perm] - eig_half * eig_half[perm])) < 1e-12
 
     def test_above_limit_instructs_monte_carlo(self):
@@ -479,72 +489,6 @@ class TestProcessInfidelity:
             eig = nz.fold_eigenvalues(circ, model)
             err_ptm = dn.circuit_ptm(circ, model).mat @ dn.circuit_ptm(circ).mat.T
             assert np.max(np.abs(np.diag(err_ptm) - eig)) < 1e-12
-
-
-class TestSampleFault:
-    def test_zero_noise_all_identities(self):
-        circ, rng = brickwork(3, 2, 19)
-        model = nz.sample_error_model(circ, rng, 0.0, 0.0)
-        faults = nz.sample_fault(circ, model, rng)
-        assert len(faults) == len(circ.layers)
-        assert all(f.is_identity for f in faults)
-
-    def test_frequencies_match_rates(self):
-        circ = cc.LayeredCircuit(
-            2, (cc.identity_layer(2), cc.TwoQubitLayer(((0, 1),)), cc.identity_layer(2))
-        )
-        rates = np.zeros(15)
-        rates[PauliString.from_text("XX").label - 1] = 0.2
-        rates[PauliString.from_text("ZI").label - 1] = 0.1
-        model = nz.NoiseModel(
-            True,
-            {0: nz.GateNoise.identity(1), 1: nz.GateNoise.identity(1)},
-            {("CZ", 0, 1): nz.GateNoise.from_rates(rates)},
-        )
-        rng = np.random.default_rng(20)
-        shots = 100_000
-        counts = {}
-        for _ in range(shots):
-            f = nz.sample_fault(circ, model, rng)[1]
-            counts[str(f)] = counts.get(str(f), 0) + 1
-        for text, p in (("II", 0.7), ("XX", 0.2), ("ZI", 0.1)):
-            sigma = math.sqrt(shots * p * (1 - p))
-            assert abs(counts.get(text, 0) - shots * p) < 5 * sigma
-
-    def test_disjoint_gates_independent(self):
-        circ = cc.LayeredCircuit(
-            4,
-            (
-                cc.identity_layer(4),
-                cc.TwoQubitLayer(((0, 1), (2, 3))),
-                cc.identity_layer(4),
-            ),
-        )
-        rates = np.zeros(15)
-        rates[PauliString.from_text("XI").label - 1] = 0.3
-        gate = nz.GateNoise.from_rates(rates)
-        model = nz.NoiseModel(
-            True,
-            {q: nz.GateNoise.identity(1) for q in range(4)},
-            {("CZ", 0, 1): gate, ("CZ", 2, 3): gate},
-        )
-        rng = np.random.default_rng(21)
-        shots = 40_000
-        table = np.zeros((2, 2))
-        for _ in range(shots):
-            f = nz.sample_fault(circ, model, rng)[1]
-            a = int(f.code(0) != 0)
-            b = int(f.code(2) != 0)
-            table[a, b] += 1
-        # chi-square independence test, 1 dof, 0.001 cut at 10.83
-        row = table.sum(axis=1)
-        col = table.sum(axis=0)
-        chi2 = 0.0
-        for i in range(2):
-            for j in range(2):
-                e = row[i] * col[j] / shots
-                chi2 += (table[i, j] - e) ** 2 / e
-        assert chi2 < 10.83
 
 
 class TestSpamModel:
