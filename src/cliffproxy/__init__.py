@@ -43,13 +43,11 @@ from .circuits import (  # noqa: F401
 from .noise import (  # noqa: F401
     FoldSizeError,
     GateNoise,
-    LayerErrorChannel,
     NoiseBudget,
     NoiseModel,
     SpamModel,
     cliffordization_infidelities,
     fold_to_end,
-    layer_channel,
     process_infidelities_exact,
     process_infidelity_exact,
     sample_error_model,

@@ -145,20 +145,6 @@ class CliffordTableau:
     def __hash__(self) -> int:
         return hash(self.key())
 
-    def validate(self) -> None:
-        """Check the symplectic condition on all generator images."""
-        for k in range(self.n):
-            if self.x_images[k].commutes_with(self.z_images[k]):
-                raise ValueError(f"images of X_{k} and Z_{k} must anticommute")
-            for j in range(self.n):
-                if j == k:
-                    continue
-                for img in (self.x_images[j], self.z_images[j]):
-                    if not self.x_images[k].commutes_with(img):
-                        raise ValueError(f"X_{k} image fails to commute with qubit {j}")
-                    if not self.z_images[k].commutes_with(img):
-                        raise ValueError(f"Z_{k} image fails to commute with qubit {j}")
-
 
 def conjugate(t: CliffordTableau, p: PauliString) -> PauliString:
     """Image C P C' of a signed Pauli under the tableau's Clifford C."""
@@ -419,25 +405,10 @@ def one_qubit_gate_index(name: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _embed_one_qubit(index: int, qubit: int, n: int) -> CliffordTableau:
-    elem = one_qubit_cliffords()[index]
-    xs = [PauliString.single(n, q, "X") for q in range(n)]
-    zs = [PauliString.single(n, q, "Z") for q in range(n)]
-    xc, xs_sign = elem.x_image
-    zc, zs_sign = elem.z_image
-    xb, zb = _code_bits(xc)
-    xs[qubit] = PauliString(n, xb << qubit, zb << qubit, 0 if xs_sign == 1 else 2)
-    xb, zb = _code_bits(zc)
-    zs[qubit] = PauliString(n, xb << qubit, zb << qubit, 0 if zs_sign == 1 else 2)
-    return CliffordTableau(n, xs, zs)
-
-
 def from_gate(name: str, qubits, n: int) -> CliffordTableau:
-    """Tableau of a named gate embedded on ``qubits`` of an n-qubit register.
-
-    Supported names: CZ, CNOT, H, S, X, Y, Z, SX (the X90 pulse), and
-    C0..C23 for the single-qubit Clifford group by index.
-    """
+    """Tableau of a CZ or CNOT embedded on ``qubits`` (control first) of an
+    n-qubit register.  One-qubit Cliffords are reached by index through
+    :func:`one_qubit_cliffords`."""
     qubits = tuple(qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"repeated qubit in {qubits}")
@@ -445,24 +416,17 @@ def from_gate(name: str, qubits, n: int) -> CliffordTableau:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for n={n}")
     name = name.upper()
-    if name in ("CZ", "CNOT"):
-        if len(qubits) != 2:
-            raise ValueError(f"{name} needs two qubits, got {qubits}")
-        a, b = qubits
-        xs = [PauliString.single(n, q, "X") for q in range(n)]
-        zs = [PauliString.single(n, q, "Z") for q in range(n)]
-        if name == "CZ":
-            xs[a] = multiply(xs[a], zs[b])
-            xs[b] = multiply(PauliString.single(n, b, "X"), zs[a])
-        else:
-            xs[a] = multiply(xs[a], PauliString.single(n, b, "X"))
-            zs[b] = multiply(zs[b], zs[a])
-        return CliffordTableau(n, xs, zs)
-    if len(qubits) != 1:
-        raise ValueError(f"{name} is a one-qubit gate, got qubits {qubits}")
-    if name.startswith("C") and name[1:].isdigit():
-        index = int(name[1:])
-        if not 0 <= index < 24:
-            raise ValueError(f"Clifford index {index} out of range")
-        return _embed_one_qubit(index, qubits[0], n)
-    return _embed_one_qubit(one_qubit_gate_index(name), qubits[0], n)
+    if name not in ("CZ", "CNOT"):
+        raise ValueError(f"unknown two-qubit gate {name!r}")
+    if len(qubits) != 2:
+        raise ValueError(f"{name} needs two qubits, got {qubits}")
+    a, b = qubits
+    xs = [PauliString.single(n, q, "X") for q in range(n)]
+    zs = [PauliString.single(n, q, "Z") for q in range(n)]
+    if name == "CZ":
+        xs[a] = multiply(xs[a], zs[b])
+        xs[b] = multiply(PauliString.single(n, b, "X"), zs[a])
+    else:
+        xs[a] = multiply(xs[a], PauliString.single(n, b, "X"))
+        zs[b] = multiply(zs[b], zs[a])
+    return CliffordTableau(n, xs, zs)

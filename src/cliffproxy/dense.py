@@ -8,6 +8,12 @@ Tr(P_i E(P_j)) / 2^n.  With that normalisation the diagonal of a Pauli
 channel's transfer matrix is exactly the Walsh transform of its
 probability vector.
 
+A circuit's transfer matrix is built gate by gate: each gate's 4 x 4 or
+16 x 16 noisy transfer matrix acts on the row axes of the running matrix
+through the same appliers the statevector sampler uses, with one-qubit
+errors at the X90 pulses inside the five-pulse form, where the sampler
+also puts them.
+
 Computational-basis integers put qubit 0 on the most significant bit.
 Dense transfer matrices are capped at n <= 4 and the diamond-norm SDP at
 n <= 3 (one n = 3 solve takes tens of seconds); statevector simulation
@@ -28,8 +34,8 @@ from .circuits import (
     OneQubitLayer,
     gate_unitary,
 )
-from .clifford import RX90 as _RX90, _rz
-from .noise import NoiseModel, SpamModel, _local_pauli, layer_channel
+from .clifford import RX90 as _RX90, _rz, one_qubit_cliffords
+from .noise import NoiseModel, SpamModel, _local_pauli
 from .pauli import PauliString
 
 __all__ = [
@@ -104,16 +110,23 @@ def _pauli_stack(n: int) -> np.ndarray:
 
 
 def apply_1q(state: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    t = state.reshape(2**qubit, 2, -1)
+    """Apply ``u`` to one qubit's axis of ``state``: a 2 x 2 unitary to a
+    statevector, or a 4 x 4 transfer matrix to transfer-matrix rows."""
+    d = len(u)
+    t = state.reshape(d**qubit, d, -1)
     return np.einsum("ab,ibj->iaj", u, t).reshape(state.shape)
 
 
 def apply_2q(state: np.ndarray, u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    t = state.reshape((2,) * n + state.shape[1:])
+    """Apply ``u4`` to the axes of qubits (a, b), ``a`` the high digit: a
+    4 x 4 unitary to a statevector, or a 16 x 16 transfer matrix to
+    transfer-matrix rows."""
+    d = 2 if len(u4) == 4 else 4
+    t = state.reshape((d,) * n + state.shape[1:])
     t = np.moveaxis(t, (a, b), (0, 1))
     rest = t.shape[2:]
-    t = t.reshape(4, -1)
-    t = (u4 @ t).reshape((2, 2) + rest)
+    t = t.reshape(d * d, -1)
+    t = (u4 @ t).reshape((d, d) + rest)
     t = np.moveaxis(t, (0, 1), (a, b))
     return t.reshape(state.shape)
 
@@ -170,14 +183,9 @@ def ptm_of_unitary(u: np.ndarray, n: int) -> Ptm:
     if n > PTM_LIMIT:
         raise ValueError(f"dense transfer matrices capped at n={PTM_LIMIT}")
     stack = _pauli_stack(n)
-    conj = np.einsum("ab,kbc,dc->kad", u, stack, np.conj(u))
-    mat = np.real(np.einsum("iab,kba->ik", stack, conj)) / 2**n
+    conj = u @ stack @ u.conj().T
+    mat = np.real(np.einsum("iab,kba->ik", stack, conj, optimize=True)) / 2**n
     return Ptm(n, mat)
-
-
-def _layer_unitary(layer, n: int) -> np.ndarray:
-    dim = 2**n
-    return apply_circuit_layer(np.eye(dim, dtype=complex), layer, n)
 
 
 def apply_circuit_layer(state: np.ndarray, layer, n: int) -> np.ndarray:
@@ -201,27 +209,32 @@ def _spam_eigenvalues(n: int, factors: list[float]) -> np.ndarray:
     return eig
 
 
-def _gate_error_ptm_1q(noise: NoiseModel, position: int, qubit: int, gate) -> np.ndarray:
-    """Exact 4x4 transfer matrix of one gate's X90 error channels.
+# X90 transfer matrix (X -> X, Y -> Z, Z -> -Y) as exact integers, so that
+# noiseless products keep an exact (1, 0, ..., 0) first row
+_X90_PTM = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float
+)
 
-    Both faults are pushed through the remaining pulse factors of the gate
-    itself.  For Clifford gates that push is a Pauli relabelling and the
-    result is the compiled Pauli channel; for Euler gates the conjugated
-    channels are genuine unitary mixtures and the result is not diagonal.
-    """
-    from .circuits import CliffordGate1Q
-    from .pauli import pauli_walsh
 
-    if isinstance(gate, CliffordGate1Q):
-        return np.diag(pauli_walsh(noise.compiled_1q_channel(position, qubit, gate), 1))
-    eps = noise.xpi2_noise(position, qubit).probs
-    diag = np.diag(pauli_walsh(eps, 1))
-    phi1, phi2, _ = gate.angles
-    r_first = ptm_of_unitary(_rz(phi1) @ _RX90 @ _rz(phi2), 1).mat
-    r_second = ptm_of_unitary(_rz(phi1), 1).mat
-    # the first (earlier) fault conjugates through Z(phi2), X90, Z(phi1);
-    # the second only through Z(phi1); the second acts after the first
-    return (r_second @ diag @ r_second.T) @ (r_first @ diag @ r_first.T)
+def _rz_ptm(phi: float) -> np.ndarray:
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
+
+
+@lru_cache(maxsize=4)
+def _entangler_ptm(gate: str) -> np.ndarray:
+    return ptm_of_unitary(_entangler_unitary(gate), 2).mat
+
+
+def _gate_ptm_1q(gate, eig: np.ndarray | None) -> np.ndarray:
+    """Z(phi1) D X90 Z(phi2) D X90 Z(phi3), phi3 acting first, where D is
+    the X90 pulses' error diagonal ``eig`` (the identity when None)."""
+    if isinstance(gate, EulerGate1Q):
+        phi1, phi2, phi3 = gate.angles
+    else:
+        phi1, phi2, phi3 = one_qubit_cliffords()[gate.index].euler
+    pulse = _X90_PTM if eig is None else eig[:, None] * _X90_PTM
+    return _rz_ptm(phi1) @ pulse @ _rz_ptm(phi2) @ pulse @ _rz_ptm(phi3)
 
 
 def circuit_ptm(
@@ -232,8 +245,10 @@ def circuit_ptm(
 ) -> Ptm:
     """Transfer matrix of the (optionally noisy) circuit, n <= 4.
 
-    Layer errors multiply in as diagonal transfer matrices after each
-    layer; SPAM appears as boundary bit-flip channels.
+    Built gate by gate: each one-qubit gate's five-pulse product with its
+    X90 error diagonal after both pulses, each two-qubit gate followed by
+    its 16-entry error diagonal, applied to the rows in the pair's listed
+    order.  SPAM appears as boundary bit-flip channels.
     """
     n = circuit.n
     if n > PTM_LIMIT:
@@ -242,18 +257,18 @@ def circuit_ptm(
     if spam is not None:
         mat = mat * _spam_eigenvalues(n, [spam.prep_factor(q) for q in range(n)])[None, :]
     for i, layer in enumerate(circuit.layers):
-        mat = ptm_of_unitary(_layer_unitary(layer, n), n).mat @ mat
-        if noise is None:
-            continue
         pos = i + layer_offset
         if isinstance(layer, OneQubitLayer):
-            err = np.array([[1.0]])
             for q, gate in enumerate(layer.gates):
-                err = np.kron(err, _gate_error_ptm_1q(noise, pos, q, gate))
-            mat = err @ mat
+                eig = None if noise is None else noise.xpi2_noise(pos, q).eigenvalues
+                mat = apply_1q(mat, _gate_ptm_1q(gate, eig), q, n)
         else:
-            chan = layer_channel(circuit, i, noise, layer_offset)
-            mat = chan.dense_eigenvalues()[:, None] * mat
+            ideal = _entangler_ptm(layer.gate)
+            for a, b in layer.pairs:
+                g = ideal
+                if noise is not None:
+                    g = noise.twoq_noise(pos, layer.gate, (a, b)).eigenvalues[:, None] * ideal
+                mat = apply_2q(mat, g, a, b, n)
     if spam is not None:
         mat = _spam_eigenvalues(n, [spam.meas_factor(q) for q in range(n)])[:, None] * mat
     return Ptm(n, mat)
@@ -374,12 +389,12 @@ def statevector_simulate(
                         labels = rng.choice(4, size=shots, p=probs)
                         draws.append((li, (q,), None, labels.astype(np.uint8)))
             else:
-                chan = layer_channel(circuit, li, noise, layer_offset)
-                for qubits, probs in chan.terms:
+                for pair in layer.pairs:
+                    probs = noise.twoq_noise(pos, layer.gate, pair).probs
                     if probs[0] >= 1.0:
                         continue
-                    labels = rng.choice(len(probs), size=shots, p=probs)
-                    draws.append((li, qubits, None, labels.astype(np.uint8)))
+                    labels = rng.choice(16, size=shots, p=probs)
+                    draws.append((li, tuple(pair), None, labels.astype(np.uint8)))
 
     all_labels = np.zeros((shots, len(draws)), dtype=np.uint8)
     for i, d in enumerate(draws):

@@ -414,8 +414,10 @@ def layer_fidelity_estimate(
     what makes the decay a single exponential.
     """
     depths = sorted(int(m) for m in depths)
-    if len(depths) < 3:
-        raise ValueError("need at least three depths for a decay fit")
+    if len(set(depths)) < 3:
+        raise ValueError(
+            f"need at least three depths for a decay fit, got distinct {sorted(set(depths))}"
+        )
     if not noise.markovian:
         raise ValueError("layer-fidelity fits assume the Markovian noise mode")
     layers = tuple(layers)
@@ -437,7 +439,7 @@ def layer_fidelity_estimate(
             xs.append(m)
             ys.append(math.log(p_hat))
             ws.append((p_hat / sigma_p) ** 2 if sigma_p > 0 else 1e12)
-        if len(xs) < 3:
+        if len(xs) < 3 or len(set(xs)) < 2:
             raise ValueError("too few positive decay points to fit")
         x = np.array(xs)
         y = np.array(ys)
@@ -453,7 +455,7 @@ def layer_fidelity_estimate(
         var_slope = sw / det
         p = math.exp(slope)
         polarizations.append(p)
-        stderrs.append(p * math.sqrt(max(var_slope, 0.0)))
+        stderrs.append(p * math.sqrt(var_slope))
         intercepts.append(math.exp(intercept))
     return LayerFidelityResult(
         n, layers, tuple(polarizations), tuple(stderrs), tuple(intercepts), dropped

@@ -41,7 +41,6 @@ from .circuits import (
     CliffordGate1Q,
     LayeredCircuit,
     OneQubitLayer,
-    TwoQubitLayer,
     _draw_cliffords,
 )
 from .pauli import CODE_FROM_XZ, XZ_FROM_CODE, PauliChannel, PauliString, pauli_walsh
@@ -51,10 +50,8 @@ __all__ = [
     "NoiseModel",
     "NoiseBudget",
     "SpamModel",
-    "LayerErrorChannel",
     "FoldSizeError",
     "sample_error_model",
-    "layer_channel",
     "fold_to_end",
     "fold_eigenvalues",
     "propagate_codes",
@@ -310,44 +307,6 @@ def _draw_missing_entries(
                     model.two_qubit[key] = sample_gate(2, two_q_budget)
 
 
-@dataclass(frozen=True, eq=False)
-class LayerErrorChannel:
-    """Product of independent local Pauli channels, one per gate in a layer."""
-
-    n: int
-    terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
-
-    @property
-    def p_identity(self) -> float:
-        out = 1.0
-        for _, probs in self.terms:
-            out *= probs[0]
-        return float(out)
-
-    @property
-    def infidelity(self) -> float:
-        return 1.0 - self.p_identity
-
-    def local_eigenvalues(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        out = []
-        for qubits, probs in self.terms:
-            k = len(qubits)
-            out.append((qubits, pauli_walsh(probs, k)))
-        return tuple(out)
-
-    def dense_eigenvalues(self) -> np.ndarray:
-        """Transfer-matrix diagonal over all 4^n labels: the product of the
-        local diagonals, each broadcast over its qubits' axes."""
-        out = np.ones((4,) * self.n)
-        for qubits, eig in self.local_eigenvalues():
-            local = eig.reshape((4,) * len(qubits)).transpose(np.argsort(qubits))
-            shape = [1] * self.n
-            for q in qubits:
-                shape[q] = 4
-            out *= local.reshape(shape)
-        return out.reshape(4**self.n)
-
-
 def _local_pauli(n: int, qubits, label: int) -> PauliString:
     """n-qubit Pauli, sign +1, with a local label's letters on ``qubits``
     (the first qubit takes the most significant digit)."""
@@ -358,27 +317,6 @@ def _local_pauli(n: int, qubits, label: int) -> PauliString:
         x |= xq << q
         z |= zq << q
     return PauliString(n, x, z)
-
-
-def layer_channel(
-    circuit: LayeredCircuit,
-    layer_index: int,
-    noise: NoiseModel,
-    layer_offset: int = 0,
-) -> LayerErrorChannel:
-    """Error channel inserted after one layer of the circuit."""
-    layer = circuit.layers[layer_index]
-    pos = layer_index + layer_offset
-    terms = []
-    if isinstance(layer, TwoQubitLayer):
-        for pair in layer.pairs:
-            probs = noise.twoq_noise(pos, layer.gate, pair).probs
-            terms.append((tuple(pair), probs))
-    else:
-        for q, gate in enumerate(layer.gates):
-            probs = noise.compiled_1q_channel(pos, q, gate)
-            terms.append(((q,), probs))
-    return LayerErrorChannel(circuit.n, tuple(terms))
 
 
 def _check_width(n: int, limit: int) -> None:
@@ -603,8 +541,16 @@ def layer_infidelities(
     """Per-layer process infidelities 1 - p_I; their sum is the first-order
     estimate of (and an upper bound on the worst-case error of) the circuit."""
     out = []
-    for i in range(len(circuit.layers)):
-        out.append(layer_channel(circuit, i, noise, layer_offset).infidelity)
+    for i, layer in enumerate(circuit.layers):
+        pos = i + layer_offset
+        p_identity = 1.0
+        if isinstance(layer, OneQubitLayer):
+            for q, gate in enumerate(layer.gates):
+                p_identity *= noise.compiled_1q_channel(pos, q, gate)[0]
+        else:
+            for pair in layer.pairs:
+                p_identity *= noise.twoq_noise(pos, layer.gate, pair).probs[0]
+        out.append(1.0 - float(p_identity))
     return out
 
 

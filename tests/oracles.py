@@ -5,11 +5,17 @@ against.
   and back-propagation of a signed Pauli;
 * the dense unitary of a circuit;
 * the Pauli twirl through a layer's tableau;
+* the layer error channel, one local Pauli channel per gate, with the
+  compiled one-qubit channel pushed to the end of each gate;
+* the transfer matrix built from each layer's full 2^n unitary, with
+  every layer's error multiplied in after it;
 * the noisy statevector sampler before batching, one run per fault
   pattern.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +23,7 @@ from cliffproxy import circuits as cc
 from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
-from cliffproxy.pauli import PauliString, sample_uniform
+from cliffproxy.pauli import PauliString, pauli_walsh, sample_uniform
 
 # ---------------------------------------------------------------------------
 # tableau walk
@@ -136,6 +142,107 @@ def tableau_twirl(circuit, rng):
 
 
 # ---------------------------------------------------------------------------
+# layer error channels and the layer-unitary transfer matrix
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class LayerErrorChannel:
+    """Product of independent local Pauli channels, one per gate in a layer."""
+
+    n: int
+    terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+
+    @property
+    def p_identity(self) -> float:
+        out = 1.0
+        for _, probs in self.terms:
+            out *= probs[0]
+        return float(out)
+
+    @property
+    def infidelity(self) -> float:
+        return 1.0 - self.p_identity
+
+    def dense_eigenvalues(self) -> np.ndarray:
+        """Transfer-matrix diagonal over all 4^n labels: the product of the
+        local diagonals, each broadcast over its qubits' axes."""
+        out = np.ones((4,) * self.n)
+        for qubits, probs in self.terms:
+            eig = pauli_walsh(probs, len(qubits))
+            local = eig.reshape((4,) * len(qubits)).transpose(np.argsort(qubits))
+            shape = [1] * self.n
+            for q in qubits:
+                shape[q] = 4
+            out *= local.reshape(shape)
+        return out.reshape(4**self.n)
+
+
+def layer_channel(circuit, layer_index, noise, layer_offset=0) -> LayerErrorChannel:
+    """Error channel inserted after one layer of the circuit."""
+    layer = circuit.layers[layer_index]
+    pos = layer_index + layer_offset
+    terms = []
+    if isinstance(layer, cc.TwoQubitLayer):
+        for pair in layer.pairs:
+            probs = noise.twoq_noise(pos, layer.gate, pair).probs
+            terms.append((tuple(pair), probs))
+    else:
+        for q, gate in enumerate(layer.gates):
+            probs = noise.compiled_1q_channel(pos, q, gate)
+            terms.append(((q,), probs))
+    return LayerErrorChannel(circuit.n, tuple(terms))
+
+
+def _gate_error_ptm_1q(noise, position, qubit, gate) -> np.ndarray:
+    """Exact 4x4 transfer matrix of one gate's X90 error channels.
+
+    Both faults are pushed through the remaining pulse factors of the gate
+    itself.  For Clifford gates that push is a Pauli relabelling and the
+    result is the compiled Pauli channel; for Euler gates the conjugated
+    channels are genuine unitary mixtures and the result is not diagonal.
+    """
+    if isinstance(gate, cc.CliffordGate1Q):
+        return np.diag(pauli_walsh(noise.compiled_1q_channel(position, qubit, gate), 1))
+    eps = noise.xpi2_noise(position, qubit).probs
+    diag = np.diag(pauli_walsh(eps, 1))
+    phi1, phi2, _ = gate.angles
+    r_first = dn.ptm_of_unitary(cl._rz(phi1) @ cl.RX90 @ cl._rz(phi2), 1).mat
+    r_second = dn.ptm_of_unitary(cl._rz(phi1), 1).mat
+    # the first (earlier) fault conjugates through Z(phi2), X90, Z(phi1);
+    # the second only through Z(phi1); the second acts after the first
+    return (r_second @ diag @ r_second.T) @ (r_first @ diag @ r_first.T)
+
+
+def layer_unitary_ptm(circuit, noise=None, spam=None, layer_offset=0) -> dn.Ptm:
+    """``circuit_ptm`` from each layer's full 2^n unitary, with the layer's
+    error transfer matrix multiplied in after it: a Kronecker product of
+    the per-gate one-qubit error matrices, or the entangling layer's
+    dense error diagonal."""
+    n = circuit.n
+    mat = np.eye(4**n)
+    if spam is not None:
+        mat = mat * dn._spam_eigenvalues(n, [spam.prep_factor(q) for q in range(n)])[None, :]
+    for i, layer in enumerate(circuit.layers):
+        unitary = dn.apply_circuit_layer(np.eye(2**n, dtype=complex), layer, n)
+        mat = dn.ptm_of_unitary(unitary, n).mat @ mat
+        if noise is None:
+            continue
+        pos = i + layer_offset
+        if isinstance(layer, cc.OneQubitLayer):
+            err = np.array([[1.0]])
+            for q, gate in enumerate(layer.gates):
+                err = np.kron(err, _gate_error_ptm_1q(noise, pos, q, gate))
+            mat = err @ mat
+        else:
+            chan = layer_channel(circuit, i, noise, layer_offset)
+            mat = chan.dense_eigenvalues()[:, None] * mat
+    if spam is not None:
+        mat = dn._spam_eigenvalues(n, [spam.meas_factor(q) for q in range(n)])[:, None] * mat
+    return dn.Ptm(n, mat)
+
+
+# ---------------------------------------------------------------------------
 # statevector sampler, one run per fault pattern
 # ---------------------------------------------------------------------------
 
@@ -170,7 +277,7 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
                         labels = rng.choice(4, size=shots, p=probs)
                         draws.append(("post", li, (q,), labels))
             else:
-                chan = nz.layer_channel(circuit, li, noise, layer_offset)
+                chan = layer_channel(circuit, li, noise, layer_offset)
                 for qubits, probs in chan.terms:
                     if probs[0] >= 1.0:
                         continue

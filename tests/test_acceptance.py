@@ -19,7 +19,7 @@ from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString
 from cliffproxy.scenarios import run_scenario, validate_config
 from cliffproxy.seeding import seed_derive
-from oracles import circuit_tableau, circuit_unitary, layer_tableau
+from oracles import circuit_tableau, circuit_unitary, layer_channel, layer_tableau
 
 MASTER_SEED = 20240811
 
@@ -305,7 +305,7 @@ def test_criterion_8_oracle_equivalences(tmp_path):
     suffix_maps.reverse()
     net = np.zeros(shots, dtype=np.int64)
     for i in range(len(circ.layers)):
-        for qubits, probs in nz.layer_channel(circ, i, noise).terms:
+        for qubits, probs in layer_channel(circ, i, noise).terms:
             draws = rng.choice(len(probs), size=shots, p=probs)
             glob = np.zeros(shots, dtype=np.int64)
             for j, q in enumerate(reversed(qubits)):

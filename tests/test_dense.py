@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliChannel, PauliString
-from oracles import circuit_unitary, per_pattern_simulate
+from oracles import circuit_unitary, layer_unitary_ptm, per_pattern_simulate
 from test_noise import _fold_model
 
 
@@ -50,6 +51,73 @@ class TestCircuitPtm:
         circ, _ = brickwork(5, 1, 2)
         with pytest.raises(ValueError, match="capped"):
             dn.circuit_ptm(circ)
+
+    def test_pulse_matrices_match_unitaries(self):
+        assert np.max(np.abs(dn._X90_PTM - dn.ptm_of_unitary(cl.RX90, 1).mat)) < 1e-15
+        for phi in (0.0, 0.3, math.pi / 2, -math.pi / 2, math.pi, 2.5, -1.7):
+            want = dn.ptm_of_unitary(cl._rz(phi), 1).mat
+            assert np.max(np.abs(dn._rz_ptm(phi) - want)) < 1e-15
+
+    def test_cnot_control_above_target(self):
+        # control qubit 1 (least significant bit) flips target qubit 0
+        circ = cc.LayeredCircuit(
+            2, (cc.identity_layer(2), cc.TwoQubitLayer(((1, 0),), "CNOT"), cc.identity_layer(2))
+        )
+        u = np.eye(4)[[0, 3, 2, 1]]
+        want = dn.ptm_of_unitary(u, 2).mat
+        got = dn.circuit_ptm(circ).mat
+        assert np.max(np.abs(got - want)) < 1e-12
+        # X on the control spreads to the target: IX -> XX
+        ix, xx = PauliString.from_text("IX").label, PauliString.from_text("XX").label
+        assert got[xx, ix] == pytest.approx(1.0, abs=1e-12)
+
+
+def _ptm_case(n, kind, topology, gate, depth, rng):
+    """A brickwork circuit of ``kind`` one-qubit gates.  CNOT pairs are
+    reversed, so the control sits above the target and the ring's (n-1, 0)
+    wrap becomes (0, n-1); at n = 1 the entangling layers are empty."""
+    if n == 1:
+        layers = [cc._sample_1q_layer(1, kind, rng)]
+        for _ in range(depth):
+            layers += [cc.TwoQubitLayer((), gate), cc._sample_1q_layer(1, kind, rng)]
+        return cc.LayeredCircuit(1, tuple(layers))
+    base = cc.sample_brickwork(cc.BrickworkSpec(n, depth, topology), kind, rng)
+    layers = []
+    for layer in base.layers:
+        if isinstance(layer, cc.TwoQubitLayer):
+            pairs = layer.pairs if gate == "CZ" else tuple((b, a) for a, b in layer.pairs)
+            layer = cc.TwoQubitLayer(pairs, gate)
+        layers.append(layer)
+    return cc.LayeredCircuit(n, tuple(layers))
+
+
+class TestGateByGatePtm:
+    """circuit_ptm against the transfer matrix built from layer unitaries."""
+
+    # (depth, markovian, layer_offset, spam); markovian None runs noiseless
+    RUNS = (
+        (5, None, 0, False),
+        (5, False, 3, True),
+        (20, True, 3, True),
+        (20, False, 0, False),
+        (20, None, 3, True),
+    )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("gate", ["CZ", "CNOT"])
+    def test_matches_layer_unitary_oracle(self, n, gate):
+        rng = np.random.default_rng(500 + 10 * n + (gate == "CNOT"))
+        worst = 0.0
+        for kind, topology in itertools.product(("haar", "clifford"), ("line", "ring")):
+            for depth, markovian, offset, with_spam in self.RUNS:
+                # the oracle spends about 5 ms on each n = 4 layer
+                circ = _ptm_case(n, kind, topology, gate, min(depth, 5) if n == 4 else depth, rng)
+                model = None if markovian is None else _fold_model(circ, rng, markovian, offset)
+                spam = nz.SpamModel((0.01,) * n, (0.02,) * n, (0.05,) * n) if with_spam else None
+                got = dn.circuit_ptm(circ, model, spam, layer_offset=offset).mat
+                want = layer_unitary_ptm(circ, model, spam, layer_offset=offset).mat
+                worst = max(worst, np.max(np.abs(got - want)))
+        assert worst < 1e-12
 
 
 class TestProcessFidelity:

@@ -9,7 +9,7 @@ from cliffproxy import dense as dn
 from cliffproxy import estimators as est
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, sample_uniform_nonidentity
-from oracles import backpropagate, inverse, layer_tableau
+from oracles import backpropagate, inverse, layer_channel, layer_tableau
 from test_noise import _fold_case, _fold_model
 
 
@@ -35,7 +35,7 @@ def _tableau_walk(circuit, noise, layer_offset):
     read each layer's eigenvalue from its dense transfer-matrix diagonal."""
     steps = [
         (
-            nz.layer_channel(circuit, i, noise, layer_offset).dense_eigenvalues(),
+            layer_channel(circuit, i, noise, layer_offset).dense_eigenvalues(),
             inverse(layer_tableau(layer, circuit.n)),
         )
         for i, layer in enumerate(circuit.layers)
@@ -311,7 +311,7 @@ class TestLayerFidelity:
         )
         r1 = nz.process_infidelity_exact(circ, model)
         # remove the boundary one-qubit layer contribution (fit sees one per pair)
-        r_left = nz.layer_channel(circ, 0, model).infidelity
+        r_left = layer_channel(circ, 0, model).infidelity
         p_exact = est.fidelity_to_polarization(1 - (r1 - r_left), n)
         assert fit.polarizations[0] == pytest.approx(
             p_exact, abs=3 * fit.stderrs[0] + 5e-4
@@ -344,6 +344,34 @@ class TestLayerFidelity:
         with pytest.raises(ValueError, match="Markovian"):
             est.layer_fidelity_estimate(
                 self._layers(n), n, nonmark, [2, 4, 8], est.DfeConfig(5, 2, 50), rng
+            )
+
+    def test_repeated_depths_raise_before_drawing(self):
+        n = 4
+        rng = np.random.default_rng(32)
+        circ, _ = brickwork(n, 2, 33)
+        model = nz.sample_error_model(circ, rng, 1e-3, 1e-4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="three depths"):
+            est.layer_fidelity_estimate(
+                self._layers(n), n, model, [2, 2, 2], est.DfeConfig(5, 2, 50), rng
+            )
+        assert rng.bit_generator.state == before
+
+    def test_one_depth_left_after_dropping_raises(self, monkeypatch):
+        # depths 4 and 8 read a fidelity below 1/4^n, so their points are
+        # dropped and three points at depth 2 remain: no slope to fit
+        def fake_dfe(circ, noise, spam, config, rng):
+            return est.FidelityEstimate(0.9 if len(circ.layers) == 5 else 0.0, 0.01, 1)
+
+        monkeypatch.setattr(est, "dfe", fake_dfe)
+        n = 4
+        rng = np.random.default_rng(34)
+        circ, _ = brickwork(n, 2, 35)
+        model = nz.sample_error_model(circ, rng, 1e-3, 1e-4)
+        with pytest.raises(ValueError, match="too few positive"):
+            est.layer_fidelity_estimate(
+                self._layers(n), n, model, [2, 2, 2, 4, 8], est.DfeConfig(5, 2, 50), rng
             )
 
 

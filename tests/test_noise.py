@@ -9,7 +9,7 @@ from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, pauli_walsh
-from oracles import circuit_tableau, inverse, layer_tableau
+from oracles import circuit_tableau, inverse, layer_channel, layer_tableau
 
 
 def brickwork(n, depth, seed, kind="clifford"):
@@ -77,7 +77,7 @@ class TestLayerChannel:
     def test_noiseless_is_identity_point_mass(self):
         circ, rng = brickwork(3, 2, 7)
         model = nz.sample_error_model(circ, rng, 0.0, 0.0)
-        chan = nz.layer_channel(circ, 1, model)
+        chan = layer_channel(circ, 1, model)
         assert chan.p_identity == 1.0
         assert np.array_equal(chan.dense_eigenvalues(), np.ones(64))
 
@@ -93,7 +93,7 @@ class TestLayerChannel:
             {0: nz.GateNoise.identity(1), 1: nz.GateNoise.identity(1)},
             {("CZ", 0, 1): nz.GateNoise.from_rates(rates)},
         )
-        chan = nz.layer_channel(circ, 1, model)
+        chan = layer_channel(circ, 1, model)
         probs = pauli_walsh(chan.dense_eigenvalues(), 2) / 16
         assert probs[0] == pytest.approx(1 - p)
         assert probs[PauliString.from_text("ZI").label] == pytest.approx(p)
@@ -106,7 +106,7 @@ class TestLayerChannel:
         model = nz.sample_error_model(circ, rng, 5e-2, 5e-3)
         labels = np.arange(64)
         for i in range(len(circ.layers)):
-            chan = nz.layer_channel(circ, i, model)
+            chan = layer_channel(circ, i, model)
             probs = np.ones(64)
             touched = set()
             for qubits, local in chan.terms:
@@ -164,7 +164,7 @@ class TestFolding:
 
         net = np.zeros(shots, dtype=np.int64)
         for i in range(len(circ.layers)):
-            chan = nz.layer_channel(circ, i, model)
+            chan = layer_channel(circ, i, model)
             for qubits, probs in chan.terms:
                 draws = mc.choice(len(probs), size=shots, p=probs)
                 glob = np.zeros(shots, dtype=np.int64)
@@ -200,7 +200,7 @@ class TestFolding:
         # with perm the conjugation by the half circuit.
         eig_half = nz.fold_eigenvalues(half, model)
         eig_full = nz.fold_eigenvalues(full, model)
-        e0 = nz.layer_channel(full, 0, model).dense_eigenvalues()
+        e0 = layer_channel(full, 0, model).dense_eigenvalues()
         tab = circuit_tableau(half)
         perm = np.zeros(64, dtype=np.int64)
         for label in range(64):
@@ -277,7 +277,7 @@ def _oracle_fold(circuit, noise, layer_offset=0):
     eig = np.ones(4**n)
     mapping = labels.copy()
     for i in range(len(circuit.layers) - 1, -1, -1):
-        chan = nz.layer_channel(circuit, i, noise, layer_offset)
+        chan = layer_channel(circuit, i, noise, layer_offset)
         dense = np.ones(4**n)
         for qubits, probs in chan.terms:
             dense *= pauli_walsh(probs, len(qubits))[_restriction(n, qubits, labels)]
