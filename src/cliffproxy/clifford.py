@@ -1,4 +1,4 @@
-"""Tableau-based Clifford action on signed Pauli strings.
+"""Clifford action on signed Pauli strings, and the one-qubit group tables.
 
 A tableau stores the signed images of the generators X_k and Z_k under
 conjugation.  Conjugating an arbitrary Pauli decomposes it over the
@@ -6,15 +6,19 @@ generators and multiplies the corresponding images, so all phase tracking
 reduces to the exact product rule in :mod:`cliffproxy.pauli`.
 
 The module also builds the 24-element single-qubit Clifford group by
-closure from {H, S}, each element carrying its 2x2 unitary and a
-fixed-length Euler decomposition Z(phi1) X90 Z(phi2) X90 Z(phi3) with
-angles in {0, +-pi/2, pi}.  Every single-qubit gate in the package is
-expanded in this same five-pulse form so that all of them see identical
-noise exposure.
+closure from {H, S} on 2x2 unitaries, each element carrying its unitary
+and a fixed-length Euler decomposition Z(phi1) X90 Z(phi2) X90 Z(phi3)
+with angles in {0, +-pi/2, pi}.  Every single-qubit gate in the package
+is expanded in this same five-pulse form so that all of them see
+identical noise exposure.  The signed letter images of each element are
+read from its unitary; the group's multiplication and inverse tables
+compose those rows.
 
-Tableaux build the two read-only letter-code tables that every circuit
-walk reads: :func:`inverse_conjugation_codes` over the 24 one-qubit
-elements and :func:`twoq_conjugation_codes` for CZ and CNOT.
+Read-only letter-code tables serve every circuit walk:
+:func:`inverse_conjugation_codes` over the 24 one-qubit elements,
+:func:`pulse_fault_codes` for X90 pulse faults pushed to the end of each
+element, and :func:`twoq_conjugation_codes`, from tableaux, for CZ and
+CNOT.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import XZ_FROM_CODE, PauliString, multiply
+from .pauli import PauliString, multiply
 
 __all__ = [
     "CliffordTableau",
@@ -38,6 +42,7 @@ __all__ = [
     "clifford_mult",
     "clifford_inverse_index",
     "inverse_conjugation_codes",
+    "pulse_fault_codes",
     "twoq_conjugation_codes",
     "euler_unitary",
     "zxzxz_angles",
@@ -50,6 +55,11 @@ RX90 = np.array([[1, -1j], [-1j, 1]], dtype=complex) / math.sqrt(2)
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
+
+# the four letters in code order I, X, Y, Z
+_PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
 
 
 class NotCliffordError(ValueError):
@@ -198,11 +208,22 @@ class OneQubitClifford:
 
     def conj_code(self, code: int) -> tuple[int, int]:
         """Image (code, sign) of a single letter under g P g'."""
-        return _conj_table_cache()[self.index][code]
+        image_code, sign = _conjugation_table()[self.index, code]
+        return (int(image_code), int(sign))
 
 
-def _one_qubit_key(x_img: PauliString, z_img: PauliString) -> tuple:
-    return (x_img.x_bits, x_img.z_bits, x_img.phase_exp, z_img.x_bits, z_img.z_bits, z_img.phase_exp)
+def _letter_images(u: np.ndarray) -> np.ndarray:
+    """(4, 2) table of (letter code, sign) of u P u' for each letter code P
+    of a one-qubit Clifford u: the one letter Q with tr(Q u P u') = +-2."""
+    traces = np.einsum("qij,pji->pq", _PAULIS, u @ _PAULIS @ u.conj().T).real
+    codes = np.argmax(np.abs(traces), axis=1)
+    return np.stack([codes, np.sign(traces[np.arange(4), codes])], axis=1).astype(np.intp)
+
+
+def _image_key(images: np.ndarray):
+    """Key in [0, 64) of the signed X and Z images in a (..., 4, 2) table."""
+    signed = 2 * images[..., 0] + (images[..., 1] < 0)
+    return 8 * signed[..., 1] + signed[..., 3]
 
 
 @lru_cache(maxsize=1)
@@ -212,46 +233,30 @@ def one_qubit_cliffords() -> tuple[OneQubitClifford, ...]:
     Index 0 is the identity; the rest follow breadth-first discovery
     order, which is deterministic.
     """
-    x0 = PauliString.single(1, 0, "X")
-    z0 = PauliString.single(1, 0, "Z")
-    h_tab = CliffordTableau(1, [z0], [x0])
-    s_tab = CliffordTableau(1, [PauliString.single(1, 0, "Y")], [z0])
-    gens = ((h_tab, _H), (s_tab, _S))
-
-    found: dict[tuple, tuple[CliffordTableau, np.ndarray]] = {}
-    ident = CliffordTableau.identity(1)
-    queue = [(ident, np.eye(2, dtype=complex))]
-    found[_one_qubit_key(*ident.x_images, *ident.z_images)] = queue[0]
-    order = [queue[0]]
-    while queue:
-        tab, mat = queue.pop(0)
-        for gen_tab, gen_mat in gens:
-            new_tab = compose(tab, gen_tab)
-            new_mat = gen_mat @ mat
-            key = _one_qubit_key(new_tab.x_images[0], new_tab.z_images[0])
-            if key not in found:
-                entry = (new_tab, new_mat)
-                found[key] = entry
-                order.append(entry)
-                queue.append(entry)
-    if len(order) != 24:
-        raise RuntimeError(f"closure produced {len(order)} elements, expected 24")
-
-    elems = []
-    for idx, (tab, mat) in enumerate(order):
-        angles = _snap_clifford_angles(zxzxz_angles(mat), mat)
-        xi = tab.x_images[0]
-        zi = tab.z_images[0]
-        elems.append(
-            OneQubitClifford(
-                index=idx,
-                x_image=(xi.code(0), xi.sign),
-                z_image=(zi.code(0), zi.sign),
-                euler=angles,
-                unitary=mat,
-            )
+    mats = [np.eye(2, dtype=complex)]
+    images = [_letter_images(mats[0])]
+    seen = {int(_image_key(images[0]))}
+    for mat in mats:  # elements appended here are visited in turn
+        for gen in (_H, _S):
+            new_mat = gen @ mat
+            new_images = _letter_images(new_mat)
+            key = int(_image_key(new_images))
+            if key not in seen:
+                seen.add(key)
+                mats.append(new_mat)
+                images.append(new_images)
+    if len(mats) != 24:
+        raise RuntimeError(f"closure produced {len(mats)} elements, expected 24")
+    return tuple(
+        OneQubitClifford(
+            index=idx,
+            x_image=(int(img[1, 0]), int(img[1, 1])),
+            z_image=(int(img[3, 0]), int(img[3, 1])),
+            euler=_snap_clifford_angles(zxzxz_angles(mat), mat),
+            unitary=mat,
         )
-    return tuple(elems)
+        for idx, (mat, img) in enumerate(zip(mats, images))
+    )
 
 
 def _snap_clifford_angles(angles, mat) -> tuple[float, float, float]:
@@ -264,67 +269,33 @@ def _snap_clifford_angles(angles, mat) -> tuple[float, float, float]:
 
 
 @lru_cache(maxsize=1)
-def _one_qubit_index() -> dict[tuple, int]:
-    table = {}
-    for elem in one_qubit_cliffords():
-        key = (elem.x_image, elem.z_image)
-        table[key] = elem.index
+def _conjugation_table() -> np.ndarray:
+    """Read-only (24, 4, 2) table: (letter code, sign) of g P g' for index g
+    and code P."""
+    table = np.stack([_letter_images(e.unitary) for e in one_qubit_cliffords()])
+    table.setflags(write=False)
     return table
 
 
-def _conj_code_by_images(x_image, z_image, code: int) -> tuple[int, int]:
-    if code == 0:
-        return (0, 1)
-    n = 1
-    imgs = {
-        1: PauliString(n, *_code_bits(x_image[0]), 0 if x_image[1] == 1 else 2),
-        3: PauliString(n, *_code_bits(z_image[0]), 0 if z_image[1] == 1 else 2),
-    }
-    if code in imgs:
-        p = imgs[code]
-    else:
-        # Y = i X Z, conjugation preserves the relation
-        p = multiply(imgs[1], imgs[3])
-        p = PauliString(n, p.x_bits, p.z_bits, p.phase_exp + 1)
-    return (p.code(0), p.sign)
-
-
-def _code_bits(code: int) -> tuple[int, int]:
-    return XZ_FROM_CODE[code]
-
-
 @lru_cache(maxsize=1)
-def _conj_table_cache() -> tuple[tuple[tuple[int, int], ...], ...]:
-    table = []
-    for elem in one_qubit_cliffords():
-        row = tuple(
-            _conj_code_by_images(elem.x_image, elem.z_image, code) for code in range(4)
-        )
-        table.append(row)
-    return tuple(table)
+def _index_by_key() -> np.ndarray:
+    """(64,) table: element index by the :func:`_image_key` of its images."""
+    table = np.full(64, -1, dtype=np.int64)
+    table[_image_key(_conjugation_table())] = np.arange(24)
+    return table
 
 
 @lru_cache(maxsize=1)
 def _mult_table() -> np.ndarray:
-    """24x24 table: index of the matrix product U_i @ U_j."""
-    elems = one_qubit_cliffords()
-    index = _one_qubit_index()
-    table = np.zeros((24, 24), dtype=np.int64)
-    tabs = [CliffordTableau(1, [_img_pauli(e.x_image)], [_img_pauli(e.z_image)]) for e in elems]
-    for i, ti in enumerate(tabs):
-        for j, tj in enumerate(tabs):
-            prod = compose(tj, ti)  # j acts first under i @ j
-            key = (
-                (prod.x_images[0].code(0), prod.x_images[0].sign),
-                (prod.z_images[0].code(0), prod.z_images[0].sign),
-            )
-            table[i, j] = index[key]
-    return table
+    """24x24 table: index of the matrix product U_i @ U_j.
 
-
-def _img_pauli(image: tuple[int, int]) -> PauliString:
-    x, z = _code_bits(image[0])
-    return PauliString(1, x, z, 0 if image[1] == 1 else 2)
+    U_i U_j maps P to U_i (U_j P U_j') U_i', so the images of the product
+    are row j's letters mapped through row i, with the signs multiplied.
+    """
+    conj = _conjugation_table()
+    outer = conj[:, conj[..., 0]]  # [i, j, P] = image under i of j's letter for P
+    signs = outer[..., 1] * conj[None, :, :, 1]
+    return _index_by_key()[_image_key(np.stack([outer[..., 0], signs], axis=-1))]
 
 
 def clifford_mult(i: int, j: int) -> int:
@@ -334,12 +305,7 @@ def clifford_mult(i: int, j: int) -> int:
 
 @lru_cache(maxsize=1)
 def _inverse_table() -> tuple[int, ...]:
-    table = [0] * 24
-    mt = _mult_table()
-    for i in range(24):
-        js = np.where(mt[i] == 0)[0]
-        table[i] = int(js[0])
-    return tuple(table)
+    return tuple(int(j) for j in np.argmax(_mult_table() == 0, axis=1))
 
 
 def clifford_inverse_index(i: int) -> int:
@@ -350,13 +316,26 @@ def clifford_inverse_index(i: int) -> int:
 def inverse_conjugation_codes() -> np.ndarray:
     """Read-only (24, 4) table: letter code of g' P g for Clifford index g
     and letter code P, signs dropped."""
-    table = np.array(
-        [
-            [_conj_table_cache()[clifford_inverse_index(g)][code][0] for code in range(4)]
-            for g in range(24)
-        ],
-        dtype=np.intp,
-    )
+    table = _conjugation_table()[list(_inverse_table()), :, 0]
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=1)
+def pulse_fault_codes() -> np.ndarray:
+    """Read-only (2, 24, 4) table: letter code of V' P V for X90 pulse k,
+    Clifford index g and letter code P, signs dropped.
+
+    V is what follows pulse k in the five-pulse form of g: Z(phi1) X90
+    Z(phi2) after pulse 0, Z(phi1) after pulse 1.  A fault Q right after
+    the pulse reaches the end of the gate as V Q V', so the table gives,
+    for each letter P at the end, the fault that lands there.
+    """
+    table = np.empty((2, 24, 4), dtype=np.intp)
+    for g, elem in enumerate(one_qubit_cliffords()):
+        phi1, phi2, _ = elem.euler
+        for pulse, v in enumerate((_rz(phi1) @ RX90 @ _rz(phi2), _rz(phi1))):
+            table[pulse, g] = _letter_images(v.conj().T)[:, 0]
     table.setflags(write=False)
     return table
 
@@ -377,20 +356,9 @@ def twoq_conjugation_codes(gate: str) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _named_one_qubit_indices() -> dict[str, int]:
-    index = _one_qubit_index()
-
-    def find(x_code, x_sign, z_code, z_sign):
-        return index[((x_code, x_sign), (z_code, z_sign))]
-
-    return {
-        "I": find(1, 1, 3, 1),
-        "H": find(3, 1, 1, 1),
-        "S": find(2, 1, 3, 1),
-        "X": find(1, 1, 3, -1),
-        "Y": find(1, -1, 3, -1),
-        "Z": find(1, -1, 3, 1),
-        "SX": find(1, 1, 2, -1),  # X90: X -> X, Z -> -Y
-    }
+    index = _index_by_key()
+    named = zip(("I", "X", "Y", "Z", "H", "S", "SX"), (*_PAULIS, _H, _S, RX90))
+    return {name: int(index[_image_key(_letter_images(u))]) for name, u in named}
 
 
 def one_qubit_gate_index(name: str) -> int:

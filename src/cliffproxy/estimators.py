@@ -78,6 +78,10 @@ __all__ = [
 ]
 
 
+# fewest calibration shots readout_mitigated_dfe accepts per confusion matrix
+MIN_CALIB_SHOTS = 100
+
+
 class ReferenceTooNoisyError(ValueError):
     """The SPAM-reference estimate fell below the divisor floor."""
 
@@ -159,7 +163,8 @@ def _draw_parity(expected: float, shots: int, rng: np.random.Generator) -> float
 @dataclass
 class _PauliSample:
     pauli: PauliString
-    value: float
+    raw: float  # measured parity; its estimate is raw / divisor
+    divisor: float = 1.0
 
 
 def _sample_paulis(
@@ -211,20 +216,20 @@ def _aggregate(
     samples: list[_PauliSample], n: int, config: DfeConfig, metadata: dict
 ) -> FidelityEstimate:
     dim4 = 4**n
-    values = np.array([s.value for s in samples])
+    values = np.array([s.raw / s.divisor for s in samples])
     mean_parity = float(values.mean())
     f_hat = (1.0 + (dim4 - 1) * mean_parity) / dim4
     if len(values) >= 2:
         se_parity = float(values.std(ddof=1)) / math.sqrt(len(values))
     else:
-        # single observable: fall back to the binomial shot error
-        se_parity = math.sqrt(
-            max(1.0 - values[0] ** 2, 0.0) / config.shots_per_pauli
-        )
+        # single observable: the raw parity's binomial shot error, scaled
+        # like the estimate by the mitigation divisor
+        (s,) = samples
+        se_parity = math.sqrt((1.0 - s.raw**2) / config.shots_per_pauli) / s.divisor
     stderr = (dim4 - 1) / dim4 * se_parity
     meta = dict(metadata)
     meta["paulis"] = tuple(str(s.pauli) for s in samples)
-    meta["parities"] = tuple(float(s.value) for s in samples)
+    meta["parities"] = tuple(float(v) for v in values)
     return FidelityEstimate(
         f_hat, stderr, len(values) * config.shots_per_pauli, meta
     )
@@ -323,8 +328,8 @@ def readout_mitigated_dfe(
     flips in that calibration and end up inside the mitigation divisor;
     the residual bias this causes is part of the per-observable spread.
     """
-    if calib_shots < 100:
-        raise ValueError("calibration needs at least 100 shots")
+    if calib_shots < MIN_CALIB_SHOTS:
+        raise ValueError(f"calibration needs at least {MIN_CALIB_SHOTS} shots")
     body = circuit if circuit is not None else target
     n = body.n
     divisors = np.ones(n)
@@ -342,10 +347,8 @@ def readout_mitigated_dfe(
                 )
     samples = _sample_paulis(circuit, noise, spam, config, rng, target, None, 0)
     for s in samples:
-        corr = 1.0
         for q in s.pauli.support:
-            corr *= divisors[q]
-        s.value = s.value / corr
+            s.divisor *= divisors[q]
     return _aggregate(samples, n, config, {"protocol": "dfe_readout_mitigated"})
 
 

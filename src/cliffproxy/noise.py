@@ -17,10 +17,13 @@ Every layer of a circuit is followed by one error channel:
 
 Idle qubits in entangling layers carry no gate and hence no error.
 
-For Clifford circuits the per-layer channels are read from tables
-compiled once per model: a (24, 4) eigenvalue table per qubit over all
-Clifford indices (:meth:`NoiseModel.compiled_1q_eigenvalues`) and a
-16-entry vector per two-qubit gate entry (:attr:`GateNoise.eigenvalues`).
+Each qubit's X90 entry is compiled once, in one step for all gates: its
+faults are relabelled through :func:`cliffproxy.clifford.pulse_fault_codes`
+and convolved into a probability table with one row per Clifford index
+plus the Euler stand-in (:meth:`NoiseModel.compiled_1q_channel` reads a
+row), and a (24, 4) eigenvalue table over all Clifford indices
+(:meth:`NoiseModel.compiled_1q_eigenvalues`).  Two-qubit gate entries
+carry a 16-entry vector (:attr:`GateNoise.eigenvalues`).
 Conjugation through a layer maps per-qubit letter codes (a 4-entry map
 per one-qubit Clifford, a 16-entry map per CZ or CNOT pair).  The exact
 fold (:func:`process_infidelities_exact`) applies these maps and tables to
@@ -124,18 +127,27 @@ class GateNoise:
         return pauli_walsh(self.probs, self.num_qubits)
 
 
-def _convolve_local(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Distribution of the product of two independent local faults."""
-    k = len(p1)
-    out = np.zeros(k)
-    for i in range(k):
-        for j in range(k):
-            if k == 4:
-                prod = _CODE_XOR[i, j]
-            else:
-                prod = (_CODE_XOR[i >> 2, j >> 2] << 2) | _CODE_XOR[i & 3, j & 3]
-            out[prod] += p1[i] * p2[j]
-    return out
+def _compile_1q(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One qubit's X90 faults pushed to the end of each one-qubit gate.
+
+    Returns the (25, 4) probability table of the product of the two pushed
+    faults, rows 0-23 for the Clifford indices and row 24 for the Euler
+    stand-in (faults not pushed), and the (24, 4) eigenvalue table of the
+    Clifford rows.  Both are read-only.
+    """
+    codes = cl.pulse_fault_codes()
+    first = np.vstack([eps[codes[0]], eps])
+    second = np.vstack([eps[codes[1]], eps])
+    probs = np.zeros((25, 4))
+    # entry k sums first[i] * second[j] over the letters i, in code order,
+    # with j the letter that i multiplies to k
+    for i in range(4):
+        probs += first[:, i, None] * second[:, _CODE_XOR[i]]
+    # row by row: a batched product sums in another order, off by an ulp
+    eig = np.array([pauli_walsh(row, 1) for row in probs[:24]])
+    probs.setflags(write=False)
+    eig.setflags(write=False)
+    return probs, eig
 
 
 class NoiseModel:
@@ -151,8 +163,8 @@ class NoiseModel:
         self.markovian = markovian
         self.one_qubit = dict(one_qubit)
         self.two_qubit = dict(two_qubit)
-        self._compiled: dict = {}
-        self._eig_1q: dict = {}
+        # (position or -1, qubit) -> compiled tables of _compile_1q
+        self._1q: dict = {}
 
     @staticmethod
     def pair_key(name: str, pair) -> tuple:
@@ -181,68 +193,25 @@ class NoiseModel:
                 f"no two-qubit noise entry for {name} on {tuple(pair)} at layer {position}"
             ) from None
 
+    def _compiled_1q(self, position: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (-1 if self.markovian else position, qubit)
+        hit = self._1q.get(key)
+        if hit is None:
+            hit = self._1q[key] = _compile_1q(self.xpi2_noise(position, qubit).probs)
+        return hit
+
     def compiled_1q_channel(self, position: int, qubit: int, gate) -> np.ndarray:
         """Pauli channel after a one-qubit gate: both X90 faults pushed to
         the end of the gate.  Exact for Clifford gates; for Euler gates this
         drops the non-Pauli part of the pushed faults (the exact treatment
         lives in the dense simulation paths)."""
-        if isinstance(gate, CliffordGate1Q):
-            cache_key = (position if not self.markovian else -1, qubit, gate.index)
-        else:
-            cache_key = (position if not self.markovian else -1, qubit, "euler")
-        hit = self._compiled.get(cache_key)
-        if hit is not None:
-            return hit
-        eps = self.xpi2_noise(position, qubit).probs
-        if isinstance(gate, CliffordGate1Q):
-            phi1, phi2, _ = cl.one_qubit_cliffords()[gate.index].euler
-            tail1 = _zrot_index(phi1)
-            mid = cl.clifford_mult(
-                cl.clifford_mult(tail1, cl.one_qubit_gate_index("SX")),
-                _zrot_index(phi2),
-            )
-            p_first = _permute_conj(eps, mid)
-            p_second = _permute_conj(eps, tail1)
-            out = _convolve_local(p_first, p_second)
-        else:
-            out = _convolve_local(eps, eps)
-        self._compiled[cache_key] = out
-        return out
+        row = gate.index if isinstance(gate, CliffordGate1Q) else 24
+        return self._compiled_1q(position, qubit)[0][row]
 
     def compiled_1q_eigenvalues(self, position: int, qubit: int) -> np.ndarray:
         """(24, 4) table: transfer-matrix diagonal of the compiled channel
         after each one-qubit Clifford index on ``qubit``."""
-        key = (-1 if self.markovian else position, qubit)
-        if key not in self._eig_1q:
-            self._eig_1q[key] = np.array(
-                [
-                    pauli_walsh(self.compiled_1q_channel(position, qubit, CliffordGate1Q(g)), 1)
-                    for g in range(24)
-                ]
-            )
-        return self._eig_1q[key]
-
-
-def _zrot_index(phi: float) -> int:
-    """Group index of the Z rotation by a multiple of pi/2."""
-    quarter = round(phi / (np.pi / 2)) % 4
-    if abs(phi - round(phi / (np.pi / 2)) * (np.pi / 2)) > 1e-9:
-        raise ValueError(f"angle {phi} is not a multiple of pi/2")
-    s = cl.one_qubit_gate_index("S")
-    idx = 0
-    for _ in range(quarter):
-        idx = cl.clifford_mult(idx, s)
-    return idx
-
-
-def _permute_conj(probs: np.ndarray, elem_index: int) -> np.ndarray:
-    """Push a local fault distribution through a Clifford: A P A'."""
-    elem = cl.one_qubit_cliffords()[elem_index]
-    out = np.zeros_like(probs)
-    for code in range(4):
-        new_code, _ = elem.conj_code(code)
-        out[new_code] += probs[code]
-    return out
+        return self._compiled_1q(position, qubit)[1]
 
 
 @dataclass(frozen=True)

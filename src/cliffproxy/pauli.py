@@ -32,6 +32,7 @@ __all__ = [
     "commutes",
     "sample_uniform",
     "sample_uniform_nonidentity",
+    "SAMPLE_LIMIT",
     "pauli_walsh",
     "CODE_FROM_XZ",
     "XZ_FROM_CODE",
@@ -233,14 +234,17 @@ def sample_uniform(n: int, rng: np.random.Generator) -> PauliString:
     return PauliString.from_label(n, int(rng.integers(4**n)))
 
 
+SAMPLE_LIMIT = 31  # 4^n - 1 must fit the int64 bound of numpy's integer draw
+
+
 def sample_uniform_nonidentity(n: int, rng: np.random.Generator) -> PauliString:
     """Uniform over the 4^n - 1 non-identity letter strings, sign +1.
 
     The identity observable carries no information for fidelity sampling,
     so it is excluded here and reweighted analytically by the estimators.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= SAMPLE_LIMIT:
+        raise ValueError(f"n must lie in [1, {SAMPLE_LIMIT}], got {n}")
     return PauliString.from_label(n, 1 + int(rng.integers(4**n - 1)))
 
 

@@ -26,6 +26,7 @@ from . import dense as dn
 from . import estimators as est
 from . import noise as nz
 from .figures import svg_grouped_bars, svg_histogram, svg_scatter
+from .pauli import SAMPLE_LIMIT
 from .seeding import seed_derive
 
 __all__ = [
@@ -183,7 +184,7 @@ def validate_config(
                 f"field {key!r} expects {want.__name__}, got {type(value).__name__}"
             )
     for key in ("min_depth", "max_depth", "targets_per_kind", "cliffordizations",
-                "randomizations", "shots", "calib_shots", "scrambler_depth", "width"):
+                "randomizations", "shots", "scrambler_depth", "width"):
         if key in params and (not isinstance(params[key], int) or params[key] < 1):
             problems.append(f"field {key!r} must be a positive integer")
     if params.get("cliffordizations") == 1:
@@ -202,10 +203,14 @@ def validate_config(
             isinstance(v, int) and not isinstance(v, bool) and v >= low for v in values
         ):
             problems.append(f"field {key!r} must be a non-empty list of integers >= {low}")
+    widths = params["widths"] if "widths" in params else [params["width"]]
     if scenario in ("uniformity", "accuracy", "xeb-compare"):
-        folded = params["widths"] if "widths" in params else [params["width"]]
-        if any(isinstance(v, int) and v > nz.FOLD_LIMIT for v in folded):
+        if any(isinstance(v, int) and v > nz.FOLD_LIMIT for v in widths):
             problems.append(f"widths above the exact-folding limit n={nz.FOLD_LIMIT}")
+    elif any(isinstance(v, int) and v > SAMPLE_LIMIT for v in widths):
+        problems.append(f"widths above the Pauli-sampling limit n={SAMPLE_LIMIT}")
+    if params.get("calib_shots", est.MIN_CALIB_SHOTS) < est.MIN_CALIB_SHOTS:
+        problems.append(f"field 'calib_shots' must be at least {est.MIN_CALIB_SHOTS}")
     if scenario == "accuracy" and any(
         isinstance(v, int) and v > dn.DIAMOND_LIMIT for v in params["widths"]
     ):

@@ -3,6 +3,11 @@ against.
 
 * the signed tableau walk: whole-circuit tableaux, their exact inverse,
   and back-propagation of a signed Pauli;
+* the one-qubit group by closure from {H, S} on tableaux, with its
+  conjugation, multiplication and named-element tables;
+* one qubit's gate noise compiled one gate at a time: each X90 fault
+  relabelled through the group element that follows its pulse, the two
+  faults convolved letter by letter;
 * the dense unitary of a circuit;
 * the Pauli twirl through a layer's tableau;
 * the layer error channel, one local Pauli channel per gate, with the
@@ -104,6 +109,129 @@ def backpropagate(circuit, p: PauliString) -> PauliString:
     if circuit.n != p.n:
         raise ValueError(f"size mismatch: circuit n={circuit.n}, Pauli n={p.n}")
     return cl.conjugate(inverse(circuit_tableau(circuit)), p)
+
+
+# ---------------------------------------------------------------------------
+# one-qubit group by tableau closure, and the per-gate compiled channel
+# ---------------------------------------------------------------------------
+
+def _one_qubit_key(x_img: PauliString, z_img: PauliString) -> tuple:
+    return (x_img.x_bits, x_img.z_bits, x_img.phase_exp, z_img.x_bits, z_img.z_bits, z_img.phase_exp)
+
+
+def tableau_cliffords() -> list[tuple[cl.CliffordTableau, np.ndarray]]:
+    """The 24 one-qubit elements as (tableau, unitary) pairs, found by
+    closure from {H, S} on tableaux with the unitaries in lockstep, in
+    breadth-first order."""
+    x0 = PauliString.single(1, 0, "X")
+    z0 = PauliString.single(1, 0, "Z")
+    h_tab = cl.CliffordTableau(1, [z0], [x0])
+    s_tab = cl.CliffordTableau(1, [PauliString.single(1, 0, "Y")], [z0])
+    gens = ((h_tab, cl._H), (s_tab, cl._S))
+    ident = cl.CliffordTableau.identity(1)
+    queue = [(ident, np.eye(2, dtype=complex))]
+    found = {_one_qubit_key(*ident.x_images, *ident.z_images)}
+    order = [queue[0]]
+    while queue:
+        tab, mat = queue.pop(0)
+        for gen_tab, gen_mat in gens:
+            new_tab = cl.compose(tab, gen_tab)
+            key = _one_qubit_key(new_tab.x_images[0], new_tab.z_images[0])
+            if key not in found:
+                found.add(key)
+                order.append((new_tab, gen_mat @ mat))
+                queue.append(order[-1])
+    assert len(order) == 24
+    return order
+
+
+def tableau_conjugation_table(tabs) -> np.ndarray:
+    """(24, 4, 2) table: (letter code, sign) of g P g' from each tableau."""
+    table = np.empty((24, 4, 2), dtype=np.intp)
+    for g, tab in enumerate(tabs):
+        for code in range(4):
+            image = cl.conjugate(tab, PauliString.from_label(1, code))
+            table[g, code] = (image.code(0), image.sign)
+    return table
+
+
+def tableau_mult_table(tabs) -> np.ndarray:
+    """24x24 table: index of U_i @ U_j, from composed tableaux."""
+    index = {_one_qubit_key(t.x_images[0], t.z_images[0]): g for g, t in enumerate(tabs)}
+    table = np.zeros((24, 24), dtype=np.int64)
+    for i, ti in enumerate(tabs):
+        for j, tj in enumerate(tabs):
+            prod = cl.compose(tj, ti)  # j acts first under i @ j
+            table[i, j] = index[_one_qubit_key(prod.x_images[0], prod.z_images[0])]
+    return table
+
+
+def tableau_named_indices(tabs) -> dict[str, int]:
+    """Indices of the named elements, found by their signed images."""
+    index = {
+        ((t.x_images[0].code(0), t.x_images[0].sign), (t.z_images[0].code(0), t.z_images[0].sign)): g
+        for g, t in enumerate(tabs)
+    }
+
+    def find(x_code, x_sign, z_code, z_sign):
+        return index[((x_code, x_sign), (z_code, z_sign))]
+
+    return {
+        "I": find(1, 1, 3, 1),
+        "H": find(3, 1, 1, 1),
+        "S": find(2, 1, 3, 1),
+        "X": find(1, 1, 3, -1),
+        "Y": find(1, -1, 3, -1),
+        "Z": find(1, -1, 3, 1),
+        "SX": find(1, 1, 2, -1),  # X90: X -> X, Z -> -Y
+    }
+
+
+def _convolve_local(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Distribution of the product of two independent one-qubit faults."""
+    out = np.zeros(4)
+    for i in range(4):
+        for j in range(4):
+            out[nz._CODE_XOR[i, j]] += p1[i] * p2[j]
+    return out
+
+
+def per_gate_compiled_channels(noise, position, qubit, elements) -> np.ndarray:
+    """``NoiseModel.compiled_1q_channel`` one gate at a time, as a (25, 4)
+    array: rows 0-23 for the Clifford indices, row 24 for an Euler gate.
+
+    Each X90 fault is relabelled through the group element that follows
+    its pulse, found by products in the tableau multiplication table;
+    ``elements`` are the (tableau, unitary) pairs of :func:`tableau_cliffords`.
+    """
+    tabs = [tab for tab, _ in elements]
+    mult = tableau_mult_table(tabs)
+    conj = tableau_conjugation_table(tabs)
+    named = tableau_named_indices(tabs)
+
+    def zrot_index(phi):
+        quarter = round(phi / (np.pi / 2)) % 4
+        assert abs(phi - round(phi / (np.pi / 2)) * (np.pi / 2)) < 1e-9
+        idx = 0
+        for _ in range(quarter):
+            idx = mult[idx, named["S"]]
+        return idx
+
+    def push(probs, elem):
+        out = np.zeros_like(probs)
+        for code in range(4):
+            out[conj[elem, code, 0]] += probs[code]
+        return out
+
+    eps = noise.xpi2_noise(position, qubit).probs
+    rows = []
+    for _, mat in elements:
+        phi1, phi2, _ = cl._snap_clifford_angles(cl.zxzxz_angles(mat), mat)
+        tail = zrot_index(phi1)
+        mid = mult[mult[tail, named["SX"]], zrot_index(phi2)]
+        rows.append(_convolve_local(push(eps, mid), push(eps, tail)))
+    rows.append(_convolve_local(eps, eps))
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from cliffproxy import circuits as cc
 from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy.pauli import PauliString, sample_uniform_nonidentity
-from oracles import circuit_tableau, circuit_unitary, layer_tableau, tableau_twirl
+from oracles import circuit_tableau, circuit_unitary, tableau_twirl
 
 
 def phase_aligned_distance(a, b):
@@ -255,13 +255,21 @@ class TestScrambler:
         rng = np.random.default_rng(11)
         n = 10
         trials = 10_000
+        conj = [[e.conj_code(c)[0] for c in range(4)] for e in cl.one_qubit_cliffords()]
         weights = np.zeros(n + 1)
         for _ in range(trials):
             scr = cc.scrambling_circuit(n, 4, rng)
             p = sample_uniform_nonidentity(n, rng)
+            # letters of L P L' through each layer L, signs dropped
+            codes = [p.code(q) for q in range(n)]
             for layer in scr.layers:
-                p = cl.conjugate(layer_tableau(layer, n), p)
-            weights[p.weight] += 1
+                if isinstance(layer, cc.OneQubitLayer):
+                    codes = [conj[g.index][c] for g, c in zip(layer.gates, codes)]
+                    continue
+                local_map = cl.twoq_conjugation_codes(layer.gate)
+                for a, b in layer.pairs:
+                    codes[a], codes[b] = divmod(int(local_map[4 * codes[a] + codes[b]]), 4)
+            weights[n - codes.count(0)] += 1
         emp = weights / trials
         # exact weight distribution of a uniform non-identity Pauli
         from math import comb

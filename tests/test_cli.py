@@ -109,6 +109,9 @@ class TestConfigValidation:
             ("xeb-compare", {"depths": [2, 0]}, "depths"),
             ("spam-compare", {"markovian": False}, "markovian"),
             ("accuracy", {"widths": [4]}, "diamond-norm SDP limit"),
+            ("spam-compare", {"calib_shots": 50}, "calib_shots"),
+            ("spam-compare", {"width": 32}, "Pauli-sampling limit"),
+            ("volumetric", {"widths": [4, 32]}, "Pauli-sampling limit"),
         ],
     )
     def test_fields_checked_up_front(self, scenario, overrides, field):
@@ -244,6 +247,19 @@ class TestCliCommands:
             ("accuracy", {"widths": [4]}),
         ):
             cfg_file.write_text(json.dumps({**SMALL_UNIFORMITY, **bad}))
+            rc = main(
+                ["run", scenario, "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+            )
+            assert rc == 2
+            assert not (tmp_path / "run").exists()
+        # small runs that would otherwise stop part-way with exit code 3
+        small_dfe = {"depths": [2], "randomizations": 1, "shots": 100}
+        for scenario, bad in (
+            ("spam-compare", {"width": 4, "calib_shots": 50}),
+            ("spam-compare", {"width": 32}),
+            ("volumetric", {"widths": [32]}),
+        ):
+            cfg_file.write_text(json.dumps({**small_dfe, **bad}))
             rc = main(
                 ["run", scenario, "--config", str(cfg_file), "--out", str(tmp_path / "run")]
             )

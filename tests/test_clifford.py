@@ -5,8 +5,18 @@ import pytest
 
 from cliffproxy import circuits as cc
 from cliffproxy import clifford as cl
+from cliffproxy import dense as dn
 from cliffproxy.pauli import PauliString, commutes
-from oracles import backpropagate, circuit_tableau, circuit_unitary, inverse
+from oracles import (
+    backpropagate,
+    circuit_tableau,
+    circuit_unitary,
+    inverse,
+    tableau_cliffords,
+    tableau_conjugation_table,
+    tableau_mult_table,
+    tableau_named_indices,
+)
 
 
 def random_pauli(n, rng, signed=True):
@@ -177,6 +187,51 @@ class TestOneQubitGroup:
             prod = elems[cl.clifford_mult(int(i), int(j))].unitary
             direct = elems[int(i)].unitary @ elems[int(j)].unitary
             assert phase_aligned_distance(prod, direct) < 1e-12
+
+
+class TestTablesMatchTableauClosure:
+    """The group tables read from unitaries, bit for bit against the
+    closure on tableaux that ran in lockstep with the unitaries."""
+
+    @pytest.fixture(scope="class")
+    def elements(self):
+        return tableau_cliffords()
+
+    def test_elements(self, elements):
+        for elem, (tab, mat) in zip(cl.one_qubit_cliffords(), elements, strict=True):
+            x, z = tab.x_images[0], tab.z_images[0]
+            assert elem.x_image == (x.code(0), x.sign)
+            assert elem.z_image == (z.code(0), z.sign)
+            assert elem.unitary.tobytes() == mat.tobytes()
+            angles = cl._snap_clifford_angles(cl.zxzxz_angles(mat), mat)
+            assert np.array_equal(elem.euler, angles)
+
+    def test_group_tables(self, elements):
+        tabs = [tab for tab, _ in elements]
+        conj = tableau_conjugation_table(tabs)
+        mult = tableau_mult_table(tabs)
+        inv = np.argmax(mult == 0, axis=1)
+        elems = cl.one_qubit_cliffords()
+        assert np.array_equal([[e.conj_code(c) for c in range(4)] for e in elems], conj)
+        assert np.array_equal([[cl.clifford_mult(i, j) for j in range(24)] for i in range(24)], mult)
+        assert np.array_equal([cl.clifford_inverse_index(i) for i in range(24)], inv)
+        table = cl.inverse_conjugation_codes()
+        assert not table.flags.writeable
+        assert np.array_equal(table, conj[inv, :, 0])
+        named = tableau_named_indices(tabs)
+        assert {name: cl.one_qubit_gate_index(name) for name in named} == named
+
+    def test_pulse_fault_codes_against_transfer_matrices(self):
+        table = cl.pulse_fault_codes()
+        assert table.shape == (2, 24, 4)
+        assert not table.flags.writeable
+        for g, elem in enumerate(cl.one_qubit_cliffords()):
+            phi1, phi2, _ = elem.euler
+            after = (dn._rz_ptm(phi1) @ dn._X90_PTM @ dn._rz_ptm(phi2), dn._rz_ptm(phi1))
+            for pulse, r in enumerate(after):
+                # row P of the transfer matrix of V expands V' P V over letters
+                assert np.allclose(np.sort(np.abs(r), axis=1), [0, 0, 0, 1], atol=1e-12)
+                assert np.array_equal(np.argmax(np.abs(r), axis=1), table[pulse, g])
 
 
 class TestEulerAngles:

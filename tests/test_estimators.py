@@ -261,6 +261,28 @@ class TestReadoutMitigated:
         b = est.dfe(proxy, model, None, est.DfeConfig(20, 8, 100), np.random.default_rng(19))
         assert a.mean == pytest.approx(b.mean, abs=1e-12)
 
+    def test_single_observable_stderr_from_raw_parity(self):
+        # one observable: the measured parity's binomial error over the
+        # mitigation divisor, also where the mitigated parity exceeds 1
+        circ = cc.LayeredCircuit(1, (cc.identity_layer(1),))
+        spam = nz.SpamModel((0.0,), (0.05,), (0.05,))
+        config = est.DfeConfig(1, 1, 2000)
+        calib = 1000
+        above_one = 0
+        for seed in range(10):
+            res = est.readout_mitigated_dfe(
+                circ, None, spam, config, calib, np.random.default_rng(seed)
+            )
+            # replay the two calibration draws for the divisor
+            rng = np.random.default_rng(seed)
+            divisor = 1.0 - rng.binomial(calib, 0.05) / calib - rng.binomial(calib, 0.05) / calib
+            (value,) = res.metadata["parities"]
+            raw = value * divisor
+            expected = 0.75 * math.sqrt((1.0 - raw**2) / config.shots_per_pauli) / divisor
+            assert res.stderr == pytest.approx(expected, rel=1e-9)
+            above_one += value > 1.0
+        assert above_one
+
     def test_calibration_shot_floor(self):
         proxy, rng = brickwork(2, 1, 20)
         with pytest.raises(ValueError, match="100"):

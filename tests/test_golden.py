@@ -5,6 +5,11 @@ the committed reference in ``golden/<case>.json.gz``, through the
 identical / rounding / mismatch classification of the benchmark's output
 check (``perfbench/check.py``).  Any mismatch fails.
 
+To print each file's classification against the references, writing
+nothing:
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
 When a change is meant to alter scenario outputs, regenerate the references
 and say in CHANGES.md which files changed and why:
 
@@ -13,6 +18,7 @@ and say in CHANGES.md which files changed and why:
 
 from __future__ import annotations
 
+import argparse
 import gzip
 import importlib.util
 import json
@@ -70,6 +76,11 @@ def _reference_path(case: str) -> Path:
     return GOLDEN_DIR / f"{case}.json.gz"
 
 
+def _load_reference(case: str) -> dict:
+    with gzip.open(_reference_path(case), "rt", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _run(case: str, out_dir: Path) -> list[str]:
     scenario, overrides = CASES[case]
     config = validate_config(scenario, overrides, SEED, str(out_dir))
@@ -78,8 +89,7 @@ def _run(case: str, out_dir: Path) -> list[str]:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_reference(case, tmp_path):
-    with gzip.open(_reference_path(case), "rt", encoding="utf-8") as fh:
-        reference = json.load(fh)
+    reference = _load_reference(case)
     assert reference["overrides"] == CASES[case][1], "stale reference: regenerate it"
     files = _run(case, tmp_path)
     status = check.check_outputs(tmp_path, files, reference["files"])
@@ -103,5 +113,21 @@ def _regenerate() -> None:
         print(f"{case}: {len(files)} files")
 
 
+def _check() -> None:
+    for case in sorted(CASES):
+        reference = _load_reference(case)
+        with tempfile.TemporaryDirectory() as tmp:
+            files = _run(case, Path(tmp))
+            status = check.check_outputs(Path(tmp), files, reference["files"])
+        for name, s in status.items():
+            print(f"{case}/{name}: {s}")
+
+
 if __name__ == "__main__":
-    _regenerate()
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden outputs.")
+    parser.add_argument("--check", action="store_true",
+                        help="print each file's classification against the references; write nothing")
+    if parser.parse_args().check:
+        _check()
+    else:
+        _regenerate()

@@ -9,7 +9,14 @@ from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, pauli_walsh
-from oracles import circuit_tableau, inverse, layer_channel, layer_tableau
+from oracles import (
+    circuit_tableau,
+    inverse,
+    layer_channel,
+    layer_tableau,
+    per_gate_compiled_channels,
+    tableau_cliffords,
+)
 
 
 def brickwork(n, depth, seed, kind="clifford"):
@@ -71,6 +78,27 @@ class TestSampleErrorModel:
         model = nz.sample_error_model(circ, rng)
         with pytest.raises(KeyError, match="no two-qubit noise entry"):
             model.twoq_noise(0, "CZ", (0, 2))
+
+
+class TestCompiledOneQubit:
+    @pytest.mark.parametrize("markovian", [True, False])
+    @pytest.mark.parametrize("budget", [1e-9, 1e-5, 1e-3, 1e-1])
+    def test_tables_match_per_gate_oracle(self, budget, markovian):
+        # bit for bit: the probability rows of all 24 Cliffords and the
+        # Euler stand-in, and the eigenvalue table the folds read
+        elements = tableau_cliffords()
+        circ, rng = brickwork(3, 2, 90)
+        model = nz.sample_error_model(circ, rng, 1e-3, budget, markovian)
+        euler = cc.haar_su2(rng)
+        for pos in range(0, len(circ.layers), 2):
+            for q in range(circ.n):
+                ref = per_gate_compiled_channels(model, pos, q, elements)
+                got = [model.compiled_1q_channel(pos, q, cc.CliffordGate1Q(g)) for g in range(24)]
+                got.append(model.compiled_1q_channel(pos, q, euler))
+                assert np.array_equal(got, ref)
+                eig = model.compiled_1q_eigenvalues(pos, q)
+                assert np.array_equal(eig, [pauli_walsh(row, 1) for row in ref[:24]])
+                assert not eig.flags.writeable
 
 
 class TestLayerChannel:

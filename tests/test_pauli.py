@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cliffproxy.pauli import (
+    SAMPLE_LIMIT,
     PauliChannel,
     PauliString,
     commutes,
@@ -126,6 +127,12 @@ class TestSampling:
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
             sample_uniform_nonidentity(0, np.random.default_rng(0))
+
+    def test_widths_up_to_the_sampling_limit(self):
+        rng = np.random.default_rng(10)
+        assert sample_uniform_nonidentity(SAMPLE_LIMIT, rng).n == SAMPLE_LIMIT == 31
+        with pytest.raises(ValueError, match="31"):
+            sample_uniform_nonidentity(SAMPLE_LIMIT + 1, rng)
 
 
 class TestTextEncoding:
