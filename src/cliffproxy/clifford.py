@@ -40,7 +40,6 @@ __all__ = [
     "from_gate",
     "one_qubit_cliffords",
     "clifford_mult",
-    "clifford_inverse_index",
     "inverse_conjugation_codes",
     "pulse_fault_codes",
     "twoq_conjugation_codes",
@@ -206,11 +205,6 @@ class OneQubitClifford:
     euler: tuple[float, float, float]
     unitary: np.ndarray
 
-    def conj_code(self, code: int) -> tuple[int, int]:
-        """Image (code, sign) of a single letter under g P g'."""
-        image_code, sign = _conjugation_table()[self.index, code]
-        return (int(image_code), int(sign))
-
 
 def _letter_images(u: np.ndarray) -> np.ndarray:
     """(4, 2) table of (letter code, sign) of u P u' for each letter code P
@@ -306,10 +300,6 @@ def clifford_mult(i: int, j: int) -> int:
 @lru_cache(maxsize=1)
 def _inverse_table() -> tuple[int, ...]:
     return tuple(int(j) for j in np.argmax(_mult_table() == 0, axis=1))
-
-
-def clifford_inverse_index(i: int) -> int:
-    return _inverse_table()[i]
 
 
 @lru_cache(maxsize=1)

@@ -345,12 +345,16 @@ def statevector_simulate(
     """Sample measured bitstrings from the noisy circuit.
 
     Each shot draws one Pauli fault per layer (Monte Carlo unravelling of
-    the stochastic layer errors) plus SPAM bit flips.  Shots sharing a
-    fault pattern share one column of a (2^n, patterns) amplitude array
-    that runs through the circuit in a single pass; patterns are taken in
-    chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes, each sampled before
-    the next starts.  Returns integers with qubit 0 on the most significant
-    bit.
+    the stochastic layer errors) plus SPAM bit flips.  Each draw takes the
+    uniforms ``rng.choice`` would and keeps only its hits, the shots with a
+    non-identity label; a shot's fault pattern is its ((draw, label), ...)
+    hits in draw order.  Shots sharing a pattern share one column of a
+    (2^n, patterns) amplitude array that runs through the circuit in a
+    single pass, in sorted pattern order (fault-free first); patterns are
+    taken in chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes.  Output
+    samples read one block of ``shots`` uniforms, sliced in pattern order,
+    so the generator's stream is that of one ``choice`` per draw and per
+    pattern.  Returns integers with qubit 0 on the most significant bit.
     """
     n = circuit.n
     if n > STATEVECTOR_LIMIT:
@@ -358,18 +362,23 @@ def statevector_simulate(
     if shots < 1:
         raise ValueError("need at least one shot")
 
-    # draw local fault labels for all shots and group identical patterns;
-    # each draw is (layer index, qubits, pulse, labels): prep flips enter as
-    # X faults before the first layer (index -1); faults on Euler gates sit
-    # at their X90 pulse (0 or 1) inside the gate, faults on Clifford gates
-    # use the exactly-equivalent compiled channel after it (pulse None)
+    # draw local fault labels for all shots, keeping each draw's hits (the
+    # shots with a label > 0); each draw is (layer index, qubits, pulse):
+    # prep flips enter as X faults before the first layer (index -1); faults
+    # on Euler gates sit at their X90 pulse (0 or 1) inside the gate, faults
+    # on Clifford gates use the exactly-equivalent compiled channel after it
     draws: list[tuple] = []
+    hits: list[tuple] = []
+
+    def draw(p, *entry):
+        draws.append(entry)
+        hits.append(_choice_hits(rng, p, shots))
+
     if spam is not None:
         for q in range(n):
             p = spam.prep[q]
             if p > 0.0:
-                labels = rng.choice(4, size=shots, p=[1.0 - p, p, 0.0, 0.0])
-                draws.append((-1, (q,), None, labels.astype(np.uint8)))
+                draw([1.0 - p, p, 0.0, 0.0], -1, (q,), None)
     if noise is not None:
         for li, layer in enumerate(circuit.layers):
             pos = li + layer_offset
@@ -380,36 +389,40 @@ def statevector_simulate(
                         if eps[0] >= 1.0:
                             continue
                         for pulse in (0, 1):
-                            labels = rng.choice(4, size=shots, p=eps)
-                            draws.append((li, (q,), pulse, labels.astype(np.uint8)))
+                            draw(eps, li, (q,), pulse)
                     else:
                         probs = noise.compiled_1q_channel(pos, q, gate)
                         if probs[0] >= 1.0:
                             continue
-                        labels = rng.choice(4, size=shots, p=probs)
-                        draws.append((li, (q,), None, labels.astype(np.uint8)))
+                        draw(probs, li, (q,), None)
             else:
                 for pair in layer.pairs:
                     probs = noise.twoq_noise(pos, layer.gate, pair).probs
                     if probs[0] >= 1.0:
                         continue
-                    labels = rng.choice(16, size=shots, p=probs)
-                    draws.append((li, tuple(pair), None, labels.astype(np.uint8)))
+                    draw(probs, li, tuple(pair), None)
 
-    all_labels = np.zeros((shots, len(draws)), dtype=np.uint8)
-    for i, d in enumerate(draws):
-        all_labels[:, i] = d[-1]
-    patterns: dict[tuple, list[int]] = {(): []}
-    nz_rows = np.nonzero(all_labels.any(axis=1))[0]
-    patterns[()] = [int(s) for s in np.setdiff1d(np.arange(shots), nz_rows)]
-    for shot in nz_rows:
-        key = tuple((i, int(lab)) for i, lab in enumerate(all_labels[shot]) if lab)
-        patterns.setdefault(key, []).append(int(shot))
-    groups = [ids for _, ids in sorted(patterns.items()) if ids]
+    # a faulted shot's pattern key is its ((draw, label), ...) hits in draw
+    # order; patterns run in sorted key order, the fault-free () first
+    shot = np.concatenate([h[0] for h in hits] + [np.zeros(0, np.intp)])
+    label = np.concatenate([h[1] for h in hits] + [np.zeros(0, np.intp)])
+    index = np.repeat(np.arange(len(hits)), [len(h[0]) for h in hits])
+    order = np.lexsort((index, shot))
+    faulted, starts = np.unique(shot[order], return_index=True)
+    pairs = list(zip(index[order].tolist(), label[order].tolist()))
+    bounds = starts.tolist() + [len(pairs)]
+    patterns = {(): np.setdiff1d(np.arange(shots), faulted).tolist()}
+    for s, a, b in zip(faulted.tolist(), bounds, bounds[1:]):
+        patterns.setdefault(tuple(pairs[a:b]), []).append(s)
+    keys = sorted(key for key, ids in patterns.items() if ids)
+    groups = [patterns[key] for key in keys]
+    all_faults = np.zeros((len(keys), len(draws)), dtype=np.uint8)
+    for g, key in enumerate(keys):
+        all_faults[g, [di for di, _ in key]] = [lab for _, lab in key]
 
     after: dict[int, list[int]] = {}
     pulses: dict[tuple[int, int], list[int]] = {}
-    for di, (li, qubits, pulse, _) in enumerate(draws):
+    for di, (li, qubits, pulse) in enumerate(draws):
         if pulse is None:
             after.setdefault(li, []).append(di)
         else:
@@ -424,11 +437,14 @@ def statevector_simulate(
         for li, q in pulses
     }
 
+    # the patterns' output samples read consecutive slices of one block
+    ends = np.cumsum([len(ids) for ids in groups])
+    uniforms = np.split(rng.random(shots), ends[:-1])
     results = np.zeros(shots, dtype=np.int64)
     width = max(1, _CHUNK_AMPLITUDES // 2**n)
     for start in range(0, len(groups), width):
         chunk = groups[start : start + width]
-        faults = all_labels[[ids[0] for ids in chunk]]
+        faults = all_faults[start : start + width]
         state = np.zeros((2**n, len(chunk)), dtype=complex)
         state[0] = 1.0
         _apply_faults(state, n, draws, after.get(-1, ()), faults)
@@ -452,13 +468,31 @@ def statevector_simulate(
                 state = apply_circuit_layer(state, layer, n)
             _apply_faults(state, n, draws, after.get(li, ()), faults)
         probs = np.abs(state) ** 2
-        for j, ids in enumerate(chunk):
-            p = probs[:, j]
-            results[ids] = rng.choice(2**n, size=len(ids), p=p / p.sum())
+        for j, (ids, block) in enumerate(zip(chunk, uniforms[start : start + width])):
+            total = probs[:, j].sum()
+            if not (np.isfinite(total) and total > 0.0):
+                raise ValueError(f"output probabilities sum to {total}")
+            results[ids] = _cdf(probs[:, j] / total).searchsorted(block, side="right")
 
     if spam is not None:
         results = _apply_meas_flips(results, spam, rng)
     return results
+
+
+def _cdf(p) -> np.ndarray:
+    """Cumulative distribution of ``p``, normalised as ``Generator.choice`` does."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choice_hits(rng: np.random.Generator, p, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shots and labels of ``rng.choice(len(p), size=shots, p=p)`` whose label
+    is not 0, from the same uniforms, leaving the generator in the same state."""
+    cdf = _cdf(p)
+    u = rng.random(shots)
+    hit = np.nonzero(u >= cdf[0])[0]
+    return hit, cdf.searchsorted(u[hit], side="right")
 
 
 def _apply_faults(state, n, draws, indices, faults) -> None:

@@ -227,14 +227,14 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return ((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) % 2 == 0
 
 
+SAMPLE_LIMIT = 31  # 4^n - 1 must fit the int64 bound of numpy's integer draw
+
+
 def sample_uniform(n: int, rng: np.random.Generator) -> PauliString:
     """Uniform over all 4^n letter strings (identity included), sign +1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= SAMPLE_LIMIT:
+        raise ValueError(f"n must lie in [1, SAMPLE_LIMIT = {SAMPLE_LIMIT}], got {n}")
     return PauliString.from_label(n, int(rng.integers(4**n)))
-
-
-SAMPLE_LIMIT = 31  # 4^n - 1 must fit the int64 bound of numpy's integer draw
 
 
 def sample_uniform_nonidentity(n: int, rng: np.random.Generator) -> PauliString:
@@ -244,7 +244,7 @@ def sample_uniform_nonidentity(n: int, rng: np.random.Generator) -> PauliString:
     so it is excluded here and reweighted analytically by the estimators.
     """
     if not 1 <= n <= SAMPLE_LIMIT:
-        raise ValueError(f"n must lie in [1, {SAMPLE_LIMIT}], got {n}")
+        raise ValueError(f"n must lie in [1, SAMPLE_LIMIT = {SAMPLE_LIMIT}], got {n}")
     return PauliString.from_label(n, 1 + int(rng.integers(4**n - 1)))
 
 

@@ -179,6 +179,16 @@ class TestPauliTwirl:
                 assert cc.pauli_twirl(circ, got_rng) == tableau_twirl(circ, want_rng)
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
+    def test_width_above_the_sampling_limit_rejected(self):
+        # the frames are drawn as one integer below 4^n, which numpy's
+        # int64 draw cannot reach beyond n = 31
+        rng = np.random.default_rng(14)
+        widest = cc.sample_brickwork(cc.BrickworkSpec(31, 2), "clifford", rng)
+        assert cc.pauli_twirl(widest, rng).n == 31
+        circ = cc.sample_brickwork(cc.BrickworkSpec(32, 2), "clifford", rng)
+        with pytest.raises(ValueError, match="SAMPLE_LIMIT = 31"):
+            cc.pauli_twirl(circ, rng)
+
     def test_entangling_layers_untouched(self):
         rng = np.random.default_rng(8)
         circ = cc.sample_brickwork(cc.BrickworkSpec(4, 5), "haar", rng)
@@ -255,7 +265,7 @@ class TestScrambler:
         rng = np.random.default_rng(11)
         n = 10
         trials = 10_000
-        conj = [[e.conj_code(c)[0] for c in range(4)] for e in cl.one_qubit_cliffords()]
+        conj = cl._conjugation_table()[..., 0].tolist()
         weights = np.zeros(n + 1)
         for _ in range(trials):
             scr = cc.scrambling_circuit(n, 4, rng)

@@ -174,8 +174,8 @@ class TestOneQubitGroup:
 
     def test_closed_under_composition_and_inverse(self):
         for i in range(24):
-            assert 0 <= cl.clifford_inverse_index(i) < 24
-            assert cl.clifford_mult(i, cl.clifford_inverse_index(i)) == 0
+            assert 0 <= cl._inverse_table()[i] < 24
+            assert cl.clifford_mult(i, cl._inverse_table()[i]) == 0
             for j in range(0, 24, 5):
                 assert 0 <= cl.clifford_mult(i, j) < 24
 
@@ -211,10 +211,9 @@ class TestTablesMatchTableauClosure:
         conj = tableau_conjugation_table(tabs)
         mult = tableau_mult_table(tabs)
         inv = np.argmax(mult == 0, axis=1)
-        elems = cl.one_qubit_cliffords()
-        assert np.array_equal([[e.conj_code(c) for c in range(4)] for e in elems], conj)
+        assert np.array_equal(cl._conjugation_table(), conj)
         assert np.array_equal([[cl.clifford_mult(i, j) for j in range(24)] for i in range(24)], mult)
-        assert np.array_equal([cl.clifford_inverse_index(i) for i in range(24)], inv)
+        assert np.array_equal(cl._inverse_table(), inv)
         table = cl.inverse_conjugation_codes()
         assert not table.flags.writeable
         assert np.array_equal(table, conj[inv, :, 0])

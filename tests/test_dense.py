@@ -312,13 +312,33 @@ def _same_seed_case(kind, n, spam, markovian, offset, seed=20):
 
 
 def _assert_same_samples(circ, model, spam, offset, shots=1500, seed=21):
-    want = per_pattern_simulate(
-        circ, model, np.random.default_rng(seed), shots, spam, offset
-    )
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = per_pattern_simulate(circ, model, want_rng, shots, spam, offset)
     got = dn.statevector_simulate(
-        circ, model, np.random.default_rng(seed), shots, spam=spam, layer_offset=offset
+        circ, model, got_rng, shots, spam=spam, layer_offset=offset
     )
     np.testing.assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# multiplier of the 128-bit LCG inside numpy's PCG64
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_first_drawing(u: float) -> np.random.Generator:
+    """A PCG64 generator whose first ``random()`` is exactly ``u``.
+
+    PCG64 steps its LCG, then outputs the high word xor the low word
+    rotated by the top six bits; a stepped state whose high word is 0
+    outputs its low word as it is, so start one step before that state.
+    """
+    bits = np.random.PCG64(0)
+    state = bits.state
+    inc = state["state"]["inc"]
+    word = int(u * 2**53) << 11  # random() keeps the top 53 bits
+    state["state"]["state"] = (word - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bits.state = state
+    return np.random.Generator(bits)
 
 
 class TestStatevector:
@@ -430,6 +450,49 @@ class TestBatchedSampler:
         circ, model, spam = _same_seed_case("haar", 3, True, True, 0)
         monkeypatch.setattr(dn, "_CHUNK_AMPLITUDES", per_chunk * 2**3)
         _assert_same_samples(circ, model, spam, 0)
+
+    @pytest.mark.parametrize("kind", ["haar", "clifford"])
+    def test_prep_flips_without_noise_model(self, kind):
+        # prep flips draw from [1 - p, p, 0, 0]; the trailing zeros repeat
+        # the last cumulative entry, and the zero-rate qubit draws nothing
+        circ, _, _ = _same_seed_case(kind, 4, False, True, 0)
+        spam = nz.SpamModel((0.3, 0.0, 0.1, 0.45), (0.05,) * 4, (0.02,) * 4)
+        _assert_same_samples(circ, None, spam, 0)
+
+    @pytest.mark.parametrize("kind", ["haar", "clifford"])
+    def test_several_faults_per_shot(self, kind):
+        # at one-qubit budget 0.1 most shots carry several faults, so the
+        # pattern keys are long and their sorted order is exercised
+        template, rng = brickwork(5, 4, 23, kind)
+        model = nz.sample_error_model(template, rng, 5e-2, 0.1)
+        spam = nz.SpamModel.uniform(5, 0.05, 0.05)
+        _assert_same_samples(template, model, spam, 0)
+
+    def test_uniform_on_a_cumulative_entry(self):
+        # choice reads a uniform equal to a cumulative entry as the label
+        # above it (searchsorted side="right"), and so must the sampler
+        h = cc.CliffordGate1Q(cl.one_qubit_gate_index("H"))
+        plus = cc.LayeredCircuit(1, (cc.OneQubitLayer((h,)),))
+        probs = dn.ideal_output_probs(plus)
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        flip = nz.SpamModel((0.25,), (0.0,), (0.0,))
+        # the first output uniform on the cumulative entry of |0>, and the
+        # first prep-flip uniform on the cumulative 0.75 of rate 0.25
+        for circ, spam, u in ((plus, None, cdf[0]), (cc.LayeredCircuit.identity(1), flip, 0.75)):
+            assert _generator_first_drawing(u).random() == u
+            want_rng, got_rng = _generator_first_drawing(u), _generator_first_drawing(u)
+            got = dn.statevector_simulate(circ, None, got_rng, 3, spam=spam)
+            np.testing.assert_array_equal(got, per_pattern_simulate(circ, None, want_rng, 3, spam))
+            assert got[0] == 1
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_non_finite_output_rejected_like_choice(self):
+        gate = cc.EulerGate1Q(np.nan, 0.0, 0.0)
+        circ = cc.LayeredCircuit(1, (cc.OneQubitLayer((gate,)),))
+        for simulate in (dn.statevector_simulate, per_pattern_simulate):
+            with pytest.raises(ValueError):
+                simulate(circ, None, np.random.default_rng(0), 2)
 
     def test_noiseless_single_pattern(self):
         circ, _, _ = _same_seed_case("haar", 4, False, True, 0)

@@ -283,8 +283,7 @@ def _conj_dagger_perm(layer, n, labels):
     if isinstance(layer, cc.OneQubitLayer):
         out = np.zeros_like(labels)
         for q, gate in enumerate(layer.gates):
-            elem = cl.one_qubit_cliffords()[cl.clifford_inverse_index(gate.index)]
-            local = np.array([elem.conj_code(c)[0] for c in range(4)])
+            local = cl._conjugation_table()[cl._inverse_table()[gate.index], :, 0]
             out += local[(labels >> (2 * (n - 1 - q))) & 3] << (2 * (n - 1 - q))
         return out
     tab = cl.from_gate(layer.gate, (0, 1), 2)

@@ -134,6 +134,13 @@ class TestSampling:
         with pytest.raises(ValueError, match="31"):
             sample_uniform_nonidentity(SAMPLE_LIMIT + 1, rng)
 
+    def test_uniform_sampler_shares_the_limit(self):
+        rng = np.random.default_rng(13)
+        assert sample_uniform(SAMPLE_LIMIT, rng).n == SAMPLE_LIMIT
+        for n in (0, SAMPLE_LIMIT + 1):
+            with pytest.raises(ValueError, match="SAMPLE_LIMIT = 31"):
+                sample_uniform(n, rng)
+
 
 class TestTextEncoding:
     def test_round_trip(self):
