@@ -141,6 +141,11 @@ def _parity(values: np.ndarray, mask: int) -> np.ndarray:
 def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
     """Apply a signed Pauli to a statevector (qubit 0 = msb); trailing axes
     of ``state`` are batch axes."""
+    return _apply_pauli_masks(state, *_pauli_masks(p))
+
+
+def _pauli_masks(p: PauliString) -> tuple[int, int, complex]:
+    """X and Z bit masks (qubit 0 = msb) and phase of a signed Pauli."""
     n = p.n
     xmask = zmask = 0
     n_y = 0
@@ -153,11 +158,15 @@ def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
             zmask |= 1 << bitpos
         if code == 2:
             n_y += 1
+    return xmask, zmask, p.phase * (-1j) ** n_y
+
+
+def _apply_pauli_masks(state: np.ndarray, xmask: int, zmask: int, phase: complex) -> np.ndarray:
     idx = np.arange(len(state), dtype=np.int64)
     out = state[idx ^ xmask]
     signs = 1.0 - 2.0 * _parity(idx, zmask)
     out *= signs.reshape((-1,) + (1,) * (state.ndim - 1))
-    out *= p.phase * (-1j) ** n_y
+    out *= phase
     return out
 
 
@@ -419,6 +428,10 @@ def statevector_simulate(
     all_faults = np.zeros((len(keys), len(draws)), dtype=np.uint8)
     for g, key in enumerate(keys):
         all_faults[g, [di for di, _ in key]] = [lab for _, lab in key]
+    # each distinct (draw, label) fault of the patterns, built once
+    masks: dict[int, list] = {}
+    for di, lab in sorted({hit for key in keys for hit in key}):
+        masks.setdefault(di, []).append((lab, _pauli_masks(_local_pauli(n, draws[di][1], lab))))
 
     after: dict[int, list[int]] = {}
     pulses: dict[tuple[int, int], list[int]] = {}
@@ -447,7 +460,7 @@ def statevector_simulate(
         faults = all_faults[start : start + width]
         state = np.zeros((2**n, len(chunk)), dtype=complex)
         state[0] = 1.0
-        _apply_faults(state, n, draws, after.get(-1, ()), faults)
+        _apply_faults(state, after.get(-1, ()), faults, masks)
         for li, layer in enumerate(circuit.layers):
             if isinstance(layer, OneQubitLayer):
                 for q, u in enumerate(unitaries[li]):
@@ -459,14 +472,14 @@ def statevector_simulate(
                         sub = apply_1q(state[:, hit], rz3, q, n)
                         for di, rz in zip(pair, (rz2, rz1)):
                             sub = apply_1q(sub, _RX90, q, n)
-                            _apply_faults(sub, n, draws, (di,), faults[hit])
+                            _apply_faults(sub, (di,), faults[hit], masks)
                             sub = apply_1q(sub, rz, q, n)
                     state = apply_1q(state, u, q, n)
                     if len(hit):
                         state[:, hit] = sub
             else:
                 state = apply_circuit_layer(state, layer, n)
-            _apply_faults(state, n, draws, after.get(li, ()), faults)
+            _apply_faults(state, after.get(li, ()), faults, masks)
         probs = np.abs(state) ** 2
         for j, (ids, block) in enumerate(zip(chunk, uniforms[start : start + width])):
             total = probs[:, j].sum()
@@ -495,15 +508,18 @@ def _choice_hits(rng: np.random.Generator, p, shots: int) -> tuple[np.ndarray, n
     return hit, cdf.searchsorted(u[hit], side="right")
 
 
-def _apply_faults(state, n, draws, indices, faults) -> None:
+def _apply_faults(state, indices, faults, masks) -> None:
     """Apply the faults of draws ``indices``, in order and in place, each to
-    the columns of ``state`` whose row of ``faults`` carries its label."""
+    the columns of ``state`` whose row of ``faults`` carries its label;
+    ``masks`` lists each draw's labels with their :func:`_pauli_masks`."""
     for di in indices:
         column = faults[:, di]
-        for lab in np.unique(column[column > 0]):
+        if di not in masks or not column.any():
+            continue
+        for lab, fault in masks[di]:
             hit = np.nonzero(column == lab)[0]
-            fault = _local_pauli(n, draws[di][1], int(lab))
-            state[:, hit] = apply_pauli(state[:, hit], fault)
+            if len(hit):
+                state[:, hit] = _apply_pauli_masks(state[:, hit], *fault)
 
 
 def _apply_meas_flips(

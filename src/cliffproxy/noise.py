@@ -28,8 +28,14 @@ Conjugation through a layer maps per-qubit letter codes (a 4-entry map
 per one-qubit Clifford, a 16-entry map per CZ or CNOT pair).  The exact
 fold (:func:`process_infidelities_exact`) applies these maps and tables to
 a ``(K,) + (4,) * n`` Walsh-domain array of K circuits sharing their
-entangling layers; direct fidelity estimation walks single Paulis back
-through the same tables (:func:`propagate_codes`).
+entangling layers, in one gather per gate of each entangling layer: a
+gather's map and eigenvalue rows are composed from the gate's and from
+the one-qubit layer before it (in the last entangling layer also the final
+one-qubit layer), and qubits the layer leaves idle gather their composed
+one-qubit rows.  Each layer's gates gather shallowest axes first, which
+keeps all but one gather off the array's last axes.  Direct fidelity
+estimation walks single Paulis back through the same tables, read as
+Python lists (:func:`propagate_codes`).
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .circuits import (
     CliffordGate1Q,
     LayeredCircuit,
     OneQubitLayer,
+    TwoQubitLayer,
     _draw_cliffords,
 )
 from .pauli import CODE_FROM_XZ, XZ_FROM_CODE, PauliChannel, PauliString, pauli_walsh
@@ -80,6 +87,12 @@ _CODE_XOR = np.array(
     [[CODE_FROM_XZ[(xa ^ xb, za ^ zb)] for xb, zb in XZ_FROM_CODE] for xa, za in XZ_FROM_CODE],
     dtype=np.int64,
 )
+
+
+# the identity map on one qubit's letters
+_LETTERS = np.arange(4)
+# bit shift of each qubit's letter in a label on one or two qubits
+_SHIFTS = {1: np.array([[0]]), 2: np.array([[2], [0]])}
 
 
 class FoldSizeError(ValueError):
@@ -126,6 +139,11 @@ class GateNoise:
         """Transfer-matrix diagonal of the gate's channel, computed once."""
         return pauli_walsh(self.probs, self.num_qubits)
 
+    @cached_property
+    def _eigenvalue_list(self) -> list[float]:
+        # Python floats for the Pauli walk: same products, no numpy scalars
+        return self.eigenvalues.tolist()
+
 
 def _compile_1q(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One qubit's X90 faults pushed to the end of each one-qubit gate.
@@ -163,8 +181,11 @@ class NoiseModel:
         self.markovian = markovian
         self.one_qubit = dict(one_qubit)
         self.two_qubit = dict(two_qubit)
-        # (position or -1, qubit) -> compiled tables of _compile_1q
+        # (position or -1, qubit) -> compiled tables of _compile_1q and the
+        # eigenvalue table as nested lists, which the Pauli walk reads
         self._1q: dict = {}
+        # (position or -1, n) -> eigenvalue tables of qubits 0..n-1 stacked
+        self._1q_layers: dict = {}
 
     @staticmethod
     def pair_key(name: str, pair) -> tuple:
@@ -193,11 +214,12 @@ class NoiseModel:
                 f"no two-qubit noise entry for {name} on {tuple(pair)} at layer {position}"
             ) from None
 
-    def _compiled_1q(self, position: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    def _compiled_1q(self, position: int, qubit: int) -> tuple:
         key = (-1 if self.markovian else position, qubit)
         hit = self._1q.get(key)
         if hit is None:
-            hit = self._1q[key] = _compile_1q(self.xpi2_noise(position, qubit).probs)
+            probs, eig = _compile_1q(self.xpi2_noise(position, qubit).probs)
+            hit = self._1q[key] = probs, eig, eig.tolist()
         return hit
 
     def compiled_1q_channel(self, position: int, qubit: int, gate) -> np.ndarray:
@@ -212,6 +234,17 @@ class NoiseModel:
         """(24, 4) table: transfer-matrix diagonal of the compiled channel
         after each one-qubit Clifford index on ``qubit``."""
         return self._compiled_1q(position, qubit)[1]
+
+    def _compiled_1q_layer(self, position: int, n: int) -> np.ndarray:
+        """(n, 24, 4) table: :meth:`compiled_1q_eigenvalues` of qubits
+        0..n-1 stacked, so a layer's rows come out in one indexing step."""
+        key = (-1 if self.markovian else position, n)
+        hit = self._1q_layers.get(key)
+        if hit is None:
+            hit = np.stack([self.compiled_1q_eigenvalues(position, q) for q in range(n)])
+            hit.setflags(write=False)
+            self._1q_layers[key] = hit
+        return hit
 
 
 @dataclass(frozen=True)
@@ -317,24 +350,66 @@ def _gate_indices(circuits, limit: int):
     return template, np.stack(rows) if rows else None
 
 
-def _gather(h, order, batch, qubits, local_map, eig):
+def _gather(h, order, rows, qubits, letters, eig):
     """``h <- eig * (h o map)`` on the axes of ``qubits``.
 
-    ``local_map`` and ``eig`` hold 4^k entries per circuit (one row per
-    circuit, or one shared row) in the label order of ``qubits``.  Array
-    indices on the batch axis and the gate's axes put those axes first, so
-    the gate's qubits move to axes 1..k; the returned order lists the qubit
-    each non-batch axis holds.
+    ``letters`` (k, K, 4^k) holds, for each circuit and each of the gate's
+    4^k labels (first qubit the high digit), the letter the mapped label
+    has on each qubit; ``eig`` (K, 4^k) the eigenvalue rows.  Array indices
+    on the batch axis (``rows``, shape (K, 1)) and the gate's axes put those
+    axes first, so the gate's qubits move to axes 1..k and the axes behind
+    its deepest one stay in place; the returned order lists the qubit each
+    non-batch axis holds.
     """
     k = len(qubits)
     shape = (-1,) + (4,) * k
     index = [slice(None)] * h.ndim
-    index[0] = batch.reshape((-1,) + (1,) * k)
-    for j, q in enumerate(qubits):
-        index[1 + order.index(q)] = ((local_map >> (2 * (k - 1 - j))) & 3).reshape(shape)
+    index[0] = rows.reshape(shape[:1] + (1,) * k)
+    for q, letter in zip(qubits, letters):
+        index[1 + order.index(q)] = letter.reshape(shape)
     h = h[tuple(index)]
     h *= eig.reshape(shape + (1,) * (h.ndim - 1 - k))
     return h, list(qubits) + [q for q in order if q not in qubits]
+
+
+def _one_qubit_rows(qubits, layer, digits):
+    """Letters after a one-qubit layer, and its eigenvalues, for G gates
+    on ``qubits`` (G, w) whose labels carry the letters ``digits`` (w, L):
+    both (G, w, K, L).  ``layer`` is the layer's (n, K) Clifford indices
+    and its (n, 24, 4) eigenvalue table."""
+    gates, table = layer
+    at = gates[qubits], np.arange(len(digits))[:, None]
+    letters = cl.inverse_conjugation_codes()[:, digits][at]
+    return letters, table[:, :, digits][(qubits[..., None],) + at]
+
+
+def _fused_tables(qubits, local, gate_eig, pre, post):
+    """Gather tables of G gates of width w on ``qubits`` (G, w), composed
+    with the one-qubit layers around them.
+
+    ``local`` maps a gate's 4^w labels to those of its conjugate and
+    ``gate_eig`` (G, 4^w) holds the gates' eigenvalues, or is None for idle
+    qubits.  ``pre`` and ``post`` are the one-qubit layers before and after
+    the gates, as :func:`_one_qubit_rows` takes them; ``post`` may be None.
+    Returns the letters (G, w, K, 4^w) and eigenvalue rows (G, K, 4^w)
+    that :func:`_gather` takes.
+    """
+    w = qubits.shape[1]
+    shifts = _SHIFTS[w]
+    letters, eig = _one_qubit_rows(qubits, pre, (local >> shifts) & 3)
+    eig = eig.prod(axis=1)
+    if gate_eig is not None:
+        eig = gate_eig[:, None] * eig
+    if post is not None:
+        # each output label reads the tables at its label before ``post``
+        post_letters, post_eig = _one_qubit_rows(qubits, post, (np.arange(4**w) >> shifts) & 3)
+        labels = (post_letters << shifts[:, None]).sum(axis=1)
+        eig = post_eig.prod(axis=1) * np.take_along_axis(eig, labels, axis=-1)
+        letters = np.take_along_axis(letters, labels[:, None], axis=-1)
+    # a gather's result takes the memory order of its index arrays, and the
+    # final mean sums each circuit's labels in that order: per-gate tables
+    # must be C-contiguous for a circuit's result not to depend on K
+    return np.ascontiguousarray(letters), np.ascontiguousarray(eig)
 
 
 def _fold(template, gates, noise: NoiseModel, layer_offset: int):
@@ -343,27 +418,50 @@ def _fold(template, gates, noise: NoiseModel, layer_offset: int):
     one-qubit Clifford indices ``gates``, shape (K, one-qubit layers, n).
 
     Walks the layers forward with ``h <- lambda_i * (h o pi_i)``, where
-    pi_i maps a label Q to the label of C_i' Q C_i.
+    pi_i maps a label Q to the label of C_i' Q C_i, in one gather per gate
+    of each entangling layer.  A gather also does the one-qubit layer
+    before its gate, and in the last entangling layer the final one-qubit
+    layer after it: a pair's 16-entry map and eigenvalue row are composed
+    from the gate's and both qubits' one-qubit rows, and a qubit the layer
+    leaves idle gathers its composed one-qubit rows alone.  A gather leaves
+    the axes behind its gate's deepest one in place, so each layer's gates
+    gather shallowest-first and only the last one reads the last axes.  A
+    circuit without entangling layers is one block of idle qubits.
     """
     n = template.n
-    batch = np.arange(len(gates))
-    inverse_conj = cl.inverse_conjugation_codes()
-    h = np.ones((len(gates),) + (4,) * n)
+    k, layers = gates.shape[:2]
+    depth = layers - 1
+    rows = np.arange(k)[:, None]
+
+    def one_qubit_layer(j):
+        table = noise._compiled_1q_layer(2 * j + layer_offset, n)
+        return gates[:, j].T.astype(np.intp), table
+
+    h = np.ones((k,) + (4,) * n)
     order = list(range(n))
-    for i, layer in enumerate(template.layers):
-        pos = i + layer_offset
-        if isinstance(layer, OneQubitLayer):
-            for q in range(n):
-                g = gates[:, i // 2, q]
-                eig = noise.compiled_1q_eigenvalues(pos, q)[g]
-                h, order = _gather(h, order, batch, (q,), inverse_conj[g], eig)
-        else:
-            local_map = cl.twoq_conjugation_codes(layer.gate)[None]
-            for pair in layer.pairs:
-                eig = noise.twoq_noise(pos, layer.gate, pair).eigenvalues[None]
-                h, order = _gather(h, order, batch, pair, local_map, eig)
+    for j in range(max(depth, 1)):
+        layer = template.layers[2 * j + 1] if depth else TwoQubitLayer(())
+        pre = one_qubit_layer(j)
+        post = one_qubit_layer(depth) if j == depth - 1 else None
+        paired = [q for pair in layer.pairs for q in pair]
+        idle = [(q,) for q in range(n) if q not in paired]
+        gathers = []
+        if layer.pairs:
+            twoq = np.array([
+                noise.twoq_noise(2 * j + 1 + layer_offset, layer.gate, pair).eigenvalues
+                for pair in layer.pairs
+            ])
+            tables = _fused_tables(
+                np.array(layer.pairs), cl.twoq_conjugation_codes(layer.gate), twoq, pre, post
+            )
+            gathers += zip(layer.pairs, *tables)
+        if idle:
+            gathers += zip(idle, *_fused_tables(np.array(idle), _LETTERS, None, pre, post))
+        gathers.sort(key=lambda gate: max(order.index(q) for q in gate[0]))
+        for qubits, letters, eig in gathers:
+            h, order = _gather(h, order, rows, qubits, letters, eig)
     h = h.transpose([0] + [1 + order.index(q) for q in range(n)])
-    return h.reshape(len(gates), 4**n)
+    return h.reshape(k, 4**n)
 
 
 def _infidelities(template, gates, noise: NoiseModel, layer_offset: int):
@@ -402,15 +500,15 @@ def propagate_codes(
             gates = [gate.index for gate in layer.gates]
             if noise is not None:
                 for q, g in enumerate(gates):
-                    layer_eig *= noise.compiled_1q_eigenvalues(pos, q)[g, codes[q]]
+                    layer_eig *= noise._compiled_1q(pos, q)[2][g][codes[q]]
             codes = [inverse_conj[g][c] for g, c in zip(gates, codes)]
         else:
-            local_map = cl.twoq_conjugation_codes(layer.gate)
+            local_map = cl.twoq_conjugation_codes(layer.gate).tolist()
             for a, b in layer.pairs:
                 label = 4 * codes[a] + codes[b]
                 if noise is not None:
-                    layer_eig *= noise.twoq_noise(pos, layer.gate, (a, b)).eigenvalues[label]
-                codes[a], codes[b] = divmod(int(local_map[label]), 4)
+                    layer_eig *= noise.twoq_noise(pos, layer.gate, (a, b))._eigenvalue_list[label]
+                codes[a], codes[b] = divmod(local_map[label], 4)
         lam *= layer_eig
     return float(lam), codes
 

@@ -8,6 +8,7 @@ against.
 * one qubit's gate noise compiled one gate at a time: each X90 fault
   relabelled through the group element that follows its pulse, the two
   faults convolved letter by letter;
+* the exact fold one gather per gate, every layer on its own;
 * the dense unitary of a circuit;
 * the Pauli twirl through a layer's tableau;
 * the layer error channel, one local Pauli channel per gate, with the
@@ -232,6 +233,55 @@ def per_gate_compiled_channels(noise, position, qubit, elements) -> np.ndarray:
         rows.append(_convolve_local(push(eps, mid), push(eps, tail)))
     rows.append(_convolve_local(eps, eps))
     return np.array(rows)
+
+
+# ---------------------------------------------------------------------------
+# exact fold, one gather per gate
+# ---------------------------------------------------------------------------
+
+
+def _gather_map(h, order, batch, qubits, local_map, eig):
+    """``h <- eig * (h o map)`` on the axes of ``qubits``, for ``local_map``
+    and ``eig`` with 4^k entries per circuit (or one shared row); moves the
+    gate's axes to the front and returns the new axis order."""
+    k = len(qubits)
+    shape = (-1,) + (4,) * k
+    index = [slice(None)] * h.ndim
+    index[0] = batch.reshape((-1,) + (1,) * k)
+    for j, q in enumerate(qubits):
+        index[1 + order.index(q)] = ((local_map >> (2 * (k - 1 - j))) & 3).reshape(shape)
+    h = h[tuple(index)]
+    h *= eig.reshape(shape + (1,) * (h.ndim - 1 - k))
+    return h, list(qubits) + [q for q in order if q not in qubits]
+
+
+def per_gate_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
+    """``noise._fold`` with one gather per gate of every layer: (K, 4^n)
+    transfer-matrix diagonals of the entangling layers of ``template`` with
+    the one-qubit Clifford indices ``gates``, shape (K, one-qubit layers, n).
+
+    Walks the layers forward with ``h <- lambda_i * (h o pi_i)``, where
+    pi_i maps a label Q to the label of C_i' Q C_i.
+    """
+    n = template.n
+    batch = np.arange(len(gates))
+    inverse_conj = cl.inverse_conjugation_codes()
+    h = np.ones((len(gates),) + (4,) * n)
+    order = list(range(n))
+    for i, layer in enumerate(template.layers):
+        pos = i + layer_offset
+        if isinstance(layer, cc.OneQubitLayer):
+            for q in range(n):
+                g = gates[:, i // 2, q]
+                eig = noise.compiled_1q_eigenvalues(pos, q)[g]
+                h, order = _gather_map(h, order, batch, (q,), inverse_conj[g], eig)
+        else:
+            local_map = cl.twoq_conjugation_codes(layer.gate)[None]
+            for pair in layer.pairs:
+                eig = noise.twoq_noise(pos, layer.gate, pair).eigenvalues[None]
+                h, order = _gather_map(h, order, batch, pair, local_map, eig)
+    h = h.transpose([0] + [1 + order.index(q) for q in range(n)])
+    return h.reshape(len(gates), 4**n)
 
 
 # ---------------------------------------------------------------------------

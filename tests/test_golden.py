@@ -6,12 +6,13 @@ identical / rounding / mismatch classification of the benchmark's output
 check (``perfbench/check.py``).  Any mismatch fails.
 
 To print each file's classification against the references, writing
-nothing:
+nothing (the exit status is 1 if any file is a mismatch):
 
     PYTHONPATH=src python tests/test_golden.py --check
 
-When a change is meant to alter scenario outputs, regenerate the references
-and say in CHANGES.md which files changed and why:
+When a change is meant to alter scenario outputs, first record what
+``--check`` prints, then regenerate the references and say in CHANGES.md
+which files changed and why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,6 +23,7 @@ import argparse
 import gzip
 import importlib.util
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -113,7 +115,9 @@ def _regenerate() -> None:
         print(f"{case}: {len(files)} files")
 
 
-def _check() -> None:
+def _check() -> bool:
+    """Print every file's classification; True if none is a mismatch."""
+    ok = True
     for case in sorted(CASES):
         reference = _load_reference(case)
         with tempfile.TemporaryDirectory() as tmp:
@@ -121,6 +125,8 @@ def _check() -> None:
             status = check.check_outputs(Path(tmp), files, reference["files"])
         for name, s in status.items():
             print(f"{case}/{name}: {s}")
+            ok = ok and not s.startswith("mismatch")
+    return ok
 
 
 if __name__ == "__main__":
@@ -128,6 +134,6 @@ if __name__ == "__main__":
     parser.add_argument("--check", action="store_true",
                         help="print each file's classification against the references; write nothing")
     if parser.parse_args().check:
-        _check()
+        sys.exit(0 if _check() else 1)
     else:
         _regenerate()

@@ -15,6 +15,7 @@ from oracles import (
     layer_channel,
     layer_tableau,
     per_gate_compiled_channels,
+    per_gate_fold,
     tableau_cliffords,
 )
 
@@ -419,6 +420,32 @@ class TestBatchedFold:
         circ, rng = brickwork(2, 2, 333)
         model = nz.sample_error_model(circ, rng)
         assert nz.process_infidelities_exact(iter(()), model).shape == (0,)
+
+
+class TestFusedFold:
+    """The fold's fused gathers against one gather per gate and layer."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_gate_fold(self, n):
+        rng = np.random.default_rng(340 + n)
+        # a lone one-qubit layer, and brickwork with idle qubits (line) and
+        # the (n-1, 0) brick (even ring); n = 1 has empty entangling layers
+        templates = [cc.LayeredCircuit(n, (cc.identity_layer(n),))]
+        for topology in ("line", "ring"):
+            for gate in ("CZ", "CNOT"):
+                templates.append(_fold_case(n, topology, gate, rng))
+        worst = 0.0
+        for template in templates:
+            for markovian in (True, False):
+                for offset in (0, 3):
+                    model = _fold_model(template, rng, markovian, offset)
+                    for k in (1, 5):
+                        gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
+                        got = nz._fold(template, gates, model, offset)
+                        want = per_gate_fold(template, gates, model, offset)
+                        assert got.shape == want.shape == (k, 4**n)
+                        worst = max(worst, np.max(np.abs(got - want)))
+        assert worst < 1e-14
 
 
 def _haar_target(n, kind, rng):
