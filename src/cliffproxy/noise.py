@@ -28,20 +28,21 @@ Conjugation through a layer maps per-qubit letter codes (a 4-entry map
 per one-qubit Clifford, a 16-entry map per CZ or CNOT pair).  The exact
 fold (:func:`process_infidelities_exact`) applies these maps and tables to
 a ``(K,) + (4,) * n`` Walsh-domain array of K circuits sharing their
-entangling layers, in one gather per gate of each entangling layer: a
-gather's map and eigenvalue rows are composed from the gate's and from
-the one-qubit layer before it (in the last entangling layer also the final
-one-qubit layer), and qubits the layer leaves idle gather their composed
-one-qubit rows.  Each layer's gates gather shallowest axes first, which
-keeps all but one gather off the array's last axes.  Direct fidelity
-estimation walks single Paulis back through the same tables, read as
-Python lists (:func:`propagate_codes`).
+entangling layers, in one step per gate of each entangling layer: a
+step's map and eigenvalue rows are composed from the gate's and from the
+one-qubit layer before it (in the last entangling layer also the final
+one-qubit layer), and qubits the layer leaves idle step with their
+composed one-qubit rows.  The array keeps its axes throughout: a gate on
+its leading axes is one gather, any other one batched product with the
+gate's scaled permutation matrix.  Direct fidelity estimation walks single
+Paulis back through the same tables, read as Python lists that each noise
+model builds once per layer (:func:`propagate_codes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .circuits import (
     TwoQubitLayer,
     _draw_cliffords,
 )
-from .pauli import CODE_FROM_XZ, XZ_FROM_CODE, PauliChannel, PauliString, pauli_walsh
+from .pauli import CODE_FROM_XZ, WALSH_KERNEL_1Q, XZ_FROM_CODE, PauliChannel, PauliString, pauli_walsh
 
 __all__ = [
     "GateNoise",
@@ -89,10 +90,12 @@ _CODE_XOR = np.array(
 )
 
 
-# the identity map on one qubit's letters
-_LETTERS = np.arange(4)
 # bit shift of each qubit's letter in a label on one or two qubits
 _SHIFTS = {1: np.array([[0]]), 2: np.array([[2], [0]])}
+# the letters (w, 4^w) of each label on one or two qubits
+_DIGITS = {w: (np.arange(4**w) >> shifts) & 3 for w, shifts in _SHIFTS.items()}
+# a two-qubit label with its two letters swapped
+_SWAP = (np.arange(16) & 3) << 2 | np.arange(16) >> 2
 
 
 class FoldSizeError(ValueError):
@@ -109,6 +112,8 @@ class GateNoise:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or len(p) not in (4, 16):
             raise ValueError("expected 4 or 16 local probabilities")
+        if not np.isfinite(p).all():
+            raise ValueError("local probabilities must be finite")
         if p.min() < -1e-15 or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("invalid local probability vector")
         object.__setattr__(self, "probs", p)
@@ -139,11 +144,6 @@ class GateNoise:
         """Transfer-matrix diagonal of the gate's channel, computed once."""
         return pauli_walsh(self.probs, self.num_qubits)
 
-    @cached_property
-    def _eigenvalue_list(self) -> list[float]:
-        # Python floats for the Pauli walk: same products, no numpy scalars
-        return self.eigenvalues.tolist()
-
 
 def _compile_1q(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One qubit's X90 faults pushed to the end of each one-qubit gate.
@@ -161,8 +161,9 @@ def _compile_1q(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # with j the letter that i multiplies to k
     for i in range(4):
         probs += first[:, i, None] * second[:, _CODE_XOR[i]]
-    # row by row: a batched product sums in another order, off by an ulp
-    eig = np.array([pauli_walsh(row, 1) for row in probs[:24]])
+    # row by row, as pauli_walsh does: a batched product sums in another
+    # order, off by an ulp
+    eig = np.array([np.dot(WALSH_KERNEL_1Q, row.reshape(4, 1)).reshape(4) for row in probs[:24]])
     probs.setflags(write=False)
     eig.setflags(write=False)
     return probs, eig
@@ -181,11 +182,12 @@ class NoiseModel:
         self.markovian = markovian
         self.one_qubit = dict(one_qubit)
         self.two_qubit = dict(two_qubit)
-        # (position or -1, qubit) -> compiled tables of _compile_1q and the
-        # eigenvalue table as nested lists, which the Pauli walk reads
+        # (position or -1, qubit) -> compiled tables of _compile_1q
         self._1q: dict = {}
         # (position or -1, n) -> eigenvalue tables of qubits 0..n-1 stacked
         self._1q_layers: dict = {}
+        # (position or -1, n or entangling layer) -> lists of _walk_table
+        self._walk: dict = {}
 
     @staticmethod
     def pair_key(name: str, pair) -> tuple:
@@ -218,8 +220,7 @@ class NoiseModel:
         key = (-1 if self.markovian else position, qubit)
         hit = self._1q.get(key)
         if hit is None:
-            probs, eig = _compile_1q(self.xpi2_noise(position, qubit).probs)
-            hit = self._1q[key] = probs, eig, eig.tolist()
+            hit = self._1q[key] = _compile_1q(self.xpi2_noise(position, qubit).probs)
         return hit
 
     def compiled_1q_channel(self, position: int, qubit: int, gate) -> np.ndarray:
@@ -244,6 +245,25 @@ class NoiseModel:
             hit = np.stack([self.compiled_1q_eigenvalues(position, q) for q in range(n)])
             hit.setflags(write=False)
             self._1q_layers[key] = hit
+        return hit
+
+    def _walk_table(self, position: int, layer, n: int) -> list:
+        """Eigenvalues the Pauli walk reads at one layer of an n-qubit
+        circuit, as Python lists: for a one-qubit layer, the (n, 24, 4)
+        table of :meth:`_compiled_1q_layer`; for an entangling layer, the
+        16-entry :attr:`GateNoise.eigenvalues` of each pair in turn."""
+        one_qubit = isinstance(layer, OneQubitLayer)
+        key = (-1 if self.markovian else position, n if one_qubit else layer)
+        hit = self._walk.get(key)
+        if hit is None:
+            if one_qubit:
+                hit = self._compiled_1q_layer(position, n).tolist()
+            else:
+                hit = [
+                    self.twoq_noise(position, layer.gate, pair).eigenvalues.tolist()
+                    for pair in layer.pairs
+                ]
+            self._walk[key] = hit
         return hit
 
 
@@ -350,66 +370,86 @@ def _gate_indices(circuits, limit: int):
     return template, np.stack(rows) if rows else None
 
 
-def _gather(h, order, rows, qubits, letters, eig):
-    """``h <- eig * (h o map)`` on the axes of ``qubits``.
-
-    ``letters`` (k, K, 4^k) holds, for each circuit and each of the gate's
-    4^k labels (first qubit the high digit), the letter the mapped label
-    has on each qubit; ``eig`` (K, 4^k) the eigenvalue rows.  Array indices
-    on the batch axis (``rows``, shape (K, 1)) and the gate's axes put those
-    axes first, so the gate's qubits move to axes 1..k and the axes behind
-    its deepest one stay in place; the returned order lists the qubit each
-    non-batch axis holds.
-    """
-    k = len(qubits)
-    shape = (-1,) + (4,) * k
-    index = [slice(None)] * h.ndim
-    index[0] = rows.reshape(shape[:1] + (1,) * k)
-    for q, letter in zip(qubits, letters):
-        index[1 + order.index(q)] = letter.reshape(shape)
-    h = h[tuple(index)]
-    h *= eig.reshape(shape + (1,) * (h.ndim - 1 - k))
-    return h, list(qubits) + [q for q in order if q not in qubits]
+@lru_cache(maxsize=None)
+def _pair_digits(gate: str, swapped: bool) -> np.ndarray:
+    """The letters (2, 16) of the image of each label under
+    :func:`cliffproxy.clifford.twoq_conjugation_codes`, with both sides'
+    letters swapped if ``swapped``: the map of a pair listed high qubit
+    first, on its qubits in ascending order."""
+    codes = cl.twoq_conjugation_codes(gate)
+    digits = _DIGITS[2][:, _SWAP[codes[_SWAP]] if swapped else codes]
+    digits.setflags(write=False)
+    return digits
 
 
 def _one_qubit_rows(qubits, layer, digits):
-    """Letters after a one-qubit layer, and its eigenvalues, for G gates
-    on ``qubits`` (G, w) whose labels carry the letters ``digits`` (w, L):
-    both (G, w, K, L).  ``layer`` is the layer's (n, K) Clifford indices
-    and its (n, 24, 4) eigenvalue table."""
+    """Labels before a one-qubit layer, and the products of its
+    eigenvalues, for G gates on ``qubits`` (G, w) whose labels after it
+    carry the letters ``digits`` (w, L): both (G, K, L).  ``layer`` is the
+    layer's (n, K) Clifford indices and its (n, 24, 4) eigenvalue table."""
     gates, table = layer
     at = gates[qubits], np.arange(len(digits))[:, None]
-    letters = cl.inverse_conjugation_codes()[:, digits][at]
-    return letters, table[:, :, digits][(qubits[..., None],) + at]
+    shifted = (cl.inverse_conjugation_codes()[:, digits] << _SHIFTS[len(digits)])[at]
+    eig = table[:, :, digits][(qubits[..., None],) + at]
+    if len(digits) == 1:
+        return shifted[:, 0], eig[:, 0]
+    return shifted[:, 0] | shifted[:, 1], eig[:, 0] * eig[:, 1]
 
 
-def _fused_tables(qubits, local, gate_eig, pre, post):
-    """Gather tables of G gates of width w on ``qubits`` (G, w), composed
-    with the one-qubit layers around them.
+def _fused_tables(qubits, digits, gate_eig, pre, post):
+    """Tables of G gates of width w on ``qubits`` (G, w), composed with the
+    one-qubit layers around them.
 
-    ``local`` maps a gate's 4^w labels to those of its conjugate and
-    ``gate_eig`` (G, 4^w) holds the gates' eigenvalues, or is None for idle
-    qubits.  ``pre`` and ``post`` are the one-qubit layers before and after
-    the gates, as :func:`_one_qubit_rows` takes them; ``post`` may be None.
-    Returns the letters (G, w, K, 4^w) and eigenvalue rows (G, K, 4^w)
-    that :func:`_gather` takes.
+    ``digits`` (w, 4^w) holds the letters of the image of each of a gate's
+    labels under its conjugation, and ``gate_eig`` (G, 4^w) the gates'
+    eigenvalues, or is None for idle qubits.  ``pre`` and ``post`` are the
+    one-qubit layers before and after the gates, as :func:`_one_qubit_rows`
+    takes them; ``post`` may be None.
+    Returns the mapped labels and the eigenvalue rows, both (G, K, 4^w),
+    that :func:`_apply_gate` takes.
     """
-    w = qubits.shape[1]
-    shifts = _SHIFTS[w]
-    letters, eig = _one_qubit_rows(qubits, pre, (local >> shifts) & 3)
-    eig = eig.prod(axis=1)
+    labels, eig = _one_qubit_rows(qubits, pre, digits)
     if gate_eig is not None:
         eig = gate_eig[:, None] * eig
     if post is not None:
         # each output label reads the tables at its label before ``post``
-        post_letters, post_eig = _one_qubit_rows(qubits, post, (np.arange(4**w) >> shifts) & 3)
-        labels = (post_letters << shifts[:, None]).sum(axis=1)
-        eig = post_eig.prod(axis=1) * np.take_along_axis(eig, labels, axis=-1)
-        letters = np.take_along_axis(letters, labels[:, None], axis=-1)
-    # a gather's result takes the memory order of its index arrays, and the
-    # final mean sums each circuit's labels in that order: per-gate tables
-    # must be C-contiguous for a circuit's result not to depend on K
-    return np.ascontiguousarray(letters), np.ascontiguousarray(eig)
+        before, post_eig = _one_qubit_rows(qubits, post, _DIGITS[qubits.shape[1]])
+        eig = post_eig * np.take_along_axis(eig, before, axis=-1)
+        labels = np.take_along_axis(labels, before, axis=-1)
+    return labels, eig
+
+
+def _apply_gate(h, rows, qubits, labels, eig):
+    """``h <- eig * (h o map)`` on the axes of ``qubits`` (ascending) of
+    the ``(K,) + (4,) * n`` array ``h``, which keeps its axes.
+
+    ``labels`` (K, 4^w) holds, for each circuit and each of the gate's 4^w
+    labels (first qubit the high digit), the mapped label; ``eig`` (K, 4^w)
+    the eigenvalue rows.  A gate on the array's leading axes is one gather.
+    Any other is one batched product with the (K, 4^w, 4^w) matrix that
+    holds each label's eigenvalue at its mapped label and zeros elsewhere:
+    one nonzero term per sum, so the product is exact.  A pair on axes
+    apart is first moved next to each other, and back after.
+    """
+    a, b = qubits[0], qubits[-1]
+    if b - a > 1:
+        moved = np.ascontiguousarray(np.moveaxis(h, 1 + b, 2 + a))
+        out = _apply_gate(moved, rows, (a, a + 1), labels, eig)
+        return np.ascontiguousarray(np.moveaxis(out, 2 + a, 1 + b))
+    k, size = labels.shape
+    before = 4**a
+    after = h.size // (k * before * size)
+    if before == 1:
+        out = np.take(h.reshape(k * size, after), labels + rows * size, axis=0)
+        out *= eig[..., None]
+    else:
+        mat = np.zeros((k, size, size))
+        mat[rows, np.arange(size), labels] = eig
+        if after == 1:
+            out = h.reshape(k, before, size) @ mat.transpose(0, 2, 1)
+        else:
+            out = mat[:, None] @ h.reshape(k, before, size, after)
+    return out.reshape(h.shape)
 
 
 def _fold(template, gates, noise: NoiseModel, layer_offset: int):
@@ -418,15 +458,18 @@ def _fold(template, gates, noise: NoiseModel, layer_offset: int):
     one-qubit Clifford indices ``gates``, shape (K, one-qubit layers, n).
 
     Walks the layers forward with ``h <- lambda_i * (h o pi_i)``, where
-    pi_i maps a label Q to the label of C_i' Q C_i, in one gather per gate
-    of each entangling layer.  A gather also does the one-qubit layer
-    before its gate, and in the last entangling layer the final one-qubit
-    layer after it: a pair's 16-entry map and eigenvalue row are composed
-    from the gate's and both qubits' one-qubit rows, and a qubit the layer
-    leaves idle gathers its composed one-qubit rows alone.  A gather leaves
-    the axes behind its gate's deepest one in place, so each layer's gates
-    gather shallowest-first and only the last one reads the last axes.  A
-    circuit without entangling layers is one block of idle qubits.
+    pi_i maps a label Q to the label of C_i' Q C_i, in one step per gate of
+    each entangling layer (:func:`_apply_gate`) on a ``(K,) + (4,) * n``
+    array that keeps its axes.  A step also does the one-qubit layer before
+    its gate, and in the last entangling layer the final one-qubit layer
+    after it: a pair's 16-entry map and eigenvalue row are composed from
+    the gate's and both qubits' one-qubit rows, and a qubit the layer
+    leaves idle steps with its composed one-qubit rows alone.  Each layer's
+    gates step in order of the deepest axis their qubits would hold if
+    every step moved its gate's axes to the front (``order``); the step
+    order fixes the order in which each label's eigenvalues multiply, and
+    so the last bits of the result.  A circuit without entangling layers
+    is one block of idle qubits.
     """
     n = template.n
     k, layers = gates.shape[:2]
@@ -445,22 +488,27 @@ def _fold(template, gates, noise: NoiseModel, layer_offset: int):
         post = one_qubit_layer(depth) if j == depth - 1 else None
         paired = [q for pair in layer.pairs for q in pair]
         idle = [(q,) for q in range(n) if q not in paired]
-        gathers = []
-        if layer.pairs:
+        steps = []
+        for flip in (False, True):
+            # pairs listed high qubit first step with their letters swapped
+            group = [pair for pair in layer.pairs if (pair[0] > pair[1]) == flip]
+            if not group:
+                continue
             twoq = np.array([
                 noise.twoq_noise(2 * j + 1 + layer_offset, layer.gate, pair).eigenvalues
-                for pair in layer.pairs
+                for pair in group
             ])
-            tables = _fused_tables(
-                np.array(layer.pairs), cl.twoq_conjugation_codes(layer.gate), twoq, pre, post
-            )
-            gathers += zip(layer.pairs, *tables)
+            qubits = np.array(group)
+            if flip:
+                qubits, twoq = qubits[:, ::-1], twoq[:, _SWAP]
+            digits = _pair_digits(layer.gate, flip)
+            steps += zip(group, *_fused_tables(qubits, digits, twoq, pre, post))
         if idle:
-            gathers += zip(idle, *_fused_tables(np.array(idle), _LETTERS, None, pre, post))
-        gathers.sort(key=lambda gate: max(order.index(q) for q in gate[0]))
-        for qubits, letters, eig in gathers:
-            h, order = _gather(h, order, rows, qubits, letters, eig)
-    h = h.transpose([0] + [1 + order.index(q) for q in range(n)])
+            steps += zip(idle, *_fused_tables(np.array(idle), _DIGITS[1], None, pre, post))
+        steps.sort(key=lambda step: max(order.index(q) for q in step[0]))
+        for qubits, labels, eig in steps:
+            h = _apply_gate(h, rows, sorted(qubits), labels, eig)
+            order = list(qubits) + [q for q in order if q not in qubits]
     return h.reshape(k, 4**n)
 
 
@@ -473,6 +521,15 @@ def _infidelities(template, gates, noise: NoiseModel, layer_offset: int):
         eig = _fold(template, gates[start : start + chunk], noise, layer_offset)
         out[start : start + chunk] = 1.0 - eig.mean(axis=1)
     return out
+
+
+@lru_cache(maxsize=1)
+def _walk_maps() -> tuple[list, dict]:
+    """The conjugation maps the Pauli walk reads, as lists: per one-qubit
+    Clifford index (:func:`cliffproxy.clifford.inverse_conjugation_codes`)
+    and per entangling gate."""
+    twoq = {gate: cl.twoq_conjugation_codes(gate).tolist() for gate in ("CZ", "CNOT")}
+    return cl.inverse_conjugation_codes().tolist(), twoq
 
 
 def propagate_codes(
@@ -490,24 +547,24 @@ def propagate_codes(
     without noise, and the letters of C' P C with the sign dropped.
     """
     codes = list(codes)
-    inverse_conj = cl.inverse_conjugation_codes().tolist()
+    inverse_conj, twoq_maps = _walk_maps()
     lam = 1.0
     for i in range(len(circuit.layers) - 1, -1, -1):
         layer = circuit.layers[i]
-        pos = i + layer_offset
+        table = None if noise is None else noise._walk_table(i + layer_offset, layer, circuit.n)
         layer_eig = 1.0
         if isinstance(layer, OneQubitLayer):
             gates = [gate.index for gate in layer.gates]
-            if noise is not None:
-                for q, g in enumerate(gates):
-                    layer_eig *= noise._compiled_1q(pos, q)[2][g][codes[q]]
+            if table is not None:
+                for rows, g, c in zip(table, gates, codes):
+                    layer_eig *= rows[g][c]
             codes = [inverse_conj[g][c] for g, c in zip(gates, codes)]
         else:
-            local_map = cl.twoq_conjugation_codes(layer.gate).tolist()
-            for a, b in layer.pairs:
+            local_map = twoq_maps[layer.gate]
+            for p, (a, b) in enumerate(layer.pairs):
                 label = 4 * codes[a] + codes[b]
-                if noise is not None:
-                    layer_eig *= noise.twoq_noise(pos, layer.gate, (a, b))._eigenvalue_list[label]
+                if table is not None:
+                    layer_eig *= table[p][label]
                 codes[a], codes[b] = divmod(local_map[label], 4)
         lam *= layer_eig
     return float(lam), codes

@@ -279,6 +279,8 @@ class PauliChannel:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (4**self.n,):
             raise ValueError(f"expected {4 ** self.n} probabilities, got {p.shape}")
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if p.min() < -1e-12:
             raise ValueError(f"negative probability {p.min()}")
         total = p.sum()

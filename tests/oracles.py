@@ -8,7 +8,9 @@ against.
 * one qubit's gate noise compiled one gate at a time: each X90 fault
   relabelled through the group element that follows its pulse, the two
   faults convolved letter by letter;
-* the exact fold one gather per gate, every layer on its own;
+* the exact fold one gather per gate, every layer on its own, and the
+  fused fold that gathers each gate's axes to the front of the array;
+* the Pauli walk that looks up each gate's eigenvalues in the model;
 * the dense unitary of a circuit;
 * the Pauli twirl through a layer's tableau;
 * the layer error channel, one local Pauli channel per gate, with the
@@ -282,6 +284,100 @@ def per_gate_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
                 h, order = _gather_map(h, order, batch, pair, local_map, eig)
     h = h.transpose([0] + [1 + order.index(q) for q in range(n)])
     return h.reshape(len(gates), 4**n)
+
+
+def _gather(h, order, rows, qubits, letters, eig):
+    """``h <- eig * (h o map)`` on the axes of ``qubits``, which move to
+    axes 1..k; the axes behind the gate's deepest one stay in place.
+    ``letters`` (k, K, 4^k) holds each mapped label's letter on each qubit
+    and ``eig`` (K, 4^k) the eigenvalue rows.  Returns the new axis order."""
+    k = len(qubits)
+    shape = (-1,) + (4,) * k
+    index = [slice(None)] * h.ndim
+    index[0] = rows.reshape(shape[:1] + (1,) * k)
+    for q, letter in zip(qubits, letters):
+        index[1 + order.index(q)] = letter.reshape(shape)
+    h = h[tuple(index)]
+    h *= eig.reshape(shape + (1,) * (h.ndim - 1 - k))
+    return h, list(qubits) + [q for q in order if q not in qubits]
+
+
+def gather_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
+    """``noise._fold`` with the same fused tables, each applied as one
+    gather that moves the gate's axes to the front of the array; each
+    layer's gates gather shallowest first, and one transpose at the end
+    restores the axes."""
+    n = template.n
+    k, layers = gates.shape[:2]
+    depth = layers - 1
+    rows = np.arange(k)[:, None]
+
+    def one_qubit_layer(j):
+        table = noise._compiled_1q_layer(2 * j + layer_offset, n)
+        return gates[:, j].T.astype(np.intp), table
+
+    def letters(labels, w):
+        return (labels[:, None] >> nz._SHIFTS[w][..., None]) & 3
+
+    h = np.ones((k,) + (4,) * n)
+    order = list(range(n))
+    for j in range(max(depth, 1)):
+        layer = template.layers[2 * j + 1] if depth else cc.TwoQubitLayer(())
+        pre = one_qubit_layer(j)
+        post = one_qubit_layer(depth) if j == depth - 1 else None
+        paired = [q for pair in layer.pairs for q in pair]
+        idle = [(q,) for q in range(n) if q not in paired]
+        gathers = []
+        if layer.pairs:
+            twoq = np.array([
+                noise.twoq_noise(2 * j + 1 + layer_offset, layer.gate, pair).eigenvalues
+                for pair in layer.pairs
+            ])
+            digits = nz._DIGITS[2][:, cl.twoq_conjugation_codes(layer.gate)]
+            labels, eig = nz._fused_tables(np.array(layer.pairs), digits, twoq, pre, post)
+            gathers += zip(layer.pairs, letters(labels, 2), eig)
+        if idle:
+            labels, eig = nz._fused_tables(np.array(idle), nz._DIGITS[1], None, pre, post)
+            gathers += zip(idle, letters(labels, 1), eig)
+        gathers.sort(key=lambda gate: max(order.index(q) for q in gate[0]))
+        for qubits, gate_letters, eig in gathers:
+            h, order = _gather(h, order, rows, qubits, gate_letters, eig)
+    h = h.transpose([0] + [1 + order.index(q) for q in range(n)])
+    return h.reshape(k, 4**n)
+
+
+# ---------------------------------------------------------------------------
+# Pauli walk, one gate at a time
+# ---------------------------------------------------------------------------
+
+
+def per_gate_walk(circuit, noise, codes, layer_offset=0) -> tuple[float, list[int]]:
+    """``noise.propagate_codes`` with each gate's eigenvalue row looked up
+    in the model at its position, and its conjugation map built, as the
+    walk reaches it; the same products in the same order."""
+    codes = list(codes)
+    inverse_conj = cl.inverse_conjugation_codes().tolist()
+    lam = 1.0
+    for i in range(len(circuit.layers) - 1, -1, -1):
+        layer = circuit.layers[i]
+        pos = i + layer_offset
+        layer_eig = 1.0
+        if isinstance(layer, cc.OneQubitLayer):
+            gates = [gate.index for gate in layer.gates]
+            if noise is not None:
+                for q, g in enumerate(gates):
+                    layer_eig *= noise.compiled_1q_eigenvalues(pos, q)[g].tolist()[codes[q]]
+            codes = [inverse_conj[g][c] for g, c in zip(gates, codes)]
+        else:
+            local_map = cl.twoq_conjugation_codes(layer.gate).tolist()
+            for a, b in layer.pairs:
+                label = 4 * codes[a] + codes[b]
+                if noise is not None:
+                    eig = noise.twoq_noise(pos, layer.gate, (a, b)).eigenvalues
+                    layer_eig *= eig.tolist()[label]
+                codes[a], codes[b] = divmod(local_map[label], 4)
+        lam *= layer_eig
+    return float(lam), codes
 
 
 # ---------------------------------------------------------------------------

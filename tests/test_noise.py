@@ -11,11 +11,13 @@ from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, pauli_walsh
 from oracles import (
     circuit_tableau,
+    gather_fold,
     inverse,
     layer_channel,
     layer_tableau,
     per_gate_compiled_channels,
     per_gate_fold,
+    per_gate_walk,
     tableau_cliffords,
 )
 
@@ -81,7 +83,35 @@ class TestSampleErrorModel:
             model.twoq_noise(0, "CZ", (0, 2))
 
 
+class TestGateNoise:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        # a NaN fails every bound comparison, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            nz.GateNoise(np.array([bad, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            nz.GateNoise.from_rates([bad, 0.0, 0.0])
+        data = {"markovian": True, "one_qubit": {"0": {"X": repr(float(bad))}}, "two_qubit": {}}
+        with pytest.raises(ValueError, match="finite"):
+            nz.noise_from_dict(data)
+
+
 class TestCompiledOneQubit:
+    def test_eigenvalue_rows_match_pauli_walsh(self):
+        # bit for bit, row by row: identity, single-letter and random faults
+        rng = np.random.default_rng(91)
+        faults = list(np.eye(4))
+        faults += [np.array([1 - p, 0.0, 0.0, 0.0]) + p * np.eye(4)[c] for p in (1e-4, 0.3) for c in (1, 2, 3)]
+        faults += [rng.dirichlet(np.ones(4)) for _ in range(100)]
+        faults += [
+            nz.GateNoise.from_rates(rng.uniform(0, 1e-3) * rng.dirichlet(np.ones(3))).probs
+            for _ in range(100)
+        ]
+        for eps in faults:
+            probs, eig = nz._compile_1q(eps)
+            for row, got in zip(probs[:24], eig):
+                assert np.array_equal(got, pauli_walsh(row, 1))
+
     @pytest.mark.parametrize("markovian", [True, False])
     @pytest.mark.parametrize("budget", [1e-9, 1e-5, 1e-3, 1e-1])
     def test_tables_match_per_gate_oracle(self, budget, markovian):
@@ -423,29 +453,71 @@ class TestBatchedFold:
 
 
 class TestFusedFold:
-    """The fold's fused gathers against one gather per gate and layer."""
+    """The fold's fused steps against one gather per gate and layer, and
+    against the same tables gathered to the front of the array."""
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_matches_per_gate_fold(self, n):
-        rng = np.random.default_rng(340 + n)
-        # a lone one-qubit layer, and brickwork with idle qubits (line) and
-        # the (n-1, 0) brick (even ring); n = 1 has empty entangling layers
+    @staticmethod
+    def _cases(n, rng):
+        """(template, model, offset): a lone one-qubit layer, and brickwork
+        with idle qubits (line) and the (n-1, 0) brick (even ring), with CZ
+        and with CNOT pairs listed high qubit first, Markovian or not, at
+        offsets 0 and 3; n = 1 has empty entangling layers."""
         templates = [cc.LayeredCircuit(n, (cc.identity_layer(n),))]
         for topology in ("line", "ring"):
             for gate in ("CZ", "CNOT"):
                 templates.append(_fold_case(n, topology, gate, rng))
-        worst = 0.0
         for template in templates:
             for markovian in (True, False):
                 for offset in (0, 3):
-                    model = _fold_model(template, rng, markovian, offset)
-                    for k in (1, 5):
-                        gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
-                        got = nz._fold(template, gates, model, offset)
-                        want = per_gate_fold(template, gates, model, offset)
-                        assert got.shape == want.shape == (k, 4**n)
-                        worst = max(worst, np.max(np.abs(got - want)))
+                    yield template, _fold_model(template, rng, markovian, offset), offset
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_gate_fold(self, n):
+        rng = np.random.default_rng(340 + n)
+        worst = 0.0
+        for template, model, offset in self._cases(n, rng):
+            for k in (1, 5):
+                gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
+                got = nz._fold(template, gates, model, offset)
+                want = per_gate_fold(template, gates, model, offset)
+                assert got.shape == want.shape == (k, 4**n)
+                worst = max(worst, np.max(np.abs(got - want)))
         assert worst < 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_gather_fold(self, n):
+        # bit for bit, and a circuit's row is the one it gets folded alone;
+        # one circuit per batch from n = 9 to keep the test short
+        rng = np.random.default_rng(360 + n)
+        k = 1 if n >= 9 else 5
+        for template, model, offset in self._cases(n, rng):
+            gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
+            got = nz._fold(template, gates, model, offset)
+            assert np.array_equal(got, gather_fold(template, gates, model, offset))
+            if k > 1:
+                for row, alone in zip(got, gates):
+                    assert np.array_equal(nz._fold(template, alone[None], model, offset)[0], row)
+
+
+class TestPropagateCodes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_per_gate_walk(self, n):
+        # equal, not close: the per-layer tables hold the model's values and
+        # the walk takes the same products in the same order; two circuits
+        # share each model's tables
+        rng = np.random.default_rng(450 + n)
+        for topology in ("line", "ring"):
+            for gate in ("CZ", "CNOT"):
+                template = _fold_case(n, topology, gate, rng)
+                for markovian in (True, False):
+                    for offset in (0, 3):
+                        model = _fold_model(template, rng, markovian, offset)
+                        for _ in range(2):
+                            circ = cc.cliffordize(template, rng)
+                            for noise in (model, None):
+                                for codes in rng.integers(0, 4, (10, n)).tolist():
+                                    got = nz.propagate_codes(circ, noise, codes, offset)
+                                    assert got == per_gate_walk(circ, noise, codes, offset)
 
 
 def _haar_target(n, kind, rng):

@@ -184,6 +184,11 @@ class TestPauliChannel:
         with pytest.raises(ValueError):
             PauliChannel(1, np.array([1.1, -0.1, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PauliChannel(1, np.array([bad, 0.0, 0.0, 0.0]))
+
     def test_identity_probability(self):
         ch = PauliChannel.from_dict(1, {"I": 0.97, "X": 0.02, "Z": 0.01})
         assert ch.p_identity == pytest.approx(0.97)
