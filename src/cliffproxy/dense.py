@@ -310,9 +310,9 @@ def diamond_distance(
 ) -> sdp.DiamondResult:
     """Half diamond-norm distance between two channels via the SDP.
 
-    Exact for n <= 2 in well under a second; n = 3 is supported but takes
-    tens of seconds per call because the Newton systems are dense in
-    4^3-dimensional Hermitian space.
+    An n = 2 solve takes about 50 ms; n = 3 is supported but takes about
+    33 s and 0.7 GB with one BLAS thread, most of it in two dense Newton
+    solves of order 4^6 + 1 per iteration (see ``sdp``).
     """
     if ideal.n != noisy.n:
         raise ValueError(f"size mismatch: {ideal.n} vs {noisy.n}")

@@ -13,8 +13,14 @@ against the scaled complementarity equations leaves one symmetric positive
 definite system per iteration in the dual variables (Y, t), assembled in an
 orthonormal basis of Hermitian matrices.
 
-Problem sizes here are small (Choi dimension 4^n with n <= 3), so all
-linear algebra is dense.
+Problem sizes here are small (Choi dimension D = 4^n with n <= 3), so all
+linear algebra is dense.  An iteration decomposes each of the six cone
+matrices once, for the scalings, the slacks' inverses and all twelve step
+lengths; forms the D^2 x D^2 congruence matrices from the entries on and
+above each image's diagonal; adds the partial trace's block as a gather;
+and solves the Newton system twice.  With one BLAS thread on a 2-vCPU host
+an n = 2 solve takes about 50 ms, an n = 3 solve 33 s and 0.7 GB, some 60%
+of it in the two LU solves of order 4097 per iteration.
 """
 
 from __future__ import annotations
@@ -40,6 +46,12 @@ class DiamondResult:
     value: float
     duality_gap: float
     iterations: int
+    # eigendecompositions whose smallest eigenvalue was below _FLOOR, so that
+    # a square root or inverse square root was taken of a clipped spectrum
+    eig_clips: int = 0
+
+
+_FLOOR = 1e-300
 
 
 def _ip(a: np.ndarray, b: np.ndarray) -> float:
@@ -50,34 +62,19 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _eigh_fun(a: np.ndarray, fun) -> np.ndarray:
-    w, v = np.linalg.eigh(_herm(a))
-    return _herm((v * fun(w)) @ v.conj().T)
+def _with_spectrum(eig: tuple[np.ndarray, np.ndarray], f: np.ndarray) -> np.ndarray:
+    """The matrix with eigenvectors ``eig[1]`` and eigenvalues ``f``."""
+    return _herm((eig[1] * f) @ eig[1].conj().T)
 
 
-def _sqrt_psd(a: np.ndarray) -> np.ndarray:
-    return _eigh_fun(a, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+def _isqrt(eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """x^(-1/2) of a decomposed x, its spectrum clipped at the floor."""
+    return (eig[1] / np.sqrt(np.clip(eig[0], _FLOOR, None))) @ eig[1].conj().T
 
 
-def _inv_psd(a: np.ndarray) -> np.ndarray:
-    return _eigh_fun(a, lambda w: 1.0 / w)
-
-
-def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Hermitian T with T Z T = X (the Nesterov-Todd scaling point)."""
-    lx = _sqrt_psd(x)
-    inner = _herm(lx @ z @ lx)
-    inner_isqrt = _eigh_fun(inner, lambda w: 1.0 / np.sqrt(np.clip(w, 1e-300, None)))
-    return _herm(lx @ inner_isqrt @ lx)
-
-
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx still positive definite."""
-    w, v = np.linalg.eigh(_herm(x))
-    w = np.clip(w, 1e-300, None)
-    scale = (v / np.sqrt(w)) @ v.conj().T
-    m = _herm(scale @ dx @ scale)
-    lam_min = float(np.linalg.eigvalsh(m)[0])
+def _max_step(isqrt: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha*dx still positive definite, given x^(-1/2)."""
+    lam_min = float(np.linalg.eigvalsh(_herm(isqrt @ dx @ isqrt))[0])
     if lam_min >= 0.0:
         return np.inf
     return -1.0 / lam_min
@@ -110,70 +107,56 @@ class _HermBasis:
         m[self.cols, self.rows] = np.conj(off)
         return m
 
-    def tat_matrix(self, t: np.ndarray, chunk: int = 16) -> np.ndarray:
-        """Matrix of the congruence map A -> T A T in this basis."""
-        d = self.dim
+    def tat_matrix(self, t: np.ndarray, block: int = 2**18) -> np.ndarray:
+        """Matrix of the congruence map A -> T A T in this basis.
+
+        Column c holds the coordinates of T B_c T, so only the entries on and
+        above each image's diagonal are formed, each one product of two
+        entries of T, in contiguous row blocks of at most ``block`` entries.
+        """
+        d, num_off = self.dim, self.num_off
         g = np.empty((self.size, self.size), dtype=float)
-        tc = np.conj(t)
+        # rows of T and of conj(T) at the image entries (i, j), i <= j
+        ti = t[np.concatenate([np.arange(d), self.rows])]
+        tj = np.conj(t)[np.concatenate([np.arange(d), self.cols])]
 
-        def fill(cols: np.ndarray, mats: np.ndarray) -> None:
-            # mats: (len(cols), d, d) images T B T
-            diag = np.real(mats[:, np.arange(d), np.arange(d)])
-            off = mats[:, self.rows, self.cols]
-            block = np.concatenate(
-                [diag, math.sqrt(2.0) * np.real(off), math.sqrt(2.0) * np.imag(off)],
-                axis=1,
-            )
-            g[:, cols] = block.T
+        def images(start: int, stop: int) -> np.ndarray:
+            # entries start:stop of every image T B T, the B in basis order;
+            # T e_kk T = t_k t_k^dag and the pairs (k, l) form p1 +- p2
+            a, b = ti[start:stop], tj[start:stop]
+            p1 = np.einsum("ea,ea->ea", a[:, self.rows], b[:, self.cols])
+            p2 = np.einsum("ea,ea->ea", a[:, self.cols], b[:, self.rows])
+            re, im = (p1 + p2) / math.sqrt(2.0), 1j * (p1 - p2) / math.sqrt(2.0)
+            return np.concatenate([np.einsum("ek,ek->ek", a, b), re, im], axis=1)
 
-        # diagonal basis elements: T e_kk T = t_k t_k^dag
-        outer_diag = np.einsum("ik,jk->kij", t, tc)
-        fill(np.arange(d), outer_diag)
-        # off-diagonal elements in chunks over the first index
-        for start in range(0, self.num_off, chunk * d):
-            stop = min(start + chunk * d, self.num_off)
-            ks = self.rows[start:stop]
-            ls = self.cols[start:stop]
-            p1 = np.einsum("ia,ja->aij", t[:, ks], tc[:, ls])
-            p2 = np.einsum("ia,ja->aij", t[:, ls], tc[:, ks])
-            fill(d + np.arange(start, stop), (p1 + p2) / math.sqrt(2.0))
-            fill(
-                d + self.num_off + np.arange(start, stop),
-                1j * (p1 - p2) / math.sqrt(2.0),
-            )
+        g[:d] = np.real(images(0, d))
+        step = max(1, block // self.size)
+        for start in range(d, d + num_off, step):
+            stop = min(start + step, d + num_off)
+            img = images(start, stop)
+            g[start:stop] = math.sqrt(2.0) * np.real(img)
+            g[start + num_off : stop + num_off] = math.sqrt(2.0) * np.imag(img)
         return g
 
 
-def _partial_trace_matrix(basis_big: _HermBasis, d_out: int, d_in: int) -> np.ndarray:
-    """Basis matrix of Tr_out: Herm(d_out*d_in) -> Herm(d_in)."""
-    basis_small = _HermBasis(d_in)
-    pt = np.zeros((basis_small.size, basis_big.size), dtype=float)
-    dim = basis_big.dim
+def _tr_out_gather(basis: _HermBasis, d_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates ``idx`` and signs ``s`` of the partial trace over the output.
 
-    def small_plus_index(a: int, b: int) -> int:
-        # position of the (a, b) pair, a < b, in triu ordering
-        return int(np.flatnonzero((basis_small.rows == a) & (basis_small.cols == b))[0])
-
-    for i in range(dim):
-        alpha, a = divmod(i, d_in)
-        pt[a, i] = 1.0
-    off = {}
-    for idx in range(basis_big.num_off):
-        i = basis_big.rows[idx]
-        j = basis_big.cols[idx]
-        alpha, a = divmod(i, d_in)
-        beta, b = divmod(j, d_in)
-        if alpha != beta:
-            continue
-        if a < b:
-            pos = small_plus_index(a, b)
-            sign = 1.0
-        else:
-            pos = small_plus_index(b, a)
-            sign = -1.0
-        pt[d_in + pos, basis_big.dim + idx] = 1.0
-        pt[d_in + basis_small.num_off + pos, basis_big.dim + basis_big.num_off + idx] = sign
-    return pt
+    Tr_out(B_c) = s[c] * B'_idx[c] in the Herm(d_in) basis, so the matrix
+    P of Tr_out has P.T @ G @ P = (s[:, None] * G[idx][:, idx]) * s.
+    An off-diagonal pair (i, j) survives only if i and j lie in one output
+    block, where i < j makes its input pair (a, b) ordered too: every sign
+    is 1 or 0.
+    """
+    small = _HermBasis(d_in)
+    pos = np.zeros((d_in, d_in), dtype=np.intp)
+    pos[small.rows, small.cols] = np.arange(small.num_off)
+    alpha, a = np.divmod(basis.rows, d_in)
+    beta, b = np.divmod(basis.cols, d_in)
+    off = pos[a, b]
+    idx = np.concatenate([np.arange(basis.dim) % d_in, d_in + off, d_in + small.num_off + off])
+    same = (alpha == beta).astype(float)
+    return idx, np.concatenate([np.ones(basis.dim), same, same])
 
 
 def _tr_out(m: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
@@ -203,8 +186,9 @@ def solve_diamond_sdp(
 
     basis = _HermBasis(big)
     basis_rho = _HermBasis(d_in)
-    pt = _partial_trace_matrix(basis, d_out, d_in)
+    pt_idx, pt_sign = _tr_out_gather(basis, d_in)
     eye_out = np.eye(d_out)
+    m = np.empty((basis.size + 1, basis.size + 1), dtype=float)
 
     # feasible interior start
     w = np.eye(big, dtype=complex) / (2.0 * d_in)
@@ -226,6 +210,7 @@ def solve_diamond_sdp(
     best_value = 0.0
     stall = 0
     iterations = 0
+    clips = 0
 
     for it in range(1, max_iter + 1):
         iterations = it
@@ -236,7 +221,7 @@ def solve_diamond_sdp(
         if not (np.isfinite(gap) and np.isfinite(value)):
             break
         if abs(gap) <= gap_tol:
-            return DiamondResult(value, abs(gap), it - 1)
+            return DiamondResult(value, abs(gap), it - 1, clips)
         if abs(gap) < best_gap * 0.9999:
             best_gap = abs(gap)
             best_value = value
@@ -249,12 +234,18 @@ def solve_diamond_sdp(
         if mu <= 0:
             break
 
-        tw = _nt_scaling(w, zw)
-        ts = _nt_scaling(s, zs)
-        trho = _nt_scaling(rho, zrho)
-        zw_inv = _inv_psd(zw)
-        zs_inv = _inv_psd(zs)
-        zrho_inv = _inv_psd(zrho)
+        # one eigendecomposition per cone matrix: the Nesterov-Todd scalings
+        # T with T Z T = X, the slacks' inverses and every step length use it
+        eigs = [np.linalg.eigh(_herm(x)) for x in (w, s, rho, zw, zs, zrho)]
+        isqrts = [_isqrt(e) for e in eigs]
+        roots = [_with_spectrum(e, np.sqrt(np.clip(e[0], 0.0, None))) for e in eigs[:3]]
+        inners = [np.linalg.eigh(_herm(lx @ z @ lx)) for lx, z in zip(roots, (zw, zs, zrho))]
+        tw, ts, trho = (
+            _herm(lx @ _with_spectrum(e, 1.0 / np.sqrt(np.clip(e[0], _FLOOR, None))) @ lx)
+            for lx, e in zip(roots, inners)
+        )
+        zw_inv, zs_inv, zrho_inv = (_with_spectrum(e, 1.0 / e[0]) for e in eigs[3:])
+        clips += sum(int(e[0][0] < _FLOOR) for e in eigs + inners)
 
         gw = basis.tat_matrix(tw)
         gs = basis.tat_matrix(ts)
@@ -263,9 +254,9 @@ def solve_diamond_sdp(
         c_mat = np.kron(eye_out, trho2)
         c_vec = basis.vec(c_mat)
 
-        m_size = basis.size + 1
-        m = np.empty((m_size, m_size), dtype=float)
-        m[: basis.size, : basis.size] = gw + gs + pt.T @ grho @ pt
+        top = m[: basis.size, : basis.size]
+        np.add(gw, gs, out=top)
+        top += (pt_sign[:, None] * grho[pt_idx][:, pt_idx]) * pt_sign
         m[: basis.size, -1] = -c_vec
         m[-1, : basis.size] = -c_vec
         m[-1, -1] = float(np.real(np.trace(trho2)))
@@ -278,15 +269,18 @@ def solve_diamond_sdp(
             dt = float(sol[-1])
             dzw = -dy
             dzs = -dy
-            dzrho = _tr_out(dy, d_out, d_in) - dt * np.eye(d_in)
+            dy_in = _tr_out(dy, d_out, d_in)
+            dzrho = dy_in - dt * np.eye(d_in)
             dw = _herm(rw + tw @ dy @ tw)
             ds = _herm(rs + ts @ dy @ ts)
-            drho = _herm(rrho - trho @ _tr_out(dy, d_out, d_in) @ trho + dt * trho2)
+            drho = _herm(rrho - trho @ dy_in @ trho + dt * trho2)
             return dw, ds, drho, dy, dt, dzw, dzs, dzrho
 
-        def step_sizes(dw, ds, drho, dzw, dzs, dzrho):
-            ap = min(_max_step(w, dw), _max_step(s, ds), _max_step(rho, drho), 1.0 / step_fraction)
-            ad = min(_max_step(zw, dzw), _max_step(zs, dzs), _max_step(zrho, dzrho), 1.0 / step_fraction)
+        def step_sizes(*dx):
+            # dx: the steps of w, s, rho, zw, zs and zrho
+            steps = [_max_step(r, d) for r, d in zip(isqrts, dx)]
+            ap = min(*steps[:3], 1.0 / step_fraction)
+            ad = min(*steps[3:], 1.0 / step_fraction)
             return min(1.0, step_fraction * ap), min(1.0, step_fraction * ad)
 
         # predictor
@@ -309,9 +303,7 @@ def solve_diamond_sdp(
             corr(s, aff[1], zs_inv, aff[6]),
             corr(rho, aff[2], zrho_inv, aff[7]),
         )
-        if not all(
-            np.all(np.isfinite(m)) for m in (dw, ds, drho, dy)
-        ) or not np.isfinite(dt):
+        if not all(np.all(np.isfinite(a)) for a in (dw, ds, drho, dy)) or not np.isfinite(dt):
             break
         ap, ad = step_sizes(dw, ds, drho, dzw, dzs, dzrho)
 
@@ -332,4 +324,4 @@ def solve_diamond_sdp(
             f"diamond SDP stalled at duality gap {best_gap:.3e} (required {gap_required:.1e})",
             best_gap,
         )
-    return DiamondResult(best_value, best_gap, iterations)
+    return DiamondResult(best_value, best_gap, iterations, clips)

@@ -18,11 +18,15 @@ against.
 * the transfer matrix built from each layer's full 2^n unitary, with
   every layer's error multiplied in after it;
 * the noisy statevector sampler before batching, one run per fault
-  pattern.
+  pattern;
+* the diamond-norm SDP that decomposes each cone matrix once per use,
+  forms every entry of the congruence matrices and multiplies out the
+  dense partial-trace matrix in each Newton system.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,7 @@ from cliffproxy import circuits as cc
 from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
+from cliffproxy import sdp
 from cliffproxy.pauli import PauliString, pauli_walsh, sample_uniform
 
 # ---------------------------------------------------------------------------
@@ -606,3 +611,258 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
     if spam is not None:
         results = dn._apply_meas_flips(results, spam, rng)
     return results
+
+
+# ---------------------------------------------------------------------------
+# diamond-norm SDP
+# ---------------------------------------------------------------------------
+
+
+def _eigh_fun(a: np.ndarray, fun) -> np.ndarray:
+    w, v = np.linalg.eigh(sdp._herm(a))
+    return sdp._herm((v * fun(w)) @ v.conj().T)
+
+
+def _sqrt_psd(a: np.ndarray) -> np.ndarray:
+    return _eigh_fun(a, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+
+
+def _inv_psd(a: np.ndarray) -> np.ndarray:
+    return _eigh_fun(a, lambda w: 1.0 / w)
+
+
+def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Hermitian T with T Z T = X (the Nesterov-Todd scaling point)."""
+    lx = _sqrt_psd(x)
+    inner = sdp._herm(lx @ z @ lx)
+    inner_isqrt = _eigh_fun(inner, lambda w: 1.0 / np.sqrt(np.clip(w, 1e-300, None)))
+    return sdp._herm(lx @ inner_isqrt @ lx)
+
+
+def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha*dx still positive definite."""
+    w, v = np.linalg.eigh(sdp._herm(x))
+    w = np.clip(w, 1e-300, None)
+    scale = (v / np.sqrt(w)) @ v.conj().T
+    m = sdp._herm(scale @ dx @ scale)
+    lam_min = float(np.linalg.eigvalsh(m)[0])
+    if lam_min >= 0.0:
+        return np.inf
+    return -1.0 / lam_min
+
+
+def tat_matrix(basis: sdp._HermBasis, t: np.ndarray, chunk: int = 16) -> np.ndarray:
+    """Matrix of the congruence map A -> T A T in ``basis``, every entry of
+    every image T B T formed and scattered into its column."""
+    d = basis.dim
+    g = np.empty((basis.size, basis.size), dtype=float)
+    tc = np.conj(t)
+
+    def fill(cols: np.ndarray, mats: np.ndarray) -> None:
+        # mats: (len(cols), d, d) images T B T
+        diag = np.real(mats[:, np.arange(d), np.arange(d)])
+        off = mats[:, basis.rows, basis.cols]
+        block = np.concatenate(
+            [diag, math.sqrt(2.0) * np.real(off), math.sqrt(2.0) * np.imag(off)],
+            axis=1,
+        )
+        g[:, cols] = block.T
+
+    # diagonal basis elements: T e_kk T = t_k t_k^dag
+    outer_diag = np.einsum("ik,jk->kij", t, tc)
+    fill(np.arange(d), outer_diag)
+    # off-diagonal elements in chunks over the first index
+    for start in range(0, basis.num_off, chunk * d):
+        stop = min(start + chunk * d, basis.num_off)
+        ks = basis.rows[start:stop]
+        ls = basis.cols[start:stop]
+        p1 = np.einsum("ia,ja->aij", t[:, ks], tc[:, ls])
+        p2 = np.einsum("ia,ja->aij", t[:, ls], tc[:, ks])
+        fill(d + np.arange(start, stop), (p1 + p2) / math.sqrt(2.0))
+        fill(
+            d + basis.num_off + np.arange(start, stop),
+            1j * (p1 - p2) / math.sqrt(2.0),
+        )
+    return g
+
+
+def partial_trace_matrix(basis_big: sdp._HermBasis, d_out: int, d_in: int) -> np.ndarray:
+    """Basis matrix of Tr_out: Herm(d_out*d_in) -> Herm(d_in)."""
+    basis_small = sdp._HermBasis(d_in)
+    pt = np.zeros((basis_small.size, basis_big.size), dtype=float)
+    dim = basis_big.dim
+
+    def small_plus_index(a: int, b: int) -> int:
+        # position of the (a, b) pair, a < b, in triu ordering
+        return int(np.flatnonzero((basis_small.rows == a) & (basis_small.cols == b))[0])
+
+    for i in range(dim):
+        alpha, a = divmod(i, d_in)
+        pt[a, i] = 1.0
+    for idx in range(basis_big.num_off):
+        i = basis_big.rows[idx]
+        j = basis_big.cols[idx]
+        alpha, a = divmod(i, d_in)
+        beta, b = divmod(j, d_in)
+        if alpha != beta:
+            continue
+        if a < b:
+            pos = small_plus_index(a, b)
+            sign = 1.0
+        else:
+            pos = small_plus_index(b, a)
+            sign = -1.0
+        pt[d_in + pos, basis_big.dim + idx] = 1.0
+        pt[d_in + basis_small.num_off + pos, basis_big.dim + basis_big.num_off + idx] = sign
+    return pt
+
+
+def dense_diamond_sdp(
+    delta_choi: np.ndarray,
+    d_in: int,
+    gap_tol: float = 1e-9,
+    gap_required: float = 1e-8,
+    max_iter: int = 200,
+    step_fraction: float = 0.98,
+) -> sdp.DiamondResult:
+    """``solve_diamond_sdp`` with three eigendecompositions per cone matrix
+    and iteration, the full congruence matrices and the dense partial-trace
+    matrix product in the Newton system."""
+    j = sdp._herm(np.asarray(delta_choi, dtype=complex))
+    big = j.shape[0]
+    if j.shape != (big, big) or big % d_in != 0:
+        raise ValueError("Choi matrix shape inconsistent with d_in")
+    d_out = big // d_in
+
+    basis = sdp._HermBasis(big)
+    basis_rho = sdp._HermBasis(d_in)
+    pt = partial_trace_matrix(basis, d_out, d_in)
+    eye_out = np.eye(d_out)
+
+    # feasible interior start
+    w = np.eye(big, dtype=complex) / (2.0 * d_in)
+    s = w.copy()
+    rho = np.eye(d_in, dtype=complex) / d_in
+    beta = float(np.linalg.norm(j, 2)) + 1.0
+    y = -beta * np.eye(big, dtype=complex)
+    t = -(beta * d_out + 1.0)
+
+    def slacks(yv, tv):
+        zw = -j - yv
+        zs = -yv
+        zrho = sdp._tr_out(yv, d_out, d_in) - tv * np.eye(d_in)
+        return zw, zs, zrho
+
+    zw, zs, zrho = slacks(y, t)
+    total_dim = 2 * big + d_in
+    best_gap = np.inf
+    best_value = 0.0
+    stall = 0
+    iterations = 0
+
+    for it in range(1, max_iter + 1):
+        iterations = it
+        gap = sdp._ip(w, zw) + sdp._ip(s, zs) + sdp._ip(rho, zrho)
+        primal = sdp._ip(j, w)
+        dual = -t
+        value = 0.5 * (primal + dual)
+        if not (np.isfinite(gap) and np.isfinite(value)):
+            break
+        if abs(gap) <= gap_tol:
+            return sdp.DiamondResult(value, abs(gap), it - 1)
+        if abs(gap) < best_gap * 0.9999:
+            best_gap = abs(gap)
+            best_value = value
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 10:
+                break
+        mu = gap / total_dim
+        if mu <= 0:
+            break
+
+        tw = _nt_scaling(w, zw)
+        ts = _nt_scaling(s, zs)
+        trho = _nt_scaling(rho, zrho)
+        zw_inv = _inv_psd(zw)
+        zs_inv = _inv_psd(zs)
+        zrho_inv = _inv_psd(zrho)
+
+        gw = tat_matrix(basis, tw)
+        gs = tat_matrix(basis, ts)
+        grho = tat_matrix(basis_rho, trho)
+        trho2 = sdp._herm(trho @ trho)
+        c_mat = np.kron(eye_out, trho2)
+        c_vec = basis.vec(c_mat)
+
+        m_size = basis.size + 1
+        m = np.empty((m_size, m_size), dtype=float)
+        m[: basis.size, : basis.size] = gw + gs + pt.T @ grho @ pt
+        m[: basis.size, -1] = -c_vec
+        m[-1, : basis.size] = -c_vec
+        m[-1, -1] = float(np.real(np.trace(trho2)))
+
+        def newton(rw, rs, rrho):
+            b_mat = np.kron(eye_out, rrho) - rw - rs
+            rhs = np.concatenate([basis.vec(b_mat), [-float(np.real(np.trace(rrho)))]])
+            sol = np.linalg.solve(m, rhs)
+            dy = basis.unvec(sol[:-1])
+            dt = float(sol[-1])
+            dzw = -dy
+            dzs = -dy
+            dzrho = sdp._tr_out(dy, d_out, d_in) - dt * np.eye(d_in)
+            dw = sdp._herm(rw + tw @ dy @ tw)
+            ds = sdp._herm(rs + ts @ dy @ ts)
+            drho = sdp._herm(rrho - trho @ sdp._tr_out(dy, d_out, d_in) @ trho + dt * trho2)
+            return dw, ds, drho, dy, dt, dzw, dzs, dzrho
+
+        def step_sizes(dw, ds, drho, dzw, dzs, dzrho):
+            ap = min(_max_step(w, dw), _max_step(s, ds), _max_step(rho, drho), 1.0 / step_fraction)
+            ad = min(_max_step(zw, dzw), _max_step(zs, dzs), _max_step(zrho, dzrho), 1.0 / step_fraction)
+            return min(1.0, step_fraction * ap), min(1.0, step_fraction * ad)
+
+        # predictor
+        aff = newton(-w, -s, -rho)
+        ap, ad = step_sizes(aff[0], aff[1], aff[2], aff[5], aff[6], aff[7])
+        mu_aff = (
+            sdp._ip(w + ap * aff[0], zw + ad * aff[5])
+            + sdp._ip(s + ap * aff[1], zs + ad * aff[6])
+            + sdp._ip(rho + ap * aff[2], zrho + ad * aff[7])
+        ) / total_dim
+        sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
+
+        # corrector with a second-order term
+        def corr(x, dx_aff, z_inv, dz_aff):
+            second = dx_aff @ dz_aff @ z_inv
+            return sdp._herm(sigma * mu * z_inv - x - 0.5 * (second + second.conj().T))
+
+        dw, ds, drho, dy, dt, dzw, dzs, dzrho = newton(
+            corr(w, aff[0], zw_inv, aff[5]),
+            corr(s, aff[1], zs_inv, aff[6]),
+            corr(rho, aff[2], zrho_inv, aff[7]),
+        )
+        if not all(
+            np.all(np.isfinite(m)) for m in (dw, ds, drho, dy)
+        ) or not np.isfinite(dt):
+            break
+        ap, ad = step_sizes(dw, ds, drho, dzw, dzs, dzrho)
+
+        w = sdp._herm(w + ap * dw)
+        s = sdp._herm(s + ap * ds)
+        rho = sdp._herm(rho + ap * drho)
+        y = sdp._herm(y + ad * dy)
+        t = t + ad * dt
+        zw, zs, zrho = slacks(y, t)
+
+    gap = sdp._ip(w, zw) + sdp._ip(s, zs) + sdp._ip(rho, zrho)
+    value = 0.5 * (sdp._ip(j, w) - t)
+    if np.isfinite(gap) and np.isfinite(value) and abs(gap) < best_gap:
+        best_gap = abs(gap)
+        best_value = value
+    if best_gap > gap_required:
+        raise sdp.SdpConvergenceError(
+            f"diamond SDP stalled at duality gap {best_gap:.3e} (required {gap_required:.1e})",
+            best_gap,
+        )
+    return sdp.DiamondResult(best_value, best_gap, iterations)
