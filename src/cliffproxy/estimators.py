@@ -532,15 +532,17 @@ def volumetric_run(
     rng: np.random.Generator,
     scrambler_depth: int = 4,
     layer_fit_depths=(2, 4, 8, 16),
-    fold_limit: int = FOLD_LIMIT,
+    calib_shots: int = 1000,
 ) -> list[VolumetricCell]:
     """Estimate brickwork fidelities over a width x depth grid.
 
     Each cell runs unmitigated DFE, the scrambled-reference method,
-    readout-mitigated DFE, and a layer-fidelity prediction; widths inside
-    the exact-folding limit also record the exact fidelity.  Estimators
-    failing with a domain error (a ValueError) are recorded per cell
-    instead of aborting the sweep; any other exception propagates.
+    readout-mitigated DFE (its confusion matrix calibrated with
+    ``calib_shots`` shots per calibration circuit), and a layer-fidelity
+    prediction; widths inside the exact-folding limit also record the
+    exact fidelity.  Estimators failing with a domain error (a ValueError)
+    are recorded per cell instead of aborting the sweep; any other
+    exception propagates.
     """
     depths = [int(d) for d in depths]
     cells = []
@@ -598,18 +600,18 @@ def volumetric_run(
             attempt(
                 "readout",
                 lambda: readout_mitigated_dfe(
-                    None, noise_model, spam_model, config, 1000, rng, target=target
+                    None, noise_model, spam_model, config, calib_shots, rng, target=target
                 ),
             )
             if fit is not None:
                 attempt("layer_fidelity", lambda: fit.predict_fidelity(proxy))
             else:
                 cell.errors["layer_fidelity"] = fit_error
-            if n <= fold_limit:
+            if n <= FOLD_LIMIT:
                 attempt(
                     "exact",
                     lambda: FidelityEstimate(
-                        1.0 - process_infidelity_exact(proxy, noise_model, fold_limit),
+                        1.0 - process_infidelity_exact(proxy, noise_model),
                         0.0,
                         0,
                         {"protocol": "exact_fold"},

@@ -281,20 +281,9 @@ def _write_csv(path: str, columns, rows) -> None:
             writer.writerow([_fmt_cell(row.get(c)) for c in columns])
 
 
-def _result_row(experiment_id, protocol, n, depth, randomization_id, pauli,
-                estimate, stderr, shots, seed) -> dict:
-    return {
-        "experiment_id": experiment_id,
-        "protocol": protocol,
-        "n": n,
-        "depth": depth,
-        "randomization_id": randomization_id,
-        "pauli": pauli,
-        "estimate": estimate,
-        "stderr": stderr,
-        "shots": shots,
-        "seed": seed,
-    }
+def _result_row(*values) -> dict:
+    """One results.csv row, its values in ``RESULT_COLUMNS`` order."""
+    return dict(zip(RESULT_COLUMNS, values, strict=True))
 
 
 def _estimate_rows(experiment_id, name, n, depth, rand_id, estimate, seed_label):
@@ -396,63 +385,47 @@ def _uniformity_like(config: ExperimentConfig, with_diamond: bool, out: "_Output
 
 def _run_uniformity(config: ExperimentConfig, out: "_OutputSet"):
     summary = _uniformity_like(config, with_diamond=False, out=out)
-    out.finalize_results()
     cols = ("experiment_id", "n", "kind", "depth", "mu_r", "sigma_r", "cov", "value")
-    out.summary("uniformity_summary.csv", cols, summary)
-    out.figure("uniformity_cov_hist.svg", "uniformity_summary.csv", "hist")
+    out.finish("uniformity_summary.csv", cols, summary, "uniformity_cov_hist.svg", "hist")
 
 
 def _run_accuracy(config: ExperimentConfig, out: "_OutputSet"):
     summary = _uniformity_like(config, with_diamond=True, out=out)
-    out.finalize_results()
     cols = (
         "experiment_id", "n", "kind", "depth", "mu_r", "sigma_r", "cov",
         "d_diamond", "sdp_gap", "abs_diff", "r_target", "r_bar", "x", "y",
     )
-    out.summary("accuracy_summary.csv", cols, summary)
-    out.figure("accuracy_scatter.svg", "accuracy_summary.csv", "scatter")
+    out.finish("accuracy_summary.csv", cols, summary, "accuracy_scatter.svg", "scatter")
 
 
-def _run_spam_compare(config: ExperimentConfig, out: "_OutputSet"):
+def _run_sweep(config: ExperimentConfig, out: "_OutputSet", widths, stem: str, **options):
+    """The volumetric sweep over ``widths``, one cell per width and depth.
+
+    Writes every estimate and every failed estimator of each cell to
+    ``results.csv``, their means to ``<stem>_summary.csv``, and bars of
+    those to ``<stem>_bars.svg``.  ``options`` go to ``volumetric_run``.
+    """
     p = config.params
-    n = p["width"]
-    cfg = est.DfeConfig(p["randomizations"], 1, p["shots"])
-    spam = nz.SpamModel.uniform(n, p["prep_error"], p["meas_error"])
-    rng = seed_derive(config.seed, config.scenario, "setup")
-    template = cc.sample_brickwork(cc.BrickworkSpec(n, max(p["depths"])), "haar", rng)
-    noise = nz.sample_error_model(
-        template, rng, p["two_qubit_budget"], p["one_qubit_budget"], p["markovian"]
+    cells = est.volumetric_run(
+        widths,
+        p["depths"],
+        nz.NoiseBudget(p["two_qubit_budget"], p["one_qubit_budget"], p["markovian"]),
+        (p["prep_error"], p["meas_error"]),
+        est.DfeConfig(p["randomizations"], 1, p["shots"]),
+        seed_derive(config.seed, config.scenario),
+        scrambler_depth=p["scrambler_depth"],
+        layer_fit_depths=tuple(p["layer_fit_depths"]),
+        **options,
     )
-    scrambler = cc.scrambling_circuit(n, p["scrambler_depth"], rng)
-    fit = est.layer_fidelity_estimate(
-        (cc.TwoQubitLayer(cc.brickwork_pairs(n, 0)), cc.TwoQubitLayer(cc.brickwork_pairs(n, 1))),
-        n, noise, p["layer_fit_depths"], cfg, seed_derive(config.seed, config.scenario, "layerfit"),
-        spam=spam,
-    )
-    rows = []
     summary = []
-    for depth in p["depths"]:
-        rng_d = seed_derive(config.seed, config.scenario, "depth", depth)
-        target = cc.sample_brickwork(cc.BrickworkSpec(n, depth), "haar", rng_d)
-        proxy = cc.cliffordize(target, rng_d)
-        exp_id = f"spam-compare-d{depth}"
-        series = {
-            "unmitigated": est.dfe(None, noise, spam, cfg, rng_d, target=target),
-            "layer_fidelity": fit.predict_fidelity(proxy),
-            "reference": est.dfe_with_reference(
-                None, scrambler, noise, spam, cfg, rng_d, target=target
-            ),
-            "readout": est.readout_mitigated_dfe(
-                None, noise, spam, cfg, p["calib_shots"], rng_d, target=target
-            ),
-        }
-        for name, estimate in series.items():
-            rows.extend(
-                _estimate_rows(exp_id, name, n, depth, None, estimate, str(depth))
-            )
+    for cell in cells:
+        n, depth = cell.width, cell.depth
+        exp_id = f"{config.scenario}-n{n}-d{depth}"
+        for name, estimate in cell.estimates.items():
+            out.stage_results(_estimate_rows(exp_id, name, n, depth, None, estimate, ""))
             summary.append(
                 {
-                    "group": f"d={depth}",
+                    "group": f"n={n},d={depth}",
                     "series": name,
                     "mean": estimate.mean,
                     "stderr": estimate.stderr,
@@ -460,64 +433,21 @@ def _run_spam_compare(config: ExperimentConfig, out: "_OutputSet"):
                     "depth": depth,
                 }
             )
-        out.stage_results(rows)
-        rows = []
-    out.finalize_results()
-    out.summary(
-        "spam_compare_summary.csv",
-        ("group", "series", "mean", "stderr", "n", "depth"),
-        summary,
-    )
-    out.figure("spam_compare_bars.svg", "spam_compare_summary.csv", "bars")
+        out.stage_results(
+            _result_row(exp_id, name + "_failed", n, depth, None, "", None, None, None, message)
+            for name, message in cell.errors.items()
+        )
+    cols = ("group", "series", "mean", "stderr", "n", "depth")
+    out.finish(f"{stem}_summary.csv", cols, summary, f"{stem}_bars.svg", "bars")
+
+
+def _run_spam_compare(config: ExperimentConfig, out: "_OutputSet"):
+    p = config.params
+    _run_sweep(config, out, [p["width"]], "spam_compare", calib_shots=p["calib_shots"])
 
 
 def _run_volumetric(config: ExperimentConfig, out: "_OutputSet"):
-    p = config.params
-    cfg = est.DfeConfig(p["randomizations"], 1, p["shots"])
-    cells = est.volumetric_run(
-        p["widths"],
-        p["depths"],
-        nz.NoiseBudget(p["two_qubit_budget"], p["one_qubit_budget"], p["markovian"]),
-        (p["prep_error"], p["meas_error"]),
-        cfg,
-        seed_derive(config.seed, config.scenario),
-        scrambler_depth=p["scrambler_depth"],
-        layer_fit_depths=tuple(p["layer_fit_depths"]),
-    )
-    rows = []
-    summary = []
-    for cell in cells:
-        exp_id = f"volumetric-n{cell.width}-d{cell.depth}"
-        for name, estimate in cell.estimates.items():
-            rows.extend(
-                _estimate_rows(
-                    exp_id, name, cell.width, cell.depth, None, estimate, ""
-                )
-            )
-            summary.append(
-                {
-                    "group": f"n={cell.width},d={cell.depth}",
-                    "series": name,
-                    "mean": estimate.mean,
-                    "stderr": estimate.stderr,
-                    "n": cell.width,
-                    "depth": cell.depth,
-                }
-            )
-        for name, message in cell.errors.items():
-            rows.append(
-                _result_row(exp_id, name + "_failed", cell.width, cell.depth,
-                            None, "", None, None, None, message)
-            )
-        out.stage_results(rows)
-        rows = []
-    out.finalize_results()
-    out.summary(
-        "volumetric_summary.csv",
-        ("group", "series", "mean", "stderr", "n", "depth"),
-        summary,
-    )
-    out.figure("volumetric_bars.svg", "volumetric_summary.csv", "bars")
+    _run_sweep(config, out, config.params["widths"], "volumetric")
 
 
 def _run_xeb_compare(config: ExperimentConfig, out: "_OutputSet"):
@@ -582,13 +512,8 @@ def _run_xeb_compare(config: ExperimentConfig, out: "_OutputSet"):
             )
         out.stage_results(rows)
         rows = []
-    out.finalize_results()
-    out.summary(
-        "xeb_summary.csv",
-        ("group", "series", "mean", "stderr", "n", "depth", "entanglers"),
-        summary,
-    )
-    out.figure("xeb_bars.svg", "xeb_summary.csv", "bars")
+    cols = ("group", "series", "mean", "stderr", "n", "depth", "entanglers")
+    out.finish("xeb_summary.csv", cols, summary, "xeb_bars.svg", "bars")
 
 
 SCENARIOS = {
@@ -616,23 +541,19 @@ class _OutputSet:
         """Buffer result rows; they are flushed even if the run aborts."""
         self._rows.extend(rows)
 
-    def finalize_results(self) -> None:
-        _write_csv(self._path("results.csv"), RESULT_COLUMNS, self._rows)
-        self.files.append("results.csv")
-
     def flush_partial(self) -> None:
         if self._rows and "results.csv" not in self.files:
             _write_csv(self._path("results.csv"), RESULT_COLUMNS, self._rows)
 
-    def summary(self, name: str, columns, rows) -> None:
-        _write_csv(self._path(name), columns, rows)
-        self.files.append(name)
-
-    def figure(self, name: str, summary_name: str, kind: str) -> None:
-        svg = emit_figure(self._path(summary_name), kind)
-        with open(self._path(name), "w") as fh:
-            fh.write(svg)
-        self.files.append(name)
+    def finish(self, summary_name: str, columns, rows, figure_name: str, kind: str) -> None:
+        """Write results.csv, the summary CSV, and the figure drawn from that CSV."""
+        _write_csv(self._path("results.csv"), RESULT_COLUMNS, self._rows)
+        self.files.append("results.csv")
+        _write_csv(self._path(summary_name), columns, rows)
+        self.files.append(summary_name)
+        with open(self._path(figure_name), "w") as fh:
+            fh.write(emit_figure(self._path(summary_name), kind))
+        self.files.append(figure_name)
 
 
 def run_scenario(config: ExperimentConfig) -> RunManifest:

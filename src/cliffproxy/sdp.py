@@ -74,7 +74,11 @@ def _isqrt(eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 def _max_step(isqrt: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx still positive definite, given x^(-1/2)."""
-    lam_min = float(np.linalg.eigvalsh(_herm(isqrt @ dx @ isqrt))[0])
+    scaled = _herm(isqrt @ dx @ isqrt)
+    if not np.isfinite(scaled).all():
+        # a clipped spectrum's 1e150 inverse roots can overflow the product
+        raise np.linalg.LinAlgError("scaled step is not finite")
+    lam_min = float(np.linalg.eigvalsh(scaled)[0])
     if lam_min >= 0.0:
         return np.inf
     return -1.0 / lam_min
@@ -163,6 +167,7 @@ def _tr_out(m: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     return np.einsum("aiaj->ij", m.reshape(d_out, d_in, d_out, d_in))
 
 
+@np.errstate(all="ignore")  # non-finite values are checked, not warned about
 def solve_diamond_sdp(
     delta_choi: np.ndarray,
     d_in: int,
@@ -176,7 +181,10 @@ def solve_diamond_sdp(
     ``delta_choi`` is (d_out*d_in) x (d_out*d_in) with the output factor
     first.  Returns the midpoint of the final primal/dual objectives along
     with the duality gap achieved; raises :class:`SdpConvergenceError` if
-    the gap cannot be pushed below ``gap_required``.
+    the gap cannot be pushed below ``gap_required``, or if an iteration's
+    linear algebra breaks down (a singular Newton system, an eigensolver
+    that does not converge, a step that overflows once scaled), whatever
+    gap was reached before.
     """
     j = _herm(np.asarray(delta_choi, dtype=complex))
     big = j.shape[0]
@@ -212,107 +220,112 @@ def solve_diamond_sdp(
     iterations = 0
     clips = 0
 
-    for it in range(1, max_iter + 1):
-        iterations = it
-        gap = _ip(w, zw) + _ip(s, zs) + _ip(rho, zrho)
-        primal = _ip(j, w)
-        dual = -t
-        value = 0.5 * (primal + dual)
-        if not (np.isfinite(gap) and np.isfinite(value)):
-            break
-        if abs(gap) <= gap_tol:
-            return DiamondResult(value, abs(gap), it - 1, clips)
-        if abs(gap) < best_gap * 0.9999:
-            best_gap = abs(gap)
-            best_value = value
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 10:
+    try:
+        for it in range(1, max_iter + 1):
+            iterations = it
+            gap = _ip(w, zw) + _ip(s, zs) + _ip(rho, zrho)
+            primal = _ip(j, w)
+            dual = -t
+            value = 0.5 * (primal + dual)
+            if not (np.isfinite(gap) and np.isfinite(value)):
                 break
-        mu = gap / total_dim
-        if mu <= 0:
-            break
+            if abs(gap) <= gap_tol:
+                return DiamondResult(value, abs(gap), it - 1, clips)
+            if abs(gap) < best_gap * 0.9999:
+                best_gap = abs(gap)
+                best_value = value
+                stall = 0
+            else:
+                stall += 1
+                if stall >= 10:
+                    break
+            mu = gap / total_dim
+            if mu <= 0:
+                break
 
-        # one eigendecomposition per cone matrix: the Nesterov-Todd scalings
-        # T with T Z T = X, the slacks' inverses and every step length use it
-        eigs = [np.linalg.eigh(_herm(x)) for x in (w, s, rho, zw, zs, zrho)]
-        isqrts = [_isqrt(e) for e in eigs]
-        roots = [_with_spectrum(e, np.sqrt(np.clip(e[0], 0.0, None))) for e in eigs[:3]]
-        inners = [np.linalg.eigh(_herm(lx @ z @ lx)) for lx, z in zip(roots, (zw, zs, zrho))]
-        tw, ts, trho = (
-            _herm(lx @ _with_spectrum(e, 1.0 / np.sqrt(np.clip(e[0], _FLOOR, None))) @ lx)
-            for lx, e in zip(roots, inners)
-        )
-        zw_inv, zs_inv, zrho_inv = (_with_spectrum(e, 1.0 / e[0]) for e in eigs[3:])
-        clips += sum(int(e[0][0] < _FLOOR) for e in eigs + inners)
+            # one eigendecomposition per cone matrix: the Nesterov-Todd scalings
+            # T with T Z T = X, the slacks' inverses and every step length use it
+            eigs = [np.linalg.eigh(_herm(x)) for x in (w, s, rho, zw, zs, zrho)]
+            isqrts = [_isqrt(e) for e in eigs]
+            roots = [_with_spectrum(e, np.sqrt(np.clip(e[0], 0.0, None))) for e in eigs[:3]]
+            inners = [np.linalg.eigh(_herm(lx @ z @ lx)) for lx, z in zip(roots, (zw, zs, zrho))]
+            tw, ts, trho = (
+                _herm(lx @ _with_spectrum(e, 1.0 / np.sqrt(np.clip(e[0], _FLOOR, None))) @ lx)
+                for lx, e in zip(roots, inners)
+            )
+            zw_inv, zs_inv, zrho_inv = (_with_spectrum(e, 1.0 / e[0]) for e in eigs[3:])
+            clips += sum(int(e[0][0] < _FLOOR) for e in eigs + inners)
 
-        gw = basis.tat_matrix(tw)
-        gs = basis.tat_matrix(ts)
-        grho = basis_rho.tat_matrix(trho)
-        trho2 = _herm(trho @ trho)
-        c_mat = np.kron(eye_out, trho2)
-        c_vec = basis.vec(c_mat)
+            gw = basis.tat_matrix(tw)
+            gs = basis.tat_matrix(ts)
+            grho = basis_rho.tat_matrix(trho)
+            trho2 = _herm(trho @ trho)
+            c_mat = np.kron(eye_out, trho2)
+            c_vec = basis.vec(c_mat)
 
-        top = m[: basis.size, : basis.size]
-        np.add(gw, gs, out=top)
-        top += (pt_sign[:, None] * grho[pt_idx][:, pt_idx]) * pt_sign
-        m[: basis.size, -1] = -c_vec
-        m[-1, : basis.size] = -c_vec
-        m[-1, -1] = float(np.real(np.trace(trho2)))
+            top = m[: basis.size, : basis.size]
+            np.add(gw, gs, out=top)
+            top += (pt_sign[:, None] * grho[pt_idx][:, pt_idx]) * pt_sign
+            m[: basis.size, -1] = -c_vec
+            m[-1, : basis.size] = -c_vec
+            m[-1, -1] = float(np.real(np.trace(trho2)))
 
-        def newton(rw, rs, rrho):
-            b_mat = np.kron(eye_out, rrho) - rw - rs
-            rhs = np.concatenate([basis.vec(b_mat), [-float(np.real(np.trace(rrho)))]])
-            sol = np.linalg.solve(m, rhs)
-            dy = basis.unvec(sol[:-1])
-            dt = float(sol[-1])
-            dzw = -dy
-            dzs = -dy
-            dy_in = _tr_out(dy, d_out, d_in)
-            dzrho = dy_in - dt * np.eye(d_in)
-            dw = _herm(rw + tw @ dy @ tw)
-            ds = _herm(rs + ts @ dy @ ts)
-            drho = _herm(rrho - trho @ dy_in @ trho + dt * trho2)
-            return dw, ds, drho, dy, dt, dzw, dzs, dzrho
+            def newton(rw, rs, rrho):
+                b_mat = np.kron(eye_out, rrho) - rw - rs
+                rhs = np.concatenate([basis.vec(b_mat), [-float(np.real(np.trace(rrho)))]])
+                sol = np.linalg.solve(m, rhs)
+                dy = basis.unvec(sol[:-1])
+                dt = float(sol[-1])
+                dzw = -dy
+                dzs = -dy
+                dy_in = _tr_out(dy, d_out, d_in)
+                dzrho = dy_in - dt * np.eye(d_in)
+                dw = _herm(rw + tw @ dy @ tw)
+                ds = _herm(rs + ts @ dy @ ts)
+                drho = _herm(rrho - trho @ dy_in @ trho + dt * trho2)
+                return dw, ds, drho, dy, dt, dzw, dzs, dzrho
 
-        def step_sizes(*dx):
-            # dx: the steps of w, s, rho, zw, zs and zrho
-            steps = [_max_step(r, d) for r, d in zip(isqrts, dx)]
-            ap = min(*steps[:3], 1.0 / step_fraction)
-            ad = min(*steps[3:], 1.0 / step_fraction)
-            return min(1.0, step_fraction * ap), min(1.0, step_fraction * ad)
+            def step_sizes(*dx):
+                # dx: the steps of w, s, rho, zw, zs and zrho
+                steps = [_max_step(r, d) for r, d in zip(isqrts, dx)]
+                ap = min(*steps[:3], 1.0 / step_fraction)
+                ad = min(*steps[3:], 1.0 / step_fraction)
+                return min(1.0, step_fraction * ap), min(1.0, step_fraction * ad)
 
-        # predictor
-        aff = newton(-w, -s, -rho)
-        ap, ad = step_sizes(aff[0], aff[1], aff[2], aff[5], aff[6], aff[7])
-        mu_aff = (
-            _ip(w + ap * aff[0], zw + ad * aff[5])
-            + _ip(s + ap * aff[1], zs + ad * aff[6])
-            + _ip(rho + ap * aff[2], zrho + ad * aff[7])
-        ) / total_dim
-        sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
+            # predictor
+            aff = newton(-w, -s, -rho)
+            ap, ad = step_sizes(aff[0], aff[1], aff[2], aff[5], aff[6], aff[7])
+            mu_aff = (
+                _ip(w + ap * aff[0], zw + ad * aff[5])
+                + _ip(s + ap * aff[1], zs + ad * aff[6])
+                + _ip(rho + ap * aff[2], zrho + ad * aff[7])
+            ) / total_dim
+            sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
 
-        # corrector with a second-order term
-        def corr(x, dx_aff, z_inv, dz_aff):
-            second = dx_aff @ dz_aff @ z_inv
-            return _herm(sigma * mu * z_inv - x - 0.5 * (second + second.conj().T))
+            # corrector with a second-order term
+            def corr(x, dx_aff, z_inv, dz_aff):
+                second = dx_aff @ dz_aff @ z_inv
+                return _herm(sigma * mu * z_inv - x - 0.5 * (second + second.conj().T))
 
-        dw, ds, drho, dy, dt, dzw, dzs, dzrho = newton(
-            corr(w, aff[0], zw_inv, aff[5]),
-            corr(s, aff[1], zs_inv, aff[6]),
-            corr(rho, aff[2], zrho_inv, aff[7]),
-        )
-        if not all(np.all(np.isfinite(a)) for a in (dw, ds, drho, dy)) or not np.isfinite(dt):
-            break
-        ap, ad = step_sizes(dw, ds, drho, dzw, dzs, dzrho)
+            dw, ds, drho, dy, dt, dzw, dzs, dzrho = newton(
+                corr(w, aff[0], zw_inv, aff[5]),
+                corr(s, aff[1], zs_inv, aff[6]),
+                corr(rho, aff[2], zrho_inv, aff[7]),
+            )
+            if not all(np.all(np.isfinite(a)) for a in (dw, ds, drho, dy)) or not np.isfinite(dt):
+                break
+            ap, ad = step_sizes(dw, ds, drho, dzw, dzs, dzrho)
 
-        w = _herm(w + ap * dw)
-        s = _herm(s + ap * ds)
-        rho = _herm(rho + ap * drho)
-        y = _herm(y + ad * dy)
-        t = t + ad * dt
-        zw, zs, zrho = slacks(y, t)
+            w = _herm(w + ap * dw)
+            s = _herm(s + ap * ds)
+            rho = _herm(rho + ap * drho)
+            y = _herm(y + ad * dy)
+            t = t + ad * dt
+            zw, zs, zrho = slacks(y, t)
+    except np.linalg.LinAlgError as exc:
+        raise SdpConvergenceError(
+            f"diamond SDP broke down ({exc}) at duality gap {best_gap:.3e}", best_gap
+        ) from exc
 
     gap = _ip(w, zw) + _ip(s, zs) + _ip(rho, zrho)
     value = 0.5 * (_ip(j, w) - t)

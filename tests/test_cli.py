@@ -31,6 +31,15 @@ SMALL_XEB = {
     "shots": 500,
 }
 
+SMALL_SPAM = {
+    "width": 4,
+    "depths": [1],
+    "randomizations": 2,
+    "shots": 100,
+    "calib_shots": 100,
+    "layer_fit_depths": [2, 4, 8],
+}
+
 
 class TestSeedDerive:
     def test_same_path_same_stream(self):
@@ -208,23 +217,42 @@ class TestRunScenario:
             for name in ("reference", "readout", "layer_fidelity"):
                 assert series["unmitigated"] < series[name]
 
+    def test_spam_compare_records_failures(self, tmp_path):
+        # SPAM at the validity edge leaves no positive decay point to fit,
+        # so every cell records the failed layer fit and the run goes on
+        overrides = dict(SMALL_SPAM, width=3, depths=[2], prep_error=0.45, meas_error=0.45)
+        run_scenario(validate_config("spam-compare", overrides, 0, str(tmp_path)))
+        with open(tmp_path / "results.csv", newline="") as fh:
+            failed = [r for r in csv.DictReader(fh) if r["protocol"].endswith("_failed")]
+        assert "layer_fidelity_failed" in {r["protocol"] for r in failed}
+        assert all(r["seed"] and r["estimate"] == "" for r in failed)
+        with open(tmp_path / "spam_compare_summary.csv", newline="") as fh:
+            series = {r["series"] for r in csv.DictReader(fh)}
+        assert "layer_fidelity" not in series and "unmitigated" in series
+
 
 class TestCliCommands:
     def test_run_and_plot(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(SMALL_XEB))
-        out = tmp_path / "run"
-        rc = main(
-            ["run", "xeb-compare", "--config", str(cfg_file), "--seed", "3",
-             "--out", str(out)]
-        )
-        assert rc == 0
-        assert (out / "results.csv").exists()
-        svg_out = tmp_path / "fig.svg"
-        rc = main(["plot", str(out / "xeb_summary.csv"), "--kind", "bars",
-                   "--out", str(svg_out)])
-        assert rc == 0
-        assert svg_out.read_text().startswith("<svg")
+        for scenario, overrides, summary in (
+            ("xeb-compare", SMALL_XEB, "xeb_summary.csv"),
+            # depth 1 once stopped part-way (exit 3): the layer fit's second
+            # brick parity had no noise entry
+            ("spam-compare", SMALL_SPAM, "spam_compare_summary.csv"),
+        ):
+            cfg_file.write_text(json.dumps(overrides))
+            out = tmp_path / scenario
+            rc = main(
+                ["run", scenario, "--config", str(cfg_file), "--seed", "3",
+                 "--out", str(out)]
+            )
+            assert rc == 0
+            assert (out / "results.csv").exists()
+            svg_out = tmp_path / "fig.svg"
+            rc = main(["plot", str(out / summary), "--kind", "bars",
+                       "--out", str(svg_out)])
+            assert rc == 0
+            assert svg_out.read_text().startswith("<svg")
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

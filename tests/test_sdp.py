@@ -99,11 +99,19 @@ class TestDiagnostics:
         assert res.iterations > 0
         assert res.duality_gap <= 1e-9
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unreachable_gap_raises_with_gap(self):
         with pytest.raises(SdpConvergenceError) as err:
             solve_diamond_sdp(*INSTANCES["x_flip"], gap_tol=1e-18, gap_required=1e-17, max_iter=40)
         assert err.value.gap > 0
+
+    @pytest.mark.parametrize("name", ["depolarizing", "pauli_1q", "pauli_2q"])
+    def test_linear_algebra_breakdown_raises_with_gap(self, name):
+        # driven past round-off, the Newton system turns singular (one qubit)
+        # or a step overflows once scaled (two qubits); neither numpy's error
+        # nor its floating-point warnings escape
+        with pytest.raises(SdpConvergenceError, match="broke down") as err:
+            solve_diamond_sdp(*INSTANCES[name], gap_tol=1e-18, gap_required=1e-8, max_iter=40)
+        assert 0 < err.value.gap < 1e-14
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_eigenvalue_clips_counted(self):
