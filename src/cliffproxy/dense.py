@@ -9,10 +9,9 @@ channel's transfer matrix is exactly the Walsh transform of its
 probability vector.
 
 A circuit's transfer matrix is built gate by gate: each gate's 4 x 4 or
-16 x 16 noisy transfer matrix acts on the row axes of the running matrix
-through the same appliers the statevector sampler uses, with one-qubit
-errors at the X90 pulses inside the five-pulse form, where the sampler
-also puts them.
+16 x 16 noisy transfer matrix acts on the row axes of the running matrix,
+with one-qubit errors at the X90 pulses inside the five-pulse form, where
+the statevector sampler also puts them.
 
 Computational-basis integers put qubit 0 on the most significant bit.
 Dense transfer matrices are capped at n <= 4 and the diamond-norm SDP at
@@ -32,11 +31,11 @@ from .circuits import (
     EulerGate1Q,
     LayeredCircuit,
     OneQubitLayer,
+    TwoQubitLayer,
     gate_unitary,
 )
-from .clifford import RX90 as _RX90, _rz, one_qubit_cliffords
-from .noise import NoiseModel, SpamModel, _local_pauli
-from .pauli import PauliString
+from .clifford import _PAULIS, RX90 as _RX90, one_qubit_cliffords
+from .noise import NoiseModel, SpamModel
 
 __all__ = [
     "Ptm",
@@ -50,7 +49,6 @@ __all__ = [
     "choi_of_ptm",
     "diamond_distance",
     "apply_circuit",
-    "apply_pauli",
     "statevector_simulate",
     "ideal_output_probs",
 ]
@@ -95,15 +93,9 @@ class ChoiMatrix:
 @lru_cache(maxsize=8)
 def _pauli_stack(n: int) -> np.ndarray:
     """All 4^n Pauli matrices stacked in label order."""
-    singles = [
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
     stack = np.array([[[1.0]]], dtype=complex)
     for _ in range(n):
-        stack = np.einsum("kab,lcd->klacbd", stack, np.array(singles)).reshape(
+        stack = np.einsum("kab,lcd->klacbd", stack, _PAULIS).reshape(
             -1, stack.shape[1] * 2, stack.shape[1] * 2
         )
     return stack
@@ -131,43 +123,28 @@ def apply_2q(state: np.ndarray, u4: np.ndarray, a: int, b: int, n: int) -> np.nd
     return t.reshape(state.shape)
 
 
-def _parity(values: np.ndarray, mask: int) -> np.ndarray:
-    v = (values & np.int64(mask)).astype(np.int64)
+@lru_cache(maxsize=4)
+def _parities(dim: int) -> np.ndarray:
+    """Parity of the set bits of each integer below ``dim``, a power of two."""
+    v = np.arange(dim, dtype=np.int64)
     for shift in (32, 16, 8, 4, 2, 1):
         v ^= v >> shift
-    return (v & 1).astype(np.int64)
+    return v & 1
 
 
-def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
-    """Apply a signed Pauli to a statevector (qubit 0 = msb); trailing axes
-    of ``state`` are batch axes."""
-    return _apply_pauli_masks(state, *_pauli_masks(p))
-
-
-def _pauli_masks(p: PauliString) -> tuple[int, int, complex]:
-    """X and Z bit masks (qubit 0 = msb) and phase of a signed Pauli."""
-    n = p.n
-    xmask = zmask = 0
-    n_y = 0
-    for q in range(n):
-        bitpos = n - 1 - q
-        code = p.code(q)
-        if code in (1, 2):
-            xmask |= 1 << bitpos
-        if code in (2, 3):
-            zmask |= 1 << bitpos
-        if code == 2:
-            n_y += 1
-    return xmask, zmask, p.phase * (-1j) ** n_y
-
-
-def _apply_pauli_masks(state: np.ndarray, xmask: int, zmask: int, phase: complex) -> np.ndarray:
-    idx = np.arange(len(state), dtype=np.int64)
-    out = state[idx ^ xmask]
-    signs = 1.0 - 2.0 * _parity(idx, zmask)
-    out *= signs.reshape((-1,) + (1,) * (state.ndim - 1))
-    out *= phase
-    return out
+@lru_cache(maxsize=1024)
+def _local_masks(n: int, qubits, label: int) -> tuple[int, int, complex]:
+    """X and Z bit masks (qubit 0 = msb) and phase, as phase Z^z X^x, of
+    the Pauli with a local label's letters on ``qubits``, the first qubit
+    taking the most significant digit."""
+    x = z = 0
+    phase = 1.0 + 0j
+    for q in reversed(qubits):
+        code, label = label & 3, label >> 2
+        x |= (code in (1, 2)) << (n - 1 - q)
+        z |= (code in (2, 3)) << (n - 1 - q)
+        phase *= -1j if code == 2 else 1
+    return x, z, phase
 
 
 def apply_circuit(state: np.ndarray, circuit: LayeredCircuit) -> np.ndarray:
@@ -329,6 +306,19 @@ def diamond_distance(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _entangler_layer(layer: TwoQubitLayer, n: int) -> np.ndarray:
+    """A CNOT layer's row gather ``state[op]``, or a CZ layer's +-1 diagonal
+    ``state * op``, for (2^n, columns) statevectors."""
+    ar = np.arange(2**n)
+    cnot = layer.gate == "CNOT"
+    op = ar if cnot else np.ones((2**n, 1))
+    for a, b in layer.pairs:
+        ca, cb = (ar >> (n - 1 - a)) & 1, (ar >> (n - 1 - b)) & 1
+        op = op[ar ^ (ca << (n - 1 - b))] if cnot else op * (1 - 2 * (ca & cb))[:, None]
+    return op
+
+
 def _zero_state(n: int) -> np.ndarray:
     v = np.zeros(2**n, dtype=complex)
     v[0] = 1.0
@@ -360,10 +350,14 @@ def statevector_simulate(
     hits in draw order.  Shots sharing a pattern share one column of a
     (2^n, patterns) amplitude array that runs through the circuit in a
     single pass, in sorted pattern order (fault-free first); patterns are
-    taken in chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes.  Output
-    samples read one block of ``shots`` uniforms, sliced in pattern order,
-    so the generator's stream is that of one ``choice`` per draw and per
-    pattern.  Returns integers with qubit 0 on the most significant bit.
+    taken in chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes.  Each gate
+    acts on all columns at once; after each layer, one step applies all of
+    its Pauli faults, composed per column into one signed Pauli, and a few
+    more its pulse faults, each a 2 x 2 operator after the Euler gate (see
+    :func:`_layer_faults`), on the columns that carry them.  Output samples
+    read one block of ``shots`` uniforms, sliced in pattern order, so the
+    generator's stream is that of one ``choice`` per draw and per pattern.
+    Returns integers with qubit 0 on the most significant bit.
     """
     n = circuit.n
     if n > STATEVECTOR_LIMIT:
@@ -417,109 +411,124 @@ def statevector_simulate(
     label = np.concatenate([h[1] for h in hits] + [np.zeros(0, np.intp)])
     index = np.repeat(np.arange(len(hits)), [len(h[0]) for h in hits])
     order = np.lexsort((index, shot))
-    faulted, starts = np.unique(shot[order], return_index=True)
+    shot = shot[order]
     pairs = list(zip(index[order].tolist(), label[order].tolist()))
-    bounds = starts.tolist() + [len(pairs)]
-    patterns = {(): np.setdiff1d(np.arange(shots), faulted).tolist()}
-    for s, a, b in zip(faulted.tolist(), bounds, bounds[1:]):
+    bounds = np.flatnonzero(np.diff(shot, prepend=-1)).tolist() + [len(pairs)]
+    free = np.ones(shots, dtype=bool)
+    free[shot] = False
+    patterns = {(): np.flatnonzero(free).tolist()}
+    for s, a, b in zip(shot[bounds[:-1]].tolist(), bounds, bounds[1:]):
         patterns.setdefault(tuple(pairs[a:b]), []).append(s)
     keys = sorted(key for key, ids in patterns.items() if ids)
-    groups = [patterns[key] for key in keys]
-    all_faults = np.zeros((len(keys), len(draws)), dtype=np.uint8)
-    for g, key in enumerate(keys):
-        all_faults[g, [di for di, _ in key]] = [lab for _, lab in key]
-    # each distinct (draw, label) fault of the patterns, built once
-    masks: dict[int, list] = {}
-    for di, lab in sorted({hit for key in keys for hit in key}):
-        masks.setdefault(di, []).append((lab, _pauli_masks(_local_pauli(n, draws[di][1], lab))))
-
-    after: dict[int, list[int]] = {}
-    pulses: dict[tuple[int, int], list[int]] = {}
-    for di, (li, qubits, pulse) in enumerate(draws):
-        if pulse is None:
-            after.setdefault(li, []).append(di)
-        else:
-            pulses.setdefault((li, qubits[0]), []).append(di)
-    unitaries = {
-        li: [gate_unitary(g) for g in layer.gates]
-        for li, layer in enumerate(circuit.layers)
-        if isinstance(layer, OneQubitLayer)
-    }
-    pulse_rz = {
-        (li, q): [_rz(phi) for phi in reversed(circuit.layers[li].gates[q].angles)]
-        for li, q in pulses
-    }
 
     # the patterns' output samples read consecutive slices of one block
-    ends = np.cumsum([len(ids) for ids in groups])
+    ends = np.cumsum([len(patterns[key]) for key in keys])
     uniforms = np.split(rng.random(shots), ends[:-1])
     results = np.zeros(shots, dtype=np.int64)
     width = max(1, _CHUNK_AMPLITUDES // 2**n)
-    for start in range(0, len(groups), width):
-        chunk = groups[start : start + width]
-        faults = all_faults[start : start + width]
+    for start in range(0, len(keys), width):
+        chunk = keys[start : start + width]
+        faults = _layer_faults(circuit, draws, chunk)
         state = np.zeros((2**n, len(chunk)), dtype=complex)
         state[0] = 1.0
-        _apply_faults(state, after.get(-1, ()), faults, masks)
-        for li, layer in enumerate(circuit.layers):
+        # layer index -1 holds the prep flips
+        for li, layer in [(-1, None), *enumerate(circuit.layers)]:
             if isinstance(layer, OneQubitLayer):
-                for q, u in enumerate(unitaries[li]):
-                    pair = pulses.get((li, q), [])
-                    hit = np.nonzero(faults[:, pair].any(axis=1))[0]
-                    if len(hit):
-                        # Z(phi3), X90, fault 0, Z(phi2), X90, fault 1, Z(phi1)
-                        rz3, rz2, rz1 = pulse_rz[li, q]
-                        sub = apply_1q(state[:, hit], rz3, q, n)
-                        for di, rz in zip(pair, (rz2, rz1)):
-                            sub = apply_1q(sub, _RX90, q, n)
-                            _apply_faults(sub, (di,), faults[hit], masks)
-                            sub = apply_1q(sub, rz, q, n)
-                    state = apply_1q(state, u, q, n)
-                    if len(hit):
-                        state[:, hit] = sub
-            else:
-                state = apply_circuit_layer(state, layer, n)
-            _apply_faults(state, after.get(li, ()), faults, masks)
-        probs = np.abs(state) ** 2
-        for j, (ids, block) in enumerate(zip(chunk, uniforms[start : start + width])):
-            total = probs[:, j].sum()
-            if not (np.isfinite(total) and total > 0.0):
-                raise ValueError(f"output probabilities sum to {total}")
-            results[ids] = _cdf(probs[:, j] / total).searchsorted(block, side="right")
+                for q, gate in enumerate(layer.gates):
+                    t = state.reshape(2**q, 2, -1)
+                    state = np.matmul(gate_unitary(gate), t).reshape(state.shape)
+            elif layer is not None:
+                op = _entangler_layer(layer, n)
+                state = state[op] if layer.gate == "CNOT" else state * op
+            for apply, *args in faults.get(li, ()):
+                apply(state, *args)
+        # choice's cumulative distribution for all patterns, one row each
+        probs = np.abs(state.T, order="C") ** 2
+        total = probs.sum(axis=1, keepdims=True)
+        bad = ~(np.isfinite(total) & (total > 0.0))
+        if bad.any():
+            raise ValueError(f"output probabilities sum to {total[bad][0]}")
+        cdf = np.cumsum(probs / total, axis=1)
+        cdf /= cdf[:, -1:]
+        for row, key, block in zip(cdf, chunk, uniforms[start : start + width]):
+            results[patterns[key]] = row.searchsorted(block, side="right")
 
     if spam is not None:
         results = _apply_meas_flips(results, spam, rng)
     return results
 
 
-def _cdf(p) -> np.ndarray:
-    """Cumulative distribution of ``p``, normalised as ``Generator.choice`` does."""
-    cdf = np.asarray(p, dtype=float).cumsum()
-    cdf /= cdf[-1]
-    return cdf
+def _layer_faults(circuit: LayeredCircuit, draws: list, keys: list) -> dict[int, list]:
+    """The faults of pattern ``keys``, the columns of one chunk, as
+    ``(apply, *args)`` steps to take after each layer index.
+
+    A layer's Pauli faults compose, per column, into one signed Pauli
+    phase Z^z X^x, all applied in one step.  A fault P at X90 pulse k of an
+    Euler gate becomes W = A P A^dagger after the gate, with A = Z(phi1)
+    for pulse 1 and Z(phi1) X90 Z(phi2) for pulse 0; step r applies each
+    column's r-th such W in draw order, so pulse 0's W acts first.
+    """
+    n = circuit.n
+    composed: dict[int, dict] = {}
+    pulse_hits = []
+    for col, key in enumerate(keys):
+        count: dict[int, int] = {}
+        for di, lab in key:
+            li, qubits, pulse = draws[di]
+            if pulse is None:
+                x, z, phase = _local_masks(n, qubits, lab)
+                acc = composed.setdefault(li, {}).setdefault(col, [col, 0, 0, 1.0 + 0j])
+                # X^x moves left past the Z of the column's earlier faults
+                acc[3] *= phase * (-1) ** (x & acc[2]).bit_count()
+                acc[1] ^= x
+                acc[2] ^= z
+            else:
+                count[li] = count.get(li, -1) + 1
+                phi1, phi2, _ = circuit.layers[li].gates[qubits[0]].angles
+                pulse_hits.append((li, count[li], col, n - 1 - qubits[0], pulse, lab, phi1, phi2))
+    steps: dict[int, list] = {}
+    if pulse_hits:
+        li, rank, col, shift, pulse, lab, phi1, phi2 = map(np.array, zip(*sorted(pulse_hits)))
+        # the diagonals of Z(phi1) and Z(phi2)
+        e1, e2 = (np.exp(np.multiply.outer(phi, [-0.5j, 0.5j])) for phi in (phi1, phi2))
+        a = e1[:, :, None] * np.where(pulse[:, None, None] == 0, _RX90 * e2[:, None, :], np.eye(2))
+        w = a @ _PAULIS[lab] @ a.conj().swapaxes(1, 2)
+        cuts = np.flatnonzero(np.diff(li, prepend=-1) | np.diff(rank, prepend=-1))
+        for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), len(li)]):
+            batch = (_apply_pulses, col[lo:hi], shift[lo:hi], w[lo:hi])
+            steps.setdefault(int(li[lo]), []).append(batch)
+    for li, accs in composed.items():
+        steps.setdefault(li, []).append((_apply_paulis, *map(np.array, zip(*accs.values()))))
+    return steps
+
+
+def _apply_paulis(state, col, x, z, phase) -> None:
+    """Replace each column ``col[j]`` of ``state`` by its image under the
+    signed Pauli phase[j] Z^z[j] X^x[j] (bit masks, qubit 0 = msb)."""
+    rows = np.arange(len(state))[:, None]
+    signs = 1 - 2 * _parities(len(state))[rows & z]
+    state[:, col] = state[rows ^ x, col] * (signs * phase)
+
+
+def _apply_pulses(state, col, shift, w) -> None:
+    """Replace each column ``col[j]`` of ``state`` by its image under the
+    2 x 2 operator w[j] on the qubit at bit ``shift[j]``."""
+    rows = np.arange(len(state))[:, None]
+    bit = 1 << shift
+    low, b = rows & ~bit, (rows & bit) >> shift
+    j = np.arange(len(col))
+    state[:, col] = w[j, b, 0] * state[low, col] + w[j, b, 1] * state[low | bit, col]
 
 
 def _choice_hits(rng: np.random.Generator, p, shots: int) -> tuple[np.ndarray, np.ndarray]:
     """Shots and labels of ``rng.choice(len(p), size=shots, p=p)`` whose label
     is not 0, from the same uniforms, leaving the generator in the same state."""
-    cdf = _cdf(p)
+    # the cumulative distribution as choice normalises it
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
     u = rng.random(shots)
     hit = np.nonzero(u >= cdf[0])[0]
     return hit, cdf.searchsorted(u[hit], side="right")
-
-
-def _apply_faults(state, indices, faults, masks) -> None:
-    """Apply the faults of draws ``indices``, in order and in place, each to
-    the columns of ``state`` whose row of ``faults`` carries its label;
-    ``masks`` lists each draw's labels with their :func:`_pauli_masks`."""
-    for di in indices:
-        column = faults[:, di]
-        if di not in masks or not column.any():
-            continue
-        for lab, fault in masks[di]:
-            hit = np.nonzero(column == lab)[0]
-            if len(hit):
-                state[:, hit] = _apply_pauli_masks(state[:, hit], *fault)
 
 
 def _apply_meas_flips(

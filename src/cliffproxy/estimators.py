@@ -80,6 +80,8 @@ __all__ = [
 
 # fewest calibration shots readout_mitigated_dfe accepts per confusion matrix
 MIN_CALIB_SHOTS = 100
+# readout_mitigated_dfe's floor on a Pauli's divisor, dfe_with_reference's on its reference
+READOUT_FLOOR = 0.01
 
 
 class ReferenceTooNoisyError(ValueError):
@@ -87,7 +89,7 @@ class ReferenceTooNoisyError(ValueError):
 
 
 class SingularCalibrationError(ValueError):
-    """A confusion matrix came out (near-)singular, e0 + e1 >= 1."""
+    """A confusion matrix or a sampled Pauli's readout divisor is (near-)singular."""
 
 
 @dataclass(frozen=True)
@@ -327,6 +329,8 @@ def readout_mitigated_dfe(
     circuits.  Preparation flips are indistinguishable from measurement
     flips in that calibration and end up inside the mitigation divisor;
     the residual bias this causes is part of the per-observable spread.
+    A sampled Pauli's divisor, the product of 1 - e0 - e1 over its support,
+    at or below ``READOUT_FLOOR`` raises ``SingularCalibrationError``.
     """
     if calib_shots < MIN_CALIB_SHOTS:
         raise ValueError(f"calibration needs at least {MIN_CALIB_SHOTS} shots")
@@ -349,6 +353,8 @@ def readout_mitigated_dfe(
     for s in samples:
         for q in s.pauli.support:
             s.divisor *= divisors[q]
+        if s.divisor <= READOUT_FLOOR:
+            raise SingularCalibrationError(f"{s.pauli} divisor {s.divisor:.3g} <= {READOUT_FLOOR}")
     return _aggregate(samples, n, config, {"protocol": "dfe_readout_mitigated"})
 
 

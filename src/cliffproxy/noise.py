@@ -329,18 +329,6 @@ def _draw_missing_entries(
                     model.two_qubit[key] = sample_gate(2, two_q_budget)
 
 
-def _local_pauli(n: int, qubits, label: int) -> PauliString:
-    """n-qubit Pauli, sign +1, with a local label's letters on ``qubits``
-    (the first qubit takes the most significant digit)."""
-    x = z = 0
-    for q in reversed(qubits):
-        xq, zq = XZ_FROM_CODE[label & 3]
-        label >>= 2
-        x |= xq << q
-        z |= zq << q
-    return PauliString(n, x, z)
-
-
 def _check_width(n: int, limit: int) -> None:
     if n > limit:
         raise FoldSizeError(

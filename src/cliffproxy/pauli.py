@@ -182,9 +182,6 @@ class PauliString:
     def negate(self) -> "PauliString":
         return PauliString(self.n, self.x_bits, self.z_bits, self.phase_exp + 2)
 
-    def with_sign(self, sign: int) -> "PauliString":
-        return PauliString(self.n, self.x_bits, self.z_bits, 0 if sign == 1 else 2)
-
     def __str__(self) -> str:
         if self.phase_exp % 2:
             raise ValueError("text encoding only covers +-1 phases")

@@ -36,7 +36,7 @@ from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy import sdp
-from cliffproxy.pauli import PauliString, pauli_walsh, sample_uniform
+from cliffproxy.pauli import XZ_FROM_CODE, PauliString, pauli_walsh, sample_uniform
 
 # ---------------------------------------------------------------------------
 # tableau walk
@@ -526,6 +526,34 @@ def layer_unitary_ptm(circuit, noise=None, spam=None, layer_offset=0) -> dn.Ptm:
 # ---------------------------------------------------------------------------
 
 
+def local_pauli(n: int, qubits, label: int) -> PauliString:
+    """n-qubit Pauli, sign +1, with a local label's letters on ``qubits``
+    (the first qubit takes the most significant digit)."""
+    x = z = 0
+    for q in reversed(qubits):
+        xq, zq = XZ_FROM_CODE[label & 3]
+        label >>= 2
+        x |= xq << q
+        z |= zq << q
+    return PauliString(n, x, z)
+
+
+def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
+    """Apply a signed Pauli to a statevector (qubit 0 = msb); trailing axes
+    of ``state`` are batch axes."""
+    n = p.n
+    xmask = zmask = n_y = 0
+    for q in range(n):
+        code = p.code(q)
+        xmask |= (code in (1, 2)) << (n - 1 - q)
+        zmask |= (code in (2, 3)) << (n - 1 - q)
+        n_y += code == 2
+    idx = np.arange(len(state), dtype=np.int64)
+    signs = 1.0 - 2.0 * np.array([bin(i & zmask).count("1") % 2 for i in idx])
+    out = state[idx ^ xmask] * signs.reshape((-1,) + (1,) * (state.ndim - 1))
+    return out * (p.phase * (-1j) ** n_y)
+
+
 def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
     """The sampler before batching: the same draws, then one statevector run
     per distinct fault pattern in sorted order."""
@@ -580,13 +608,13 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
         for di, lab in key:
             entry = draws[di]
             if entry[0] == "post":
-                post.setdefault(entry[1], []).append(nz._local_pauli(n, entry[2], lab))
+                post.setdefault(entry[1], []).append(local_pauli(n, entry[2], lab))
             else:
                 pulse_faults.setdefault((entry[1], entry[2]), {})[entry[3]] = lab
         state = np.zeros(2**n, dtype=complex)
         state[0] = 1.0
         for fault in post.get(-1, []):
-            state = dn.apply_pauli(state, fault)
+            state = apply_pauli(state, fault)
         for li, layer in enumerate(circuit.layers):
             if isinstance(layer, cc.TwoQubitLayer):
                 state = dn.apply_circuit_layer(state, layer, n)
@@ -600,10 +628,10 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
                     for u, pulse in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None), (cl.RX90, 1)):
                         state = dn.apply_1q(state, u, q, n)
                         if pulse in faults:
-                            state = dn.apply_pauli(state, nz._local_pauli(n, (q,), faults[pulse]))
+                            state = apply_pauli(state, local_pauli(n, (q,), faults[pulse]))
                     state = dn.apply_1q(state, cl._rz(phi1), q, n)
             for fault in post.get(li, []):
-                state = dn.apply_pauli(state, fault)
+                state = apply_pauli(state, fault)
         probs = np.abs(state) ** 2
         probs /= probs.sum()
         results[np.array(shot_ids)] = rng.choice(2**n, size=len(shot_ids), p=probs)

@@ -231,6 +231,19 @@ class TestRunScenario:
         assert "layer_fidelity" not in series and "unmitigated" in series
 
 
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_spam_compare_readout_divisor_floor(self, tmp_path, seed):
+        # every qubit's calibration passes, but the sampled Paulis' readout
+        # divisors fall to 1.6e-4, 7.6e-4 and 5.2e-5 at these seeds, which
+        # once wrote estimates of -9.88, -0.198 and 30.10 as valid
+        overrides = dict(width=3, depths=[2], prep_error=0.45, meas_error=0.45, calib_shots=100)
+        run_scenario(validate_config("spam-compare", overrides, seed, str(tmp_path)))
+        with open(tmp_path / "results.csv", newline="") as fh:
+            protocols = {r["protocol"] for r in csv.DictReader(fh)}
+        assert "readout_failed" in protocols
+        assert not protocols & {"readout", "readout_pauli"}
+
+
 class TestCliCommands:
     def test_run_and_plot(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

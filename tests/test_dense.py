@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,13 @@ from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliChannel, PauliString
-from oracles import circuit_unitary, layer_unitary_ptm, per_pattern_simulate
+from oracles import (
+    apply_pauli,
+    circuit_unitary,
+    layer_unitary_ptm,
+    local_pauli,
+    per_pattern_simulate,
+)
 from test_noise import _fold_model
 
 
@@ -498,10 +507,109 @@ class TestBatchedSampler:
         circ, _, _ = _same_seed_case("haar", 4, False, True, 0)
         _assert_same_samples(circ, None, None, 0)
 
+    @pytest.mark.parametrize("kind", ["haar", "clifford"])
+    @pytest.mark.parametrize("topology", ["line", "ring"])
+    @pytest.mark.parametrize("gate", ["CZ", "CNOT"])
+    def test_entanglers_with_high_qubit_first(self, kind, topology, gate):
+        # every pair reversed, so each lists its high qubit first, and a
+        # pair fault's first letter lands on the higher qubit
+        rng = np.random.default_rng(40 + (gate == "CNOT") + 2 * (topology == "ring"))
+        base = _ptm_case(4, kind, topology, "CNOT", 4, rng)
+        circ = cc.LayeredCircuit(4, tuple(
+            cc.TwoQubitLayer(layer.pairs, gate) if isinstance(layer, cc.TwoQubitLayer) else layer
+            for layer in base.layers
+        ))
+        assert all(a > b for layer in circ.entangling_layers() for a, b in layer.pairs
+                   if {a, b} != {0, 3})
+        for markovian, offset in ((True, 0), (False, 3)):
+            model = _fold_model(circ, rng, markovian, offset)
+            _assert_same_samples(circ, model, nz.SpamModel.uniform(4, 0.05, 0.05), offset)
+
+    def test_both_pulses_and_neighbour_fault_in_one_layer(self):
+        # qubit 0's X90 pulses always fault, so every shot carries two
+        # post-gate pulse operators on it, and most also carry its Clifford
+        # neighbour's compiled fault and qubit 2's pulse faults in that layer
+        h = cc.CliffordGate1Q(cl.one_qubit_gate_index("H"))
+        euler = (cc.EulerGate1Q(0.3, -1.1, 2.0), cc.EulerGate1Q(-0.7, 0.4, 1.3))
+        circ = cc.LayeredCircuit(3, (
+            cc.OneQubitLayer((euler[0], h, euler[1])),
+            cc.TwoQubitLayer(((1, 0),)),
+            cc.OneQubitLayer((euler[1], euler[0], h)),
+        ))
+        one = {0: nz.GateNoise([0.0, 0.5, 0.3, 0.2]), 1: nz.GateNoise([0.6, 0.2, 0.1, 0.1]),
+               2: nz.GateNoise([0.7, 0.1, 0.1, 0.1])}
+        two = {("CZ", 0, 1): nz.GateNoise.from_rates(np.full(15, 0.01))}
+        model = nz.NoiseModel(True, one, two)
+        assert model.compiled_1q_channel(0, 1, h)[0] < 0.5
+        _assert_same_samples(circ, model, None, 0, shots=800)
+
+    @pytest.mark.parametrize("kind, per_chunk", [("haar", 1), ("clifford", 3)])
+    def test_composed_faults_across_chunks_n8(self, monkeypatch, kind, per_chunk):
+        # several prep flips and pair faults per layer compose into one
+        # Pauli per pattern; chunks of one or three patterns split them
+        template, rng = brickwork(8, 3, 24, kind)
+        model = nz.sample_error_model(template, rng, 0.2, 0.05)
+        spam = nz.SpamModel.uniform(8, 0.1, 0.05)
+        monkeypatch.setattr(dn, "_CHUNK_AMPLITUDES", per_chunk * 2**8)
+        _assert_same_samples(template, model, spam, 0, shots=400)
+
+    def test_fault_steps_match_faults_in_place(self):
+        # overlapping Pauli faults compose, phase included, into the product
+        # of the single faults; post-gate pulse operators give the gate with
+        # the faults at its X90 pulses
+        rng = np.random.default_rng(30)
+        gates = tuple(cc.EulerGate1Q(*rng.uniform(-math.pi, math.pi, 3)) for _ in range(3))
+        circ = cc.LayeredCircuit(3, (cc.OneQubitLayer(gates),))
+        draws = [(-1, (0, 1), None), (-1, (2, 1), None), (-1, (0, 2), None), (-1, (1,), None),
+                 (0, (0,), 0), (0, (0,), 1), (0, (1,), 1)]
+        state = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
+        for _ in range(20):
+            key = tuple((di, int(rng.integers(1, 4 ** len(d[1])))) for di, d in enumerate(draws))
+            steps = dn._layer_faults(circ, draws, [key])
+            got, want = state.copy(), state
+            for apply, *args in steps[-1]:
+                apply(got, *args)
+            for di, lab in key[:4]:
+                want = apply_pauli(want, local_pauli(3, draws[di][1], lab))
+            np.testing.assert_array_equal(got, want)
+            for q, gate in enumerate(gates):
+                got = dn.apply_1q(got, cc.gate_unitary(gate), q, 3)
+            for apply, *args in steps[0]:
+                apply(got, *args)
+            pulse = {(draws[di][1][0], draws[di][2]): lab for di, lab in key[4:]}
+            for q, gate in enumerate(gates):
+                phi1, phi2, phi3 = gate.angles
+                for u, k in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None),
+                             (cl.RX90, 1), (cl._rz(phi1), None)):
+                    want = dn.apply_1q(want, u, q, 3)
+                    if (q, k) in pulse:
+                        want = apply_pauli(want, local_pauli(3, (q,), pulse[q, k]))
+            assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_no_masked_array_import(self):
+        # the sampler once pulled numpy.ma in through np.setdiff1d, some
+        # 20 ms of import in every fresh process
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from cliffproxy import circuits as cc, dense as dn, noise as nz\n"
+            "rng = np.random.default_rng(0)\n"
+            "circ = cc.sample_brickwork(cc.BrickworkSpec(3, 2), 'haar', rng)\n"
+            "model = nz.sample_error_model(circ, rng, 5e-2, 1e-2)\n"
+            "spam = nz.SpamModel.uniform(3, 0.05, 0.05)\n"
+            "dn.statevector_simulate(circ, model, rng, 500, spam=spam)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(cc.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_apply_pauli_batch_matches_columns(self):
         rng = np.random.default_rng(22)
         states = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
         p = PauliString.from_text("-YXZ")
-        batch = dn.apply_pauli(states, p)
+        batch = apply_pauli(states, p)
         for j in range(5):
-            np.testing.assert_array_equal(batch[:, j], dn.apply_pauli(states[:, j], p))
+            np.testing.assert_array_equal(batch[:, j], apply_pauli(states[:, j], p))

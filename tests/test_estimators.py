@@ -290,6 +290,20 @@ class TestReadoutMitigated:
                 proxy, None, None, est.DfeConfig(2, 1, 10), 50, rng
             )
 
+    def test_pauli_divisor_floor(self):
+        # each qubit's divisor is about 0.09, so a one-qubit Pauli passes,
+        # but a weight-two Pauli divides by about 0.0081, below the floor
+        config = est.DfeConfig(20, 1, 10)
+        for n in (1, 2):
+            circ = cc.LayeredCircuit(n, (cc.identity_layer(n),))
+            spam = nz.SpamModel((0.0,) * n, (0.455,) * n, (0.455,) * n)
+            args = (circ, None, spam, config, 100_000, np.random.default_rng(0))
+            if n == 1:
+                assert math.isfinite(est.readout_mitigated_dfe(*args).mean)
+            else:
+                with pytest.raises(est.SingularCalibrationError, match="0.01"):
+                    est.readout_mitigated_dfe(*args)
+
     def test_singular_confusion_matrix(self):
         proxy, rng = brickwork(2, 1, 21)
         spam = nz.SpamModel((0.49,) * 2, (0.49,) * 2, (0.49,) * 2)
