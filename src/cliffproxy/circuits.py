@@ -178,7 +178,6 @@ class BrickworkSpec:
     n: int
     layer_pairs: int
     topology: str = "line"
-    offset: int = 0
 
     def __post_init__(self):
         if self.n < 2:
@@ -187,18 +186,16 @@ class BrickworkSpec:
             raise ValueError("need at least one layer pair")
         if self.topology not in ("line", "ring"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.offset not in (0, 1):
-            raise ValueError("offset must be 0 or 1")
 
 
-def brickwork_pairs(n: int, layer_index: int, topology: str = "line", offset: int = 0):
+def brickwork_pairs(n: int, layer_index: int, topology: str = "line"):
     """Disjoint pairs of one brick layer.
 
     Even layers pair (0,1),(2,3),... and odd layers pair (1,2),(3,4),...
     On a ring with even n the odd layers additionally wrap with (n-1, 0);
     odd-n rings fall back to the line pattern so layers stay disjoint.
     """
-    parity = (layer_index + offset) % 2
+    parity = layer_index % 2
     pairs = [(q, q + 1) for q in range(parity, n - 1, 2)]
     if topology == "ring" and parity == 1 and n % 2 == 0:
         pairs.append((n - 1, 0))
@@ -230,9 +227,7 @@ def sample_brickwork(
     """Disordered brickwork circuit with i.i.d. random one-qubit layers."""
     layers: list[Layer] = [_sample_1q_layer(spec.n, kind, rng)]
     for d in range(spec.layer_pairs):
-        layers.append(
-            TwoQubitLayer(brickwork_pairs(spec.n, d, spec.topology, spec.offset))
-        )
+        layers.append(TwoQubitLayer(brickwork_pairs(spec.n, d, spec.topology)))
         layers.append(_sample_1q_layer(spec.n, kind, rng))
     return LayeredCircuit(spec.n, tuple(layers))
 
@@ -247,9 +242,7 @@ def sample_periodic(
     the square of the k-pair circuit's tableau.
     """
     brick_parity = int(rng.integers(2))
-    entangling = TwoQubitLayer(
-        brickwork_pairs(spec.n, brick_parity, spec.topology, spec.offset)
-    )
+    entangling = TwoQubitLayer(brickwork_pairs(spec.n, brick_parity, spec.topology))
     unit_1q = _sample_1q_layer(spec.n, kind, rng)
     layers: list[Layer] = [identity_layer(spec.n)]
     for _ in range(spec.layer_pairs):

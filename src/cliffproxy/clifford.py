@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2
+# |u00| or |u01| at or below this reads as zero in zxzxz_angles
+_EULER_TOL = 1e-9
 
 RX90 = np.array([[1, -1j], [-1j, 1]], dtype=complex) / math.sqrt(2)
 
@@ -81,7 +83,7 @@ def _wrap_angle(phi: float) -> float:
     return out
 
 
-def zxzxz_angles(u: np.ndarray, tol: float = 1e-9) -> tuple[float, float, float]:
+def zxzxz_angles(u: np.ndarray) -> tuple[float, float, float]:
     """Euler angles reproducing a 2x2 unitary up to global phase.
 
     Uses X90 Z(t) X90 = -i (sin(t/2) X-axis form), which pins |u00| and
@@ -97,13 +99,13 @@ def zxzxz_angles(u: np.ndarray, tol: float = 1e-9) -> tuple[float, float, float]
         raise ValueError("matrix is not unitary")
     s, c = s / norm, c / norm
     phi2 = 2.0 * math.atan2(s, c)
-    if s > tol and c > tol:
+    if s > _EULER_TOL and c > _EULER_TOL:
         gamma = (np.angle(u[0, 1]) + np.angle(u[1, 0]) + math.pi) / 2.0
         sum13 = 2.0 * (gamma - _HALF_PI - np.angle(u[0, 0]))
         diff13 = 2.0 * (gamma - _HALF_PI - np.angle(u[0, 1]))
         phi1 = _wrap_angle((sum13 + diff13) / 2.0)
         phi3 = _wrap_angle((sum13 - diff13) / 2.0)
-    elif s <= tol:
+    elif s <= _EULER_TOL:
         # phi2 = 0: only phi1 - phi3 is determined
         phi1 = 0.0
         phi3 = _wrap_angle(np.angle(u[0, 1]) - np.angle(u[1, 0]))

@@ -101,7 +101,7 @@ def _pauli_stack(n: int) -> np.ndarray:
     return stack
 
 
-def apply_1q(state: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
+def apply_1q(state: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
     """Apply ``u`` to one qubit's axis of ``state``: a 2 x 2 unitary to a
     statevector, or a 4 x 4 transfer matrix to transfer-matrix rows."""
     d = len(u)
@@ -177,7 +177,7 @@ def ptm_of_unitary(u: np.ndarray, n: int) -> Ptm:
 def apply_circuit_layer(state: np.ndarray, layer, n: int) -> np.ndarray:
     if isinstance(layer, OneQubitLayer):
         for q, gate in enumerate(layer.gates):
-            state = apply_1q(state, gate_unitary(gate), q, n)
+            state = apply_1q(state, gate_unitary(gate), q)
     else:
         u4 = _entangler_unitary(layer.gate)
         for a, b in layer.pairs:
@@ -227,7 +227,6 @@ def circuit_ptm(
     circuit: LayeredCircuit,
     noise: NoiseModel | None = None,
     spam: SpamModel | None = None,
-    layer_offset: int = 0,
 ) -> Ptm:
     """Transfer matrix of the (optionally noisy) circuit, n <= 4.
 
@@ -242,12 +241,11 @@ def circuit_ptm(
     mat = np.eye(4**n)
     if spam is not None:
         mat = mat * _spam_eigenvalues(n, [spam.prep_factor(q) for q in range(n)])[None, :]
-    for i, layer in enumerate(circuit.layers):
-        pos = i + layer_offset
+    for pos, layer in enumerate(circuit.layers):
         if isinstance(layer, OneQubitLayer):
             for q, gate in enumerate(layer.gates):
                 eig = None if noise is None else noise.xpi2_noise(pos, q).eigenvalues
-                mat = apply_1q(mat, _gate_ptm_1q(gate, eig), q, n)
+                mat = apply_1q(mat, _gate_ptm_1q(gate, eig), q)
         else:
             ideal = _entangler_ptm(layer.gate)
             for a, b in layer.pairs:
@@ -279,12 +277,7 @@ def choi_of_ptm(ptm: Ptm) -> ChoiMatrix:
     return ChoiMatrix(n, j)
 
 
-def diamond_distance(
-    ideal: Ptm,
-    noisy: Ptm,
-    gap_tol: float = 1e-9,
-    gap_required: float = 1e-8,
-) -> sdp.DiamondResult:
+def diamond_distance(ideal: Ptm, noisy: Ptm) -> sdp.DiamondResult:
     """Half diamond-norm distance between two channels via the SDP.
 
     An n = 2 solve takes about 50 ms; n = 3 is supported but takes about
@@ -296,9 +289,7 @@ def diamond_distance(
     if ideal.n > DIAMOND_LIMIT:
         raise ValueError(f"diamond-norm SDP capped at n={DIAMOND_LIMIT}")
     delta = choi_of_ptm(noisy).mat - choi_of_ptm(ideal).mat
-    return sdp.solve_diamond_sdp(
-        delta, 2**ideal.n, gap_tol=gap_tol, gap_required=gap_required
-    )
+    return sdp.solve_diamond_sdp(delta, 2**ideal.n)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +330,6 @@ def statevector_simulate(
     rng: np.random.Generator,
     shots: int,
     spam: SpamModel | None = None,
-    layer_offset: int = 0,
 ) -> np.ndarray:
     """Sample measured bitstrings from the noisy circuit.
 
@@ -384,23 +374,22 @@ def statevector_simulate(
                 draw([1.0 - p, p, 0.0, 0.0], -1, (q,), None)
     if noise is not None:
         for li, layer in enumerate(circuit.layers):
-            pos = li + layer_offset
             if isinstance(layer, OneQubitLayer):
                 for q, gate in enumerate(layer.gates):
                     if isinstance(gate, EulerGate1Q):
-                        eps = noise.xpi2_noise(pos, q).probs
+                        eps = noise.xpi2_noise(li, q).probs
                         if eps[0] >= 1.0:
                             continue
                         for pulse in (0, 1):
                             draw(eps, li, (q,), pulse)
                     else:
-                        probs = noise.compiled_1q_channel(pos, q, gate)
+                        probs = noise.compiled_1q_channel(li, q, gate)
                         if probs[0] >= 1.0:
                             continue
                         draw(probs, li, (q,), None)
             else:
                 for pair in layer.pairs:
-                    probs = noise.twoq_noise(pos, layer.gate, pair).probs
+                    probs = noise.twoq_noise(li, layer.gate, pair).probs
                     if probs[0] >= 1.0:
                         continue
                     draw(probs, li, tuple(pair), None)

@@ -138,12 +138,10 @@ def fidelity_to_polarization(f: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _walk(circuit, noise, spam, pauli, layer_offset):
+def _walk(circuit, noise, spam, pauli):
     """Gate-noise eigenvalues along the back-propagated letters times the
     prep (input support) and measurement (output support) attenuation."""
-    lam, codes = propagate_codes(
-        circuit, noise, [pauli.code(q) for q in range(pauli.n)], layer_offset
-    )
+    lam, codes = propagate_codes(circuit, noise, [pauli.code(q) for q in range(pauli.n)])
     if spam is not None:
         for q, code in enumerate(codes):
             if code:
@@ -177,9 +175,10 @@ def _sample_paulis(
     rng: np.random.Generator,
     target: LayeredCircuit | None,
     append: LayeredCircuit | None,
-    layer_offset: int,
 ) -> list[_PauliSample]:
-    """Per-observable parity estimates for all sampled Paulis."""
+    """Per-observable parity estimates for all sampled Paulis; with a
+    ``target``, each Cliffordization is followed by the Clifford ``append``
+    if one is given."""
     if target is None:
         if circuit is None:
             raise ValueError("either a circuit or a target is required")
@@ -191,14 +190,12 @@ def _sample_paulis(
         out = []
         for _ in range(config.num_paulis):
             p = sample_uniform_nonidentity(n, rng)
-            expected, _ = _walk(circuit, noise, spam, p, layer_offset)
+            expected, _ = _walk(circuit, noise, spam, p)
             value = _draw_parity(expected, config.shots_per_pauli, rng)
             out.append(_PauliSample(p, value))
         return out
 
     # combined randomization: a fresh Cliffordization per twirl
-    if append is not None and not append.is_clifford:
-        raise cl.NotCliffordError("the appended circuit must be Clifford")
     n = target.n
     out = []
     for _ in range(config.num_paulis):
@@ -208,7 +205,7 @@ def _sample_paulis(
             circ = cliffordize(target, rng)
             if append is not None:
                 circ = concatenate(circ, append)
-            expected, _ = _walk(circ, noise, spam, p, layer_offset)
+            expected, _ = _walk(circ, noise, spam, p)
             values.append(_draw_parity(expected, config.shots_per_twirl, rng))
         out.append(_PauliSample(p, float(np.mean(values))))
     return out
@@ -244,20 +241,14 @@ def dfe(
     config: DfeConfig,
     rng: np.random.Generator,
     target: LayeredCircuit | None = None,
-    append: LayeredCircuit | None = None,
-    layer_offset: int = 0,
 ) -> FidelityEstimate:
     """Direct fidelity estimate of a Clifford circuit under noise and SPAM.
 
     With ``target`` given, each twirl draws a fresh Cliffordization of the
     target (combined randomization); otherwise ``circuit`` is fixed and the
     Pauli-frame twirls pool into one binomial draw per observable.
-    ``append`` concatenates a fixed Clifford tail (e.g. a scrambler) after
-    each randomized instance.
     """
-    samples = _sample_paulis(
-        circuit, noise, spam, config, rng, target, append, layer_offset
-    )
+    samples = _sample_paulis(circuit, noise, spam, config, rng, target, None)
     n = (circuit or target).n
     return _aggregate(samples, n, config, {"protocol": "dfe"})
 
@@ -270,33 +261,34 @@ def dfe_with_reference(
     config: DfeConfig,
     rng: np.random.Generator,
     target: LayeredCircuit | None = None,
-    reference_floor: float = 0.01,
 ) -> FidelityEstimate:
     """SPAM-robust estimate from a scrambled reference experiment.
 
     Estimates the circuit composed with the scrambler, estimates the
     scrambler alone, and returns the ratio: the SPAM and scrambler error
-    contributions cancel to first order.  The reference run addresses the
+    contributions cancel to first order.  The reference run reads the
     scrambler's noise entries at the layer positions it occupies inside
-    the composed circuit, so both runs see identical scrambler errors even
-    in the non-Markovian mode.
+    the composed circuit (:meth:`NoiseModel.shifted`), so both runs see
+    identical scrambler errors even in the non-Markovian mode.  A reference
+    at or below ``READOUT_FLOOR`` raises ``ReferenceTooNoisyError``.
     """
     if not scrambler.is_clifford:
         raise cl.NotCliffordError("the scrambling circuit must be Clifford")
     body = circuit if circuit is not None else target
     offset = len(body.layers) - 1
     if target is not None:
-        num = _sample_paulis(None, noise, spam, config, rng, target, scrambler, 0)
+        num = _sample_paulis(None, noise, spam, config, rng, target, scrambler)
     else:
         composed = concatenate(circuit, scrambler)
-        num = _sample_paulis(composed, noise, spam, config, rng, None, None, 0)
-    den = _sample_paulis(scrambler, noise, spam, config, rng, None, None, offset)
+        num = _sample_paulis(composed, noise, spam, config, rng, None, None)
+    shifted = None if noise is None else noise.shifted(offset)
+    den = _sample_paulis(scrambler, shifted, spam, config, rng, None, None)
     n = body.n
     est_num = _aggregate(num, n, config, {"protocol": "dfe_reference_numerator"})
     est_den = _aggregate(den, n, config, {"protocol": "dfe_reference_denominator"})
-    if est_den.mean <= reference_floor:
+    if est_den.mean <= READOUT_FLOOR:
         raise ReferenceTooNoisyError(
-            f"reference fidelity {est_den.mean:.4f} at or below floor {reference_floor}"
+            f"reference fidelity {est_den.mean:.4f} at or below floor {READOUT_FLOOR}"
         )
     ratio = est_num.mean / est_den.mean
     # first-order delta method for the ratio's standard error
@@ -349,7 +341,7 @@ def readout_mitigated_dfe(
                 raise SingularCalibrationError(
                     f"qubit {q} confusion matrix singular: e0+e1 = {e0_hat + e1_hat:.3f}"
                 )
-    samples = _sample_paulis(circuit, noise, spam, config, rng, target, None, 0)
+    samples = _sample_paulis(circuit, noise, spam, config, rng, target, None)
     for s in samples:
         for q in s.pauli.support:
             s.divisor *= divisors[q]

@@ -32,7 +32,7 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axes(x0, x1, y0, y1, xlabel, ylabel, logx=False):
+def _axes(x0, x1, y0, y1, xlabel, ylabel):
     parts = [
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
@@ -43,12 +43,11 @@ def _axes(x0, x1, y0, y1, xlabel, ylabel, logx=False):
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x0 + frac * (x1 - x0)
         xpix = _ML + frac * (_W - _ML - _MR)
-        label = _fmt(10**xv) if logx else _fmt(xv)
         parts.append(
             f'<line x1="{_fmt(xpix)}" y1="{_H - _MB}" x2="{_fmt(xpix)}" y2="{_H - _MB + 5}" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{_fmt(xpix)}" y="{_H - _MB + 18}" text-anchor="middle">{label}</text>'
+            f'<text x="{_fmt(xpix)}" y="{_H - _MB + 18}" text-anchor="middle">{_fmt(xv)}</text>'
         )
         yv = y0 + frac * (y1 - y0)
         ypix = _H - _MB - frac * (_H - _MT - _MB)
@@ -158,13 +157,11 @@ def svg_grouped_bars(group_labels, series: dict, title: str, xlabel: str, ylabel
     return "\n".join(parts) + "\n"
 
 
-def svg_scatter(xs, ys, title: str, xlabel: str, ylabel: str, logx: bool = False) -> str:
+def svg_scatter(xs, ys, title: str, xlabel: str, ylabel: str) -> str:
     xs = np.asarray(list(xs), dtype=float)
     ys = np.asarray(list(ys), dtype=float)
     if len(xs) == 0 or len(xs) != len(ys):
         raise ValueError("no data to plot")
-    if logx:
-        xs = np.log10(np.maximum(xs, 1e-300))
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(min(ys.min(), 0.0)), float(ys.max())
     if x0 == x1:
@@ -174,7 +171,7 @@ def svg_scatter(xs, ys, title: str, xlabel: str, ylabel: str, logx: bool = False
         y0 -= 0.5
         y1 += 0.5
     y1 += 0.05 * (y1 - y0)
-    parts = _header(title) + _axes(x0, x1, y0, y1, xlabel, ylabel, logx=logx)
+    parts = _header(title) + _axes(x0, x1, y0, y1, xlabel, ylabel)
     for x, y in zip(xs, ys):
         parts.append(
             f'<circle cx="{_fmt(_xpix(x, x0, x1))}" cy="{_fmt(_ypix(y, y0, y1))}" r="3.5" '

@@ -266,6 +266,21 @@ class NoiseModel:
             self._walk[key] = hit
         return hit
 
+    def shifted(self, offset: int) -> "NoiseModel":
+        """The model a circuit run from layer ``offset`` on sees: position
+        ``i`` of the result holds this model's entries at ``i + offset``.
+        A Markovian model has no positions and is returned as it is."""
+        if self.markovian or offset == 0:
+            return self
+
+        def rebase(table: dict) -> dict:
+            return {(key[0] - offset,) + key[1:]: v for key, v in table.items()}
+
+        out = NoiseModel(False, rebase(self.one_qubit), rebase(self.two_qubit))
+        # tables compiled from this model's entries hold for the moved ones
+        out._1q, out._1q_layers, out._walk = map(rebase, (self._1q, self._1q_layers, self._walk))
+        return out
+
 
 @dataclass(frozen=True)
 class NoiseBudget:
@@ -329,14 +344,14 @@ def _draw_missing_entries(
                     model.two_qubit[key] = sample_gate(2, two_q_budget)
 
 
-def _check_width(n: int, limit: int) -> None:
-    if n > limit:
+def _check_width(n: int) -> None:
+    if n > FOLD_LIMIT:
         raise FoldSizeError(
-            f"exact folding capped at n={limit}; sample faults by Monte Carlo instead"
+            f"exact folding capped at n={FOLD_LIMIT}; sample faults by Monte Carlo instead"
         )
 
 
-def _gate_indices(circuits, limit: int):
+def _gate_indices(circuits):
     """First circuit and the (K, one-qubit layers, n) Clifford indices of
     all K circuits, read one circuit at a time; (None, None) if K = 0."""
     template = None
@@ -344,7 +359,7 @@ def _gate_indices(circuits, limit: int):
     for circuit in circuits:
         if template is None:
             template = circuit
-            _check_width(circuit.n, limit)
+            _check_width(circuit.n)
         elif circuit.n != template.n or len(circuit.layers) != len(template.layers):
             raise ValueError("batched folds need circuits of one width and layer count")
         if not circuit.is_clifford:
@@ -440,7 +455,7 @@ def _apply_gate(h, rows, qubits, labels, eig):
     return out.reshape(h.shape)
 
 
-def _fold(template, gates, noise: NoiseModel, layer_offset: int):
+def _fold(template, gates, noise: NoiseModel):
     """Transfer-matrix diagonals, shape (K, 4^n), of the folded channels of
     K Clifford circuits: the entangling layers of ``template`` with the
     one-qubit Clifford indices ``gates``, shape (K, one-qubit layers, n).
@@ -465,7 +480,7 @@ def _fold(template, gates, noise: NoiseModel, layer_offset: int):
     rows = np.arange(k)[:, None]
 
     def one_qubit_layer(j):
-        table = noise._compiled_1q_layer(2 * j + layer_offset, n)
+        table = noise._compiled_1q_layer(2 * j, n)
         return gates[:, j].T.astype(np.intp), table
 
     h = np.ones((k,) + (4,) * n)
@@ -483,7 +498,7 @@ def _fold(template, gates, noise: NoiseModel, layer_offset: int):
             if not group:
                 continue
             twoq = np.array([
-                noise.twoq_noise(2 * j + 1 + layer_offset, layer.gate, pair).eigenvalues
+                noise.twoq_noise(2 * j + 1, layer.gate, pair).eigenvalues
                 for pair in group
             ])
             qubits = np.array(group)
@@ -500,13 +515,13 @@ def _fold(template, gates, noise: NoiseModel, layer_offset: int):
     return h.reshape(k, 4**n)
 
 
-def _infidelities(template, gates, noise: NoiseModel, layer_offset: int):
+def _infidelities(template, gates, noise: NoiseModel):
     """1 - p_I of each fold of :func:`_fold`, over chunks of at most
     ``_FOLD_AMPLITUDES`` amplitudes; circuits fold independently."""
     chunk = max(1, _FOLD_AMPLITUDES // 4**template.n)
     out = np.empty(len(gates))
     for start in range(0, len(gates), chunk):
-        eig = _fold(template, gates[start : start + chunk], noise, layer_offset)
+        eig = _fold(template, gates[start : start + chunk], noise)
         out[start : start + chunk] = 1.0 - eig.mean(axis=1)
     return out
 
@@ -521,10 +536,7 @@ def _walk_maps() -> tuple[list, dict]:
 
 
 def propagate_codes(
-    circuit: LayeredCircuit,
-    noise: NoiseModel | None,
-    codes,
-    layer_offset: int = 0,
+    circuit: LayeredCircuit, noise: NoiseModel | None, codes
 ) -> tuple[float, list[int]]:
     """Walk a Pauli's letter codes back through a Clifford circuit.
 
@@ -539,7 +551,7 @@ def propagate_codes(
     lam = 1.0
     for i in range(len(circuit.layers) - 1, -1, -1):
         layer = circuit.layers[i]
-        table = None if noise is None else noise._walk_table(i + layer_offset, layer, circuit.n)
+        table = None if noise is None else noise._walk_table(i, layer, circuit.n)
         layer_eig = 1.0
         if isinstance(layer, OneQubitLayer):
             gates = [gate.index for gate in layer.gates]
@@ -558,23 +570,13 @@ def propagate_codes(
     return float(lam), codes
 
 
-def fold_eigenvalues(
-    circuit: LayeredCircuit,
-    noise: NoiseModel,
-    limit: int = FOLD_LIMIT,
-    layer_offset: int = 0,
-) -> np.ndarray:
+def fold_eigenvalues(circuit: LayeredCircuit, noise: NoiseModel) -> np.ndarray:
     """Transfer-matrix diagonal of the folded end-of-circuit error channel."""
-    template, gates = _gate_indices([circuit], limit)
-    return _fold(template, gates, noise, layer_offset)[0]
+    template, gates = _gate_indices([circuit])
+    return _fold(template, gates, noise)[0]
 
 
-def fold_to_end(
-    circuit: LayeredCircuit,
-    noise: NoiseModel,
-    limit: int = FOLD_LIMIT,
-    layer_offset: int = 0,
-) -> PauliChannel:
+def fold_to_end(circuit: LayeredCircuit, noise: NoiseModel) -> PauliChannel:
     """Exact end-of-circuit Pauli channel of a noisy Clifford circuit.
 
     Each layer's error is conjugated through all downstream Clifford layers
@@ -582,7 +584,7 @@ def fold_to_end(
     probabilities left by rounding are clipped; a clipped mass above
     ``CLIP_TOLERANCE`` raises ValueError instead.
     """
-    eig = fold_eigenvalues(circuit, noise, limit, layer_offset)
+    eig = fold_eigenvalues(circuit, noise)
     probs = pauli_walsh(eig, circuit.n) / 4**circuit.n
     clipped = -probs[probs < 0.0].sum()
     if clipped > CLIP_TOLERANCE:
@@ -595,22 +597,12 @@ def fold_to_end(
     return PauliChannel(circuit.n, probs)
 
 
-def process_infidelity_exact(
-    circuit: LayeredCircuit,
-    noise: NoiseModel,
-    limit: int = FOLD_LIMIT,
-    layer_offset: int = 0,
-) -> float:
+def process_infidelity_exact(circuit: LayeredCircuit, noise: NoiseModel) -> float:
     """1 - p_I of the folded channel (= process infidelity of the circuit)."""
-    return float(process_infidelities_exact([circuit], noise, limit, layer_offset)[0])
+    return float(process_infidelities_exact([circuit], noise)[0])
 
 
-def process_infidelities_exact(
-    circuits,
-    noise: NoiseModel,
-    limit: int = FOLD_LIMIT,
-    layer_offset: int = 0,
-) -> np.ndarray:
+def process_infidelities_exact(circuits, noise: NoiseModel) -> np.ndarray:
     """Process infidelities of K Clifford circuits, folded in one pass.
 
     ``circuits`` is any iterable, a generator included; each circuit is read
@@ -619,10 +611,10 @@ def process_infidelities_exact(
     mismatched circuits raise ValueError.  The fold runs in chunks of at
     most 2^20 amplitudes (at least one circuit), so memory stays bounded.
     """
-    template, gates = _gate_indices(circuits, limit)
+    template, gates = _gate_indices(circuits)
     if template is None:
         return np.zeros(0)
-    return _infidelities(template, gates, noise, layer_offset)
+    return _infidelities(template, gates, noise)
 
 
 def cliffordization_infidelities(
@@ -630,8 +622,6 @@ def cliffordization_infidelities(
     noise: NoiseModel,
     k: int,
     rng: np.random.Generator,
-    limit: int = FOLD_LIMIT,
-    layer_offset: int = 0,
 ) -> np.ndarray:
     """Process infidelities of ``k`` Cliffordizations of ``target``.
 
@@ -640,21 +630,18 @@ def cliffordization_infidelities(
     values :func:`process_infidelities_exact` gives for those circuits,
     without building them.  Only the target's width and entangling layers
     are read, so its one-qubit gates may be any gates.  A target wider
-    than ``limit`` raises FoldSizeError before anything is drawn.
+    than ``FOLD_LIMIT`` raises FoldSizeError before anything is drawn.
     """
-    _check_width(target.n, limit)
+    _check_width(target.n)
     gates = _draw_cliffords(rng, k, len(target.layers[::2]), target.n)
-    return _infidelities(target, gates, noise, layer_offset)
+    return _infidelities(target, gates, noise)
 
 
-def layer_infidelities(
-    circuit: LayeredCircuit, noise: NoiseModel, layer_offset: int = 0
-) -> list[float]:
+def layer_infidelities(circuit: LayeredCircuit, noise: NoiseModel) -> list[float]:
     """Per-layer process infidelities 1 - p_I; their sum is the first-order
     estimate of (and an upper bound on the worst-case error of) the circuit."""
     out = []
-    for i, layer in enumerate(circuit.layers):
-        pos = i + layer_offset
+    for pos, layer in enumerate(circuit.layers):
         p_identity = 1.0
         if isinstance(layer, OneQubitLayer):
             for q, gate in enumerate(layer.gates):
@@ -742,17 +729,13 @@ def noise_from_dict(data: dict) -> NoiseModel:
         probs[0] = 1.0 - probs[1:].sum()
         return GateNoise(probs)
 
-    def parse_key(s: str, one_qubit: bool):
+    def parse_key(s: str):
         parts = s.split()
         vals = [int(p) if p.lstrip("-").isdigit() else p for p in parts]
         if len(vals) == 1:
             return vals[0]
         return tuple(vals)
 
-    one_qubit = {
-        parse_key(k, True): parse_gate(v, 1) for k, v in data["one_qubit"].items()
-    }
-    two_qubit = {
-        parse_key(k, False): parse_gate(v, 2) for k, v in data["two_qubit"].items()
-    }
+    one_qubit = {parse_key(k): parse_gate(v, 1) for k, v in data["one_qubit"].items()}
+    two_qubit = {parse_key(k): parse_gate(v, 2) for k, v in data["two_qubit"].items()}
     return NoiseModel(markovian, one_qubit, two_qubit)

@@ -174,6 +174,9 @@ def validate_config(
             continue
         want = type(params[key])
         if want in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
+            if want is int and isinstance(value, float) and not value.is_integer():
+                problems.append(f"field {key!r} expects an integer, got {value!r}")
+                continue
             params[key] = want(value)
         elif want is bool and isinstance(value, bool):
             params[key] = value
@@ -230,6 +233,13 @@ def validate_config(
     for key in ("two_qubit_budget", "one_qubit_budget"):
         if not 0.0 <= params[key] < 1.0:
             problems.append(f"field {key!r} must lie in [0, 1)")
+    if scenario in ("uniformity", "accuracy") and (
+        params["two_qubit_budget"] == params["one_qubit_budget"] == 0.0
+    ):
+        problems.append(
+            "fields 'two_qubit_budget' and 'one_qubit_budget' must not both be 0 "
+            "(the coefficient of variation needs a nonzero mean infidelity)"
+        )
     for key in ("prep_error", "meas_error"):
         if key in params and not 0.0 <= params[key] < 0.5:
             problems.append(f"field {key!r} must lie in [0, 0.5)")

@@ -52,6 +52,8 @@ class DiamondResult:
 
 
 _FLOOR = 1e-300
+# fraction of the distance to a cone's boundary that each step covers
+_STEP_FRACTION = 0.98
 
 
 def _ip(a: np.ndarray, b: np.ndarray) -> float:
@@ -174,7 +176,6 @@ def solve_diamond_sdp(
     gap_tol: float = 1e-9,
     gap_required: float = 1e-8,
     max_iter: int = 200,
-    step_fraction: float = 0.98,
 ) -> DiamondResult:
     """Half diamond norm of the Hermitian-preserving map with Choi ``delta_choi``.
 
@@ -288,9 +289,9 @@ def solve_diamond_sdp(
             def step_sizes(*dx):
                 # dx: the steps of w, s, rho, zw, zs and zrho
                 steps = [_max_step(r, d) for r, d in zip(isqrts, dx)]
-                ap = min(*steps[:3], 1.0 / step_fraction)
-                ad = min(*steps[3:], 1.0 / step_fraction)
-                return min(1.0, step_fraction * ap), min(1.0, step_fraction * ad)
+                ap = min(*steps[:3], 1.0 / _STEP_FRACTION)
+                ad = min(*steps[3:], 1.0 / _STEP_FRACTION)
+                return min(1.0, _STEP_FRACTION * ap), min(1.0, _STEP_FRACTION * ad)
 
             # predictor
             aff = newton(-w, -s, -rho)

@@ -622,14 +622,14 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
                 for q, gate in enumerate(layer.gates):
                     faults = pulse_faults.get((li, q))
                     if faults is None:
-                        state = dn.apply_1q(state, cc.gate_unitary(gate), q, n)
+                        state = dn.apply_1q(state, cc.gate_unitary(gate), q)
                         continue
                     phi1, phi2, phi3 = gate.angles
                     for u, pulse in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None), (cl.RX90, 1)):
-                        state = dn.apply_1q(state, u, q, n)
+                        state = dn.apply_1q(state, u, q)
                         if pulse in faults:
                             state = apply_pauli(state, local_pauli(n, (q,), faults[pulse]))
-                    state = dn.apply_1q(state, cl._rz(phi1), q, n)
+                    state = dn.apply_1q(state, cl._rz(phi1), q)
             for fault in post.get(li, []):
                 state = apply_pauli(state, fault)
         probs = np.abs(state) ** 2

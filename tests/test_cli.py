@@ -121,11 +121,23 @@ class TestConfigValidation:
             ("spam-compare", {"calib_shots": 50}, "calib_shots"),
             ("spam-compare", {"width": 32}, "Pauli-sampling limit"),
             ("volumetric", {"widths": [4, 32]}, "Pauli-sampling limit"),
+            ("spam-compare", {"width": 3.99}, "'width' expects an integer"),
+            ("xeb-compare", {"shots": 2.5}, "'shots' expects an integer"),
+            ("spam-compare", {"calib_shots": 100.9}, "'calib_shots' expects an integer"),
+            ("uniformity", {"two_qubit_budget": 0, "one_qubit_budget": 0}, "both be 0"),
+            ("accuracy", {"two_qubit_budget": 0.0, "one_qubit_budget": 0.0}, "both be 0"),
         ],
     )
     def test_fields_checked_up_front(self, scenario, overrides, field):
         with pytest.raises(ConfigError, match=field):
             validate_config(scenario, overrides, 0, ".")
+
+    def test_integral_floats_and_one_zero_budget_accepted(self):
+        cfg = validate_config("spam-compare", {"width": 4.0, "calib_shots": 200.0}, 0, ".")
+        assert cfg.params["width"] == 4 and type(cfg.params["width"]) is int
+        assert type(cfg.params["calib_shots"]) is int
+        validate_config("accuracy", {"two_qubit_budget": 0.0}, 0, ".")
+        validate_config("volumetric", {"two_qubit_budget": 0.0, "one_qubit_budget": 0.0}, 0, ".")
 
     def test_list_problems_listed_together(self):
         with pytest.raises(ConfigError) as err:

@@ -123,7 +123,8 @@ class TestGateByGatePtm:
                 circ = _ptm_case(n, kind, topology, gate, min(depth, 5) if n == 4 else depth, rng)
                 model = None if markovian is None else _fold_model(circ, rng, markovian, offset)
                 spam = nz.SpamModel((0.01,) * n, (0.02,) * n, (0.05,) * n) if with_spam else None
-                got = dn.circuit_ptm(circ, model, spam, layer_offset=offset).mat
+                shifted = None if model is None else model.shifted(offset)
+                got = dn.circuit_ptm(circ, shifted, spam).mat
                 want = layer_unitary_ptm(circ, model, spam, layer_offset=offset).mat
                 worst = max(worst, np.max(np.abs(got - want)))
         assert worst < 1e-12
@@ -323,9 +324,8 @@ def _same_seed_case(kind, n, spam, markovian, offset, seed=20):
 def _assert_same_samples(circ, model, spam, offset, shots=1500, seed=21):
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = per_pattern_simulate(circ, model, want_rng, shots, spam, offset)
-    got = dn.statevector_simulate(
-        circ, model, got_rng, shots, spam=spam, layer_offset=offset
-    )
+    shifted = None if model is None else model.shifted(offset)
+    got = dn.statevector_simulate(circ, shifted, got_rng, shots, spam=spam)
     np.testing.assert_array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -573,7 +573,7 @@ class TestBatchedSampler:
                 want = apply_pauli(want, local_pauli(3, draws[di][1], lab))
             np.testing.assert_array_equal(got, want)
             for q, gate in enumerate(gates):
-                got = dn.apply_1q(got, cc.gate_unitary(gate), q, 3)
+                got = dn.apply_1q(got, cc.gate_unitary(gate), q)
             for apply, *args in steps[0]:
                 apply(got, *args)
             pulse = {(draws[di][1][0], draws[di][2]): lab for di, lab in key[4:]}
@@ -581,7 +581,7 @@ class TestBatchedSampler:
                 phi1, phi2, phi3 = gate.angles
                 for u, k in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None),
                              (cl.RX90, 1), (cl._rz(phi1), None)):
-                    want = dn.apply_1q(want, u, q, 3)
+                    want = dn.apply_1q(want, u, q)
                     if (q, k) in pulse:
                         want = apply_pauli(want, local_pauli(3, (q,), pulse[q, k]))
             assert np.max(np.abs(got - want)) < 1e-13

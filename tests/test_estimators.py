@@ -61,8 +61,8 @@ class TestPauliExpectation:
         spam = nz.SpamModel.uniform(4, 0.01, 0.02)
         for _ in range(25):
             p = sample_uniform_nonidentity(4, rng)
-            base, _ = est._walk(circ, model, spam, p, 0)
-            twirled, _ = est._walk(cc.pauli_twirl(circ, rng), model, spam, p, 0)
+            base, _ = est._walk(circ, model, spam, p)
+            twirled, _ = est._walk(cc.pauli_twirl(circ, rng), model, spam, p)
             assert base == pytest.approx(twirled, abs=1e-12)
 
     def test_matches_folded_diagonal(self):
@@ -80,15 +80,14 @@ class TestPauliExpectation:
         for n, gate, topology, markovian, offset in cases:
             template = _fold_case(n, topology, gate, rng)
             model = _fold_model(template, rng, markovian, offset)
+            shifted = model.shifted(offset)
             circ = cc.cliffordize(template, rng)
-            eig = nz.fold_eigenvalues(circ, model, layer_offset=offset)
+            eig = nz.fold_eigenvalues(circ, shifted)
             oracle = _tableau_walk(circ, model, offset)
             labels = range(1, 4**n) if n <= 3 else rng.integers(1, 4**n, size=30)
             for label in labels:
                 p = PauliString.from_label(n, int(label))
-                val, codes = nz.propagate_codes(
-                    circ, model, [p.code(q) for q in range(n)], offset
-                )
+                val, codes = nz.propagate_codes(circ, shifted, [p.code(q) for q in range(n)])
                 want, q = oracle(p)
                 assert abs(val - want) < 1e-12
                 assert val == pytest.approx(eig[label], abs=1e-12)
@@ -101,7 +100,7 @@ class TestPauliExpectation:
         model = nz.sample_error_model(circ, rng, 0.0, 0.0)
         spam = nz.SpamModel.uniform(3, 0.02, 0.03)
         p = PauliString.from_text("XZI")
-        val, codes = est._walk(circ, model, spam, p, 0)
+        val, codes = est._walk(circ, model, spam, p)
         weight = sum(1 for c in codes if c)
         expect = (1 - 2 * 0.02) ** weight * (1 - 2 * 0.03) ** p.weight
         assert val == pytest.approx(expect, abs=1e-12)
@@ -120,11 +119,16 @@ class TestDfe:
             est.dfe(circ, None, None, est.DfeConfig(2, 1, 10), rng)
 
     def test_rejects_non_clifford_append(self):
+        # a scrambler appended to each Cliffordization must be Clifford
         rng = np.random.default_rng(6)
         target = cc.sample_brickwork(cc.BrickworkSpec(3, 2), "haar", rng)
         tail = cc.sample_brickwork(cc.BrickworkSpec(3, 1), "haar", rng)
-        with pytest.raises(cl.NotCliffordError):
-            est.dfe(None, None, None, est.DfeConfig(2, 1, 10), rng, target=target, append=tail)
+        before = rng.bit_generator.state
+        with pytest.raises(cl.NotCliffordError, match="scrambling"):
+            est.dfe_with_reference(
+                None, tail, None, None, est.DfeConfig(2, 1, 10), rng, target=target
+            )
+        assert rng.bit_generator.state == before
 
     def test_unbiased_against_folding(self):
         hits = 0
@@ -215,7 +219,33 @@ class TestReference:
         )
         assert abs(res.mean - exact) < 3 * res.stderr + 0.005
 
-    def test_reference_floor(self):
+    @pytest.mark.parametrize("mode", ["circuit", "target"])
+    def test_reference_reads_the_scrambler_entries(self, mode):
+        # non-Markovian noise only at the scrambler's positions inside the
+        # composed circuit: the reference run must see it as its own, where
+        # reading the positions of the deeper body would see none
+        rng = np.random.default_rng(12)
+        n = 3
+        target = cc.sample_brickwork(cc.BrickworkSpec(n, 4), "haar", rng)
+        proxy = cc.cliffordize(target, rng)
+        scr = cc.scrambling_circuit(n, 2, rng)
+        composed = cc.concatenate(proxy, scr)
+        offset = len(proxy.layers) - 1
+        loud = nz.sample_error_model(composed, rng, 0.2, 0.02, markovian=False)
+        quiet = nz.sample_error_model(composed, rng, 0.0, 0.0, markovian=False)
+        model = nz.NoiseModel(
+            False,
+            {k: (loud if k[0] >= offset else quiet).one_qubit[k] for k in loud.one_qubit},
+            {k: (loud if k[0] >= offset else quiet).two_qubit[k] for k in loud.two_qubit},
+        )
+        circuit, target = (proxy, None) if mode == "circuit" else (None, target)
+        res = est.dfe_with_reference(
+            circuit, scr, model, None, est.DfeConfig(20, 4, 1000), rng, target=target
+        )
+        assert res.metadata["denominator"] < 0.9
+
+    def test_reference_floor(self, monkeypatch):
+        monkeypatch.setattr(est, "READOUT_FLOOR", 1.0)
         rng = np.random.default_rng(11)
         n = 4
         scr = cc.scrambling_circuit(n, 4, rng)
@@ -223,8 +253,7 @@ class TestReference:
         model = nz.sample_error_model(cc.concatenate(proxy, scr), rng, 0.0, 0.0)
         with pytest.raises(est.ReferenceTooNoisyError):
             est.dfe_with_reference(
-                proxy, scr, model, None, est.DfeConfig(20, 4, 50), rng,
-                reference_floor=1.0,
+                proxy, scr, model, None, est.DfeConfig(20, 4, 50), rng
             )
 
 

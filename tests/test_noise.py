@@ -269,8 +269,9 @@ class TestFolding:
     def test_above_limit_instructs_monte_carlo(self):
         circ, rng = brickwork(11, 1, 16)
         model = nz.sample_error_model(circ, rng)
+        assert circ.n == nz.FOLD_LIMIT + 1
         with pytest.raises(nz.FoldSizeError, match="Monte Carlo"):
-            nz.fold_to_end(circ, model, limit=10)
+            nz.fold_to_end(circ, model)
 
     def test_non_clifford_rejected(self):
         rng = np.random.default_rng(17)
@@ -372,6 +373,36 @@ def _fold_model(template, rng, markovian, layer_offset):
     )
 
 
+def test_shifted_reads_entries_at_the_offset():
+    rng = np.random.default_rng(370)
+    template = _fold_case(3, "ring", "CNOT", rng)
+    markovian = _fold_model(template, rng, True, 0)
+    assert markovian.shifted(3) is markovian
+    model = _fold_model(template, rng, False, 3)
+    assert model.shifted(0) is model
+    keys = (set(model.one_qubit), set(model.two_qubit))
+    compiled = model._compiled_1q(5, 1), model._walk_table(4, template.layers[1], 3)
+    base = model.shifted(3)
+    # tables compiled before the shift are reused at their new positions
+    assert base._compiled_1q(2, 1) is compiled[0]
+    assert base._walk_table(1, template.layers[1], 3) is compiled[1]
+    assert not base.markovian
+    assert (set(model.one_qubit), set(model.two_qubit)) == keys
+    assert set(base.one_qubit) == {(pos - 3, q) for pos, q in keys[0]}
+    assert set(base.two_qubit) == {(key[0] - 3,) + key[1:] for key in keys[1]}
+    for pos, layer in enumerate(template.layers):
+        if isinstance(layer, cc.OneQubitLayer):
+            for q in range(3):
+                assert base.xpi2_noise(pos, q) is model.xpi2_noise(pos + 3, q)
+        else:
+            for pair in layer.pairs:
+                assert base.twoq_noise(pos, layer.gate, pair) is model.twoq_noise(
+                    pos + 3, layer.gate, pair
+                )
+    with pytest.raises(KeyError):
+        base.xpi2_noise(len(template.layers), 0)
+
+
 class TestBatchedFold:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("gate", ["CZ", "CNOT"])
@@ -383,19 +414,15 @@ class TestBatchedFold:
             for markovian in (True, False):
                 for offset in (0, 3):
                     model = _fold_model(template, rng, markovian, offset)
+                    shifted = model.shifted(offset)
                     for k in (1, 5):
                         circs = [cc.cliffordize(template, rng) for _ in range(k)]
-                        batch = nz.process_infidelities_exact(
-                            (c for c in circs), model, layer_offset=offset
-                        )
-                        single = [
-                            nz.process_infidelity_exact(c, model, layer_offset=offset)
-                            for c in circs
-                        ]
+                        batch = nz.process_infidelities_exact((c for c in circs), shifted)
+                        single = [nz.process_infidelity_exact(c, shifted) for c in circs]
                         assert np.array_equal(batch, single)
                         for c, r in zip(circs, batch):
                             want = _oracle_fold(c, model, offset)
-                            got = nz.fold_eigenvalues(c, model, layer_offset=offset)
+                            got = nz.fold_eigenvalues(c, shifted)
                             worst = max(
                                 worst,
                                 np.max(np.abs(got - want)),
@@ -441,10 +468,13 @@ class TestBatchedFold:
             nz.process_infidelity_exact(target, model)
         with pytest.raises(cl.NotCliffordError):
             nz.process_infidelities_exact([proxy, target], model)
+        wide = cc.cliffordize(
+            cc.sample_brickwork(cc.BrickworkSpec(nz.FOLD_LIMIT + 1, 1), "haar", rng), rng
+        )
         with pytest.raises(nz.FoldSizeError):
-            nz.process_infidelity_exact(proxy, model, limit=1)
+            nz.process_infidelity_exact(wide, model)
         with pytest.raises(nz.FoldSizeError):
-            nz.process_infidelities_exact(iter([proxy, proxy]), model, limit=1)
+            nz.process_infidelities_exact(iter([wide, wide]), model)
 
     def test_empty_batch(self):
         circ, rng = brickwork(2, 2, 333)
@@ -478,7 +508,7 @@ class TestFusedFold:
         for template, model, offset in self._cases(n, rng):
             for k in (1, 5):
                 gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
-                got = nz._fold(template, gates, model, offset)
+                got = nz._fold(template, gates, model.shifted(offset))
                 want = per_gate_fold(template, gates, model, offset)
                 assert got.shape == want.shape == (k, 4**n)
                 worst = max(worst, np.max(np.abs(got - want)))
@@ -492,11 +522,12 @@ class TestFusedFold:
         k = 1 if n >= 9 else 5
         for template, model, offset in self._cases(n, rng):
             gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
-            got = nz._fold(template, gates, model, offset)
+            shifted = model.shifted(offset)
+            got = nz._fold(template, gates, shifted)
             assert np.array_equal(got, gather_fold(template, gates, model, offset))
             if k > 1:
                 for row, alone in zip(got, gates):
-                    assert np.array_equal(nz._fold(template, alone[None], model, offset)[0], row)
+                    assert np.array_equal(nz._fold(template, alone[None], shifted)[0], row)
 
 
 class TestPropagateCodes:
@@ -514,9 +545,9 @@ class TestPropagateCodes:
                         model = _fold_model(template, rng, markovian, offset)
                         for _ in range(2):
                             circ = cc.cliffordize(template, rng)
-                            for noise in (model, None):
+                            for noise, walked in ((model, model.shifted(offset)), (None, None)):
                                 for codes in rng.integers(0, 4, (10, n)).tolist():
-                                    got = nz.propagate_codes(circ, noise, codes, offset)
+                                    got = nz.propagate_codes(circ, walked, codes)
                                     assert got == per_gate_walk(circ, noise, codes, offset)
 
 
@@ -538,11 +569,11 @@ class TestCliffordizationInfidelities:
     """The drawn-index path against folding cliffordize's circuits."""
 
     @staticmethod
-    def _both(target, model, k, seed, offset=0):
+    def _both(target, model, k, seed):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = nz.cliffordization_infidelities(target, model, k, rng, layer_offset=offset)
+        got = nz.cliffordization_infidelities(target, model, k, rng)
         want = nz.process_infidelities_exact(
-            (cc.cliffordize(target, twin) for _ in range(k)), model, layer_offset=offset
+            (cc.cliffordize(target, twin) for _ in range(k)), model
         )
         assert rng.bit_generator.state == twin.bit_generator.state
         return got, want
@@ -555,9 +586,9 @@ class TestCliffordizationInfidelities:
         assert not target.is_clifford
         for markovian in (True, False):
             for offset in (0, 3):
-                model = _fold_model(target, rng, markovian, offset)
+                model = _fold_model(target, rng, markovian, offset).shifted(offset)
                 for k in (1, 5):
-                    got, want = self._both(target, model, k, int(rng.integers(2**32)), offset)
+                    got, want = self._both(target, model, k, int(rng.integers(2**32)))
                     assert got.shape == (k,)
                     assert np.array_equal(got, want)
 
@@ -575,11 +606,11 @@ class TestCliffordizationInfidelities:
 
     def test_too_wide_raises_before_drawing(self):
         rng = np.random.default_rng(430)
-        target = _haar_target(3, "disordered", rng)
+        target = _haar_target(nz.FOLD_LIMIT + 1, "disordered", rng)
         model = nz.sample_error_model(target, rng)
         before = rng.bit_generator.state
         with pytest.raises(nz.FoldSizeError):
-            nz.cliffordization_infidelities(target, model, 5, rng, limit=2)
+            nz.cliffordization_infidelities(target, model, 5, rng)
         assert rng.bit_generator.state == before
 
     def test_empty_ensemble(self):
