@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,13 @@ class EulerGate1Q:
     def angles(self) -> tuple[float, float, float]:
         return (self.phi1, self.phi2, self.phi3)
 
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """Read-only 2x2 matrix, built once per gate."""
+        u = cl.euler_unitary(*self.angles)
+        u.setflags(write=False)
+        return u
+
 
 Gate1Q = CliffordGate1Q | EulerGate1Q
 
@@ -76,7 +84,7 @@ IDENTITY_GATE = _CLIFFORD_GATES[0]
 def gate_unitary(gate: Gate1Q) -> np.ndarray:
     if isinstance(gate, CliffordGate1Q):
         return cl.one_qubit_cliffords()[gate.index].unitary
-    return cl.euler_unitary(*gate.angles)
+    return gate.unitary
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,12 @@ value 1, so the estimator is
 
     F = (1 + (4^n - 1) * mean_parity) / 4^n.
 
-Back-propagation walks per-qubit letter codes through the noise tables
-the exact fold reads (:func:`cliffproxy.noise.propagate_codes`) and drops
-signs: the estimate uses only the letters and their support.
+Back-propagation walks per-qubit letter codes, split from an integer
+label, through the noise tables the exact fold reads, looked up once per
+estimate (:func:`cliffproxy.noise.propagate_codes`), and drops signs: the
+estimate uses only the letters and their support.  A walk reads a circuit as its entangling layers and one row of
+one-qubit Clifford indices per one-qubit layer, so combined randomization
+draws each twirl's rows, and builds no circuit.
 
 Shots are simulated exactly: a fault pattern flips the measured parity iff
 it anticommutes with the back-propagated observable at its insertion
@@ -40,11 +43,10 @@ from .circuits import (
     BrickworkSpec,
     LayeredCircuit,
     TwoQubitLayer,
+    _draw_cliffords,
     brickwork_pairs,
     cliffordize,
-    concatenate,
     identity_layer,
-    sample_brickwork,
     scrambling_circuit,
 )
 from .noise import (
@@ -53,11 +55,13 @@ from .noise import (
     NoiseModel,
     SpamModel,
     _draw_missing_entries,
+    _index_rows,
+    _walk_codes,
+    _walk_tables,
     process_infidelity_exact,
-    propagate_codes,
     sample_error_model,
 )
-from .pauli import PauliString, sample_uniform_nonidentity
+from .pauli import sample_nonidentity_label
 
 __all__ = [
     "DfeConfig",
@@ -138,17 +142,18 @@ def fidelity_to_polarization(f: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _walk(circuit, noise, spam, pauli):
+def _walk(layers, gates, tables, spam, codes):
     """Gate-noise eigenvalues along the back-propagated letters times the
     prep (input support) and measurement (output support) attenuation."""
-    lam, codes = propagate_codes(circuit, noise, [pauli.code(q) for q in range(pauli.n)])
+    lam, back = _walk_codes(layers, gates, tables, codes)
     if spam is not None:
-        for q, code in enumerate(codes):
+        for q, code in enumerate(back):
             if code:
                 lam *= spam.prep_factor(q)
-        for q in pauli.support:
-            lam *= spam.meas_factor(q)
-    return lam, codes
+        for q, code in enumerate(codes):
+            if code:
+                lam *= spam.meas_factor(q)
+    return lam, back
 
 
 def _draw_parity(expected: float, shots: int, rng: np.random.Generator) -> float:
@@ -162,52 +167,63 @@ def _draw_parity(expected: float, shots: int, rng: np.random.Generator) -> float
 
 @dataclass
 class _PauliSample:
-    pauli: PauliString
+    pauli: str  # the observable's letters, qubit 0 first
     raw: float  # measured parity; its estimate is raw / divisor
     divisor: float = 1.0
 
 
-def _sample_paulis(
-    circuit: LayeredCircuit | None,
-    noise: NoiseModel | None,
-    spam: SpamModel | None,
-    config: DfeConfig,
-    rng: np.random.Generator,
-    target: LayeredCircuit | None,
-    append: LayeredCircuit | None,
-) -> list[_PauliSample]:
-    """Per-observable parity estimates for all sampled Paulis; with a
-    ``target``, each Cliffordization is followed by the Clifford ``append``
-    if one is given."""
-    if target is None:
-        if circuit is None:
-            raise ValueError("either a circuit or a target is required")
-        if not circuit.is_clifford:
-            raise cl.NotCliffordError(
-                "fidelity estimation requires a Clifford circuit; Cliffordize first"
-            )
-        n = circuit.n
-        out = []
-        for _ in range(config.num_paulis):
-            p = sample_uniform_nonidentity(n, rng)
-            expected, _ = _walk(circuit, noise, spam, p)
-            value = _draw_parity(expected, config.shots_per_pauli, rng)
-            out.append(_PauliSample(p, value))
-        return out
+def _walked(circuit, target, rng, append=None):
+    """The layers a DFE run walks, and the one-qubit Clifford index rows
+    of the Clifford ``circuit``, or for a ``target`` a function drawing
+    each twirl's rows from ``rng`` as :func:`cliffordize` draws them.  The
+    Clifford ``append`` runs after, its first row merged into the last as
+    :func:`concatenate` merges it.  Exactly one of ``circuit`` and
+    ``target`` is given."""
+    if (circuit is None) == (target is None):
+        raise ValueError("pass exactly one of a circuit and a target")
+    body = target if circuit is None else circuit
+    layers, tail = body.layers, None
+    if append is not None:
+        if append.n != body.n:
+            raise ValueError(f"size mismatch: {body.n} vs {append.n}")
+        layers = layers[:-1] + append.layers
+        tail, mult = _index_rows(append), cl._mult_table().tolist()
 
-    # combined randomization: a fresh Cliffordization per twirl
-    n = target.n
+    def join(rows):
+        if tail is None:
+            return rows
+        merged = [mult[s][g] for g, s in zip(rows[-1], tail[0])]
+        return rows[:-1] + [merged] + tail[1:]
+
+    if target is None:
+        return layers, join(_index_rows(circuit))
+    drawn = len(target.layers[::2])
+    return layers, lambda: join(_draw_cliffords(rng, 1, drawn, target.n)[0].tolist())
+
+
+def _sample_paulis(
+    layers, gates, noise: NoiseModel | None, spam: SpamModel | None,
+    config: DfeConfig, rng: np.random.Generator,
+) -> list[_PauliSample]:
+    """Per-observable parity estimates for all sampled Paulis, walked
+    through ``layers`` with the rows ``gates`` of :func:`_walked`: a fixed
+    circuit's twirls pool into one binomial draw."""
+    n = layers[0].n
+    tables = _walk_tables(noise, layers, n)
     out = []
     for _ in range(config.num_paulis):
-        p = sample_uniform_nonidentity(n, rng)
-        values = []
-        for _ in range(config.num_twirls):
-            circ = cliffordize(target, rng)
-            if append is not None:
-                circ = concatenate(circ, append)
-            expected, _ = _walk(circ, noise, spam, p)
-            values.append(_draw_parity(expected, config.shots_per_twirl, rng))
-        out.append(_PauliSample(p, float(np.mean(values))))
+        label = sample_nonidentity_label(n, rng)
+        codes = [label >> 2 * (n - 1 - q) & 3 for q in range(n)]
+        if callable(gates):  # combined randomization
+            values = []
+            for _ in range(config.num_twirls):
+                expected, _ = _walk(layers, gates(), tables, spam, codes)
+                values.append(_draw_parity(expected, config.shots_per_twirl, rng))
+            value = float(np.mean(values))
+        else:
+            expected, _ = _walk(layers, gates, tables, spam, codes)
+            value = _draw_parity(expected, config.shots_per_pauli, rng)
+        out.append(_PauliSample("".join("IXYZ"[c] for c in codes), value))
     return out
 
 
@@ -227,11 +243,16 @@ def _aggregate(
         se_parity = math.sqrt((1.0 - s.raw**2) / config.shots_per_pauli) / s.divisor
     stderr = (dim4 - 1) / dim4 * se_parity
     meta = dict(metadata)
-    meta["paulis"] = tuple(str(s.pauli) for s in samples)
+    meta["paulis"] = tuple(s.pauli for s in samples)
     meta["parities"] = tuple(float(v) for v in values)
     return FidelityEstimate(
         f_hat, stderr, len(values) * config.shots_per_pauli, meta
     )
+
+
+def _dfe(layers, gates, noise, spam, config, rng) -> FidelityEstimate:
+    samples = _sample_paulis(layers, gates, noise, spam, config, rng)
+    return _aggregate(samples, layers[0].n, config, {"protocol": "dfe"})
 
 
 def dfe(
@@ -246,11 +267,10 @@ def dfe(
 
     With ``target`` given, each twirl draws a fresh Cliffordization of the
     target (combined randomization); otherwise ``circuit`` is fixed and the
-    Pauli-frame twirls pool into one binomial draw per observable.
+    Pauli-frame twirls pool into one binomial draw per observable.  Giving
+    both or neither raises ValueError.
     """
-    samples = _sample_paulis(circuit, noise, spam, config, rng, target, None)
-    n = (circuit or target).n
-    return _aggregate(samples, n, config, {"protocol": "dfe"})
+    return _dfe(*_walked(circuit, target, rng), noise, spam, config, rng)
 
 
 def dfe_with_reference(
@@ -271,21 +291,17 @@ def dfe_with_reference(
     the composed circuit (:meth:`NoiseModel.shifted`), so both runs see
     identical scrambler errors even in the non-Markovian mode.  A reference
     at or below ``READOUT_FLOOR`` raises ``ReferenceTooNoisyError``.
+    ``circuit`` and ``target`` are as in :func:`dfe`.
     """
     if not scrambler.is_clifford:
         raise cl.NotCliffordError("the scrambling circuit must be Clifford")
-    body = circuit if circuit is not None else target
-    offset = len(body.layers) - 1
-    if target is not None:
-        num = _sample_paulis(None, noise, spam, config, rng, target, scrambler)
-    else:
-        composed = concatenate(circuit, scrambler)
-        num = _sample_paulis(composed, noise, spam, config, rng, None, None)
+    layers, gates = _walked(circuit, target, rng, scrambler)
+    num = _sample_paulis(layers, gates, noise, spam, config, rng)
+    offset = len(layers) - len(scrambler.layers)
     shifted = None if noise is None else noise.shifted(offset)
-    den = _sample_paulis(scrambler, shifted, spam, config, rng, None, None)
-    n = body.n
-    est_num = _aggregate(num, n, config, {"protocol": "dfe_reference_numerator"})
-    est_den = _aggregate(den, n, config, {"protocol": "dfe_reference_denominator"})
+    den = _sample_paulis(scrambler.layers, _index_rows(scrambler), shifted, spam, config, rng)
+    est_num = _aggregate(num, scrambler.n, config, {"protocol": "dfe_reference_numerator"})
+    est_den = _aggregate(den, scrambler.n, config, {"protocol": "dfe_reference_denominator"})
     if est_den.mean <= READOUT_FLOOR:
         raise ReferenceTooNoisyError(
             f"reference fidelity {est_den.mean:.4f} at or below floor {READOUT_FLOOR}"
@@ -326,8 +342,8 @@ def readout_mitigated_dfe(
     """
     if calib_shots < MIN_CALIB_SHOTS:
         raise ValueError(f"calibration needs at least {MIN_CALIB_SHOTS} shots")
-    body = circuit if circuit is not None else target
-    n = body.n
+    layers, gates = _walked(circuit, target, rng)
+    n = layers[0].n
     divisors = np.ones(n)
     if spam is not None:
         for q in range(n):
@@ -341,10 +357,11 @@ def readout_mitigated_dfe(
                 raise SingularCalibrationError(
                     f"qubit {q} confusion matrix singular: e0+e1 = {e0_hat + e1_hat:.3f}"
                 )
-    samples = _sample_paulis(circuit, noise, spam, config, rng, target, None)
+    samples = _sample_paulis(layers, gates, noise, spam, config, rng)
     for s in samples:
-        for q in s.pauli.support:
-            s.divisor *= divisors[q]
+        for q, letter in enumerate(s.pauli):
+            if letter != "I":
+                s.divisor *= divisors[q]
         if s.divisor <= READOUT_FLOOR:
             raise SingularCalibrationError(f"{s.pauli} divisor {s.divisor:.3g} <= {READOUT_FLOOR}")
     return _aggregate(samples, n, config, {"protocol": "dfe_readout_mitigated"})
@@ -387,16 +404,6 @@ class LayerFidelityResult:
         )
 
 
-def _repeated_layer_circuit(
-    layer: TwoQubitLayer, n: int, reps: int, rng: np.random.Generator
-) -> LayeredCircuit:
-    """``layer`` repeated ``reps`` times between random one-qubit Clifford layers."""
-    layers: list = [identity_layer(n)]
-    for _ in range(reps):
-        layers += [layer, identity_layer(n)]
-    return cliffordize(LayeredCircuit(n, tuple(layers)), rng)
-
-
 def layer_fidelity_estimate(
     layers,
     n: int,
@@ -428,10 +435,12 @@ def layer_fidelity_estimate(
     dropped = 0
     dim4 = 4**n
     for layer in layers:
+        unit = LayeredCircuit(n, (identity_layer(n), layer, identity_layer(n))).layers
         xs, ys, ws = [], [], []
         for m in depths:
-            circ = _repeated_layer_circuit(layer, n, m, rng)
-            est = dfe(circ, noise, spam, config, rng)
+            # the layer m times between fresh random one-qubit Clifford layers
+            gates = _draw_cliffords(rng, 1, m + 1, n)[0].tolist()
+            est = _dfe(unit[:1] + unit[1:] * m, gates, noise, spam, config, rng)
             p_hat = fidelity_to_polarization(est.mean, n)
             sigma_p = est.stderr * dim4 / (dim4 - 1)
             if p_hat <= 0.0:
@@ -521,6 +530,17 @@ def coefficient_of_variation(samples) -> tuple[float, float, float]:
     return mu, sigma, sigma / mu
 
 
+def _haar_layout(spec: BrickworkSpec, rng: np.random.Generator) -> LayeredCircuit:
+    """``sample_brickwork(spec, "haar", rng)`` with identity one-qubit gates."""
+    # every estimator Cliffordizes the sweep's one-qubit gates: their Haar
+    # normals are drawn only to keep the random stream, and never converted
+    rng.standard_normal(((spec.layer_pairs + 1) * spec.n, 4))
+    layers = [identity_layer(spec.n)]
+    for d in range(spec.layer_pairs):
+        layers += [TwoQubitLayer(brickwork_pairs(spec.n, d, spec.topology)), identity_layer(spec.n)]
+    return LayeredCircuit(spec.n, tuple(layers))
+
+
 def volumetric_run(
     widths,
     depths,
@@ -547,9 +567,7 @@ def volumetric_run(
     for n in widths:
         n = int(n)
         spam_model = SpamModel.uniform(n, *spam) if spam is not None else None
-        template = sample_brickwork(
-            BrickworkSpec(n, max(max(depths), 2)), "haar", rng
-        )
+        template = _haar_layout(BrickworkSpec(n, max(max(depths), 2)), rng)
         noise_model = sample_error_model(
             template, rng, noise.two_qubit, noise.one_qubit, noise.markovian
         )
@@ -558,10 +576,9 @@ def volumetric_run(
             # the reference estimator runs the scrambler after each target,
             # at layer positions (and brick parities) the template lacks
             for d in dict.fromkeys(depths):
-                body = LayeredCircuit(n, template.layers[: 2 * d + 1])
+                composed = LayeredCircuit(n, template.layers[: 2 * d] + scrambler.layers)
                 _draw_missing_entries(
-                    noise_model, concatenate(body, scrambler), rng,
-                    noise.two_qubit, noise.one_qubit,
+                    noise_model, composed, rng, noise.two_qubit, noise.one_qubit
                 )
         fit_layers = (
             TwoQubitLayer(brickwork_pairs(n, 0)),
@@ -576,7 +593,7 @@ def volumetric_run(
             fit_error = str(exc)
         for d in depths:
             cell = VolumetricCell(n, d)
-            target = sample_brickwork(BrickworkSpec(n, d), "haar", rng)
+            target = _haar_layout(BrickworkSpec(n, d), rng)
             proxy = cliffordize(target, rng)
 
             def attempt(name, fn):

@@ -36,7 +36,9 @@ composed one-qubit rows.  The array keeps its axes throughout: a gate on
 its leading axes is one gather, any other one batched product with the
 gate's scaled permutation matrix.  Direct fidelity estimation walks single
 Paulis back through the same tables, read as Python lists that each noise
-model builds once per layer (:func:`propagate_codes`).
+model builds once per layer and a caller looks up once for all its walks;
+like the fold, a walk reads a circuit as its entangling layers and
+Clifford index rows (:func:`propagate_codes`).
 """
 
 from __future__ import annotations
@@ -351,6 +353,13 @@ def _check_width(n: int) -> None:
         )
 
 
+def _index_rows(circuit: LayeredCircuit) -> list[list[int]]:
+    """Clifford indices of each one-qubit layer of ``circuit``."""
+    if not circuit.is_clifford:
+        raise cl.NotCliffordError("expected a Clifford circuit; Cliffordize first")
+    return [[g.index for g in layer.gates] for layer in circuit.layers[::2]]
+
+
 def _gate_indices(circuits):
     """First circuit and the (K, one-qubit layers, n) Clifford indices of
     all K circuits, read one circuit at a time; (None, None) if K = 0."""
@@ -362,14 +371,11 @@ def _gate_indices(circuits):
             _check_width(circuit.n)
         elif circuit.n != template.n or len(circuit.layers) != len(template.layers):
             raise ValueError("batched folds need circuits of one width and layer count")
-        if not circuit.is_clifford:
-            raise cl.NotCliffordError("exact folding requires a Clifford-only circuit")
+        row = _index_rows(circuit)
         # layers alternate, one-qubit layers at even positions
         if circuit.layers[1::2] != template.layers[1::2]:
             raise ValueError("batched folds need shared entangling layers")
-        rows.append(
-            np.array([[g.index for g in layer.gates] for layer in circuit.layers[::2]], dtype=np.int8)
-        )
+        rows.append(np.array(row, dtype=np.int8))
     return template, np.stack(rows) if rows else None
 
 
@@ -535,6 +541,40 @@ def _walk_maps() -> tuple[list, dict]:
     return cl.inverse_conjugation_codes().tolist(), twoq
 
 
+def _walk_tables(noise: NoiseModel | None, layers, n: int) -> list | None:
+    """The :meth:`NoiseModel._walk_table` of each of ``layers``, read once
+    for every walk over them; None without noise."""
+    return None if noise is None else [noise._walk_table(i, l, n) for i, l in enumerate(layers)]
+
+
+def _walk_codes(layers, gates, tables, codes) -> tuple[float, list[int]]:
+    """:func:`propagate_codes` on the entangling layers of ``layers``, with
+    the Clifford index rows ``gates`` and the :func:`_walk_tables`
+    ``tables``; the first step, a one-qubit layer, copies ``codes``."""
+    inverse_conj, twoq_maps = _walk_maps()
+    lam = 1.0
+    for i in range(len(layers) - 1, -1, -1):
+        table = None if tables is None else tables[i]
+        layer_eig = 1.0
+        # layers alternate, one-qubit layers at even positions
+        if i % 2 == 0:
+            row = gates[i // 2]
+            if table is not None:
+                for rows, g, c in zip(table, row, codes):
+                    layer_eig *= rows[g][c]
+            codes = [inverse_conj[g][c] for g, c in zip(row, codes)]
+        else:
+            layer = layers[i]
+            local_map = twoq_maps[layer.gate]
+            for p, (a, b) in enumerate(layer.pairs):
+                label = 4 * codes[a] + codes[b]
+                if table is not None:
+                    layer_eig *= table[p][label]
+                codes[a], codes[b] = divmod(local_map[label], 4)
+        lam *= layer_eig
+    return lam, codes
+
+
 def propagate_codes(
     circuit: LayeredCircuit, noise: NoiseModel | None, codes
 ) -> tuple[float, list[int]]:
@@ -546,28 +586,8 @@ def propagate_codes(
     map through the layer to those of L' P L.  Returns the product, 1.0
     without noise, and the letters of C' P C with the sign dropped.
     """
-    codes = list(codes)
-    inverse_conj, twoq_maps = _walk_maps()
-    lam = 1.0
-    for i in range(len(circuit.layers) - 1, -1, -1):
-        layer = circuit.layers[i]
-        table = None if noise is None else noise._walk_table(i, layer, circuit.n)
-        layer_eig = 1.0
-        if isinstance(layer, OneQubitLayer):
-            gates = [gate.index for gate in layer.gates]
-            if table is not None:
-                for rows, g, c in zip(table, gates, codes):
-                    layer_eig *= rows[g][c]
-            codes = [inverse_conj[g][c] for g, c in zip(gates, codes)]
-        else:
-            local_map = twoq_maps[layer.gate]
-            for p, (a, b) in enumerate(layer.pairs):
-                label = 4 * codes[a] + codes[b]
-                if table is not None:
-                    layer_eig *= table[p][label]
-                codes[a], codes[b] = divmod(local_map[label], 4)
-        lam *= layer_eig
-    return float(lam), codes
+    tables = _walk_tables(noise, circuit.layers, circuit.n)
+    return _walk_codes(circuit.layers, _index_rows(circuit), tables, codes)
 
 
 def fold_eigenvalues(circuit: LayeredCircuit, noise: NoiseModel) -> np.ndarray:

@@ -32,6 +32,7 @@ __all__ = [
     "commutes",
     "sample_uniform",
     "sample_uniform_nonidentity",
+    "sample_nonidentity_label",
     "SAMPLE_LIMIT",
     "pauli_walsh",
     "CODE_FROM_XZ",
@@ -234,15 +235,20 @@ def sample_uniform(n: int, rng: np.random.Generator) -> PauliString:
     return PauliString.from_label(n, int(rng.integers(4**n)))
 
 
-def sample_uniform_nonidentity(n: int, rng: np.random.Generator) -> PauliString:
-    """Uniform over the 4^n - 1 non-identity letter strings, sign +1.
+def sample_nonidentity_label(n: int, rng: np.random.Generator) -> int:
+    """Uniform over the 4^n - 1 non-identity labels.
 
     The identity observable carries no information for fidelity sampling,
     so it is excluded here and reweighted analytically by the estimators.
     """
     if not 1 <= n <= SAMPLE_LIMIT:
         raise ValueError(f"n must lie in [1, SAMPLE_LIMIT = {SAMPLE_LIMIT}], got {n}")
-    return PauliString.from_label(n, 1 + int(rng.integers(4**n - 1)))
+    return 1 + int(rng.integers(4**n - 1))
+
+
+def sample_uniform_nonidentity(n: int, rng: np.random.Generator) -> PauliString:
+    """Uniform over the 4^n - 1 non-identity letter strings, sign +1."""
+    return PauliString.from_label(n, sample_nonidentity_label(n, rng))
 
 
 def pauli_walsh(vec: np.ndarray, n: int) -> np.ndarray:

@@ -11,6 +11,8 @@ against.
 * the exact fold one gather per gate, every layer on its own, and the
   fused fold that gathers each gate's axes to the front of the array;
 * the Pauli walk that looks up each gate's eigenvalues in the model;
+* direct fidelity estimation on circuit objects: a PauliString per
+  observable, and ``cliffordize`` and ``concatenate`` per twirl;
 * the dense unitary of a circuit;
 * the Pauli twirl through a layer's tableau;
 * the layer error channel, one local Pauli channel per gate, with the
@@ -34,9 +36,16 @@ import numpy as np
 from cliffproxy import circuits as cc
 from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
+from cliffproxy import estimators as est
 from cliffproxy import noise as nz
 from cliffproxy import sdp
-from cliffproxy.pauli import XZ_FROM_CODE, PauliString, pauli_walsh, sample_uniform
+from cliffproxy.pauli import (
+    XZ_FROM_CODE,
+    PauliString,
+    pauli_walsh,
+    sample_uniform,
+    sample_uniform_nonidentity,
+)
 
 # ---------------------------------------------------------------------------
 # tableau walk
@@ -383,6 +392,142 @@ def per_gate_walk(circuit, noise, codes, layer_offset=0) -> tuple[float, list[in
                 codes[a], codes[b] = divmod(local_map[label], 4)
         lam *= layer_eig
     return float(lam), codes
+
+
+# ---------------------------------------------------------------------------
+# direct fidelity estimation on circuit objects
+# ---------------------------------------------------------------------------
+
+
+def object_walk(circuit, noise, spam, p, layer_offset=0) -> float:
+    """The estimators' walk for a PauliString through a circuit object:
+    :func:`per_gate_walk` times the prep and measurement factors."""
+    lam, codes = per_gate_walk(circuit, noise, [p.code(q) for q in range(p.n)], layer_offset)
+    if spam is not None:
+        for q, code in enumerate(codes):
+            if code:
+                lam *= spam.prep_factor(q)
+        for q in p.support:
+            lam *= spam.meas_factor(q)
+    return lam
+
+
+def object_sample_paulis(
+    circuit, noise, spam, config, rng, target=None, append=None, layer_offset=0
+) -> list:
+    """``estimators._sample_paulis`` on objects: the fixed Clifford
+    ``circuit``, or per twirl ``cliffordize(target)``, followed by
+    ``concatenate`` with ``append`` if given."""
+    out = []
+    for _ in range(config.num_paulis):
+        p = sample_uniform_nonidentity((circuit or target).n, rng)
+        if target is None:
+            expected = object_walk(circuit, noise, spam, p, layer_offset)
+            value = est._draw_parity(expected, config.shots_per_pauli, rng)
+        else:
+            values = []
+            for _ in range(config.num_twirls):
+                circ = cc.cliffordize(target, rng)
+                if append is not None:
+                    circ = cc.concatenate(circ, append)
+                expected = object_walk(circ, noise, spam, p)
+                values.append(est._draw_parity(expected, config.shots_per_twirl, rng))
+            value = float(np.mean(values))
+        out.append(est._PauliSample(str(p), value))
+    return out
+
+
+def object_dfe(circuit, noise, spam, config, rng, target=None) -> est.FidelityEstimate:
+    samples = object_sample_paulis(circuit, noise, spam, config, rng, target)
+    return est._aggregate(samples, (circuit or target).n, config, {"protocol": "dfe"})
+
+
+def object_dfe_with_reference(
+    circuit, scrambler, noise, spam, config, rng, target=None
+) -> est.FidelityEstimate:
+    """``estimators.dfe_with_reference``; the reference run reads the
+    scrambler's entries at its positions in the composed circuit."""
+    body = circuit or target
+    if target is None:
+        composed = cc.concatenate(circuit, scrambler)
+        num = object_sample_paulis(composed, noise, spam, config, rng)
+    else:
+        num = object_sample_paulis(None, noise, spam, config, rng, target, scrambler)
+    offset = len(body.layers) - 1
+    den = object_sample_paulis(scrambler, noise, spam, config, rng, layer_offset=offset)
+    est_num = est._aggregate(num, body.n, config, {"protocol": "dfe_reference_numerator"})
+    est_den = est._aggregate(den, body.n, config, {"protocol": "dfe_reference_denominator"})
+    ratio = est_num.mean / est_den.mean
+    rel = math.sqrt(
+        (est_num.stderr / max(abs(est_num.mean), 1e-12)) ** 2
+        + (est_den.stderr / est_den.mean) ** 2
+    )
+    meta = {
+        "protocol": "dfe_reference",
+        "numerator": est_num.mean,
+        "denominator": est_den.mean,
+    }
+    return est.FidelityEstimate(
+        ratio, abs(ratio) * rel, est_num.num_samples + est_den.num_samples, meta
+    )
+
+
+def object_readout_mitigated_dfe(
+    circuit, noise, spam, config, calib_shots, rng, target=None
+) -> est.FidelityEstimate:
+    """``estimators.readout_mitigated_dfe``, calibration draws first."""
+    n = (circuit or target).n
+    divisors = np.ones(n)
+    if spam is not None:
+        for q in range(n):
+            p = spam.prep[q]
+            e0_true = p * (1.0 - spam.meas1[q]) + (1.0 - p) * spam.meas0[q]
+            e1_true = p * (1.0 - spam.meas0[q]) + (1.0 - p) * spam.meas1[q]
+            e0_hat = rng.binomial(calib_shots, e0_true) / calib_shots
+            e1_hat = rng.binomial(calib_shots, e1_true) / calib_shots
+            divisors[q] = 1.0 - e0_hat - e1_hat
+    samples = object_sample_paulis(circuit, noise, spam, config, rng, target)
+    for s in samples:
+        for q in PauliString.from_text(s.pauli).support:
+            s.divisor *= divisors[q]
+    return est._aggregate(samples, n, config, {"protocol": "dfe_readout_mitigated"})
+
+
+def object_layer_fidelity_estimate(layers, n, noise, depths, config, rng, spam=None):
+    """``estimators.layer_fidelity_estimate``: each layer repeated m times
+    between identity layers, Cliffordized, and estimated by :func:`object_dfe`."""
+    depths = sorted(int(m) for m in depths)
+    dim4 = 4**n
+    polarizations, stderrs, intercepts = [], [], []
+    dropped = 0
+    for layer in layers:
+        xs, ys, ws = [], [], []
+        for m in depths:
+            circ = cc.cliffordize(
+                cc.LayeredCircuit(n, (cc.identity_layer(n),) + (layer, cc.identity_layer(n)) * m),
+                rng,
+            )
+            res = object_dfe(circ, noise, spam, config, rng)
+            p_hat = est.fidelity_to_polarization(res.mean, n)
+            sigma_p = res.stderr * dim4 / (dim4 - 1)
+            if p_hat <= 0.0:
+                dropped += 1
+                continue
+            xs.append(m)
+            ys.append(math.log(p_hat))
+            ws.append((p_hat / sigma_p) ** 2 if sigma_p > 0 else 1e12)
+        x, y, w = np.array(xs), np.array(ys), np.array(ws)
+        sw = w.sum()
+        sx, sy = float(w @ x), float(w @ y)
+        sxx, sxy = float(w @ (x * x)), float(w @ (x * y))
+        det = sw * sxx - sx * sx
+        p = math.exp((sw * sxy - sx * sy) / det)
+        polarizations.append(p)
+        stderrs.append(p * math.sqrt(sw / det))
+        intercepts.append(math.exp((sxx * sy - sx * sxy) / det))
+    return est.LayerFidelityResult(
+        n, tuple(layers), tuple(polarizations), tuple(stderrs), tuple(intercepts), dropped
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,13 @@ class TestScrambler:
 
 
 class TestHaar:
+    def test_unitary_built_once_per_gate(self):
+        gate = cc.haar_su2(np.random.default_rng(15))
+        u = cc.gate_unitary(gate)
+        assert cc.gate_unitary(gate) is u and not u.flags.writeable
+        assert np.array_equal(u, cl.euler_unitary(*gate.angles))
+        assert gate == cc.EulerGate1Q(*gate.angles)
+
     def test_unitary_to_1e12(self):
         rng = np.random.default_rng(12)
         for _ in range(200):

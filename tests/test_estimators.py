@@ -9,7 +9,16 @@ from cliffproxy import dense as dn
 from cliffproxy import estimators as est
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, sample_uniform_nonidentity
-from oracles import backpropagate, inverse, layer_channel, layer_tableau
+from oracles import (
+    backpropagate,
+    inverse,
+    layer_channel,
+    layer_tableau,
+    object_dfe,
+    object_dfe_with_reference,
+    object_layer_fidelity_estimate,
+    object_readout_mitigated_dfe,
+)
 from test_noise import _fold_case, _fold_model
 
 
@@ -28,6 +37,13 @@ class TestDfeConfig:
             est.DfeConfig(num_paulis=0)
         with pytest.raises(ValueError):
             est.DfeConfig(shots_per_twirl=0)
+
+
+def _walk(circuit, noise, spam, p):
+    """``est._walk`` through a Clifford circuit object for a PauliString."""
+    tables = nz._walk_tables(noise, circuit.layers, circuit.n)
+    codes = [p.code(q) for q in range(p.n)]
+    return est._walk(circuit.layers, nz._index_rows(circuit), tables, spam, codes)
 
 
 def _tableau_walk(circuit, noise, layer_offset):
@@ -61,8 +77,8 @@ class TestPauliExpectation:
         spam = nz.SpamModel.uniform(4, 0.01, 0.02)
         for _ in range(25):
             p = sample_uniform_nonidentity(4, rng)
-            base, _ = est._walk(circ, model, spam, p)
-            twirled, _ = est._walk(cc.pauli_twirl(circ, rng), model, spam, p)
+            base, _ = _walk(circ, model, spam, p)
+            twirled, _ = _walk(cc.pauli_twirl(circ, rng), model, spam, p)
             assert base == pytest.approx(twirled, abs=1e-12)
 
     def test_matches_folded_diagonal(self):
@@ -100,7 +116,7 @@ class TestPauliExpectation:
         model = nz.sample_error_model(circ, rng, 0.0, 0.0)
         spam = nz.SpamModel.uniform(3, 0.02, 0.03)
         p = PauliString.from_text("XZI")
-        val, codes = est._walk(circ, model, spam, p)
+        val, codes = _walk(circ, model, spam, p)
         weight = sum(1 for c in codes if c)
         expect = (1 - 2 * 0.02) ** weight * (1 - 2 * 0.03) ** p.weight
         assert val == pytest.approx(expect, abs=1e-12)
@@ -182,6 +198,85 @@ class TestDfe:
         circ, rng = brickwork(3, 2, 9)
         res = est.dfe(circ, None, None, est.DfeConfig(5, 2, 10), rng)
         assert res.mean == 1.0 and res.stderr == 0.0
+
+
+class TestCircuitOrTarget:
+    @pytest.mark.parametrize("given", ["both", "neither"])
+    @pytest.mark.parametrize("name", ["dfe", "dfe_with_reference", "readout_mitigated_dfe"])
+    def test_exactly_one_raises_before_drawing(self, name, given):
+        rng = np.random.default_rng(40)
+        target = cc.sample_brickwork(cc.BrickworkSpec(3, 2), "haar", rng)
+        scr = cc.scrambling_circuit(3, 2, rng)
+        spam = nz.SpamModel.uniform(3, 0.01, 0.02)
+        config = est.DfeConfig(2, 1, 10)
+        circuit, target = (cc.cliffordize(target, rng), target) if given == "both" else (None, None)
+        call = {
+            "dfe": lambda: est.dfe(circuit, None, spam, config, rng, target=target),
+            "dfe_with_reference": lambda: est.dfe_with_reference(
+                circuit, scr, None, spam, config, rng, target=target
+            ),
+            "readout_mitigated_dfe": lambda: est.readout_mitigated_dfe(
+                circuit, None, spam, config, 1000, rng, target=target
+            ),
+        }[name]
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="exactly one"):
+            call()
+        assert rng.bit_generator.state == before
+
+
+class TestMatchesObjectPath:
+    """Each DFE path against the same estimator on circuit objects, which
+    builds a PauliString per observable and, per twirl, a Cliffordized
+    circuit: equal estimates, and the generator left in the same state."""
+
+    @pytest.mark.parametrize("mode", ["circuit", "target"])
+    @pytest.mark.parametrize("markovian", [True, False])
+    @pytest.mark.parametrize("gate", ["CZ", "CNOT"])
+    def test_estimators(self, gate, markovian, mode):
+        n = 4
+        rng = np.random.default_rng(41)
+        template = _fold_case(n, "ring", gate, rng)
+        scr = cc.scrambling_circuit(n, 2, rng)
+        model = nz.sample_error_model(cc.concatenate(template, scr), rng, 2e-2, 2e-3, markovian)
+        spam = nz.SpamModel.uniform(n, 0.01, 0.02)
+        config = est.DfeConfig(6, 3, 50)
+        circuit, target = (template, None) if mode == "circuit" else (None, template)
+        runs = (
+            (est.dfe, object_dfe, (circuit, model, spam, config)),
+            (
+                est.dfe_with_reference,
+                object_dfe_with_reference,
+                (circuit, scr, model, spam, config),
+            ),
+            (
+                est.readout_mitigated_dfe,
+                object_readout_mitigated_dfe,
+                (circuit, model, spam, config, 1000),
+            ),
+        )
+        for new, old, args in runs:
+            a, b = np.random.default_rng(42), np.random.default_rng(42)
+            got = new(*args, a, target=target)
+            assert got == old(*args, b, target=target)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_layer_fit(self):
+        n = 4
+        rng = np.random.default_rng(43)
+        layers = (
+            cc.TwoQubitLayer(cc.brickwork_pairs(n, 0)),
+            cc.TwoQubitLayer(cc.brickwork_pairs(n, 1, "ring"), "CNOT"),
+        )
+        ident = cc.identity_layer(n)
+        circ = cc.LayeredCircuit(n, (ident, layers[0], ident, layers[1], ident))
+        model = nz.sample_error_model(circ, rng, 1e-2, 1e-3)
+        spam = nz.SpamModel.uniform(n, 0.01, 0.02)
+        args = (layers, n, model, [1, 2, 4], est.DfeConfig(6, 3, 50))
+        a, b = np.random.default_rng(44), np.random.default_rng(44)
+        got = est.layer_fidelity_estimate(*args, a, spam=spam)
+        assert got == object_layer_fidelity_estimate(*args, b, spam=spam)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestReference:
@@ -426,10 +521,10 @@ class TestLayerFidelity:
     def test_one_depth_left_after_dropping_raises(self, monkeypatch):
         # depths 4 and 8 read a fidelity below 1/4^n, so their points are
         # dropped and three points at depth 2 remain: no slope to fit
-        def fake_dfe(circ, noise, spam, config, rng):
-            return est.FidelityEstimate(0.9 if len(circ.layers) == 5 else 0.0, 0.01, 1)
+        def fake_dfe(layers, gates, noise, spam, config, rng):
+            return est.FidelityEstimate(0.9 if len(layers) == 5 else 0.0, 0.01, 1)
 
-        monkeypatch.setattr(est, "dfe", fake_dfe)
+        monkeypatch.setattr(est, "_dfe", fake_dfe)
         n = 4
         rng = np.random.default_rng(34)
         circ, _ = brickwork(n, 2, 35)
@@ -486,6 +581,17 @@ class TestXeb:
 
 
 class TestVolumetric:
+    @pytest.mark.parametrize("topology", ["line", "ring"])
+    def test_layout_draws_as_sample_brickwork(self, topology):
+        for n, depth in ((2, 1), (4, 3), (5, 2)):
+            spec = cc.BrickworkSpec(n, depth, topology)
+            a, b = np.random.default_rng(45), np.random.default_rng(45)
+            layout = est._haar_layout(spec, a)
+            circ = cc.sample_brickwork(spec, "haar", b)
+            assert a.bit_generator.state == b.bit_generator.state
+            assert layout.layers[1::2] == circ.layers[1::2]
+            assert layout.layers[::2] == (cc.identity_layer(n),) * (depth + 1)
+
     def test_zero_noise_cells_near_one(self):
         cfg = est.DfeConfig(10, 1, 200)
         cells = est.volumetric_run(

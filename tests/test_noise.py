@@ -550,6 +550,31 @@ class TestPropagateCodes:
                                     got = nz.propagate_codes(circ, walked, codes)
                                     assert got == per_gate_walk(circ, noise, codes, offset)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_index_walk_matches_per_gate_walk(self, n):
+        # the walk on drawn index rows, with each model's tables read once
+        # for all its walks, against the Cliffordized circuits; the
+        # template's own one-qubit gates are not read
+        rng = np.random.default_rng(470 + n)
+        for topology in ("line", "ring"):
+            for gate in ("CZ", "CNOT"):
+                template = _fold_case(n, topology, gate, rng)
+                layers = template.layers
+                for markovian in (True, False):
+                    for offset in (0, 3):
+                        model = _fold_model(template, rng, markovian, offset)
+                        for noise, walked in ((model, model.shifted(offset)), (None, None)):
+                            tables = nz._walk_tables(walked, layers, n)
+                            for _ in range(3):
+                                gates = cc._draw_cliffords(rng, 1, len(layers[::2]), n)[0]
+                                circ = cc.LayeredCircuit(n, tuple(
+                                    cc._clifford_layer(gates[i // 2]) if i % 2 == 0 else layer
+                                    for i, layer in enumerate(layers)
+                                ))
+                                for codes in rng.integers(0, 4, (5, n)).tolist():
+                                    got = nz._walk_codes(layers, gates.tolist(), tables, codes)
+                                    assert got == per_gate_walk(circ, noise, codes, offset)
+
 
 def _haar_target(n, kind, rng):
     """A disordered or periodic Haar target; at n = 1 the same shapes are
