@@ -8,10 +8,10 @@ Tr(P_i E(P_j)) / 2^n.  With that normalisation the diagonal of a Pauli
 channel's transfer matrix is exactly the Walsh transform of its
 probability vector.
 
-A circuit's transfer matrix is built gate by gate: each gate's 4 x 4 or
-16 x 16 noisy transfer matrix acts on the row axes of the running matrix,
-with one-qubit errors at the X90 pulses inside the five-pulse form, where
-the statevector sampler also puts them.
+A circuit's transfer matrix is built one brick at a time: each pair's
+noisy 16 x 16 takes in the one-qubit gates before it, whose errors sit at
+the X90 pulses inside the five-pulse form, where the statevector sampler
+also puts them.
 
 Computational-basis integers put qubit 0 on the most significant bit.
 Dense transfer matrices are capped at n <= 4 and the diamond-norm SDP at
@@ -35,7 +35,7 @@ from .circuits import (
     gate_unitary,
 )
 from .clifford import _PAULIS, RX90 as _RX90, one_qubit_cliffords
-from .noise import NoiseModel, SpamModel
+from .noise import _SWAP, NoiseModel, SpamModel
 
 __all__ = [
     "Ptm",
@@ -101,28 +101,6 @@ def _pauli_stack(n: int) -> np.ndarray:
     return stack
 
 
-def apply_1q(state: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply ``u`` to one qubit's axis of ``state``: a 2 x 2 unitary to a
-    statevector, or a 4 x 4 transfer matrix to transfer-matrix rows."""
-    d = len(u)
-    t = state.reshape(d**qubit, d, -1)
-    return np.einsum("ab,ibj->iaj", u, t).reshape(state.shape)
-
-
-def apply_2q(state: np.ndarray, u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """Apply ``u4`` to the axes of qubits (a, b), ``a`` the high digit: a
-    4 x 4 unitary to a statevector, or a 16 x 16 transfer matrix to
-    transfer-matrix rows."""
-    d = 2 if len(u4) == 4 else 4
-    t = state.reshape((d,) * n + state.shape[1:])
-    t = np.moveaxis(t, (a, b), (0, 1))
-    rest = t.shape[2:]
-    t = t.reshape(d * d, -1)
-    t = (u4 @ t).reshape((d, d) + rest)
-    t = np.moveaxis(t, (0, 1), (a, b))
-    return t.reshape(state.shape)
-
-
 @lru_cache(maxsize=4)
 def _parities(dim: int) -> np.ndarray:
     """Parity of the set bits of each integer below ``dim``, a power of two."""
@@ -147,22 +125,8 @@ def _local_masks(n: int, qubits, label: int) -> tuple[int, int, complex]:
     return x, z, phase
 
 
-def apply_circuit(state: np.ndarray, circuit: LayeredCircuit) -> np.ndarray:
-    """Noiseless application of all circuit layers."""
-    for layer in circuit.layers:
-        state = apply_circuit_layer(state, layer, circuit.n)
-    return state
-
-
-@lru_cache(maxsize=4)
-def _entangler_unitary(gate: str) -> np.ndarray:
-    if gate == "CZ":
-        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    if gate == "CNOT":
-        m = np.eye(4, dtype=complex)
-        m[[2, 3]] = m[[3, 2]]
-        return m
-    raise ValueError(f"unsupported entangling gate {gate!r}")
+# CZ and CNOT (control first) with the first qubit on the high bit
+_ENTANGLERS = {"CZ": np.diag([1.0, 1.0, 1.0, -1.0]), "CNOT": np.eye(4)[[0, 1, 3, 2]]}
 
 
 def ptm_of_unitary(u: np.ndarray, n: int) -> Ptm:
@@ -172,17 +136,6 @@ def ptm_of_unitary(u: np.ndarray, n: int) -> Ptm:
     conj = u @ stack @ u.conj().T
     mat = np.real(np.einsum("iab,kba->ik", stack, conj, optimize=True)) / 2**n
     return Ptm(n, mat)
-
-
-def apply_circuit_layer(state: np.ndarray, layer, n: int) -> np.ndarray:
-    if isinstance(layer, OneQubitLayer):
-        for q, gate in enumerate(layer.gates):
-            state = apply_1q(state, gate_unitary(gate), q)
-    else:
-        u4 = _entangler_unitary(layer.gate)
-        for a, b in layer.pairs:
-            state = apply_2q(state, u4, a, b, n)
-    return state
 
 
 def _spam_eigenvalues(n: int, factors: list[float]) -> np.ndarray:
@@ -197,30 +150,81 @@ def _spam_eigenvalues(n: int, factors: list[float]) -> np.ndarray:
 
 # X90 transfer matrix (X -> X, Y -> Z, Z -> -Y) as exact integers, so that
 # noiseless products keep an exact (1, 0, ..., 0) first row
-_X90_PTM = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float
-)
+_X90_PTM = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
 
 
-def _rz_ptm(phi: float) -> np.ndarray:
+def _rz_ptms(phi: np.ndarray) -> np.ndarray:
+    """Transfer matrices of Z(phi), stacked over the shape of ``phi``."""
     c, s = np.cos(phi), np.sin(phi)
-    return np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
+    out = np.zeros(phi.shape + (4, 4))
+    out[..., 0, 0] = out[..., 3, 3] = 1.0
+    out[..., 1, 1] = out[..., 2, 2] = c
+    out[..., 1, 2], out[..., 2, 1] = -s, s
+    return out
+
+
+def _gate_ptms_1q(angles: np.ndarray, eig: np.ndarray | None) -> np.ndarray:
+    """Z(phi1) D X90 Z(phi2) D X90 Z(phi3), phi3 acting first, stacked over
+    the rows (phi1, phi2, phi3) of ``angles``, where D is the matching row
+    of X90 error diagonals ``eig`` (the identity when None)."""
+    z = _rz_ptms(angles)
+    pulse = _X90_PTM if eig is None else eig[..., None] * _X90_PTM
+    return z[..., 0, :, :] @ pulse @ z[..., 1, :, :] @ pulse @ z[..., 2, :, :]
 
 
 @lru_cache(maxsize=4)
 def _entangler_ptm(gate: str) -> np.ndarray:
-    return ptm_of_unitary(_entangler_unitary(gate), 2).mat
+    return ptm_of_unitary(_ENTANGLERS[gate], 2).mat
 
 
-def _gate_ptm_1q(gate, eig: np.ndarray | None) -> np.ndarray:
-    """Z(phi1) D X90 Z(phi2) D X90 Z(phi3), phi3 acting first, where D is
-    the X90 pulses' error diagonal ``eig`` (the identity when None)."""
-    if isinstance(gate, EulerGate1Q):
-        phi1, phi2, phi3 = gate.angles
-    else:
-        phi1, phi2, phi3 = one_qubit_cliffords()[gate.index].euler
-    pulse = _X90_PTM if eig is None else eig[:, None] * _X90_PTM
-    return _rz_ptm(phi1) @ pulse @ _rz_ptm(phi2) @ pulse @ _rz_ptm(phi3)
+def _ptm_columns(cols: np.ndarray, circuit: LayeredCircuit, noise: NoiseModel | None) -> np.ndarray:
+    """The circuit's noisy transfer matrix times ``cols``, 4^n rows.
+
+    Every one-qubit gate's 4 x 4 is built in one batched pass.  Each pair's
+    16 x 16 takes in the one-qubit gates before it and puts its lower qubit
+    on the high digit, so a pair of neighbours is one product on the
+    (4^lo, 16, rest) view of the rows, as an idle qubit's gate is on the
+    (4^q, 4, rest) view; other pairs, such as a ring's (n - 1, 0) at
+    n >= 3, move their two axes to the front.
+    """
+    n, layers = circuit.n, circuit.layers
+    euler = [e.euler for e in one_qubit_cliffords()]
+    angles = [[g.angles if isinstance(g, EulerGate1Q) else euler[g.index] for g in layer.gates]
+              for layer in layers[::2]]
+    eig = None if noise is None else np.array(
+        [[noise.xpi2_noise(i, q).eigenvalues for q in range(n)] for i in range(0, len(layers), 2)]
+    )
+    gates = _gate_ptms_1q(np.array(angles), eig)
+
+    pairs = [(i, a, b) for i in range(1, len(layers), 2) for a, b in layers[i].pairs]
+    fused = iter(())
+    if pairs:
+        pos, first, second = np.array(pairs).T
+        ent = np.stack([_entangler_ptm(layers[i].gate) for i, _, _ in pairs])
+        if noise is not None:
+            ent *= np.array(
+                [noise.twoq_noise(i, layers[i].gate, (a, b)).eigenvalues for i, a, b in pairs]
+            )[:, :, None]
+        rev = first > second
+        ent[rev] = ent[rev][:, _SWAP][:, :, _SWAP]
+        lo = gates[pos // 2, np.minimum(first, second)]
+        hi = gates[pos // 2, np.maximum(first, second)]
+        fused = iter(ent @ (lo[:, :, None, :, None] * hi[:, None, :, None, :]).reshape(-1, 16, 16))
+
+    mat = cols
+    for i in range(0, len(layers), 2):
+        brick = layers[i + 1].pairs if i + 1 < len(layers) else ()
+        busy = {q for pair in brick for q in pair}
+        for q in range(n):
+            if q not in busy:
+                mat = np.matmul(gates[i // 2, q], mat.reshape(4**q, 4, -1))
+        for a, b in map(sorted, brick):
+            if b == a + 1:
+                mat = np.matmul(next(fused), mat.reshape(4**a, 16, -1))
+            else:
+                t = np.moveaxis(mat.reshape((4,) * n + (-1,)), (a, b), (0, 1))
+                mat = np.moveaxis((next(fused) @ t.reshape(16, -1)).reshape(t.shape), (0, 1), (a, b))
+    return mat.reshape(cols.shape)
 
 
 def circuit_ptm(
@@ -228,41 +232,26 @@ def circuit_ptm(
     noise: NoiseModel | None = None,
     spam: SpamModel | None = None,
 ) -> Ptm:
-    """Transfer matrix of the (optionally noisy) circuit, n <= 4.
-
-    Built gate by gate: each one-qubit gate's five-pulse product with its
-    X90 error diagonal after both pulses, each two-qubit gate followed by
-    its 16-entry error diagonal, applied to the rows in the pair's listed
-    order.  SPAM appears as boundary bit-flip channels.
-    """
+    """Transfer matrix of the (optionally noisy) circuit, n <= 4: the
+    identity's columns, scaled by the prep bit-flip diagonal, run through
+    :func:`_ptm_columns`, then the rows scaled by the measurement diagonal.
+    Each one-qubit gate's X90 error diagonal follows both its pulses, each
+    pair's 16-entry error diagonal (in its listed qubit order) the pair."""
     n = circuit.n
     if n > PTM_LIMIT:
         raise ValueError(f"dense transfer matrices capped at n={PTM_LIMIT}")
-    mat = np.eye(4**n)
-    if spam is not None:
-        mat = mat * _spam_eigenvalues(n, [spam.prep_factor(q) for q in range(n)])[None, :]
-    for pos, layer in enumerate(circuit.layers):
-        if isinstance(layer, OneQubitLayer):
-            for q, gate in enumerate(layer.gates):
-                eig = None if noise is None else noise.xpi2_noise(pos, q).eigenvalues
-                mat = apply_1q(mat, _gate_ptm_1q(gate, eig), q)
-        else:
-            ideal = _entangler_ptm(layer.gate)
-            for a, b in layer.pairs:
-                g = ideal
-                if noise is not None:
-                    g = noise.twoq_noise(pos, layer.gate, (a, b)).eigenvalues[:, None] * ideal
-                mat = apply_2q(mat, g, a, b, n)
-    if spam is not None:
-        mat = _spam_eigenvalues(n, [spam.meas_factor(q) for q in range(n)])[:, None] * mat
-    return Ptm(n, mat)
+    if spam is None:
+        return Ptm(n, _ptm_columns(np.eye(4**n), circuit, noise))
+    prep = _spam_eigenvalues(n, [spam.prep_factor(q) for q in range(n)])
+    mat = _ptm_columns(np.diag(prep), circuit, noise)
+    return Ptm(n, _spam_eigenvalues(n, [spam.meas_factor(q) for q in range(n)])[:, None] * mat)
 
 
 def process_fidelity(ideal: Ptm, noisy: Ptm) -> float:
     """Tr(ideal^T noisy) / 4^n."""
     if ideal.n != noisy.n:
         raise ValueError(f"size mismatch: {ideal.n} vs {noisy.n}")
-    return float(np.trace(ideal.mat.T @ noisy.mat)) / 4**ideal.n
+    return float(np.vdot(ideal.mat, noisy.mat)) / 4**ideal.n
 
 
 def choi_of_ptm(ptm: Ptm) -> ChoiMatrix:
@@ -310,17 +299,32 @@ def _entangler_layer(layer: TwoQubitLayer, n: int) -> np.ndarray:
     return op
 
 
-def _zero_state(n: int) -> np.ndarray:
-    v = np.zeros(2**n, dtype=complex)
-    v[0] = 1.0
-    return v
+def apply_circuit(state: np.ndarray, circuit: LayeredCircuit) -> np.ndarray:
+    """Noiseless application of all circuit layers to a statevector, or to
+    each column of a (2^n, columns) array."""
+    out = state.reshape(2**circuit.n, -1)
+    for layer in circuit.layers:
+        out = apply_circuit_layer(out, layer, circuit.n)
+    return out.reshape(state.shape)
+
+
+def apply_circuit_layer(state: np.ndarray, layer, n: int) -> np.ndarray:
+    """One noiseless layer on (2^n, columns) amplitudes: each one-qubit gate
+    one product on its qubit's (2^q, 2, rest) view, an entangling layer one
+    :func:`_entangler_layer` gather or diagonal."""
+    if isinstance(layer, OneQubitLayer):
+        for q, gate in enumerate(layer.gates):
+            state = np.matmul(gate_unitary(gate), state.reshape(2**q, 2, -1)).reshape(state.shape)
+        return state
+    op = _entangler_layer(layer, n)
+    return state[op] if layer.gate == "CNOT" else state * op
 
 
 def ideal_output_probs(circuit: LayeredCircuit) -> np.ndarray:
     """Exact |amplitude|^2 vector of the noiseless circuit on |0...0>."""
     if circuit.n > STATEVECTOR_LIMIT:
         raise ValueError(f"statevector simulation capped at n={STATEVECTOR_LIMIT}")
-    amps = apply_circuit(_zero_state(circuit.n), circuit)
+    amps = apply_circuit(np.eye(1, 2**circuit.n, dtype=complex)[0], circuit)
     return np.abs(amps) ** 2
 
 
@@ -422,13 +426,8 @@ def statevector_simulate(
         state[0] = 1.0
         # layer index -1 holds the prep flips
         for li, layer in [(-1, None), *enumerate(circuit.layers)]:
-            if isinstance(layer, OneQubitLayer):
-                for q, gate in enumerate(layer.gates):
-                    t = state.reshape(2**q, 2, -1)
-                    state = np.matmul(gate_unitary(gate), t).reshape(state.shape)
-            elif layer is not None:
-                op = _entangler_layer(layer, n)
-                state = state[op] if layer.gate == "CNOT" else state * op
+            if layer is not None:
+                state = apply_circuit_layer(state, layer, n)
             for apply, *args in faults.get(li, ()):
                 apply(state, *args)
         # choice's cumulative distribution for all patterns, one row each

@@ -13,11 +13,13 @@ against.
 * the Pauli walk that looks up each gate's eigenvalues in the model;
 * direct fidelity estimation on circuit objects: a PauliString per
   observable, and ``cliffordize`` and ``concatenate`` per twirl;
-* the dense unitary of a circuit;
+* the dense unitary of a circuit, each layer a Kronecker product of gate
+  unitaries or of explicit CZ / CNOT matrices with the qubits permuted;
 * the Pauli twirl through a layer's tableau;
 * the layer error channel, one local Pauli channel per gate, with the
   compiled one-qubit channel pushed to the end of each gate;
-* the transfer matrix built from each layer's full 2^n unitary, with
+* the transfer matrix built gate by gate, one einsum or axis move per
+  gate, and the one built from each layer's full 2^n unitary, with
   every layer's error multiplied in after it;
 * the noisy statevector sampler before batching, one run per fault
   pattern;
@@ -535,9 +537,65 @@ def object_layer_fidelity_estimate(layers, n, noise, depths, config, rng, spam=N
 # ---------------------------------------------------------------------------
 
 
+def apply_1q(state: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply ``u`` to one qubit's axis of ``state``: a 2 x 2 unitary to a
+    statevector, or a 4 x 4 transfer matrix to transfer-matrix rows."""
+    d = len(u)
+    t = state.reshape(d**qubit, d, -1)
+    return np.einsum("ab,ibj->iaj", u, t).reshape(state.shape)
+
+
+def apply_2q(state: np.ndarray, u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """Apply ``u4`` to the axes of qubits (a, b), ``a`` the high digit: a
+    4 x 4 unitary to a statevector, or a 16 x 16 transfer matrix to
+    transfer-matrix rows."""
+    d = 2 if len(u4) == 4 else 4
+    t = state.reshape((d,) * n + state.shape[1:])
+    t = np.moveaxis(t, (a, b), (0, 1))
+    rest = t.shape[2:]
+    t = t.reshape(d * d, -1)
+    t = (u4 @ t).reshape((d, d) + rest)
+    t = np.moveaxis(t, (0, 1), (a, b))
+    return t.reshape(state.shape)
+
+
+# CZ and CNOT (control first) with the first qubit on the high bit
+ENTANGLERS = {
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+
+
+def _embed(u: np.ndarray, qubits, n: int) -> np.ndarray:
+    """The n-qubit unitary of ``u`` on ``qubits``, the first on the high
+    bit: u (x) identity with the qubits in the order ``qubits`` then the
+    rest, permuted back to qubit order (qubit 0 = msb)."""
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    full = np.kron(u, np.eye(2 ** (n - len(qubits)))).reshape((2,) * (2 * n))
+    axes = np.argsort(order)
+    return full.transpose([*axes, *(n + axes)]).reshape(2**n, 2**n)
+
+
+def layer_unitary(layer, n: int) -> np.ndarray:
+    """Dense 2^n unitary of one layer: the Kronecker product of the gate
+    unitaries, or the product of each pair's embedded CZ / CNOT."""
+    if isinstance(layer, cc.OneQubitLayer):
+        out = np.eye(1, dtype=complex)
+        for gate in layer.gates:
+            out = np.kron(out, cc.gate_unitary(gate))
+        return out
+    out = np.eye(2**n, dtype=complex)
+    for pair in layer.pairs:
+        out = _embed(ENTANGLERS[layer.gate], pair, n) @ out
+    return out
+
+
 def circuit_unitary(circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (small n only)."""
-    return dn.apply_circuit(np.eye(2**circuit.n, dtype=complex), circuit)
+    out = np.eye(2**circuit.n, dtype=complex)
+    for layer in circuit.layers:
+        out = layer_unitary(layer, circuit.n) @ out
+    return out
 
 
 def tableau_twirl(circuit, rng):
@@ -638,6 +696,47 @@ def _gate_error_ptm_1q(noise, position, qubit, gate) -> np.ndarray:
     return (r_second @ diag @ r_second.T) @ (r_first @ diag @ r_first.T)
 
 
+def _rz_ptm(phi: float) -> np.ndarray:
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
+
+
+def _gate_ptm_1q(gate, eig: np.ndarray | None) -> np.ndarray:
+    """Z(phi1) D X90 Z(phi2) D X90 Z(phi3), phi3 acting first, where D is
+    the X90 pulses' error diagonal ``eig`` (the identity when None)."""
+    if isinstance(gate, cc.EulerGate1Q):
+        phi1, phi2, phi3 = gate.angles
+    else:
+        phi1, phi2, phi3 = cl.one_qubit_cliffords()[gate.index].euler
+    pulse = dn._X90_PTM if eig is None else eig[:, None] * dn._X90_PTM
+    return _rz_ptm(phi1) @ pulse @ _rz_ptm(phi2) @ pulse @ _rz_ptm(phi3)
+
+
+def gate_by_gate_ptm(circuit, noise=None, spam=None) -> dn.Ptm:
+    """``circuit_ptm`` one gate at a time: each one-qubit gate's five-pulse
+    product applied on its qubit's rows, each pair's noisy 16 x 16 on its
+    qubits' rows in the pair's listed order."""
+    n = circuit.n
+    mat = np.eye(4**n)
+    if spam is not None:
+        mat = mat * dn._spam_eigenvalues(n, [spam.prep_factor(q) for q in range(n)])[None, :]
+    for pos, layer in enumerate(circuit.layers):
+        if isinstance(layer, cc.OneQubitLayer):
+            for q, gate in enumerate(layer.gates):
+                eig = None if noise is None else noise.xpi2_noise(pos, q).eigenvalues
+                mat = apply_1q(mat, _gate_ptm_1q(gate, eig), q)
+        else:
+            ideal = dn.ptm_of_unitary(ENTANGLERS[layer.gate], 2).mat
+            for a, b in layer.pairs:
+                g = ideal
+                if noise is not None:
+                    g = noise.twoq_noise(pos, layer.gate, (a, b)).eigenvalues[:, None] * ideal
+                mat = apply_2q(mat, g, a, b, n)
+    if spam is not None:
+        mat = dn._spam_eigenvalues(n, [spam.meas_factor(q) for q in range(n)])[:, None] * mat
+    return dn.Ptm(n, mat)
+
+
 def layer_unitary_ptm(circuit, noise=None, spam=None, layer_offset=0) -> dn.Ptm:
     """``circuit_ptm`` from each layer's full 2^n unitary, with the layer's
     error transfer matrix multiplied in after it: a Kronecker product of
@@ -648,8 +747,7 @@ def layer_unitary_ptm(circuit, noise=None, spam=None, layer_offset=0) -> dn.Ptm:
     if spam is not None:
         mat = mat * dn._spam_eigenvalues(n, [spam.prep_factor(q) for q in range(n)])[None, :]
     for i, layer in enumerate(circuit.layers):
-        unitary = dn.apply_circuit_layer(np.eye(2**n, dtype=complex), layer, n)
-        mat = dn.ptm_of_unitary(unitary, n).mat @ mat
+        mat = dn.ptm_of_unitary(layer_unitary(layer, n), n).mat @ mat
         if noise is None:
             continue
         pos = i + layer_offset
@@ -762,19 +860,20 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
             state = apply_pauli(state, fault)
         for li, layer in enumerate(circuit.layers):
             if isinstance(layer, cc.TwoQubitLayer):
-                state = dn.apply_circuit_layer(state, layer, n)
+                for a, b in layer.pairs:
+                    state = apply_2q(state, ENTANGLERS[layer.gate], a, b, n)
             else:
                 for q, gate in enumerate(layer.gates):
                     faults = pulse_faults.get((li, q))
                     if faults is None:
-                        state = dn.apply_1q(state, cc.gate_unitary(gate), q)
+                        state = apply_1q(state, cc.gate_unitary(gate), q)
                         continue
                     phi1, phi2, phi3 = gate.angles
                     for u, pulse in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None), (cl.RX90, 1)):
-                        state = dn.apply_1q(state, u, q)
+                        state = apply_1q(state, u, q)
                         if pulse in faults:
                             state = apply_pauli(state, local_pauli(n, (q,), faults[pulse]))
-                    state = dn.apply_1q(state, cl._rz(phi1), q)
+                    state = apply_1q(state, cl._rz(phi1), q)
             for fault in post.get(li, []):
                 state = apply_pauli(state, fault)
         probs = np.abs(state) ** 2

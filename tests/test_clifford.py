@@ -226,7 +226,8 @@ class TestTablesMatchTableauClosure:
         assert not table.flags.writeable
         for g, elem in enumerate(cl.one_qubit_cliffords()):
             phi1, phi2, _ = elem.euler
-            after = (dn._rz_ptm(phi1) @ dn._X90_PTM @ dn._rz_ptm(phi2), dn._rz_ptm(phi1))
+            z1, z2 = dn._rz_ptms(np.array([phi1, phi2]))
+            after = (z1 @ dn._X90_PTM @ z2, z1)
             for pulse, r in enumerate(after):
                 # row P of the transfer matrix of V expands V' P V over letters
                 assert np.allclose(np.sort(np.abs(r), axis=1), [0, 0, 0, 1], atol=1e-12)

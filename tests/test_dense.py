@@ -13,8 +13,10 @@ from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliChannel, PauliString
 from oracles import (
+    apply_1q,
     apply_pauli,
     circuit_unitary,
+    gate_by_gate_ptm,
     layer_unitary_ptm,
     local_pauli,
     per_pattern_simulate,
@@ -63,9 +65,23 @@ class TestCircuitPtm:
 
     def test_pulse_matrices_match_unitaries(self):
         assert np.max(np.abs(dn._X90_PTM - dn.ptm_of_unitary(cl.RX90, 1).mat)) < 1e-15
-        for phi in (0.0, 0.3, math.pi / 2, -math.pi / 2, math.pi, 2.5, -1.7):
+        phis = (0.0, 0.3, math.pi / 2, -math.pi / 2, math.pi, 2.5, -1.7)
+        for phi, got in zip(phis, dn._rz_ptms(np.array(phis)), strict=True):
             want = dn.ptm_of_unitary(cl._rz(phi), 1).mat
-            assert np.max(np.abs(dn._rz_ptm(phi) - want)) < 1e-15
+            assert np.max(np.abs(got - want)) < 1e-15
+        # the batched five-pulse builder, noiseless, over all angle triples
+        triples = np.array(list(itertools.product(phis, repeat=3)))
+        for angles, got in zip(triples, dn._gate_ptms_1q(triples, None), strict=True):
+            want = dn.ptm_of_unitary(cl.euler_unitary(*angles), 1).mat
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_noiseless_clifford_first_row_exact(self):
+        # the X90 literal and the Z(phi) rows keep the trace-preserving row
+        # exact through every fused product, pairs and wraps included
+        for n, gate in itertools.product((2, 3, 4), ("CZ", "CNOT")):
+            circ = _ptm_case(n, "clifford", "ring", gate, 6, np.random.default_rng(n))
+            first = dn.circuit_ptm(circ).mat[0]
+            assert np.array_equal(first, np.eye(4**n)[0])
 
     def test_cnot_control_above_target(self):
         # control qubit 1 (least significant bit) flips target qubit 0
@@ -128,6 +144,43 @@ class TestGateByGatePtm:
                 want = layer_unitary_ptm(circ, model, spam, layer_offset=offset).mat
                 worst = max(worst, np.max(np.abs(got - want)))
         assert worst < 1e-12
+
+
+class TestBrickFusedPtm:
+    """circuit_ptm against the same transfer matrix built one gate at a time."""
+
+    @pytest.mark.parametrize("kind", ["haar", "periodic"])
+    def test_accuracy_shape(self, kind):
+        # n = 2, depth 100 on a ring, listing the pair (1, 0): on every odd
+        # brick of the disordered target, on every brick of this periodic one
+        rng = np.random.default_rng(700 if kind == "haar" else 703)
+        spec = cc.BrickworkSpec(2, 100, "ring")
+        if kind == "haar":
+            circ = cc.sample_brickwork(spec, "haar", rng)
+        else:
+            circ = cc.sample_periodic(spec, "haar", rng)
+        assert circ.layers[3].pairs == ((1, 0),)
+        model = nz.sample_error_model(circ, rng, 1e-2, 1e-3, markovian=False)
+        spam = nz.SpamModel((0.01, 0.03), (0.02, 0.01), (0.05, 0.04))
+        for noise, with_spam in itertools.product((None, model), (None, spam)):
+            got = dn.circuit_ptm(circ, noise, with_spam).mat
+            want = gate_by_gate_ptm(circ, noise, with_spam).mat
+            assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("gate", ["CZ", "CNOT"])
+    def test_rings(self, n, gate):
+        # CNOT pairs run reversed, so the n = 4 wrap is (0, 3) there and
+        # (3, 0) under CZ; both take the axis-move path
+        rng = np.random.default_rng(710 + n + 10 * (gate == "CNOT"))
+        for kind, markovian in itertools.product(("haar", "clifford"), (True, False)):
+            circ = _ptm_case(n, kind, "ring", gate, 12, rng)
+            model = nz.sample_error_model(circ, rng, 2e-2, 2e-3, markovian)
+            spam = nz.SpamModel.uniform(n, 0.02, 0.03)
+            for noise, with_spam in ((None, None), (model, None), (model, spam)):
+                got = dn.circuit_ptm(circ, noise, with_spam).mat
+                want = gate_by_gate_ptm(circ, noise, with_spam).mat
+                assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestProcessFidelity:
@@ -573,7 +626,7 @@ class TestBatchedSampler:
                 want = apply_pauli(want, local_pauli(3, draws[di][1], lab))
             np.testing.assert_array_equal(got, want)
             for q, gate in enumerate(gates):
-                got = dn.apply_1q(got, cc.gate_unitary(gate), q)
+                got = apply_1q(got, cc.gate_unitary(gate), q)
             for apply, *args in steps[0]:
                 apply(got, *args)
             pulse = {(draws[di][1][0], draws[di][2]): lab for di, lab in key[4:]}
@@ -581,7 +634,7 @@ class TestBatchedSampler:
                 phi1, phi2, phi3 = gate.angles
                 for u, k in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None),
                              (cl.RX90, 1), (cl._rz(phi1), None)):
-                    want = dn.apply_1q(want, u, q)
+                    want = apply_1q(want, u, q)
                     if (q, k) in pulse:
                         want = apply_pauli(want, local_pauli(3, (q,), pulse[q, k]))
             assert np.max(np.abs(got - want)) < 1e-13
