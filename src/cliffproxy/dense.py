@@ -182,10 +182,9 @@ def _ptm_columns(cols: np.ndarray, circuit: LayeredCircuit, noise: NoiseModel | 
 
     Every one-qubit gate's 4 x 4 is built in one batched pass.  Each pair's
     16 x 16 takes in the one-qubit gates before it and puts its lower qubit
-    on the high digit, so a pair of neighbours is one product on the
-    (4^lo, 16, rest) view of the rows, as an idle qubit's gate is on the
-    (4^q, 4, rest) view; other pairs, such as a ring's (n - 1, 0) at
-    n >= 3, move their two axes to the front.
+    on the high digit; it acts on the rows with the pair's two axes moved to
+    the front.  An idle qubit's gate is one product on the (4^q, 4, rest)
+    view of the rows.
     """
     n, layers = circuit.n, circuit.layers
     euler = [e.euler for e in one_qubit_cliffords()]
@@ -219,11 +218,8 @@ def _ptm_columns(cols: np.ndarray, circuit: LayeredCircuit, noise: NoiseModel | 
             if q not in busy:
                 mat = np.matmul(gates[i // 2, q], mat.reshape(4**q, 4, -1))
         for a, b in map(sorted, brick):
-            if b == a + 1:
-                mat = np.matmul(next(fused), mat.reshape(4**a, 16, -1))
-            else:
-                t = np.moveaxis(mat.reshape((4,) * n + (-1,)), (a, b), (0, 1))
-                mat = np.moveaxis((next(fused) @ t.reshape(16, -1)).reshape(t.shape), (0, 1), (a, b))
+            t = np.moveaxis(mat.reshape((4,) * n + (-1,)), (a, b), (0, 1))
+            mat = np.moveaxis((next(fused) @ t.reshape(16, -1)).reshape(t.shape), (0, 1), (a, b))
     return mat.reshape(cols.shape)
 
 

@@ -18,8 +18,7 @@ against.
 * the Pauli twirl through a layer's tableau;
 * the layer error channel, one local Pauli channel per gate, with the
   compiled one-qubit channel pushed to the end of each gate;
-* the transfer matrix built gate by gate, one einsum or axis move per
-  gate, and the one built from each layer's full 2^n unitary, with
+* the transfer matrix built from each layer's full 2^n unitary, with
   every layer's error multiplied in after it;
 * the noisy statevector sampler before batching, one run per fault
   pattern;
@@ -538,23 +537,19 @@ def object_layer_fidelity_estimate(layers, n, noise, depths, config, rng, spam=N
 
 
 def apply_1q(state: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply ``u`` to one qubit's axis of ``state``: a 2 x 2 unitary to a
-    statevector, or a 4 x 4 transfer matrix to transfer-matrix rows."""
-    d = len(u)
-    t = state.reshape(d**qubit, d, -1)
+    """Apply the 2 x 2 unitary ``u`` to one qubit's axis of ``state``."""
+    t = state.reshape(2**qubit, 2, -1)
     return np.einsum("ab,ibj->iaj", u, t).reshape(state.shape)
 
 
 def apply_2q(state: np.ndarray, u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """Apply ``u4`` to the axes of qubits (a, b), ``a`` the high digit: a
-    4 x 4 unitary to a statevector, or a 16 x 16 transfer matrix to
-    transfer-matrix rows."""
-    d = 2 if len(u4) == 4 else 4
-    t = state.reshape((d,) * n + state.shape[1:])
+    """Apply the 4 x 4 unitary ``u4`` to the axes of qubits (a, b), ``a``
+    the high bit."""
+    t = state.reshape((2,) * n + state.shape[1:])
     t = np.moveaxis(t, (a, b), (0, 1))
     rest = t.shape[2:]
-    t = t.reshape(d * d, -1)
-    t = (u4 @ t).reshape((d, d) + rest)
+    t = t.reshape(4, -1)
+    t = (u4 @ t).reshape((2, 2) + rest)
     t = np.moveaxis(t, (0, 1), (a, b))
     return t.reshape(state.shape)
 
@@ -694,47 +689,6 @@ def _gate_error_ptm_1q(noise, position, qubit, gate) -> np.ndarray:
     # the first (earlier) fault conjugates through Z(phi2), X90, Z(phi1);
     # the second only through Z(phi1); the second acts after the first
     return (r_second @ diag @ r_second.T) @ (r_first @ diag @ r_first.T)
-
-
-def _rz_ptm(phi: float) -> np.ndarray:
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
-
-
-def _gate_ptm_1q(gate, eig: np.ndarray | None) -> np.ndarray:
-    """Z(phi1) D X90 Z(phi2) D X90 Z(phi3), phi3 acting first, where D is
-    the X90 pulses' error diagonal ``eig`` (the identity when None)."""
-    if isinstance(gate, cc.EulerGate1Q):
-        phi1, phi2, phi3 = gate.angles
-    else:
-        phi1, phi2, phi3 = cl.one_qubit_cliffords()[gate.index].euler
-    pulse = dn._X90_PTM if eig is None else eig[:, None] * dn._X90_PTM
-    return _rz_ptm(phi1) @ pulse @ _rz_ptm(phi2) @ pulse @ _rz_ptm(phi3)
-
-
-def gate_by_gate_ptm(circuit, noise=None, spam=None) -> dn.Ptm:
-    """``circuit_ptm`` one gate at a time: each one-qubit gate's five-pulse
-    product applied on its qubit's rows, each pair's noisy 16 x 16 on its
-    qubits' rows in the pair's listed order."""
-    n = circuit.n
-    mat = np.eye(4**n)
-    if spam is not None:
-        mat = mat * dn._spam_eigenvalues(n, [spam.prep_factor(q) for q in range(n)])[None, :]
-    for pos, layer in enumerate(circuit.layers):
-        if isinstance(layer, cc.OneQubitLayer):
-            for q, gate in enumerate(layer.gates):
-                eig = None if noise is None else noise.xpi2_noise(pos, q).eigenvalues
-                mat = apply_1q(mat, _gate_ptm_1q(gate, eig), q)
-        else:
-            ideal = dn.ptm_of_unitary(ENTANGLERS[layer.gate], 2).mat
-            for a, b in layer.pairs:
-                g = ideal
-                if noise is not None:
-                    g = noise.twoq_noise(pos, layer.gate, (a, b)).eigenvalues[:, None] * ideal
-                mat = apply_2q(mat, g, a, b, n)
-    if spam is not None:
-        mat = dn._spam_eigenvalues(n, [spam.meas_factor(q) for q in range(n)])[:, None] * mat
-    return dn.Ptm(n, mat)
 
 
 def layer_unitary_ptm(circuit, noise=None, spam=None, layer_offset=0) -> dn.Ptm:
