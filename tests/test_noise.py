@@ -441,6 +441,60 @@ class TestBatchedFold:
             got = nz.fold_eigenvalues(circ, model)
             assert np.max(np.abs(got - _oracle_fold(circ, model))) < 1e-13
 
+    @staticmethod
+    def _end_layer_case(n, depth, topology, gate, shift, rng):
+        """A Clifford template of ``depth`` brick layers starting at brick
+        ``shift``: on an even ring the (n-1, 0) brick sits in the odd
+        bricks, so shift 1 puts it in the first layer and the last layer's
+        parity follows the depth.  CNOT pairs are listed high qubit first."""
+        layers = [cc.identity_layer(n)]
+        for j in range(depth):
+            pairs = cc.brickwork_pairs(n, j + shift, topology)
+            if gate == "CNOT":
+                pairs = tuple((b, a) for a, b in pairs)
+            layers += [cc.TwoQubitLayer(pairs, gate), cc.identity_layer(n)]
+        return cc.cliffordize(cc.LayeredCircuit(n, tuple(layers)), rng)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_contracted_last_layer_matches_full_fold(self, n):
+        # the infidelity contracts the last entangling layer against the
+        # array before it; the diagonal steps it in full.  At shallow
+        # depths the diagonal, with its first layer built as an outer
+        # product, is also checked bit for bit against the gather fold.
+        # Rings with even n carry the wrap pair in the first layer (shift
+        # 1) and in the last (shift 0 at even depth, shift 1 at odd depth)
+        rng = np.random.default_rng(380 + n)
+        k = 1 if n >= 9 else 3
+        worst = 0.0
+        topologies = (("line", 0), ("ring", 0), ("ring", 1)) if n % 2 == 0 else (("line", 0),)
+        for topology, shift in topologies:
+            for gate in ("CZ", "CNOT"):
+                for depth in (0, 1, 2, 8):
+                    template = self._end_layer_case(n, depth, topology, gate, shift, rng)
+                    for markovian in (True, False):
+                        base = _fold_model(template, rng, markovian, 3)
+                        model = base.shifted(3)
+                        circs = [cc.cliffordize(template, rng) for _ in range(k)]
+                        got = nz.process_infidelities_exact(circs, model)
+                        want = [1.0 - nz.fold_eigenvalues(c, model).mean() for c in circs]
+                        worst = max(worst, np.max(np.abs(got - want)))
+                        if depth <= 2:
+                            gates = nz._gate_indices(circs)[1]
+                            folded = nz._fold(template, gates, model)
+                            assert np.array_equal(folded, gather_fold(template, gates, base, 3))
+        assert worst < 1e-14
+
+    def test_batch_matches_single_across_chunks(self):
+        # n = 9 folds 4 circuits per chunk, so five circuits span two chunks
+        rng = np.random.default_rng(334)
+        assert nz._FOLD_AMPLITUDES // 4**9 == 4
+        template = self._end_layer_case(9, 3, "line", "CNOT", 0, rng)
+        model = _fold_model(template, rng, False, 3).shifted(3)
+        circs = [cc.cliffordize(template, rng) for _ in range(5)]
+        batch = nz.process_infidelities_exact(iter(circs), model)
+        single = [nz.process_infidelity_exact(c, model) for c in circs]
+        assert np.array_equal(batch, single)
+
     def test_mismatched_batches_rejected(self):
         rng = np.random.default_rng(331)
         template = _fold_case(3, "line", "CZ", rng)
