@@ -26,17 +26,21 @@ row), and a (24, 4) eigenvalue table over all Clifford indices
 carry a 16-entry vector (:attr:`GateNoise.eigenvalues`).
 Conjugation through a layer maps per-qubit letter codes (a 4-entry map
 per one-qubit Clifford, a 16-entry map per CZ or CNOT pair).  The exact
-fold (:func:`process_infidelities_exact`) applies these maps and tables to
-a ``(K,) + (4,) * n`` Walsh-domain array of K circuits sharing their
-entangling layers, in one step per gate of each entangling layer: a
-step's map and eigenvalue rows are composed from the gate's and from the
-one-qubit layer before it (in the last entangling layer also the final
-one-qubit layer), and qubits the layer leaves idle step with their
-composed one-qubit rows.  The array keeps its axes throughout: a gate on
-its leading axes is one gather, any other one batched product with the
-gate's scaled permutation matrix.  The first entangling layer is one
-outer product of its gates' rows, and an infidelity contracts the last
-one against the array instead of stepping it.  Direct fidelity
+fold applies these maps and tables to a ``(K,) + (4,) * n`` Walsh-domain
+array of K circuits sharing their entangling layers, in one step per gate
+of each entangling layer: a step's map and eigenvalue rows are composed
+from the gate's and from the one-qubit layer before it (in the last
+entangling layer also the final one-qubit layer), and qubits the layer
+leaves idle step with their composed one-qubit rows.  The array keeps
+its axes throughout: a gate on its leading axes is one gather, any other
+one batched product with the gate's scaled permutation matrix.  An
+infidelity (:func:`process_infidelities_exact`) needs only the sum of
+the diagonal, so it folds from both ends: the first two and the last two
+entangling layers step per-gate blocks, forward and backward, that merge
+when a gate joins two, each about one pass; the layers between are
+stepped on the forward array; and the backward side's last merge is
+contracted against that array without being built.  At depth D, D - 4
+layers are stepped, and the peak is two 4^n arrays.  Direct fidelity
 estimation walks single Paulis back through the same tables, read as
 Python lists that each noise model builds once per layer and a caller
 looks up once for all its walks; like the fold, a walk reads a circuit
@@ -45,6 +49,7 @@ as its entangling layers and Clifford index rows (:func:`propagate_codes`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -432,15 +437,17 @@ def _fused_tables(qubits, digits, gate_eig, pre, post):
 
 def _apply_gate(h, rows, qubits, labels, eig):
     """``h <- eig * (h o map)`` on the axes of ``qubits`` (ascending) of
-    the ``(K,) + (4,) * n`` array ``h``, which keeps its axes.
+    the ``(K,) + (4,) * n`` array ``h``.
 
-    ``labels`` (K, 4^w) holds, for each circuit and each of the gate's 4^w
-    labels (first qubit the high digit), the mapped label; ``eig`` (K, 4^w)
-    the eigenvalue rows.  A gate on the array's leading axes is one gather.
-    Any other is one batched product with the (K, 4^w, 4^w) matrix that
-    holds each label's eigenvalue at its mapped label and zeros elsewhere:
-    one nonzero term per sum, so the product is exact.  A pair on axes
-    apart is first moved next to each other, and back after.
+    ``labels`` (K, L) holds, for each circuit and each of the L labels on
+    those axes of the result (first qubit the high digit), the label it
+    reads; ``eig`` (K, L) the eigenvalue rows, or None for ones.  A gate
+    keeps the axes (L = 4^w); reading one axis at the letters of a pair's
+    16 labels makes it the pair's two.  A map on the array's leading axes
+    is one gather.  Any other is one batched product with the (K, L, 4^w)
+    matrix that holds each label's eigenvalue at the label it reads and
+    zeros elsewhere: one nonzero term per sum, so the product is exact.  A
+    pair on axes apart is first moved next to each other, and back after.
     """
     a, b = qubits[0], qubits[-1]
     if b - a > 1:
@@ -449,18 +456,21 @@ def _apply_gate(h, rows, qubits, labels, eig):
         return np.ascontiguousarray(np.moveaxis(out, 2 + a, 1 + b))
     k, size = labels.shape
     before = 4**a
-    after = h.size // (k * before * size)
+    width = 4 ** (b - a + 1)
+    after = h.size // (k * before * width)
     if before == 1:
-        out = np.take(h.reshape(k * size, after), labels + rows * size, axis=0)
-        out *= eig[..., None]
+        out = np.take(h.reshape(k * width, after), labels + rows * width, axis=0)
+        if eig is not None:
+            out *= eig[..., None]
     else:
-        mat = np.zeros((k, size, size))
-        mat[rows, np.arange(size), labels] = eig
+        mat = np.zeros((k, size, width))
+        mat[rows, np.arange(size), labels] = 1.0 if eig is None else eig
         if after == 1:
-            out = h.reshape(k, before, size) @ mat.transpose(0, 2, 1)
+            out = h.reshape(k, before, width) @ mat.transpose(0, 2, 1)
         else:
-            out = mat[:, None] @ h.reshape(k, before, size, after)
-    return out.reshape(h.shape)
+            out = mat[:, None] @ h.reshape(k, before, width, after)
+    # L = 4^v labels take v axes
+    return out.reshape(h.shape[: 1 + a] + (4,) * (size.bit_length() // 2) + h.shape[2 + b :])
 
 
 def _layer_steps(template, gates, noise: NoiseModel):
@@ -504,56 +514,171 @@ def _layer_steps(template, gates, noise: NoiseModel):
         yield [(tuple(sorted(qubits)), labels, eig) for qubits, labels, eig in steps]
 
 
-def _contract(h, steps):
-    """Sum over labels of the ``(K,) + (4,) * n`` array ``h`` stepped
-    through the ``steps`` of one entangling layer, without stepping it:
-    the sum of e * (h o pi) is <h, e o pi^-1>, so each gate's eigenvalue
-    row is scattered through its labels and contracted against ``h`` by
-    batched mat-vecs from the trailing axes, one read pass of ``h``.  A
-    pair apart contracts its upper axis for each letter of its lower one,
-    which is summed when it becomes the trailing axis."""
-    k = len(h)
-    tops = {step[0][-1]: step for step in steps}
-    b = h.ndim - 2
-    while b >= 0:
-        if b not in tops:
-            h = h.reshape(k, -1, 4).sum(axis=-1)
-            b -= 1
-            continue
-        qubits, labels, eig = tops[b]
-        row = np.zeros_like(eig)
-        np.put_along_axis(row, labels, eig, axis=-1)
-        a = qubits[0]
-        if a >= b - 1:
-            h = h.reshape(k, -1, row.shape[1]) @ row[..., None]
-            b = a - 1
-        else:
-            h = h.reshape(k, 4**a, 4, -1, 4) @ row.reshape(k, 1, 4, 4, 1)
-            b -= 1
-    return h.reshape(k)
+def _inverted(step):
+    """The step undone: the inverse of its label map, and its eigenvalue
+    row read through that inverse.  The sum over labels of a product of
+    two arrays is unchanged when one is stepped and the other undone."""
+    qubits, labels, eig = step
+    inverse = np.argsort(labels, axis=-1)
+    return qubits, inverse, eig[np.arange(len(eig))[:, None], inverse]
 
 
-def _fold_to_last(template, gates, noise: NoiseModel):
-    """The array of :func:`_fold` before its last entangling layer, and that
-    layer's steps; with one entangling layer, its product and no steps.
+def _spread(block, union):
+    """A view of the ``(K,) + (4,) * w`` array of ``block`` (qubits in
+    any order, array) on the axes of the ascending qubits ``union``, with
+    length 1 on the qubits it lacks."""
+    qubits, arr = block
+    order = sorted(range(len(qubits)), key=qubits.__getitem__)
+    arr = arr.transpose([0] + [1 + i for i in order])
+    return arr.reshape((len(arr),) + tuple(4 if q in qubits else 1 for q in union))
 
-    The first layer acts on ones, so it is each label's product of its
-    gates' eigenvalue rows, in step order: one outer product over the
-    gates' axes, where a pair apart, such as a ring's (n-1, 0), broadcasts
-    on its two axes.
+
+def _combine(blocks, n):
+    """The ``(K,) + (4,) * n`` product of ``blocks``, which cover the n
+    qubits once, multiplied in the order given."""
+    union = tuple(range(n))
+    out = _spread(blocks[0], union)
+    for block in blocks[1:]:
+        out = out * _spread(block, union)
+    return out
+
+
+def _gathered(block, qubit, letters, pair, eig=None):
+    """``block`` read at the ``letters`` (K, 16) of ``qubit`` under each
+    label of the two-qubit ``pair``, times the rows ``eig`` if given: its
+    axis becomes the pair's two."""
+    qubits, arr = block
+    p = qubits.index(qubit)
+    out = _apply_gate(arr, np.arange(len(arr))[:, None], (p,), letters, eig)
+    return qubits[:p] + pair + qubits[p + 1 :], out
+
+
+def _sides(first, second, step):
+    """The two sides of the merge of the blocks ``first`` and ``second``,
+    which hold the lower and the upper qubit of a pair step: the smaller
+    block read at the step's labels with its eigenvalue row multiplied in,
+    and the larger block with its qubit in the pair and that qubit's
+    letters (K, 16) under the labels."""
+    pair, labels, eig = step
+    sides = sorted(
+        [(first, pair[0], labels >> 2), (second, pair[1], labels & 3)],
+        key=lambda side: side[0][1].size,
+    )
+    return _gathered(*sides[0], pair, eig), sides[1]
+
+
+def _merge(first, second, step):
+    """The block over both blocks' qubits, ascending, that a pair step
+    joining them makes: one broadcast product of its two sides."""
+    union = tuple(sorted(first[0] + second[0]))
+    small, large = _sides(first, second, step)
+    return union, _spread(small, union) * _spread(_gathered(*large, step[0]), union)
+
+
+def _step_blocks(blocks, steps, rows, backward=False):
+    """Step ``blocks``, a list of (ascending qubits, ``(K,) + (4,) * w``
+    array) that cover the qubits once, through one entangling layer's
+    ``steps``.
+
+    A step inside one block is :func:`_apply_gate` on it, and one that
+    joins two blocks merges them (:func:`_merge`).  Steps inside a block
+    go first, then the joining ones from the top qubit down, so each merge
+    adds the lower block in front of the larger one.  ``backward`` undoes
+    each step instead (:func:`_inverted`) and holds the layer's last merge
+    back: it returns the blocks, that merge as (first, second, undone
+    step) or None, and the steps, as given, that act on the held blocks'
+    qubits after it.  The caller applies those to the other side of the
+    sum, where they commute with the rest of the layer.
     """
-    k, n = len(gates), template.n
-    layers = _layer_steps(template, gates, noise)
-    h = 1.0
-    for qubits, _, eig in next(layers):
-        h = h * eig.reshape((k,) + tuple(4 if q in qubits else 1 for q in range(n)))
-    rows = np.arange(k)[:, None]
-    last = []
-    for steps in layers:
-        for step in last:
-            h = _apply_gate(h, rows, *step)
-        last = steps
-    return h, last
+    blocks = list(blocks)
+
+    def find(q):
+        return next(i for i, block in enumerate(blocks) if q in block[0])
+
+    steps = sorted(steps, key=lambda step: (find(step[0][0]) != find(step[0][-1]), -step[0][-1]))
+    # the layer's last merge
+    last, group = None, {q: i for i, block in enumerate(blocks) for q in block[0]}
+    for i, (qubits, _, _) in enumerate(steps):
+        low, high = group[qubits[0]], group[qubits[-1]]
+        if low != high:
+            last = i
+            group = {q: low if g == high else g for q, g in group.items()}
+    held, after = None, []
+    for i, step in enumerate(steps):
+        qubits = step[0]
+        if held is not None and qubits[0] in held[0][0] + held[1][0]:
+            after.append(step)
+            continue
+        if backward:
+            step = _inverted(step)
+        low, high = find(qubits[0]), find(qubits[-1])
+        if low == high:
+            block, arr = blocks[low]
+            at = tuple(block.index(q) for q in qubits)
+            blocks[low] = block, _apply_gate(arr, rows, at, *step[1:])
+            continue
+        pair = blocks[low], blocks[high], step
+        blocks = [block for j, block in enumerate(blocks) if j not in (low, high)]
+        if backward and i == last:
+            held = pair
+        else:
+            blocks.append(_merge(*pair))
+    return (blocks, held, after) if backward else blocks
+
+
+def _runs(qubits, n):
+    """(p, t) if ``qubits`` are the first p and the last t of n qubits,
+    else None."""
+    p = next((q for q in range(n) if q not in qubits), n)
+    t = next((i for i, q in enumerate(range(n - 1, p - 1, -1)) if q not in qubits), n - p)
+    return (p, t) if p + t == len(qubits) else None
+
+
+def _meet(h, blocks, held):
+    """Sum over labels of the ``(K,) + (4,) * n`` array ``h`` times the
+    product of ``blocks`` and of the merge ``held`` (:func:`_step_blocks`),
+    without building the merge.
+
+    The large side of the merge (or, with none, the largest block) must
+    hold, besides the step's qubit, the first p and the last t qubits; the
+    rest lie between.  It must also be larger than every block.  One batched matrix product of ``h`` with its four
+    rows, one per letter of the step's qubit (one row without a merge),
+    sums those p + t axes out in one read pass of ``h``.  What is left is
+    read at each label's letter and multiplied by the other factors.  A
+    layout with no such side or block builds the merge, or combines the
+    blocks, first.
+    """
+    k, n = len(h), h.ndim - 1
+    if held is not None:
+        small, (large, qubit, letters) = _sides(*held)
+        runs = _runs(tuple(q for q in large[0] if q != qubit), n)
+        # its result grows as the large side shrinks: a block as large
+        # serves better, and the merge is then small
+        if runs is None or any(block[1].size >= large[1].size for block in blocks):
+            return _meet(h, blocks + [_merge(*held)], None)
+        others = blocks + [small]
+    else:
+        large, *others = sorted(blocks, key=lambda block: (_runs(block[0], n) is None, -block[1].size))
+        runs = _runs(large[0], n)
+        if runs is None:
+            return _meet(h, [(tuple(range(n)), _combine(blocks, n))], None)
+    p, t = runs
+    size = 4 ** (n - p - t)
+    rows = large[1].reshape(k, 4**p, -1, 4**t)
+    if t:
+        out = (h.reshape(k, 4**p, size, 4**t) @ rows.transpose(0, 1, 3, 2)).sum(axis=1)
+    else:
+        out = (rows[..., 0].transpose(0, 2, 1) @ h.reshape(k, 4**p, size)).transpose(0, 2, 1)
+    union = tuple(range(p, n - t))
+    out = out.reshape((k,) + (4,) * len(union) + (-1,))
+    if held is None:
+        out = out[..., 0]
+    else:
+        at = _spread((held[2][0], letters.reshape(k, 4, 4)), union)
+        out = np.take_along_axis(out, at[..., None], axis=-1)[..., 0]
+    for block in others:
+        out = out * _spread(block, union)
+    return out.reshape(k, -1).sum(axis=1)
 
 
 def _fold(template, gates, noise: NoiseModel):
@@ -572,30 +697,75 @@ def _fold(template, gates, noise: NoiseModel):
     gates step in order of the deepest axis their qubits would hold if
     every step moved its gate's axes to the front (``order``); the step
     order fixes the order in which each label's eigenvalues multiply, and
-    so the last bits of the result; the first layer, which acts on ones,
-    multiplies its gates' rows in that order as one outer product
-    (:func:`_fold_to_last`).  A circuit without entangling layers is one
-    block of idle qubits.
+    so the last bits of the result.  The first layer acts on ones, so its
+    steps are blocks of their rows, combined in that order into one array
+    (:func:`_combine`, about one write pass), and every later layer is
+    stepped on it, one pass per gate with a peak of two 4^n arrays.  The
+    full diagonal keeps this order, and so its bits, where the infidelity
+    (:func:`_fold_sum`) merges blocks from both ends.  A circuit without
+    entangling layers is one layer of idle qubits.
     """
-    k = len(gates)
-    h, last = _fold_to_last(template, gates, noise)
+    k, n = len(gates), template.n
     rows = np.arange(k)[:, None]
-    for step in last:
-        h = _apply_gate(h, rows, *step)
-    return h.reshape(k, 4**template.n)
+    layers = _layer_steps(template, gates, noise)
+    h = _combine(_first_blocks(next(layers)), n)
+    for steps in layers:
+        for step in steps:
+            h = _apply_gate(h, rows, *step)
+    return h.reshape(k, 4**n)
+
+
+def _first_blocks(steps):
+    """The blocks of a first entangling layer, which acts on ones: each
+    step's eigenvalue row on its qubits."""
+    return [(qubits, eig.reshape((len(eig),) + (4,) * len(qubits))) for qubits, _, eig in steps]
+
+
+def _fold_sum(template, gates, noise: NoiseModel):
+    """Sum over labels of each fold of :func:`_fold`, shape (K,).
+
+    The sum of the diagonal needs no diagonal.  The first two entangling
+    layers step per-gate blocks forward and the last two step them
+    backward (:func:`_step_blocks`), each block reaching 4^n, if at all,
+    at its last merge; the layers between step the forward array.  The
+    backward layers' last merge is contracted against that array
+    (:func:`_meet`).  With two layers or fewer the blocks are all: the sum
+    is the product of their sums.
+    """
+    k, n = len(gates), template.n
+    rows = np.arange(k)[:, None]
+    layers = _layer_steps(template, gates, noise)
+    blocks = _first_blocks(next(layers))
+    for steps in itertools.islice(layers, 1):
+        blocks = _step_blocks(blocks, steps, rows)
+    behind = list(itertools.islice(layers, 2))
+    if not behind:
+        return np.prod([arr.reshape(k, -1).sum(axis=1) for _, arr in blocks], axis=0)
+    # lowest block last, so the product writes the larger ones innermost
+    h = _combine(sorted(blocks, key=lambda block: -block[0][0]), n)
+    # a lone block is h itself: drop it, so each step frees the array before
+    del blocks
+    for steps in layers:
+        for step in behind.pop(0):
+            h = _apply_gate(h, rows, *step)
+        behind.append(steps)
+    blocks, held = _first_blocks(map(_inverted, behind[-1])), None
+    if len(behind) == 2:
+        blocks, held, after = _step_blocks(blocks, behind[0], rows, backward=True)
+        for step in after:
+            h = _apply_gate(h, rows, *step)
+    return _meet(h, blocks, held)
 
 
 def _infidelities(template, gates, noise: NoiseModel):
     """1 - p_I of each fold of :func:`_fold`, over chunks of at most
     ``_FOLD_AMPLITUDES`` amplitudes; circuits fold independently.  p_I is
-    the mean of the diagonal, so the last entangling layer is contracted
-    against the array before it (:func:`_contract`) instead of stepped."""
+    the mean of the diagonal (:func:`_fold_sum`)."""
     n = template.n
     chunk = max(1, _FOLD_AMPLITUDES // 4**n)
     out = np.empty(len(gates))
     for start in range(0, len(gates), chunk):
-        h, last = _fold_to_last(template, gates[start : start + chunk], noise)
-        out[start : start + chunk] = 1.0 - _contract(h, last) / 4**n
+        out[start : start + chunk] = 1.0 - _fold_sum(template, gates[start : start + chunk], noise) / 4**n
     return out
 
 
@@ -697,10 +867,13 @@ def process_infidelities_exact(circuits, noise: NoiseModel) -> np.ndarray:
     and entangling layers, as the Cliffordizations of one target do;
     mismatched circuits raise ValueError.  The fold runs in chunks of at
     most 2^20 amplitudes (at least one circuit), so memory stays bounded.
-    Only p_I, the mean of the folded diagonal, is needed, so the last
-    entangling layer is contracted against the array before it rather than
-    applied; the values agree with ``1 - fold_eigenvalues(c).mean()`` to
-    rounding.
+    Only p_I, the mean of the folded diagonal, is needed, so the fold runs
+    from both ends (:func:`_fold_sum`): the first two and the last two
+    entangling layers fold as blocks that merge, about one pass each, and
+    the last backward merge is contracted against the forward array
+    instead of built; only the D - 4 layers between are stepped, and the
+    peak is two 4^n arrays.  The values agree with
+    ``1 - fold_eigenvalues(c).mean()`` to rounding.
     """
     template, gates = _gate_indices(circuits)
     if template is None:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -457,10 +458,11 @@ class TestBatchedFold:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_contracted_last_layer_matches_full_fold(self, n):
-        # the infidelity contracts the last entangling layer against the
-        # array before it; the diagonal steps it in full.  At shallow
-        # depths the diagonal, with its first layer built as an outer
-        # product, is also checked bit for bit against the gather fold.
+        # the infidelity folds blocks from both ends and contracts them
+        # against the array between; the diagonal steps every layer after
+        # the first.  At shallow depths the diagonal, with its first layer
+        # built as one product of its gates' rows, is also checked bit for
+        # bit against the gather fold.
         # Rings with even n carry the wrap pair in the first layer (shift
         # 1) and in the last (shift 0 at even depth, shift 1 at odd depth)
         rng = np.random.default_rng(380 + n)
@@ -582,6 +584,103 @@ class TestFusedFold:
             if k > 1:
                 for row, alone in zip(got, gates):
                     assert np.array_equal(nz._fold(template, alone[None], shifted)[0], row)
+
+
+class TestBlockFold:
+    """The infidelity's block fold, forward through the first two entangling
+    layers and backward through the last two, against the per-gate fold
+    and the full diagonal."""
+
+    @staticmethod
+    def _template(n, depth, layout, gate):
+        """Entangling layers of ``layout``: ``line`` or ``ring`` brickwork;
+        ``("wrap", j)``, line brickwork whose layer j is a ring layer, so
+        on even n the (n-1, 0) pair sits in layer j alone; ``periodic``,
+        one ring layer repeated, so no two blocks ever merge; or
+        ``crossed``, the pairs (q, q + n // 2) repeated, so no block sits
+        on the first and last qubits alone.  CNOT pairs are listed high
+        qubit first."""
+        layers = [cc.identity_layer(n)]
+        for j in range(depth):
+            if layout == "periodic":
+                pairs = cc.brickwork_pairs(n, 1, "ring")
+            elif layout == "crossed":
+                pairs = tuple((q, q + n // 2) for q in range(n // 2))
+            elif isinstance(layout, tuple):
+                wrap = layout[1]
+                shift = (wrap + 1) % 2
+                pairs = cc.brickwork_pairs(n, j + shift, "ring" if j == wrap else "line")
+            else:
+                pairs = cc.brickwork_pairs(n, j, layout)
+            if gate == "CNOT":
+                pairs = tuple((b, a) for a, b in pairs)
+            layers += [cc.TwoQubitLayer(pairs, gate), cc.identity_layer(n)]
+        return cc.LayeredCircuit(n, tuple(layers))
+
+    @classmethod
+    def _cases(cls, n, rng):
+        """Depths 0-8, so the two ends overlap, touch and leave middle
+        layers; the wrap pair in the first two, the last two and a middle
+        layer; CZ and CNOT and both noise modes in turn."""
+        for depth in range(9):
+            layouts = ["line", "ring", "periodic", "crossed"]
+            layouts += [("wrap", j) for j in sorted({0, 1, depth // 2, depth - 2, depth - 1}) if 0 <= j < depth]
+            for i, layout in enumerate(layouts):
+                gate = ("CZ", "CNOT")[(depth + i) % 2]
+                template = cls._template(n, depth, layout, gate)
+                markovian = (depth + i) % 3 != 0
+                yield template, nz.sample_error_model(template, rng, 5e-2, 5e-3, markovian)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_per_gate_fold_and_diagonal(self, n):
+        rng = np.random.default_rng(490 + n)
+        k = 1 if n >= 9 else 2
+        for template, model in self._cases(n, rng):
+            gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
+            got = nz._infidelities(template, gates, model)
+            diagonal = 1.0 - nz._fold(template, gates, model).mean(axis=1)
+            np.testing.assert_allclose(got, diagonal, rtol=1e-12, atol=0)
+            if n <= 8:
+                want = 1.0 - per_gate_fold(template, gates, model).mean(axis=1)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_chunks_across_a_boundary(self, n, monkeypatch):
+        # two circuits per chunk, so five circuits fold in three chunks
+        rng = np.random.default_rng(510 + n)
+        for layout in ("line", "ring", ("wrap", 3), "periodic"):
+            template = self._template(n, 6, layout, "CNOT")
+            model = nz.sample_error_model(template, rng, 5e-2, 5e-3, False)
+            gates = cc._draw_cliffords(rng, 5, 7, n)
+            whole = nz._infidelities(template, gates, model)
+            monkeypatch.setattr(nz, "_FOLD_AMPLITUDES", 2 * 4**n)
+            got = nz._infidelities(template, gates, model)
+            monkeypatch.undo()
+            assert np.array_equal(got, whole)
+            want = 1.0 - per_gate_fold(template, gates, model).mean(axis=1)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("layout, limit_mb", [("line", 16.0), ("ring", 32.0), ("idle end", 16.0)])
+    def test_peak_memory_at_ten_qubits(self, layout, limit_mb):
+        # the backward layers' last merge is contracted against the forward
+        # array, never built: building it would add a third 4^10 array.
+        # With an idle last layer that merge joins two single qubits, and
+        # contracting it would read the array into a 4^11 one; it is built,
+        # and a larger block contracted
+        topology = "ring" if layout == "ring" else "line"
+        rng = np.random.default_rng(520)
+        circ = cc.sample_brickwork(cc.BrickworkSpec(10, 4, topology), "clifford", rng)
+        if layout == "idle end":
+            circ = cc.LayeredCircuit(10, circ.layers[:-2] + (cc.TwoQubitLayer(()), circ.layers[-1]))
+        model = nz.sample_error_model(circ, rng)
+        nz.process_infidelity_exact(circ, model)
+        tracemalloc.start()
+        try:
+            nz.process_infidelity_exact(circ, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 2**20
 
 
 class TestPropagateCodes:
