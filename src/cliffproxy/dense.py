@@ -48,7 +48,6 @@ __all__ = [
     "process_fidelity",
     "choi_of_ptm",
     "diamond_distance",
-    "apply_circuit",
     "statevector_simulate",
     "ideal_output_probs",
 ]
@@ -295,15 +294,6 @@ def _entangler_layer(layer: TwoQubitLayer, n: int) -> np.ndarray:
     return op
 
 
-def apply_circuit(state: np.ndarray, circuit: LayeredCircuit) -> np.ndarray:
-    """Noiseless application of all circuit layers to a statevector, or to
-    each column of a (2^n, columns) array."""
-    out = state.reshape(2**circuit.n, -1)
-    for layer in circuit.layers:
-        out = apply_circuit_layer(out, layer, circuit.n)
-    return out.reshape(state.shape)
-
-
 def apply_circuit_layer(state: np.ndarray, layer, n: int) -> np.ndarray:
     """One noiseless layer on (2^n, columns) amplitudes: each one-qubit gate
     one product on its qubit's (2^q, 2, rest) view, an entangling layer one
@@ -320,8 +310,10 @@ def ideal_output_probs(circuit: LayeredCircuit) -> np.ndarray:
     """Exact |amplitude|^2 vector of the noiseless circuit on |0...0>."""
     if circuit.n > STATEVECTOR_LIMIT:
         raise ValueError(f"statevector simulation capped at n={STATEVECTOR_LIMIT}")
-    amps = apply_circuit(np.eye(1, 2**circuit.n, dtype=complex)[0], circuit)
-    return np.abs(amps) ** 2
+    amps = np.eye(2**circuit.n, 1, dtype=complex)
+    for layer in circuit.layers:
+        amps = apply_circuit_layer(amps, layer, circuit.n)
+    return np.abs(amps[:, 0]) ** 2
 
 
 def statevector_simulate(
@@ -383,7 +375,7 @@ def statevector_simulate(
                         for pulse in (0, 1):
                             draw(eps, li, (q,), pulse)
                     else:
-                        probs = noise.compiled_1q_channel(li, q, gate)
+                        probs = noise.layer_tables(li, layer, n).probs[q, gate.index]
                         if probs[0] >= 1.0:
                             continue
                         draw(probs, li, (q,), None)

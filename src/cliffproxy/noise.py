@@ -17,13 +17,15 @@ Every layer of a circuit is followed by one error channel:
 
 Idle qubits in entangling layers carry no gate and hence no error.
 
-Each qubit's X90 entry is compiled once, in one step for all gates: its
-faults are relabelled through :func:`cliffproxy.clifford.pulse_fault_codes`
-and convolved into a probability table with one row per Clifford index
-plus the Euler stand-in (:meth:`NoiseModel.compiled_1q_channel` reads a
-row), and a (24, 4) eigenvalue table over all Clifford indices
-(:meth:`NoiseModel.compiled_1q_eigenvalues`).  Two-qubit gate entries
-carry a 16-entry vector (:attr:`GateNoise.eigenvalues`).
+Each noise model compiles each layer position once, into one
+:class:`LayerTables` (:meth:`NoiseModel.layer_tables`) that the fold, the
+Pauli walk, the sampler and :func:`layer_infidelities` all read.  A
+qubit's X90 entry compiles in one step for all gates: its faults are
+relabelled through :func:`cliffproxy.clifford.pulse_fault_codes` and
+convolved into a probability table with one row per Clifford index plus
+the Euler stand-in, and a (24, 4) eigenvalue table over all Clifford
+indices.  A pair's table is its entry's 16 probabilities and
+eigenvalues (:attr:`GateNoise.eigenvalues`).
 Conjugation through a layer maps per-qubit letter codes (a 4-entry map
 per one-qubit Clifford, a 16-entry map per CZ or CNOT pair).  The exact
 fold applies these maps and tables to a ``(K,) + (4,) * n`` Walsh-domain
@@ -42,9 +44,9 @@ stepped on the forward array; and the backward side's last merge is
 contracted against that array without being built.  At depth D, D - 4
 layers are stepped, and the peak is two 4^n arrays.  Direct fidelity
 estimation walks single Paulis back through the same tables, read as
-Python lists that each noise model builds once per layer and a caller
-looks up once for all its walks; like the fold, a walk reads a circuit
-as its entangling layers and Clifford index rows (:func:`propagate_codes`).
+Python lists (:attr:`LayerTables.lists`) that a caller looks up once for
+all its walks; like the fold, a walk reads a circuit as its entangling
+layers and Clifford index rows (:func:`propagate_codes`).
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .pauli import CODE_FROM_XZ, WALSH_KERNEL_1Q, XZ_FROM_CODE, PauliChannel, Pa
 
 __all__ = [
     "GateNoise",
+    "LayerTables",
     "NoiseModel",
     "NoiseBudget",
     "SpamModel",
@@ -160,7 +163,7 @@ def _compile_1q(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the (25, 4) probability table of the product of the two pushed
     faults, rows 0-23 for the Clifford indices and row 24 for the Euler
     stand-in (faults not pushed), and the (24, 4) eigenvalue table of the
-    Clifford rows.  Both are read-only.
+    Clifford rows.
     """
     codes = cl.pulse_fault_codes()
     first = np.vstack([eps[codes[0]], eps])
@@ -173,9 +176,28 @@ def _compile_1q(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # row by row, as pauli_walsh does: a batched product sums in another
     # order, off by an ulp
     eig = np.array([np.dot(WALSH_KERNEL_1Q, row.reshape(4, 1)).reshape(4) for row in probs[:24]])
-    probs.setflags(write=False)
-    eig.setflags(write=False)
     return probs, eig
+
+
+@dataclass(frozen=True, eq=False)
+class LayerTables:
+    """The compiled noise of one layer position (:meth:`NoiseModel.layer_tables`).
+
+    ``entries`` holds the layer's :class:`GateNoise`, one per qubit of a
+    one-qubit layer or per pair of an entangling layer.  For a one-qubit
+    layer ``probs`` and ``eig`` stack each qubit's (25, 4) and (24, 4)
+    tables of :func:`_compile_1q`; for an entangling layer they hold each
+    pair's 16 probabilities and eigenvalues.  Both are read-only.
+    """
+
+    entries: tuple
+    probs: np.ndarray
+    eig: np.ndarray
+
+    @cached_property
+    def lists(self) -> list:
+        """``eig`` as Python lists, which the Pauli walk indexes."""
+        return self.eig.tolist()
 
 
 class NoiseModel:
@@ -191,12 +213,15 @@ class NoiseModel:
         self.markovian = markovian
         self.one_qubit = dict(one_qubit)
         self.two_qubit = dict(two_qubit)
-        # (position or -1, qubit) -> compiled tables of _compile_1q
-        self._1q: dict = {}
-        # (position or -1, n) -> eigenvalue tables of qubits 0..n-1 stacked
-        self._1q_layers: dict = {}
-        # (position or -1, n or entangling layer) -> lists of _walk_table
-        self._walk: dict = {}
+        for table, k in ((self.one_qubit, 1), (self.two_qubit, 2)):
+            for key, entry in table.items():
+                if entry.num_qubits != k:
+                    raise ValueError(
+                        f"noise entry {key!r} has {len(entry.probs)} probabilities, "
+                        f"expected {4**k}"
+                    )
+        # (position or -1, n or entangling layer) -> LayerTables
+        self._tables: dict = {}
 
     @staticmethod
     def pair_key(name: str, pair) -> tuple:
@@ -225,54 +250,24 @@ class NoiseModel:
                 f"no two-qubit noise entry for {name} on {tuple(pair)} at layer {position}"
             ) from None
 
-    def _compiled_1q(self, position: int, qubit: int) -> tuple:
-        key = (-1 if self.markovian else position, qubit)
-        hit = self._1q.get(key)
-        if hit is None:
-            hit = self._1q[key] = _compile_1q(self.xpi2_noise(position, qubit).probs)
-        return hit
-
-    def compiled_1q_channel(self, position: int, qubit: int, gate) -> np.ndarray:
-        """Pauli channel after a one-qubit gate: both X90 faults pushed to
-        the end of the gate.  Exact for Clifford gates; for Euler gates this
-        drops the non-Pauli part of the pushed faults (the exact treatment
-        lives in the dense simulation paths)."""
-        row = gate.index if isinstance(gate, CliffordGate1Q) else 24
-        return self._compiled_1q(position, qubit)[0][row]
-
-    def compiled_1q_eigenvalues(self, position: int, qubit: int) -> np.ndarray:
-        """(24, 4) table: transfer-matrix diagonal of the compiled channel
-        after each one-qubit Clifford index on ``qubit``."""
-        return self._compiled_1q(position, qubit)[1]
-
-    def _compiled_1q_layer(self, position: int, n: int) -> np.ndarray:
-        """(n, 24, 4) table: :meth:`compiled_1q_eigenvalues` of qubits
-        0..n-1 stacked, so a layer's rows come out in one indexing step."""
-        key = (-1 if self.markovian else position, n)
-        hit = self._1q_layers.get(key)
-        if hit is None:
-            hit = np.stack([self.compiled_1q_eigenvalues(position, q) for q in range(n)])
-            hit.setflags(write=False)
-            self._1q_layers[key] = hit
-        return hit
-
-    def _walk_table(self, position: int, layer, n: int) -> list:
-        """Eigenvalues the Pauli walk reads at one layer of an n-qubit
-        circuit, as Python lists: for a one-qubit layer, the (n, 24, 4)
-        table of :meth:`_compiled_1q_layer`; for an entangling layer, the
-        16-entry :attr:`GateNoise.eigenvalues` of each pair in turn."""
+    def layer_tables(self, position: int, layer, n: int) -> LayerTables:
+        """The compiled noise of ``layer`` at ``position`` of an n-qubit
+        circuit, built on first use and shared by every reader: once per
+        layer position, or once for all positions in the Markovian mode."""
         one_qubit = isinstance(layer, OneQubitLayer)
         key = (-1 if self.markovian else position, n if one_qubit else layer)
-        hit = self._walk.get(key)
+        hit = self._tables.get(key)
         if hit is None:
             if one_qubit:
-                hit = self._compiled_1q_layer(position, n).tolist()
+                entries = tuple(self.xpi2_noise(position, q) for q in range(n))
+                probs, eig = map(np.stack, zip(*(_compile_1q(e.probs) for e in entries)))
             else:
-                hit = [
-                    self.twoq_noise(position, layer.gate, pair).eigenvalues.tolist()
-                    for pair in layer.pairs
-                ]
-            self._walk[key] = hit
+                entries = tuple(self.twoq_noise(position, layer.gate, p) for p in layer.pairs)
+                probs = np.array([e.probs for e in entries]).reshape(-1, 16)
+                eig = np.array([e.eigenvalues for e in entries]).reshape(-1, 16)
+            probs.setflags(write=False)
+            eig.setflags(write=False)
+            hit = self._tables[key] = LayerTables(entries, probs, eig)
         return hit
 
     def shifted(self, offset: int) -> "NoiseModel":
@@ -287,7 +282,7 @@ class NoiseModel:
 
         out = NoiseModel(False, rebase(self.one_qubit), rebase(self.two_qubit))
         # tables compiled from this model's entries hold for the moved ones
-        out._1q, out._1q_layers, out._walk = map(rebase, (self._1q, self._1q_layers, self._walk))
+        out._tables = rebase(self._tables)
         return out
 
 
@@ -481,7 +476,7 @@ def _layer_steps(template, gates, noise: NoiseModel):
     depth = gates.shape[1] - 1
 
     def one_qubit_layer(j):
-        table = noise._compiled_1q_layer(2 * j, n)
+        table = noise.layer_tables(2 * j, template.layers[2 * j], n).eig
         return gates[:, j].T.astype(np.intp), table
 
     order = list(range(n))
@@ -491,21 +486,19 @@ def _layer_steps(template, gates, noise: NoiseModel):
         post = one_qubit_layer(depth) if j == depth - 1 else None
         paired = [q for pair in layer.pairs for q in pair]
         idle = [(q,) for q in range(n) if q not in paired]
+        pair_eig = noise.layer_tables(2 * j + 1, layer, n).eig
         steps = []
         for flip in (False, True):
             # pairs listed high qubit first step with their letters swapped
-            group = [pair for pair in layer.pairs if (pair[0] > pair[1]) == flip]
+            group = [i for i, pair in enumerate(layer.pairs) if (pair[0] > pair[1]) == flip]
             if not group:
                 continue
-            twoq = np.array([
-                noise.twoq_noise(2 * j + 1, layer.gate, pair).eigenvalues
-                for pair in group
-            ])
-            qubits = np.array(group)
+            pairs = [layer.pairs[i] for i in group]
+            qubits, twoq = np.array(pairs), pair_eig[group]
             if flip:
                 qubits, twoq = qubits[:, ::-1], twoq[:, _SWAP]
             digits = _pair_digits(layer.gate, flip)
-            steps += zip(group, *_fused_tables(qubits, digits, twoq, pre, post))
+            steps += zip(pairs, *_fused_tables(qubits, digits, twoq, pre, post))
         if idle:
             steps += zip(idle, *_fused_tables(np.array(idle), _DIGITS[1], None, pre, post))
         steps.sort(key=lambda step: max(order.index(q) for q in step[0]))
@@ -779,9 +772,11 @@ def _walk_maps() -> tuple[list, dict]:
 
 
 def _walk_tables(noise: NoiseModel | None, layers, n: int) -> list | None:
-    """The :meth:`NoiseModel._walk_table` of each of ``layers``, read once
-    for every walk over them; None without noise."""
-    return None if noise is None else [noise._walk_table(i, l, n) for i, l in enumerate(layers)]
+    """The :attr:`LayerTables.lists` of each of ``layers``, read once for
+    every walk over them; None without noise."""
+    if noise is None:
+        return None
+    return [noise.layer_tables(i, layer, n).lists for i, layer in enumerate(layers)]
 
 
 def _walk_codes(layers, gates, tables, codes) -> tuple[float, list[int]]:
@@ -906,13 +901,15 @@ def layer_infidelities(circuit: LayeredCircuit, noise: NoiseModel) -> list[float
     estimate of (and an upper bound on the worst-case error of) the circuit."""
     out = []
     for pos, layer in enumerate(circuit.layers):
+        probs = noise.layer_tables(pos, layer, circuit.n).probs
         p_identity = 1.0
         if isinstance(layer, OneQubitLayer):
+            # row 24 is the Euler gates' Pauli stand-in
             for q, gate in enumerate(layer.gates):
-                p_identity *= noise.compiled_1q_channel(pos, q, gate)[0]
+                p_identity *= probs[q, gate.index if isinstance(gate, CliffordGate1Q) else 24, 0]
         else:
-            for pair in layer.pairs:
-                p_identity *= noise.twoq_noise(pos, layer.gate, pair).probs[0]
+            for row in probs:
+                p_identity *= row[0]
         out.append(1.0 - float(p_identity))
     return out
 

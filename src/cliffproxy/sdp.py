@@ -32,6 +32,9 @@ import numpy as np
 
 __all__ = ["DiamondResult", "SdpConvergenceError", "solve_diamond_sdp"]
 
+# entries per row block of a congruence matrix's images (4 MB of complex)
+_TAT_BLOCK = 2**18
+
 
 class SdpConvergenceError(RuntimeError):
     """Raised when the solver cannot reach the required duality gap."""
@@ -113,12 +116,13 @@ class _HermBasis:
         m[self.cols, self.rows] = np.conj(off)
         return m
 
-    def tat_matrix(self, t: np.ndarray, block: int = 2**18) -> np.ndarray:
+    def tat_matrix(self, t: np.ndarray) -> np.ndarray:
         """Matrix of the congruence map A -> T A T in this basis.
 
         Column c holds the coordinates of T B_c T, so only the entries on and
         above each image's diagonal are formed, each one product of two
-        entries of T, in contiguous row blocks of at most ``block`` entries.
+        entries of T, in contiguous row blocks of at most ``_TAT_BLOCK``
+        entries.
         """
         d, num_off = self.dim, self.num_off
         g = np.empty((self.size, self.size), dtype=float)
@@ -136,7 +140,7 @@ class _HermBasis:
             return np.concatenate([np.einsum("ek,ek->ek", a, b), re, im], axis=1)
 
         g[:d] = np.real(images(0, d))
-        step = max(1, block // self.size)
+        step = max(1, _TAT_BLOCK // self.size)
         for start in range(d, d + num_off, step):
             stop = min(start + step, d + num_off)
             img = images(start, stop)

@@ -215,8 +215,9 @@ def _convolve_local(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 
 
 def per_gate_compiled_channels(noise, position, qubit, elements) -> np.ndarray:
-    """``NoiseModel.compiled_1q_channel`` one gate at a time, as a (25, 4)
-    array: rows 0-23 for the Clifford indices, row 24 for an Euler gate.
+    """``NoiseModel.layer_tables(...).probs[qubit]`` of a one-qubit layer,
+    one gate at a time, as a (25, 4) array: rows 0-23 for the Clifford
+    indices, row 24 for an Euler gate.
 
     Each X90 fault is relabelled through the group element that follows
     its pulse, found by products in the tableau multiplication table;
@@ -290,7 +291,7 @@ def per_gate_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
         if isinstance(layer, cc.OneQubitLayer):
             for q in range(n):
                 g = gates[:, i // 2, q]
-                eig = noise.compiled_1q_eigenvalues(pos, q)[g]
+                eig = noise.layer_tables(pos, layer, n).eig[q][g]
                 h, order = _gather_map(h, order, batch, (q,), inverse_conj[g], eig)
         else:
             local_map = cl.twoq_conjugation_codes(layer.gate)[None]
@@ -328,7 +329,7 @@ def gather_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
     rows = np.arange(k)[:, None]
 
     def one_qubit_layer(j):
-        table = noise._compiled_1q_layer(2 * j + layer_offset, n)
+        table = noise.layer_tables(2 * j + layer_offset, template.layers[2 * j], n).eig
         return gates[:, j].T.astype(np.intp), table
 
     def letters(labels, w):
@@ -381,7 +382,8 @@ def per_gate_walk(circuit, noise, codes, layer_offset=0) -> tuple[float, list[in
             gates = [gate.index for gate in layer.gates]
             if noise is not None:
                 for q, g in enumerate(gates):
-                    layer_eig *= noise.compiled_1q_eigenvalues(pos, q)[g].tolist()[codes[q]]
+                    eig = noise.layer_tables(pos, layer, circuit.n).eig[q]
+                    layer_eig *= eig[g].tolist()[codes[q]]
             codes = [inverse_conj[g][c] for g, c in zip(gates, codes)]
         else:
             local_map = cl.twoq_conjugation_codes(layer.gate).tolist()
@@ -665,13 +667,14 @@ def layer_channel(circuit, layer_index, noise, layer_offset=0) -> LayerErrorChan
             probs = noise.twoq_noise(pos, layer.gate, pair).probs
             terms.append((tuple(pair), probs))
     else:
+        table = noise.layer_tables(pos, layer, circuit.n).probs
         for q, gate in enumerate(layer.gates):
-            probs = noise.compiled_1q_channel(pos, q, gate)
+            probs = table[q, gate.index if isinstance(gate, cc.CliffordGate1Q) else 24]
             terms.append(((q,), probs))
     return LayerErrorChannel(circuit.n, tuple(terms))
 
 
-def _gate_error_ptm_1q(noise, position, qubit, gate) -> np.ndarray:
+def _gate_error_ptm_1q(noise, position, layer, qubit) -> np.ndarray:
     """Exact 4x4 transfer matrix of one gate's X90 error channels.
 
     Both faults are pushed through the remaining pulse factors of the gate
@@ -679,8 +682,10 @@ def _gate_error_ptm_1q(noise, position, qubit, gate) -> np.ndarray:
     result is the compiled Pauli channel; for Euler gates the conjugated
     channels are genuine unitary mixtures and the result is not diagonal.
     """
+    gate = layer.gates[qubit]
     if isinstance(gate, cc.CliffordGate1Q):
-        return np.diag(pauli_walsh(noise.compiled_1q_channel(position, qubit, gate), 1))
+        probs = noise.layer_tables(position, layer, layer.n).probs[qubit, gate.index]
+        return np.diag(pauli_walsh(probs, 1))
     eps = noise.xpi2_noise(position, qubit).probs
     diag = np.diag(pauli_walsh(eps, 1))
     phi1, phi2, _ = gate.angles
@@ -707,8 +712,8 @@ def layer_unitary_ptm(circuit, noise=None, spam=None, layer_offset=0) -> dn.Ptm:
         pos = i + layer_offset
         if isinstance(layer, cc.OneQubitLayer):
             err = np.array([[1.0]])
-            for q, gate in enumerate(layer.gates):
-                err = np.kron(err, _gate_error_ptm_1q(noise, pos, q, gate))
+            for q in range(n):
+                err = np.kron(err, _gate_error_ptm_1q(noise, pos, layer, q))
             mat = err @ mat
         else:
             chan = layer_channel(circuit, i, noise, layer_offset)
@@ -775,7 +780,7 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
                             labels = rng.choice(4, size=shots, p=eps)
                             draws.append(("pulse", li, q, pulse, labels))
                     else:
-                        probs = noise.compiled_1q_channel(pos, q, gate)
+                        probs = noise.layer_tables(pos, layer, n).probs[q, gate.index]
                         if probs[0] >= 1.0:
                             continue
                         labels = rng.choice(4, size=shots, p=probs)

@@ -574,7 +574,7 @@ class TestBatchedSampler:
                2: nz.GateNoise([0.7, 0.1, 0.1, 0.1])}
         two = {("CZ", 0, 1): nz.GateNoise.from_rates(np.full(15, 0.01))}
         model = nz.NoiseModel(True, one, two)
-        assert model.compiled_1q_channel(0, 1, h)[0] < 0.5
+        assert model.layer_tables(0, circ.layers[0], 3).probs[1, h.index, 0] < 0.5
         _assert_same_samples(circ, model, None, 0, shots=800)
 
     @pytest.mark.parametrize("kind, per_chunk", [("haar", 1), ("clifford", 3)])

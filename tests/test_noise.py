@@ -83,6 +83,20 @@ class TestSampleErrorModel:
         with pytest.raises(KeyError, match="no two-qubit noise entry"):
             model.twoq_noise(0, "CZ", (0, 2))
 
+    def test_mis_sized_entries_rejected(self):
+        one = nz.GateNoise.from_rates(np.full(3, 1e-3))
+        pair = nz.GateNoise.from_rates(np.full(15, 1e-3))
+        with pytest.raises(ValueError, match=r"entry \('CZ', 0, 1\) has 4 probabilities"):
+            nz.NoiseModel(True, {0: one, 1: one}, {("CZ", 0, 1): one})
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) has 16 probabilities"):
+            nz.NoiseModel(False, {(2, 0): one, (2, 1): pair}, {(1, "CZ", 0, 1): pair})
+        # sampled models and their JSON round trips pass the check
+        circ, rng = brickwork(3, 2, 8)
+        for markovian in (True, False):
+            model = nz.sample_error_model(circ, rng, 1e-3, 1e-4, markovian)
+            nz.NoiseModel(markovian, model.one_qubit, model.two_qubit)
+            nz.noise_from_dict(nz.noise_to_dict(model))
+
 
 class TestGateNoise:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -121,16 +135,58 @@ class TestCompiledOneQubit:
         elements = tableau_cliffords()
         circ, rng = brickwork(3, 2, 90)
         model = nz.sample_error_model(circ, rng, 1e-3, budget, markovian)
-        euler = cc.haar_su2(rng)
         for pos in range(0, len(circ.layers), 2):
+            tables = model.layer_tables(pos, circ.layers[pos], circ.n)
+            assert not tables.probs.flags.writeable
+            assert not tables.eig.flags.writeable
             for q in range(circ.n):
                 ref = per_gate_compiled_channels(model, pos, q, elements)
-                got = [model.compiled_1q_channel(pos, q, cc.CliffordGate1Q(g)) for g in range(24)]
-                got.append(model.compiled_1q_channel(pos, q, euler))
-                assert np.array_equal(got, ref)
-                eig = model.compiled_1q_eigenvalues(pos, q)
-                assert np.array_equal(eig, [pauli_walsh(row, 1) for row in ref[:24]])
-                assert not eig.flags.writeable
+                assert np.array_equal(tables.probs[q], ref)
+                assert np.array_equal(tables.eig[q], [pauli_walsh(row, 1) for row in ref[:24]])
+
+    @pytest.mark.parametrize("markovian", [True, False])
+    def test_every_reader_gets_one_table_per_layer(self, markovian, monkeypatch):
+        # the fold, the walk, layer_infidelities and the sampler read one
+        # LayerTables object per layer position, compiled once per qubit
+        compile_1q, calls = nz._compile_1q, []
+        monkeypatch.setattr(nz, "_compile_1q", lambda eps: calls.append(eps) or compile_1q(eps))
+        circ, rng = brickwork(3, 4, 93)
+        model = nz.sample_error_model(circ, rng, 1e-2, 1e-3, markovian)
+        layer_tables, read = model.layer_tables, {}
+
+        def spy(position, layer, n):
+            tables = layer_tables(position, layer, n)
+            read.setdefault(reader, {}).setdefault(position, set()).add(id(tables))
+            return tables
+
+        monkeypatch.setattr(model, "layer_tables", spy)
+        readers = {
+            "fold": lambda: nz.process_infidelity_exact(circ, model),
+            "diagonal": lambda: nz.fold_eigenvalues(circ, model),
+            "walk": lambda: nz._walk_tables(model, circ.layers, circ.n),
+            "layer_infidelities": lambda: nz.layer_infidelities(circ, model),
+            "sampler": lambda: dn.statevector_simulate(circ, model, rng, 50),
+        }
+        for reader, run in readers.items():
+            run()
+        positions = range(len(circ.layers))
+        for reader in readers:
+            want = positions[::2] if reader == "sampler" else positions
+            assert sorted(read[reader]) == list(want), reader
+        for pos in positions:
+            ids = set().union(*(got.get(pos, set()) for got in read.values()))
+            assert len(ids) == 1, pos
+            tables = layer_tables(pos, circ.layers[pos], circ.n)
+            assert ids == {id(tables)}
+            layer = circ.layers[pos]
+            if isinstance(layer, cc.TwoQubitLayer):
+                entries = tuple(model.twoq_noise(pos, layer.gate, pair) for pair in layer.pairs)
+                assert tables.entries == entries
+                assert np.array_equal(tables.probs, [e.probs for e in entries])
+                assert np.array_equal(tables.eig, [e.eigenvalues for e in entries])
+                assert tables.lists == tables.eig.tolist()
+        one_qubit_tables = 1 if markovian else len(positions[::2])
+        assert len(calls) == circ.n * one_qubit_tables
 
 
 class TestLayerChannel:
@@ -382,11 +438,12 @@ def test_shifted_reads_entries_at_the_offset():
     model = _fold_model(template, rng, False, 3)
     assert model.shifted(0) is model
     keys = (set(model.one_qubit), set(model.two_qubit))
-    compiled = model._compiled_1q(5, 1), model._walk_table(4, template.layers[1], 3)
+    one, two = template.layers[2], template.layers[1]
+    compiled = model.layer_tables(5, one, 3), model.layer_tables(4, two, 3)
     base = model.shifted(3)
     # tables compiled before the shift are reused at their new positions
-    assert base._compiled_1q(2, 1) is compiled[0]
-    assert base._walk_table(1, template.layers[1], 3) is compiled[1]
+    assert base.layer_tables(2, one, 3) is compiled[0]
+    assert base.layer_tables(1, two, 3) is compiled[1]
     assert not base.markovian
     assert (set(model.one_qubit), set(model.two_qubit)) == keys
     assert set(base.one_qubit) == {(pos - 3, q) for pos, q in keys[0]}

@@ -144,7 +144,7 @@ class TestDenseOracle:
         _same_as_dense(dn.choi_of_ptm(noisy).mat - dn.choi_of_ptm(ideal).mat, 4)
 
     @pytest.mark.parametrize("dim, d_in", [(2, 2), (4, 2), (8, 2), (8, 4), (16, 4)])
-    def test_newton_blocks(self, dim, d_in):
+    def test_newton_blocks(self, dim, d_in, monkeypatch):
         # the congruence matrix, and the partial trace's P.T @ G @ P as the
         # gather the Newton system is assembled with
         rng = np.random.default_rng(dim + d_in)
@@ -157,7 +157,8 @@ class TestDenseOracle:
         t = scaling(dim)
         ref = tat_matrix(basis, t)
         assert np.array_equal(basis.tat_matrix(t), ref)
-        assert np.array_equal(basis.tat_matrix(t, block=3 * basis.size), ref)
+        monkeypatch.setattr(sdp, "_TAT_BLOCK", 3 * basis.size)
+        assert np.array_equal(basis.tat_matrix(t), ref)
         g = tat_matrix(small, scaling(d_in))
         pt = partial_trace_matrix(basis, dim // d_in, d_in)
         idx, sign = sdp._tr_out_gather(basis, d_in)
