@@ -209,11 +209,14 @@ class OneQubitClifford:
 
 
 def _letter_images(u: np.ndarray) -> np.ndarray:
-    """(4, 2) table of (letter code, sign) of u P u' for each letter code P
-    of a one-qubit Clifford u: the one letter Q with tr(Q u P u') = +-2."""
-    traces = np.einsum("qij,pji->pq", _PAULIS, u @ _PAULIS @ u.conj().T).real
-    codes = np.argmax(np.abs(traces), axis=1)
-    return np.stack([codes, np.sign(traces[np.arange(4), codes])], axis=1).astype(np.intp)
+    """(..., 4, 2) table of (letter code, sign) of u P u' for each letter
+    code P of each one-qubit Clifford u in the stack ``u`` (..., 2, 2):
+    the one letter Q with tr(Q u P u') = +-2."""
+    u = u[..., None, :, :]
+    traces = np.einsum("qij,...pji->...pq", _PAULIS, u @ _PAULIS @ u.conj().swapaxes(-1, -2)).real
+    codes = np.argmax(np.abs(traces), axis=-1)
+    signs = np.sign(np.take_along_axis(traces, codes[..., None], axis=-1)[..., 0])
+    return np.stack([codes, signs], axis=-1).astype(np.intp)
 
 
 def _image_key(images: np.ndarray):
@@ -233,9 +236,8 @@ def one_qubit_cliffords() -> tuple[OneQubitClifford, ...]:
     images = [_letter_images(mats[0])]
     seen = {int(_image_key(images[0]))}
     for mat in mats:  # elements appended here are visited in turn
-        for gen in (_H, _S):
-            new_mat = gen @ mat
-            new_images = _letter_images(new_mat)
+        new_mats = [_H @ mat, _S @ mat]
+        for new_mat, new_images in zip(new_mats, _letter_images(np.array(new_mats))):
             key = int(_image_key(new_images))
             if key not in seen:
                 seen.add(key)
@@ -268,7 +270,7 @@ def _snap_clifford_angles(angles, mat) -> tuple[float, float, float]:
 def _conjugation_table() -> np.ndarray:
     """Read-only (24, 4, 2) table: (letter code, sign) of g P g' for index g
     and code P."""
-    table = np.stack([_letter_images(e.unitary) for e in one_qubit_cliffords()])
+    table = _letter_images(np.array([e.unitary for e in one_qubit_cliffords()]))
     table.setflags(write=False)
     return table
 
@@ -323,11 +325,10 @@ def pulse_fault_codes() -> np.ndarray:
     the pulse reaches the end of the gate as V Q V', so the table gives,
     for each letter P at the end, the fault that lands there.
     """
-    table = np.empty((2, 24, 4), dtype=np.intp)
-    for g, elem in enumerate(one_qubit_cliffords()):
-        phi1, phi2, _ = elem.euler
-        for pulse, v in enumerate((_rz(phi1) @ RX90 @ _rz(phi2), _rz(phi1))):
-            table[pulse, g] = _letter_images(v.conj().T)[:, 0]
+    angles = [elem.euler for elem in one_qubit_cliffords()]
+    first = [_rz(phi1) @ RX90 @ _rz(phi2) for phi1, phi2, _ in angles]
+    v = np.array([first, [_rz(phi1) for phi1, _, _ in angles]])
+    table = _letter_images(v.conj().swapaxes(-1, -2))[..., 0]
     table.setflags(write=False)
     return table
 

@@ -237,9 +237,8 @@ def circuit_ptm(
         raise ValueError(f"dense transfer matrices capped at n={PTM_LIMIT}")
     if spam is None:
         return Ptm(n, _ptm_columns(np.eye(4**n), circuit, noise))
-    prep = _spam_eigenvalues(n, [spam.prep_factor(q) for q in range(n)])
-    mat = _ptm_columns(np.diag(prep), circuit, noise)
-    return Ptm(n, _spam_eigenvalues(n, [spam.meas_factor(q) for q in range(n)])[:, None] * mat)
+    prep, meas = (_spam_eigenvalues(n, factors) for factors in spam.factors)
+    return Ptm(n, meas[:, None] * _ptm_columns(np.diag(prep), circuit, noise))
 
 
 def process_fidelity(ideal: Ptm, noisy: Ptm) -> float:

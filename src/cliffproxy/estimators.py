@@ -12,11 +12,12 @@ value 1, so the estimator is
     F = (1 + (4^n - 1) * mean_parity) / 4^n.
 
 Back-propagation walks per-qubit letter codes, split from an integer
-label, through the noise tables the exact fold reads, looked up once per
-estimate (:func:`cliffproxy.noise.propagate_codes`), and drops signs: the
-estimate uses only the letters and their support.  A walk reads a circuit as its entangling layers and one row of
-one-qubit Clifford indices per one-qubit layer, so combined randomization
-draws each twirl's rows, and builds no circuit.
+label, through step tables compiled once per layer from the noise tables
+the exact fold reads (:func:`cliffproxy.noise.propagate_codes`), and
+drops signs: the estimate uses only the letters and their support.  A
+walk reads a circuit as its entangling layers and one row of one-qubit
+Clifford indices per one-qubit layer, so combined randomization draws
+each twirl's rows, and builds no circuit.
 
 Shots are simulated exactly: a fault pattern flips the measured parity iff
 it anticommutes with the back-propagated observable at its insertion
@@ -43,7 +44,6 @@ from .circuits import (
     BrickworkSpec,
     LayeredCircuit,
     TwoQubitLayer,
-    _draw_cliffords,
     brickwork_pairs,
     cliffordize,
     identity_layer,
@@ -147,12 +147,10 @@ def _walk(layers, gates, tables, spam, codes):
     prep (input support) and measurement (output support) attenuation."""
     lam, back = _walk_codes(layers, gates, tables, codes)
     if spam is not None:
-        for q, code in enumerate(back):
+        prep, meas = spam.factors
+        for factor, code in zip(prep + meas, back + codes):
             if code:
-                lam *= spam.prep_factor(q)
-        for q, code in enumerate(codes):
-            if code:
-                lam *= spam.meas_factor(q)
+                lam *= factor
     return lam, back
 
 
@@ -197,8 +195,9 @@ def _walked(circuit, target, rng, append=None):
 
     if target is None:
         return layers, join(_index_rows(circuit))
-    drawn = len(target.layers[::2])
-    return layers, lambda: join(_draw_cliffords(rng, 1, drawn, target.n)[0].tolist())
+    # the values and the random stream of _draw_cliffords(rng, 1, layers, n)[0]
+    shape = len(target.layers[::2]), target.n
+    return layers, lambda: join(rng.integers(24, size=shape).tolist())
 
 
 def _sample_paulis(
@@ -219,7 +218,8 @@ def _sample_paulis(
             for _ in range(config.num_twirls):
                 expected, _ = _walk(layers, gates(), tables, spam, codes)
                 values.append(_draw_parity(expected, config.shots_per_twirl, rng))
-            value = float(np.mean(values))
+            # the mean of one value is that value, exactly
+            value = values[0] if len(values) == 1 else float(np.mean(values))
         else:
             expected, _ = _walk(layers, gates, tables, spam, codes)
             value = _draw_parity(expected, config.shots_per_pauli, rng)
@@ -439,7 +439,7 @@ def layer_fidelity_estimate(
         xs, ys, ws = [], [], []
         for m in depths:
             # the layer m times between fresh random one-qubit Clifford layers
-            gates = _draw_cliffords(rng, 1, m + 1, n)[0].tolist()
+            gates = rng.integers(24, size=(m + 1, n)).tolist()
             est = _dfe(unit[:1] + unit[1:] * m, gates, noise, spam, config, rng)
             p_hat = fidelity_to_polarization(est.mean, n)
             sigma_p = est.stderr * dim4 / (dim4 - 1)

@@ -43,10 +43,10 @@ when a gate joins two, each about one pass; the layers between are
 stepped on the forward array; and the backward side's last merge is
 contracted against that array without being built.  At depth D, D - 4
 layers are stepped, and the peak is two 4^n arrays.  Direct fidelity
-estimation walks single Paulis back through the same tables, read as
-Python lists (:attr:`LayerTables.lists`) that a caller looks up once for
-all its walks; like the fold, a walk reads a circuit as its entangling
-layers and Clifford index rows (:func:`propagate_codes`).
+estimation walks single Paulis back through the same tables, compiled
+into (eigenvalue, next letters) steps (:attr:`LayerTables.steps`); like
+the fold, a walk reads a circuit as its entangling layers and Clifford
+index rows (:func:`propagate_codes`).
 """
 
 from __future__ import annotations
@@ -184,20 +184,32 @@ class LayerTables:
     """The compiled noise of one layer position (:meth:`NoiseModel.layer_tables`).
 
     ``entries`` holds the layer's :class:`GateNoise`, one per qubit of a
-    one-qubit layer or per pair of an entangling layer.  For a one-qubit
-    layer ``probs`` and ``eig`` stack each qubit's (25, 4) and (24, 4)
-    tables of :func:`_compile_1q`; for an entangling layer they hold each
-    pair's 16 probabilities and eigenvalues.  Both are read-only.
+    one-qubit layer (``gate`` None) or per pair of an entangling layer of
+    ``gate``.  For a one-qubit layer ``probs`` and ``eig`` stack each
+    qubit's (25, 4) and (24, 4) tables of :func:`_compile_1q`; for an
+    entangling layer they hold each pair's 16 probabilities and
+    eigenvalues.  Both are read-only.
     """
 
     entries: tuple
     probs: np.ndarray
     eig: np.ndarray
+    gate: str | None
 
     @cached_property
-    def lists(self) -> list:
-        """``eig`` as Python lists, which the Pauli walk indexes."""
-        return self.eig.tolist()
+    def steps(self) -> list:
+        """The Pauli walk's steps back through the layer, as lists: entry
+        [q][g][c] is (eigenvalue, letter of g' P g) for qubit q, Clifford
+        index g and letter c; entry [p][label] is (eigenvalue, letter a,
+        letter b) of C' P C on pair p."""
+        if self.gate is None:
+            steps = np.empty(self.eig.shape, [("eig", float), ("code", np.intp)])
+            steps["code"] = cl.inverse_conjugation_codes()
+        else:
+            steps = np.empty(self.eig.shape, [("eig", float), ("a", np.intp), ("b", np.intp)])
+            steps["a"], steps["b"] = _pair_digits(self.gate, False)
+        steps["eig"] = self.eig
+        return steps.tolist()
 
 
 class NoiseModel:
@@ -214,12 +226,8 @@ class NoiseModel:
         self.one_qubit = dict(one_qubit)
         self.two_qubit = dict(two_qubit)
         for table, k in ((self.one_qubit, 1), (self.two_qubit, 2)):
-            for key, entry in table.items():
-                if entry.num_qubits != k:
-                    raise ValueError(
-                        f"noise entry {key!r} has {len(entry.probs)} probabilities, "
-                        f"expected {4**k}"
-                    )
+            for key in table:
+                self._entry(key, k)
         # (position or -1, n or entangling layer) -> LayerTables
         self._tables: dict = {}
 
@@ -232,28 +240,31 @@ class NoiseModel:
 
     def xpi2_noise(self, position: int, qubit: int) -> GateNoise:
         key = qubit if self.markovian else (position, qubit)
-        try:
-            return self.one_qubit[key]
-        except KeyError:
-            raise KeyError(
-                f"no one-qubit noise entry for qubit {qubit} at layer {position}"
-            ) from None
+        return self._entry(key, 1, position, f"qubit {qubit}")
 
     def twoq_noise(self, position: int, name: str, pair) -> GateNoise:
         key = self.pair_key(name, pair)
         if not self.markovian:
             key = (position,) + key
-        try:
-            return self.two_qubit[key]
-        except KeyError:
-            raise KeyError(
-                f"no two-qubit noise entry for {name} on {tuple(pair)} at layer {position}"
-            ) from None
+        return self._entry(key, 2, position, f"{name} on {tuple(pair)}")
+
+    def _entry(self, key, k: int, position=None, gate=None) -> GateNoise:
+        # every read checks the size: the entry dicts are public, and filled late
+        entry = (self.one_qubit if k == 1 else self.two_qubit).get(key)
+        if entry is None:
+            kind = "one" if k == 1 else "two"
+            raise KeyError(f"no {kind}-qubit noise entry for {gate} at layer {position}")
+        if entry.num_qubits != k:
+            at = "" if position is None else f" at layer {position}"
+            size = len(entry.probs)
+            raise ValueError(f"noise entry {key!r}{at} has {size} probabilities, expected {4**k}")
+        return entry
 
     def layer_tables(self, position: int, layer, n: int) -> LayerTables:
         """The compiled noise of ``layer`` at ``position`` of an n-qubit
         circuit, built on first use and shared by every reader: once per
-        layer position, or once for all positions in the Markovian mode."""
+        layer position, or once for all positions in the Markovian mode.
+        An entry of the wrong size raises ValueError naming its key."""
         one_qubit = isinstance(layer, OneQubitLayer)
         key = (-1 if self.markovian else position, n if one_qubit else layer)
         hit = self._tables.get(key)
@@ -267,7 +278,8 @@ class NoiseModel:
                 eig = np.array([e.eigenvalues for e in entries]).reshape(-1, 16)
             probs.setflags(write=False)
             eig.setflags(write=False)
-            hit = self._tables[key] = LayerTables(entries, probs, eig)
+            gate = None if one_qubit else layer.gate
+            hit = self._tables[key] = LayerTables(entries, probs, eig, gate)
         return hit
 
     def shifted(self, offset: int) -> "NoiseModel":
@@ -762,47 +774,41 @@ def _infidelities(template, gates, noise: NoiseModel):
     return out
 
 
-@lru_cache(maxsize=1)
-def _walk_maps() -> tuple[list, dict]:
-    """The conjugation maps the Pauli walk reads, as lists: per one-qubit
-    Clifford index (:func:`cliffproxy.clifford.inverse_conjugation_codes`)
-    and per entangling gate."""
-    twoq = {gate: cl.twoq_conjugation_codes(gate).tolist() for gate in ("CZ", "CNOT")}
-    return cl.inverse_conjugation_codes().tolist(), twoq
+def _walk_tables(noise: NoiseModel | None, layers, n: int) -> list:
+    """The :attr:`LayerTables.steps` of each of ``layers``, read once for
+    every walk over them; without noise, steps of eigenvalue 1.0, an exact
+    product, shared by all walks."""
+    if noise is not None:
+        return [noise.layer_tables(i, layer, n).steps for i, layer in enumerate(layers)]
+    # a layer has at most n qubits or pairs to step
+    return [_noise_free_steps(getattr(layer, "gate", None), n) for layer in layers]
 
 
-def _walk_tables(noise: NoiseModel | None, layers, n: int) -> list | None:
-    """The :attr:`LayerTables.lists` of each of ``layers``, read once for
-    every walk over them; None without noise."""
-    if noise is None:
-        return None
-    return [noise.layer_tables(i, layer, n).lists for i, layer in enumerate(layers)]
+@lru_cache(maxsize=None)
+def _noise_free_steps(gate: str | None, n: int) -> list:
+    eig = np.ones((n, 24, 4) if gate is None else (n, 16))
+    return LayerTables((), None, eig, gate).steps
 
 
 def _walk_codes(layers, gates, tables, codes) -> tuple[float, list[int]]:
     """:func:`propagate_codes` on the entangling layers of ``layers``, with
     the Clifford index rows ``gates`` and the :func:`_walk_tables`
     ``tables``; the first step, a one-qubit layer, copies ``codes``."""
-    inverse_conj, twoq_maps = _walk_maps()
     lam = 1.0
     for i in range(len(layers) - 1, -1, -1):
-        table = None if tables is None else tables[i]
         layer_eig = 1.0
         # layers alternate, one-qubit layers at even positions
         if i % 2 == 0:
-            row = gates[i // 2]
-            if table is not None:
-                for rows, g, c in zip(table, row, codes):
-                    layer_eig *= rows[g][c]
-            codes = [inverse_conj[g][c] for g, c in zip(row, codes)]
+            back = []
+            for steps, g, c in zip(tables[i], gates[i // 2], codes):
+                eig, c = steps[g][c]
+                layer_eig *= eig
+                back.append(c)
+            codes = back
         else:
-            layer = layers[i]
-            local_map = twoq_maps[layer.gate]
-            for p, (a, b) in enumerate(layer.pairs):
-                label = 4 * codes[a] + codes[b]
-                if table is not None:
-                    layer_eig *= table[p][label]
-                codes[a], codes[b] = divmod(local_map[label], 4)
+            for steps, (a, b) in zip(tables[i], layers[i].pairs):
+                eig, codes[a], codes[b] = steps[4 * codes[a] + codes[b]]
+                layer_eig *= eig
         lam *= layer_eig
     return lam, codes
 
@@ -946,6 +952,12 @@ class SpamModel:
         # Parity estimates are measurement-twirled, which symmetrises the
         # asymmetric flip rates exactly.
         return 1.0 - self.meas0[qubit] - self.meas1[qubit]
+
+    @cached_property
+    def factors(self) -> tuple[list[float], list[float]]:
+        """Every qubit's prep and measurement factors, computed once."""
+        qubits = range(self.n)
+        return [self.prep_factor(q) for q in qubits], [self.meas_factor(q) for q in qubits]
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,19 @@ class TestTablesMatchTableauClosure:
         named = tableau_named_indices(tabs)
         assert {name: cl.one_qubit_gate_index(name) for name in named} == named
 
+    def test_tables_match_per_element_images(self):
+        # the batched images of all elements at once against one element
+        # at a time
+        elements = cl.one_qubit_cliffords()
+        loop = [cl._letter_images(elem.unitary) for elem in elements]
+        assert np.array_equal(cl._conjugation_table(), loop)
+        loop = np.empty((2, 24, 4), dtype=np.intp)
+        for g, elem in enumerate(elements):
+            phi1, phi2, _ = elem.euler
+            for pulse, v in enumerate((cl._rz(phi1) @ cl.RX90 @ cl._rz(phi2), cl._rz(phi1))):
+                loop[pulse, g] = cl._letter_images(v.conj().T)[:, 0]
+        assert np.array_equal(cl.pulse_fault_codes(), loop)
+
     def test_pulse_fault_codes_against_transfer_matrices(self):
         table = cl.pulse_fault_codes()
         assert table.shape == (2, 24, 4)

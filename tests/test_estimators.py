@@ -18,6 +18,7 @@ from oracles import (
     object_dfe_with_reference,
     object_layer_fidelity_estimate,
     object_readout_mitigated_dfe,
+    object_walk,
 )
 from test_noise import _fold_case, _fold_model
 
@@ -121,6 +122,22 @@ class TestPauliExpectation:
         expect = (1 - 2 * 0.02) ** weight * (1 - 2 * 0.03) ** p.weight
         assert val == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_object_walk(self, n):
+        # equal, not close: with and without noise and SPAM, the compiled
+        # steps take the oracle's products in the oracle's order
+        circ, rng = brickwork(n, 4, 60 + n)
+        model = nz.sample_error_model(circ, rng, 1e-2, 1e-3)
+        spam = nz.SpamModel(*(tuple(rng.uniform(0.0, 0.05, n)) for _ in range(3)))
+        for noise in (model, None):
+            for spam_model in (spam, None):
+                for _ in range(20):
+                    p = sample_uniform_nonidentity(n, rng)
+                    val, _ = _walk(circ, noise, spam_model, p)
+                    assert val == object_walk(circ, noise, spam_model, p)
+                    if noise is None and spam_model is None:
+                        assert val == 1.0
+
 
 class TestDfe:
     def test_noiseless_is_exactly_one(self):
@@ -223,6 +240,18 @@ class TestCircuitOrTarget:
         with pytest.raises(ValueError, match="exactly one"):
             call()
         assert rng.bit_generator.state == before
+
+
+def test_twirl_rows_draw_the_cliffordize_stream():
+    # each twirl's rows are one draw of the stream, and the values, that
+    # the (1, layers, n) index array of _draw_cliffords reads
+    rng = np.random.default_rng(45)
+    target = cc.sample_brickwork(cc.BrickworkSpec(4, 3), "haar", rng)
+    a, b = np.random.default_rng(46), np.random.default_rng(46)
+    _, draw = est._walked(None, target, a)
+    for _ in range(3):
+        assert draw() == cc._draw_cliffords(b, 1, len(target.layers[::2]), target.n)[0].tolist()
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestMatchesObjectPath:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,31 @@ class TestSampleErrorModel:
         model = nz.sample_error_model(circ, rng)
         with pytest.raises(KeyError, match="no two-qubit noise entry"):
             model.twoq_noise(0, "CZ", (0, 2))
+
+    @pytest.mark.parametrize("markovian", [True, False])
+    def test_entries_mis_sized_after_construction_rejected(self, markovian):
+        # the entry dicts are public and filled after construction, so
+        # every read checks an entry's size and names its key and position
+        circ, rng = brickwork(2, 2, 9)
+        one = nz.GateNoise.from_rates(np.full(3, 1e-3))
+        pair = nz.GateNoise.from_rates(np.full(15, 1e-3))
+        keys = {"two_qubit": ("CZ", 0, 1), "one_qubit": 1}
+        if not markovian:
+            keys = {"two_qubit": (1, "CZ", 0, 1), "one_qubit": (0, 1)}
+        for table, position, bad in (("two_qubit", 1, one), ("one_qubit", 0, pair)):
+            model = nz.sample_error_model(circ, rng, 1e-3, 1e-4, markovian)
+            key = keys[table]
+            getattr(model, table)[key] = bad
+            size = len(bad.probs)
+            match = re.escape(f"noise entry {key!r} at layer {position} has {size} probabilities")
+            readers = (
+                lambda: nz.process_infidelity_exact(circ, model),
+                lambda: nz.propagate_codes(circ, model, [1, 3]),
+                lambda: dn.statevector_simulate(circ, model, rng, 20),
+            )
+            for run in readers:
+                with pytest.raises(ValueError, match=match):
+                    run()
 
     def test_mis_sized_entries_rejected(self):
         one = nz.GateNoise.from_rates(np.full(3, 1e-3))
@@ -184,7 +210,18 @@ class TestCompiledOneQubit:
                 assert tables.entries == entries
                 assert np.array_equal(tables.probs, [e.probs for e in entries])
                 assert np.array_equal(tables.eig, [e.eigenvalues for e in entries])
-                assert tables.lists == tables.eig.tolist()
+                codes = cl.twoq_conjugation_codes(layer.gate)
+                for p, steps in enumerate(tables.steps):
+                    for label, step in enumerate(steps):
+                        image = (codes[label] >> 2, codes[label] & 3)
+                        assert step == (tables.eig[p, label], *image)
+            else:
+                codes = cl.inverse_conjugation_codes()
+                for q, steps in enumerate(tables.steps):
+                    for g, row in enumerate(steps):
+                        for c, step in enumerate(row):
+                            assert step == (tables.eig[q, g, c], codes[g, c])
+            assert len(tables.steps) == len(tables.eig)
         one_qubit_tables = 1 if markovian else len(positions[::2])
         assert len(calls) == circ.n * one_qubit_tables
 
