@@ -7,6 +7,12 @@ triple for Z(phi1) X90 Z(phi2) X90 Z(phi3); the five-pulse form is never
 shortened, so all one-qubit gates expose the same number of X90 pulses to
 the noise model.
 
+A :class:`OneQubitLayer` holds its gates as arrays of Clifford indices
+(-1 for an Euler gate) and five-pulse angles, which every reader uses.
+The gate objects :class:`CliffordGate1Q` and :class:`EulerGate1Q` are the
+API boundary: a layer is built from them and gives them back as
+:attr:`OneQubitLayer.gates`; the generators build the arrays directly.
+
 Generators cover brickwork sampling (disordered and periodic), Haar
 one-qubit gates, Cliffordization, randomized-compiling Pauli twirls, and
 short scrambling circuits.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,8 +43,6 @@ __all__ = [
     "pauli_twirl",
     "scrambling_circuit",
     "haar_su2",
-    "concatenate",
-    "gate_unitary",
     "circuit_to_dict",
     "circuit_from_dict",
 ]
@@ -51,8 +55,8 @@ class CliffordGate1Q:
     index: int
 
     def __post_init__(self):
-        if not 0 <= self.index < 24:
-            raise ValueError(f"Clifford index {self.index} out of range")
+        if not (isinstance(self.index, (int, np.integer)) and 0 <= self.index < 24):
+            raise ValueError(f"Clifford index {self.index!r} is not an integer in 0..23")
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,10 @@ class EulerGate1Q:
     phi1: float
     phi2: float
     phi3: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2) and math.isfinite(self.phi3)):
+            raise ValueError(f"Euler angles {self.angles} are not all finite")
 
     @property
     def angles(self) -> tuple[float, float, float]:
@@ -77,27 +85,75 @@ class EulerGate1Q:
 
 Gate1Q = CliffordGate1Q | EulerGate1Q
 
-_CLIFFORD_GATES = tuple(CliffordGate1Q(k) for k in range(24))
-IDENTITY_GATE = _CLIFFORD_GATES[0]
 
-
-def gate_unitary(gate: Gate1Q) -> np.ndarray:
-    if isinstance(gate, CliffordGate1Q):
-        return cl.one_qubit_cliffords()[gate.index].unitary
-    return gate.unitary
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class OneQubitLayer:
-    gates: tuple[Gate1Q, ...]
+    """One gate per qubit, held as two read-only arrays: ``indices`` (n,)
+    int8, each gate's Clifford index or -1 for an Euler gate, and
+    ``angles`` (n, 3), each gate's five-pulse angles, a Clifford's those
+    of its group element.  Built from gate objects, which :attr:`gates`
+    gives back."""
+
+    indices: np.ndarray
+    angles: np.ndarray
+
+    def __init__(self, gates):
+        gates = tuple(gates)
+        for g in gates:
+            if not isinstance(g, Gate1Q):
+                raise ValueError(f"{g!r} is neither a CliffordGate1Q nor an EulerGate1Q")
+        indices = np.array([getattr(g, "index", -1) for g in gates], dtype=np.int8)
+        euler = cl._element_tables()[0]
+        angles = [euler[k] if k >= 0 else g.angles for k, g in zip(indices.tolist(), gates)]
+        self._fill(indices, np.array(angles, dtype=float).reshape(-1, 3))
+
+    @classmethod
+    def _of(cls, indices: np.ndarray, angles: np.ndarray | None = None) -> "OneQubitLayer":
+        """The layer of the int8 ``indices`` and the ``angles``, both taken
+        over; ``angles`` None for a layer of Cliffords."""
+        layer = object.__new__(cls)
+        layer._fill(indices, cl._element_tables()[0][indices] if angles is None else angles)
+        return layer
+
+    def _fill(self, indices: np.ndarray, angles: np.ndarray) -> None:
+        for name, arr in (("indices", indices), ("angles", angles)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def gates(self) -> tuple[Gate1Q, ...]:
+        return tuple(
+            CliffordGate1Q(k) if k >= 0 else EulerGate1Q(*a)
+            for k, a in zip(self.indices.tolist(), self.angles.tolist())
+        )
+
+    @cached_property
+    def unitaries(self) -> np.ndarray:
+        """Read-only (n, 2, 2) matrices of the gates, built once per layer:
+        a Clifford's from the group table, an Euler gate's from its angles."""
+        table, angles = cl._element_tables()[1], self.angles.tolist()
+        out = np.empty((self.n, 2, 2), dtype=complex)
+        for q, k in enumerate(self.indices.tolist()):
+            out[q] = table[k] if k >= 0 else cl.euler_unitary(*angles[q])
+        out.setflags(write=False)
+        return out
 
     @property
     def n(self) -> int:
-        return len(self.gates)
+        return len(self.indices)
 
     @property
     def is_clifford(self) -> bool:
-        return all(isinstance(g, CliffordGate1Q) for g in self.gates)
+        return bool((self.indices >= 0).all())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OneQubitLayer):
+            return NotImplemented
+        return np.array_equal(self.indices, other.indices) and np.array_equal(self.angles, other.angles)
+
+    def __hash__(self) -> int:
+        # + 0.0 makes -0.0 hash as 0.0, which it equals
+        return hash((self.indices.tobytes(), (self.angles + 0.0).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -158,20 +214,20 @@ class LayeredCircuit:
 
     @property
     def is_clifford(self) -> bool:
-        return all(
-            l.is_clifford for l in self.layers if isinstance(l, OneQubitLayer)
-        )
+        # layers alternate, one-qubit layers at even positions
+        return all(l.is_clifford for l in self.layers[::2])
 
     def entangling_layers(self) -> tuple[TwoQubitLayer, ...]:
-        return tuple(l for l in self.layers if isinstance(l, TwoQubitLayer))
+        return self.layers[1::2]
 
     @classmethod
     def identity(cls, n: int) -> "LayeredCircuit":
         return cls(n, (identity_layer(n),))
 
 
+@lru_cache(maxsize=None)
 def identity_layer(n: int) -> OneQubitLayer:
-    return OneQubitLayer((IDENTITY_GATE,) * n)
+    return OneQubitLayer._of(np.zeros(n, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +273,12 @@ def _draw_cliffords(rng: np.random.Generator, k: int, layers: int, n: int) -> np
     return rng.integers(24, size=(k, layers, n)).astype(np.int8)
 
 
-def _clifford_layer(indices: np.ndarray) -> OneQubitLayer:
-    return OneQubitLayer(tuple(_CLIFFORD_GATES[k] for k in indices.tolist()))
-
-
 def _sample_1q_layer(n: int, kind: str, rng: np.random.Generator) -> OneQubitLayer:
     if kind == "clifford":
-        return _clifford_layer(_draw_cliffords(rng, 1, 1, n)[0, 0])
+        return OneQubitLayer._of(_draw_cliffords(rng, 1, 1, n)[0, 0])
     if kind == "haar":
-        return OneQubitLayer(tuple(haar_su2(rng) for _ in range(n)))
+        angles = np.array([_haar_angles(rng) for _ in range(n)])
+        return OneQubitLayer._of(np.full(n, -1, dtype=np.int8), angles)
     raise ValueError(f"unknown one-qubit gate kind {kind!r}")
 
 
@@ -278,13 +331,18 @@ def haar_su2(rng: np.random.Generator) -> EulerGate1Q:
     Samples a uniform unit quaternion (a, b, c, d) and converts the unitary
     a*I - i(b*X + c*Y + d*Z) to the five-pulse form.
     """
+    return EulerGate1Q(*_haar_angles(rng))
+
+
+def _haar_angles(rng: np.random.Generator) -> tuple[float, float, float]:
+    """The five-pulse angles of :func:`haar_su2`."""
     q = rng.standard_normal(4)
     q /= math.sqrt(float(q @ q))
     a, b, c, d = q
     u = np.array(
         [[a - 1j * d, -c - 1j * b], [c - 1j * b, a + 1j * d]], dtype=complex
     )
-    return EulerGate1Q(*cl.zxzxz_angles(u))
+    return cl.zxzxz_angles(u)
 
 
 def cliffordize(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCircuit:
@@ -295,35 +353,23 @@ def cliffordize(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCir
     # layers alternate, one-qubit layers at even positions
     layers = list(circuit.layers)
     gates = _draw_cliffords(rng, 1, len(layers[::2]), circuit.n)[0]
-    layers[::2] = [_clifford_layer(row) for row in gates]
+    angles = cl._element_tables()[0][gates]
+    layers[::2] = [OneQubitLayer._of(row, a) for row, a in zip(gates, angles)]
     return LayeredCircuit(circuit.n, tuple(layers))
 
 
-def _left_multiply(gate: Gate1Q, letter_index: int) -> Gate1Q:
-    """Compile a Pauli frame applied after the gate."""
-    if letter_index == 0:
-        return gate
-    if isinstance(gate, CliffordGate1Q):
-        return CliffordGate1Q(cl.clifford_mult(letter_index, gate.index))
-    u = cl.one_qubit_cliffords()[letter_index].unitary @ gate_unitary(gate)
-    return EulerGate1Q(*cl.zxzxz_angles(u))
-
-
-def _right_multiply(gate: Gate1Q, letter_index: int) -> Gate1Q:
-    """Compile a Pauli frame applied before the gate."""
-    if letter_index == 0:
-        return gate
-    if isinstance(gate, CliffordGate1Q):
-        return CliffordGate1Q(cl.clifford_mult(gate.index, letter_index))
-    u = gate_unitary(gate) @ cl.one_qubit_cliffords()[letter_index].unitary
-    return EulerGate1Q(*cl.zxzxz_angles(u))
-
-
-def _letter_elem_index(code: int) -> int:
-    if code == 0:
-        return 0
-    name = "IXYZ"[code]
-    return cl.one_qubit_gate_index(name)
+def _add_frame(row, q: int, code: int, after: bool) -> None:
+    """Compile the Pauli frame of letter ``code`` into gate q of ``row``, a
+    one-qubit layer's (indices, angles) as lists: applied after the gate,
+    or before it."""
+    indices, angles = row
+    letter, g = cl.one_qubit_gate_index("IXYZ"[code]), indices[q]
+    if g >= 0:
+        g = indices[q] = cl.clifford_mult(letter, g) if after else cl.clifford_mult(g, letter)
+        angles[q] = cl.one_qubit_cliffords()[g].euler
+    else:
+        frame, u = cl.one_qubit_cliffords()[letter].unitary, cl.euler_unitary(*angles[q])
+        angles[q] = cl.zxzxz_angles(frame @ u if after else u @ frame)
 
 
 def pauli_twirl(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCircuit:
@@ -334,7 +380,8 @@ def pauli_twirl(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCir
     layers so the layer structure (and therefore the noise exposure) is
     unchanged.  The logical operation is preserved up to global phase.
     """
-    gates = [list(l.gates) if isinstance(l, OneQubitLayer) else None for l in circuit.layers]
+    # layers alternate, one-qubit layers at even positions
+    rows = [(l.indices.tolist(), l.angles.tolist()) for l in circuit.layers[::2]]
     for i, layer in enumerate(circuit.layers):
         if not isinstance(layer, TwoQubitLayer):
             continue
@@ -345,39 +392,14 @@ def pauli_twirl(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCir
         local_map = cl.twoq_conjugation_codes(layer.gate)
         for a, b in layer.pairs:
             conj[a], conj[b] = divmod(int(local_map[4 * codes[a] + codes[b]]), 4)
-        before = gates[i - 1]
-        after = gates[i + 1]
         for q in range(circuit.n):
             if codes[q]:
-                before[q] = _left_multiply(before[q], _letter_elem_index(codes[q]))
+                _add_frame(rows[i // 2], q, codes[q], after=True)
             if conj[q]:
-                after[q] = _right_multiply(after[q], _letter_elem_index(conj[q]))
-    layers = [
-        OneQubitLayer(tuple(g)) if g is not None else circuit.layers[i]
-        for i, g in enumerate(gates)
-    ]
+                _add_frame(rows[i // 2 + 1], q, conj[q], after=False)
+    layers = list(circuit.layers)
+    layers[::2] = [OneQubitLayer._of(np.array(k, dtype=np.int8), np.array(a, dtype=float)) for k, a in rows]
     return LayeredCircuit(circuit.n, tuple(layers))
-
-
-def _merge_1q_layers(first: OneQubitLayer, second: OneQubitLayer) -> OneQubitLayer:
-    """Compose two adjacent one-qubit layers (first applied first)."""
-    merged = []
-    for g1, g2 in zip(first.gates, second.gates):
-        if isinstance(g1, CliffordGate1Q) and isinstance(g2, CliffordGate1Q):
-            merged.append(CliffordGate1Q(cl.clifford_mult(g2.index, g1.index)))
-        else:
-            u = gate_unitary(g2) @ gate_unitary(g1)
-            merged.append(EulerGate1Q(*cl.zxzxz_angles(u)))
-    return OneQubitLayer(tuple(merged))
-
-
-def concatenate(first: LayeredCircuit, second: LayeredCircuit) -> LayeredCircuit:
-    """Run ``first`` then ``second``, merging the boundary one-qubit layers."""
-    if first.n != second.n:
-        raise ValueError(f"size mismatch: {first.n} vs {second.n}")
-    boundary = _merge_1q_layers(first.layers[-1], second.layers[0])
-    layers = first.layers[:-1] + (boundary,) + second.layers[1:]
-    return LayeredCircuit(first.n, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +412,10 @@ def circuit_to_dict(circuit: LayeredCircuit) -> dict:
     layers = []
     for layer in circuit.layers:
         if isinstance(layer, OneQubitLayer):
-            gates = []
-            for g in layer.gates:
-                if isinstance(g, CliffordGate1Q):
-                    gates.append({"clifford": g.index})
-                else:
-                    gates.append({"euler": [repr(a) for a in g.angles]})
+            gates = [
+                {"clifford": k} if k >= 0 else {"euler": [repr(a) for a in angles]}
+                for k, angles in zip(layer.indices.tolist(), layer.angles.tolist())
+            ]
             layers.append({"type": "1q", "gates": gates})
         else:
             layers.append(
@@ -408,13 +428,11 @@ def circuit_from_dict(data: dict) -> LayeredCircuit:
     layers: list[Layer] = []
     for entry in data["layers"]:
         if entry["type"] == "1q":
-            gates: list[Gate1Q] = []
-            for g in entry["gates"]:
-                if "clifford" in g:
-                    gates.append(CliffordGate1Q(int(g["clifford"])))
-                else:
-                    gates.append(EulerGate1Q(*(float(a) for a in g["euler"])))
-            layers.append(OneQubitLayer(tuple(gates)))
+            layers.append(OneQubitLayer(
+                CliffordGate1Q(int(g["clifford"])) if "clifford" in g
+                else EulerGate1Q(*(float(a) for a in g["euler"]))
+                for g in entry["gates"]
+            ))
         elif entry["type"] == "2q":
             layers.append(
                 TwoQubitLayer(

@@ -267,10 +267,20 @@ def _snap_clifford_angles(angles, mat) -> tuple[float, float, float]:
 
 
 @lru_cache(maxsize=1)
+def _element_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (24, 3) Euler angles and (24, 2, 2) unitaries by index."""
+    elems = one_qubit_cliffords()
+    euler, unitaries = np.array([e.euler for e in elems]), np.array([e.unitary for e in elems])
+    euler.setflags(write=False)
+    unitaries.setflags(write=False)
+    return euler, unitaries
+
+
+@lru_cache(maxsize=1)
 def _conjugation_table() -> np.ndarray:
     """Read-only (24, 4, 2) table: (letter code, sign) of g P g' for index g
     and code P."""
-    table = _letter_images(np.array([e.unitary for e in one_qubit_cliffords()]))
+    table = _letter_images(_element_tables()[1])
     table.setflags(write=False)
     return table
 

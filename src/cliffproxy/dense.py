@@ -27,14 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import sdp
-from .circuits import (
-    EulerGate1Q,
-    LayeredCircuit,
-    OneQubitLayer,
-    TwoQubitLayer,
-    gate_unitary,
-)
-from .clifford import _PAULIS, RX90 as _RX90, one_qubit_cliffords
+from .circuits import LayeredCircuit, OneQubitLayer, TwoQubitLayer
+from .clifford import _PAULIS, RX90 as _RX90
 from .noise import _SWAP, NoiseModel, SpamModel
 
 __all__ = [
@@ -186,13 +180,10 @@ def _ptm_columns(cols: np.ndarray, circuit: LayeredCircuit, noise: NoiseModel | 
     view of the rows.
     """
     n, layers = circuit.n, circuit.layers
-    euler = [e.euler for e in one_qubit_cliffords()]
-    angles = [[g.angles if isinstance(g, EulerGate1Q) else euler[g.index] for g in layer.gates]
-              for layer in layers[::2]]
     eig = None if noise is None else np.array(
         [[noise.xpi2_noise(i, q).eigenvalues for q in range(n)] for i in range(0, len(layers), 2)]
     )
-    gates = _gate_ptms_1q(np.array(angles), eig)
+    gates = _gate_ptms_1q(np.stack([layer.angles for layer in layers[::2]]), eig)
 
     pairs = [(i, a, b) for i in range(1, len(layers), 2) for a, b in layers[i].pairs]
     fused = iter(())
@@ -295,11 +286,11 @@ def _entangler_layer(layer: TwoQubitLayer, n: int) -> np.ndarray:
 
 def apply_circuit_layer(state: np.ndarray, layer, n: int) -> np.ndarray:
     """One noiseless layer on (2^n, columns) amplitudes: each one-qubit gate
-    one product on its qubit's (2^q, 2, rest) view, an entangling layer one
-    :func:`_entangler_layer` gather or diagonal."""
+    one product of its unitary (built once per layer) on its qubit's (2^q, 2,
+    rest) view, an entangling layer one :func:`_entangler_layer` gather or diagonal."""
     if isinstance(layer, OneQubitLayer):
-        for q, gate in enumerate(layer.gates):
-            state = np.matmul(gate_unitary(gate), state.reshape(2**q, 2, -1)).reshape(state.shape)
+        for q, u in enumerate(layer.unitaries):
+            state = np.matmul(u, state.reshape(2**q, 2, -1)).reshape(state.shape)
         return state
     op = _entangler_layer(layer, n)
     return state[op] if layer.gate == "CNOT" else state * op
@@ -366,24 +357,16 @@ def statevector_simulate(
     if noise is not None:
         for li, layer in enumerate(circuit.layers):
             if isinstance(layer, OneQubitLayer):
-                for q, gate in enumerate(layer.gates):
-                    if isinstance(gate, EulerGate1Q):
-                        eps = noise.xpi2_noise(li, q).probs
-                        if eps[0] >= 1.0:
-                            continue
-                        for pulse in (0, 1):
-                            draw(eps, li, (q,), pulse)
-                    else:
-                        probs = noise.layer_tables(li, layer, n).probs[q, gate.index]
-                        if probs[0] >= 1.0:
-                            continue
-                        draw(probs, li, (q,), None)
+                for q, g in enumerate(layer.indices.tolist()):
+                    probs = noise.xpi2_noise(li, q).probs if g < 0 else noise.layer_tables(li, layer, n).probs[q, g]
+                    if probs[0] < 1.0:
+                        for pulse in (0, 1) if g < 0 else (None,):
+                            draw(probs, li, (q,), pulse)
             else:
                 for pair in layer.pairs:
                     probs = noise.twoq_noise(li, layer.gate, pair).probs
-                    if probs[0] >= 1.0:
-                        continue
-                    draw(probs, li, tuple(pair), None)
+                    if probs[0] < 1.0:
+                        draw(probs, li, tuple(pair), None)
 
     # a faulted shot's pattern key is its ((draw, label), ...) hits in draw
     # order; patterns run in sorted key order, the fault-free () first
@@ -459,7 +442,7 @@ def _layer_faults(circuit: LayeredCircuit, draws: list, keys: list) -> dict[int,
                 acc[2] ^= z
             else:
                 count[li] = count.get(li, -1) + 1
-                phi1, phi2, _ = circuit.layers[li].gates[qubits[0]].angles
+                phi1, phi2, _ = circuit.layers[li].angles[qubits[0]].tolist()
                 pulse_hits.append((li, count[li], col, n - 1 - qubits[0], pulse, lab, phi1, phi2))
     steps: dict[int, list] = {}
     if pulse_hits:

@@ -54,8 +54,8 @@ from .noise import (
     NoiseBudget,
     NoiseModel,
     SpamModel,
+    _clifford_indices,
     _draw_missing_entries,
-    _index_rows,
     _walk_codes,
     _walk_tables,
     process_infidelity_exact,
@@ -174,9 +174,9 @@ def _walked(circuit, target, rng, append=None):
     """The layers a DFE run walks, and the one-qubit Clifford index rows
     of the Clifford ``circuit``, or for a ``target`` a function drawing
     each twirl's rows from ``rng`` as :func:`cliffordize` draws them.  The
-    Clifford ``append`` runs after, its first row merged into the last as
-    :func:`concatenate` merges it.  Exactly one of ``circuit`` and
-    ``target`` is given."""
+    Clifford ``append`` runs after, its first row merged into the last:
+    each qubit's gate is the group product, the appended gate applied
+    second.  Exactly one of ``circuit`` and ``target`` is given."""
     if (circuit is None) == (target is None):
         raise ValueError("pass exactly one of a circuit and a target")
     body = target if circuit is None else circuit
@@ -185,7 +185,7 @@ def _walked(circuit, target, rng, append=None):
         if append.n != body.n:
             raise ValueError(f"size mismatch: {body.n} vs {append.n}")
         layers = layers[:-1] + append.layers
-        tail, mult = _index_rows(append), cl._mult_table().tolist()
+        tail, mult = _clifford_indices(append).tolist(), cl._mult_table().tolist()
 
     def join(rows):
         if tail is None:
@@ -194,7 +194,7 @@ def _walked(circuit, target, rng, append=None):
         return rows[:-1] + [merged] + tail[1:]
 
     if target is None:
-        return layers, join(_index_rows(circuit))
+        return layers, join(_clifford_indices(circuit).tolist())
     # the values and the random stream of _draw_cliffords(rng, 1, layers, n)[0]
     shape = len(target.layers[::2]), target.n
     return layers, lambda: join(rng.integers(24, size=shape).tolist())
@@ -299,7 +299,7 @@ def dfe_with_reference(
     num = _sample_paulis(layers, gates, noise, spam, config, rng)
     offset = len(layers) - len(scrambler.layers)
     shifted = None if noise is None else noise.shifted(offset)
-    den = _sample_paulis(scrambler.layers, _index_rows(scrambler), shifted, spam, config, rng)
+    den = _sample_paulis(*_walked(scrambler, None, rng), shifted, spam, config, rng)
     est_num = _aggregate(num, scrambler.n, config, {"protocol": "dfe_reference_numerator"})
     est_den = _aggregate(den, scrambler.n, config, {"protocol": "dfe_reference_denominator"})
     if est_den.mean <= READOUT_FLOOR:

@@ -45,13 +45,14 @@ contracted against that array without being built.  At depth D, D - 4
 layers are stepped, and the peak is two 4^n arrays.  Direct fidelity
 estimation walks single Paulis back through the same tables, compiled
 into (eigenvalue, next letters) steps (:attr:`LayerTables.steps`); like
-the fold, a walk reads a circuit as its entangling layers and Clifford
-index rows (:func:`propagate_codes`).
+the fold, a walk reads a circuit as its entangling layers and its
+one-qubit layers' Clifford ``indices`` (:func:`propagate_codes`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -59,7 +60,6 @@ import numpy as np
 
 from . import clifford as cl
 from .circuits import (
-    CliffordGate1Q,
     LayeredCircuit,
     OneQubitLayer,
     TwoQubitLayer,
@@ -367,11 +367,13 @@ def _check_width(n: int) -> None:
         )
 
 
-def _index_rows(circuit: LayeredCircuit) -> list[list[int]]:
-    """Clifford indices of each one-qubit layer of ``circuit``."""
-    if not circuit.is_clifford:
+def _clifford_indices(circuit: LayeredCircuit) -> np.ndarray:
+    """The (one-qubit layers, n) int8 Clifford indices of ``circuit``."""
+    # layers alternate, one-qubit layers at even positions
+    rows = np.stack([layer.indices for layer in circuit.layers[::2]])
+    if (rows < 0).any():
         raise cl.NotCliffordError("expected a Clifford circuit; Cliffordize first")
-    return [[g.index for g in layer.gates] for layer in circuit.layers[::2]]
+    return rows
 
 
 def _gate_indices(circuits):
@@ -385,11 +387,9 @@ def _gate_indices(circuits):
             _check_width(circuit.n)
         elif circuit.n != template.n or len(circuit.layers) != len(template.layers):
             raise ValueError("batched folds need circuits of one width and layer count")
-        row = _index_rows(circuit)
-        # layers alternate, one-qubit layers at even positions
+        rows.append(_clifford_indices(circuit))
         if circuit.layers[1::2] != template.layers[1::2]:
             raise ValueError("batched folds need shared entangling layers")
-        rows.append(np.array(row, dtype=np.int8))
     return template, np.stack(rows) if rows else None
 
 
@@ -825,7 +825,7 @@ def propagate_codes(
     without noise, and the letters of C' P C with the sign dropped.
     """
     tables = _walk_tables(noise, circuit.layers, circuit.n)
-    return _walk_codes(circuit.layers, _index_rows(circuit), tables, codes)
+    return _walk_codes(circuit.layers, _clifford_indices(circuit).tolist(), tables, codes)
 
 
 def fold_eigenvalues(circuit: LayeredCircuit, noise: NoiseModel) -> np.ndarray:
@@ -908,15 +908,12 @@ def layer_infidelities(circuit: LayeredCircuit, noise: NoiseModel) -> list[float
     out = []
     for pos, layer in enumerate(circuit.layers):
         probs = noise.layer_tables(pos, layer, circuit.n).probs
-        p_identity = 1.0
         if isinstance(layer, OneQubitLayer):
             # row 24 is the Euler gates' Pauli stand-in
-            for q, gate in enumerate(layer.gates):
-                p_identity *= probs[q, gate.index if isinstance(gate, CliffordGate1Q) else 24, 0]
+            factors = [probs[q, g if g >= 0 else 24, 0] for q, g in enumerate(layer.indices.tolist())]
         else:
-            for row in probs:
-                p_identity *= row[0]
-        out.append(1.0 - float(p_identity))
+            factors = [row[0] for row in probs]
+        out.append(1.0 - float(math.prod(factors)))
     return out
 
 

@@ -1,6 +1,9 @@
 """Slow, direct implementations that the library's fast paths are checked
 against.
 
+* gate objects: each gate's unitary, Pauli frames compiled into a gate,
+  and circuits joined by merging the boundary one-qubit layers gate by
+  gate;
 * the signed tableau walk: whole-circuit tableaux, their exact inverse,
   and back-propagation of a signed Pauli;
 * the one-qubit group by closure from {H, S} on tableaux, with its
@@ -10,7 +13,8 @@ against.
   faults convolved letter by letter;
 * the exact fold one gather per gate, every layer on its own, and the
   fused fold that gathers each gate's axes to the front of the array;
-* the Pauli walk that looks up each gate's eigenvalues in the model;
+* the Pauli walk that looks up each gate's eigenvalues in the model, and
+  per-layer infidelities read one gate at a time;
 * direct fidelity estimation on circuit objects: a PauliString per
   observable, and ``cliffordize`` and ``concatenate`` per twirl;
 * the dense unitary of a circuit, each layer a Kronecker product of gate
@@ -47,6 +51,56 @@ from cliffproxy.pauli import (
     sample_uniform,
     sample_uniform_nonidentity,
 )
+
+# ---------------------------------------------------------------------------
+# gate objects
+# ---------------------------------------------------------------------------
+
+
+def gate_unitary(gate) -> np.ndarray:
+    """The 2x2 matrix of a gate object: a Clifford's group representative,
+    an Euler gate's :attr:`EulerGate1Q.unitary`."""
+    if isinstance(gate, cc.CliffordGate1Q):
+        return cl.one_qubit_cliffords()[gate.index].unitary
+    return gate.unitary
+
+
+def left_multiply(gate, letter_index: int):
+    """Compile a Pauli frame, a Clifford index, applied after the gate."""
+    if isinstance(gate, cc.CliffordGate1Q):
+        return cc.CliffordGate1Q(cl.clifford_mult(letter_index, gate.index))
+    u = cl.one_qubit_cliffords()[letter_index].unitary @ gate_unitary(gate)
+    return cc.EulerGate1Q(*cl.zxzxz_angles(u))
+
+
+def right_multiply(gate, letter_index: int):
+    """Compile a Pauli frame, a Clifford index, applied before the gate."""
+    if isinstance(gate, cc.CliffordGate1Q):
+        return cc.CliffordGate1Q(cl.clifford_mult(gate.index, letter_index))
+    u = gate_unitary(gate) @ cl.one_qubit_cliffords()[letter_index].unitary
+    return cc.EulerGate1Q(*cl.zxzxz_angles(u))
+
+
+def merge_1q_layers(first, second):
+    """Compose two adjacent one-qubit layers (first applied first)."""
+    merged = []
+    for g1, g2 in zip(first.gates, second.gates):
+        if isinstance(g1, cc.CliffordGate1Q) and isinstance(g2, cc.CliffordGate1Q):
+            merged.append(cc.CliffordGate1Q(cl.clifford_mult(g2.index, g1.index)))
+        else:
+            u = gate_unitary(g2) @ gate_unitary(g1)
+            merged.append(cc.EulerGate1Q(*cl.zxzxz_angles(u)))
+    return cc.OneQubitLayer(tuple(merged))
+
+
+def concatenate(first, second):
+    """Run ``first`` then ``second``, merging the boundary one-qubit layers."""
+    if first.n != second.n:
+        raise ValueError(f"size mismatch: {first.n} vs {second.n}")
+    boundary = merge_1q_layers(first.layers[-1], second.layers[0])
+    layers = first.layers[:-1] + (boundary,) + second.layers[1:]
+    return cc.LayeredCircuit(first.n, layers)
+
 
 # ---------------------------------------------------------------------------
 # tableau walk
@@ -397,6 +451,24 @@ def per_gate_walk(circuit, noise, codes, layer_offset=0) -> tuple[float, list[in
     return float(lam), codes
 
 
+def per_gate_layer_infidelities(circuit, noise) -> list[float]:
+    """``noise.layer_infidelities`` one gate object at a time: a one-qubit
+    gate reads its row of the compiled table (row 24 for an Euler gate), a
+    pair its entry's identity probability."""
+    out = []
+    for pos, layer in enumerate(circuit.layers):
+        p_identity = 1.0
+        if isinstance(layer, cc.OneQubitLayer):
+            probs = noise.layer_tables(pos, layer, circuit.n).probs
+            for q, gate in enumerate(layer.gates):
+                p_identity *= probs[q, gate.index if isinstance(gate, cc.CliffordGate1Q) else 24, 0]
+        else:
+            for pair in layer.pairs:
+                p_identity *= noise.twoq_noise(pos, layer.gate, pair).probs[0]
+        out.append(1.0 - float(p_identity))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # direct fidelity estimation on circuit objects
 # ---------------------------------------------------------------------------
@@ -432,7 +504,7 @@ def object_sample_paulis(
             for _ in range(config.num_twirls):
                 circ = cc.cliffordize(target, rng)
                 if append is not None:
-                    circ = cc.concatenate(circ, append)
+                    circ = concatenate(circ, append)
                 expected = object_walk(circ, noise, spam, p)
                 values.append(est._draw_parity(expected, config.shots_per_twirl, rng))
             value = float(np.mean(values))
@@ -452,7 +524,7 @@ def object_dfe_with_reference(
     scrambler's entries at its positions in the composed circuit."""
     body = circuit or target
     if target is None:
-        composed = cc.concatenate(circuit, scrambler)
+        composed = concatenate(circuit, scrambler)
         num = object_sample_paulis(composed, noise, spam, config, rng)
     else:
         num = object_sample_paulis(None, noise, spam, config, rng, target, scrambler)
@@ -579,7 +651,7 @@ def layer_unitary(layer, n: int) -> np.ndarray:
     if isinstance(layer, cc.OneQubitLayer):
         out = np.eye(1, dtype=complex)
         for gate in layer.gates:
-            out = np.kron(out, cc.gate_unitary(gate))
+            out = np.kron(out, gate_unitary(gate))
         return out
     out = np.eye(2**n, dtype=complex)
     for pair in layer.pairs:
@@ -606,12 +678,12 @@ def tableau_twirl(circuit, rng):
         conj = cl.conjugate(layer_tableau(layer, circuit.n), frame)
         for q in range(circuit.n):
             if frame.code(q):
-                gates[i - 1][q] = cc._left_multiply(
-                    gates[i - 1][q], cc._letter_elem_index(frame.code(q))
+                gates[i - 1][q] = left_multiply(
+                    gates[i - 1][q], cl.one_qubit_gate_index("IXYZ"[frame.code(q)])
                 )
             if conj.code(q):
-                gates[i + 1][q] = cc._right_multiply(
-                    gates[i + 1][q], cc._letter_elem_index(conj.code(q))
+                gates[i + 1][q] = right_multiply(
+                    gates[i + 1][q], cl.one_qubit_gate_index("IXYZ"[conj.code(q)])
                 )
     layers = [
         cc.OneQubitLayer(tuple(g)) if g is not None else circuit.layers[i]
@@ -825,7 +897,7 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
                 for q, gate in enumerate(layer.gates):
                     faults = pulse_faults.get((li, q))
                     if faults is None:
-                        state = apply_1q(state, cc.gate_unitary(gate), q)
+                        state = apply_1q(state, gate_unitary(gate), q)
                         continue
                     phi1, phi2, phi3 = gate.angles
                     for u, pulse in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None), (cl.RX90, 1)):

@@ -19,7 +19,7 @@ from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString
 from cliffproxy.scenarios import run_scenario, validate_config
 from cliffproxy.seeding import seed_derive
-from oracles import circuit_tableau, circuit_unitary, layer_channel, layer_tableau
+from oracles import circuit_tableau, circuit_unitary, concatenate, layer_channel, layer_tableau
 
 MASTER_SEED = 20240811
 
@@ -180,7 +180,7 @@ def test_criterion_5_scrambled_reference_spam_removal():
         target = cc.sample_brickwork(cc.BrickworkSpec(n, depth), "haar", rng_d)
         proxy = cc.cliffordize(target, rng_d)
         noise = nz.sample_error_model(
-            cc.concatenate(proxy, scrambler), rng_d, TWO_Q_BUDGET, ONE_Q_BUDGET
+            concatenate(proxy, scrambler), rng_d, TWO_Q_BUDGET, ONE_Q_BUDGET
         )
         exact = 1.0 - nz.process_infidelity_exact(proxy, noise)
         ref = est.dfe_with_reference(proxy, scrambler, noise, spam, config, rng_d)

@@ -2,14 +2,19 @@
 
 Each bullet of that section names a module and the names the package takes
 from it; both sides must list the same names, and each name must be in its
-module's ``__all__``.
+module's ``__all__``.  A last test pins numpy as the only third-party
+module the package loads.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cliffproxy
@@ -54,3 +59,32 @@ def test_public_names_are_in_module_all():
     for module, names in _package_api().items():
         exported = set(importlib.import_module(f"cliffproxy.{module}").__all__)
         assert names <= exported, (module, sorted(names - exported))
+
+
+_LOADED = """
+import json, sys, sysconfig
+site = {sysconfig.get_path(k) for k in ("purelib", "platlib")}
+
+def third_party():
+    out = set()
+    for name, module in list(sys.modules.items()):
+        path = getattr(module, "__file__", None) or ""
+        if "." not in name and any(path.startswith(s) for s in site):
+            out.add(name)
+    return out
+
+before = third_party()
+import cliffproxy, cliffproxy.cli, cliffproxy.scenarios, cliffproxy.figures
+print(json.dumps(sorted(third_party() - before)))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # a subprocess, so the test runner's own imports do not count; modules
+    # that .pth hooks preload are in the "before" set
+    src = str(Path(cliffproxy.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == ["numpy"]

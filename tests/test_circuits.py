@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from cliffproxy import circuits as cc
 from cliffproxy import clifford as cl
 from cliffproxy import dense as dn
+from cliffproxy import estimators as est
+from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, sample_uniform_nonidentity
-from oracles import circuit_tableau, circuit_unitary, tableau_twirl
+from oracles import circuit_tableau, circuit_unitary, concatenate, gate_unitary, tableau_twirl
 
 
 def phase_aligned_distance(a, b):
@@ -294,15 +298,15 @@ class TestScrambler:
 class TestHaar:
     def test_unitary_built_once_per_gate(self):
         gate = cc.haar_su2(np.random.default_rng(15))
-        u = cc.gate_unitary(gate)
-        assert cc.gate_unitary(gate) is u and not u.flags.writeable
+        u = gate_unitary(gate)
+        assert gate_unitary(gate) is u and not u.flags.writeable
         assert np.array_equal(u, cl.euler_unitary(*gate.angles))
         assert gate == cc.EulerGate1Q(*gate.angles)
 
     def test_unitary_to_1e12(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            u = cc.gate_unitary(cc.haar_su2(rng))
+            u = gate_unitary(cc.haar_su2(rng))
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
     def test_first_moment(self):
@@ -310,7 +314,7 @@ class TestHaar:
         draws = 100_000
         z_vals = np.empty(draws)
         for i in range(draws):
-            u = cc.gate_unitary(cc.haar_su2(rng))
+            u = gate_unitary(cc.haar_su2(rng))
             z_vals[i] = 1.0 - 2.0 * abs(u[1, 0]) ** 2  # <Z> on U|0>
         # Var(<Z>) = 1/3 for Haar states
         assert abs(z_vals.mean()) < 5 * np.sqrt(1 / 3 / draws)
@@ -320,10 +324,113 @@ class TestHaar:
         draws = 100_000
         p00 = np.empty(draws)
         for i in range(draws):
-            u = cc.gate_unitary(cc.haar_su2(rng))
+            u = gate_unitary(cc.haar_su2(rng))
             p00[i] = abs(u[0, 0]) ** 2
         # |<0|U|0>|^2 is uniform on [0, 1]: mean 1/2, var 1/12
         assert abs(p00.mean() - 0.5) < 5 * np.sqrt(1 / 12 / draws)
+
+
+def _mixed_layer(n, rng):
+    """A layer of Clifford and haar_su2 gates in random places."""
+    return tuple(
+        cc.CliffordGate1Q(int(rng.integers(24))) if rng.random() < 0.5 else cc.haar_su2(rng)
+        for _ in range(n)
+    )
+
+
+class TestLayerArrays:
+    def test_gates_round_trip_and_arrays_match(self):
+        rng = np.random.default_rng(20)
+        euler = [e.euler for e in cl.one_qubit_cliffords()]
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(20):
+                gates = _mixed_layer(n, rng)
+                layer = cc.OneQubitLayer(gates)
+                assert layer.gates == gates and layer.n == n
+                assert layer.indices.dtype == np.int8 and layer.angles.shape == (n, 3)
+                for q, g in enumerate(gates):
+                    clifford = isinstance(g, cc.CliffordGate1Q)
+                    assert layer.indices[q] == (g.index if clifford else -1)
+                    assert tuple(layer.angles[q]) == (euler[g.index] if clifford else g.angles)
+                    assert np.array_equal(layer.unitaries[q], gate_unitary(g))
+                assert layer.is_clifford == all(isinstance(g, cc.CliffordGate1Q) for g in gates)
+                assert layer.unitaries is layer.unitaries
+                for arr in (layer.indices, layer.angles, layer.unitaries):
+                    assert not arr.flags.writeable
+                again = cc.OneQubitLayer(list(gates))
+                assert again == layer and hash(again) == hash(layer)
+
+    def test_unitaries_built_once_per_layer(self, monkeypatch):
+        # ideal_output_probs and every sampler chunk share each layer's stack
+        cl._element_tables()
+        built, euler_unitary = [], cl.euler_unitary
+        monkeypatch.setattr(cl, "euler_unitary", lambda *a: built.append(a) or euler_unitary(*a))
+        monkeypatch.setattr(dn, "_CHUNK_AMPLITUDES", 16)  # two patterns a chunk
+        rng = np.random.default_rng(23)
+        circ = cc.sample_brickwork(cc.BrickworkSpec(3, 4), "haar", rng)
+        model = nz.sample_error_model(circ, rng, 5e-2, 5e-3)
+        dn.ideal_output_probs(circ)
+        dn.statevector_simulate(circ, model, rng, 500)
+        assert len(built) == 3 * 5
+
+    def test_equality_follows_the_gates(self):
+        rng = np.random.default_rng(21)
+        gates = _mixed_layer(4, rng)
+        layer = cc.OneQubitLayer(gates)
+        for q in range(4):
+            other = list(gates)
+            other[q] = cc.CliffordGate1Q((getattr(gates[q], "index", 0) + 1) % 24)
+            assert cc.OneQubitLayer(other) != layer
+        assert cc.OneQubitLayer((cc.EulerGate1Q(-0.0, 0.0, 1.0),)) == cc.OneQubitLayer(
+            (cc.EulerGate1Q(0.0, 0.0, 1.0),)
+        )
+        assert len({cc.OneQubitLayer((cc.EulerGate1Q(s * 0.0, 0.0, 1.0),)) for s in (1, -1)}) == 1
+
+    def test_generators_build_no_gate_objects(self, monkeypatch):
+        built = []
+        for cls in (cc.CliffordGate1Q, cc.EulerGate1Q):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: built.append(self) or check(self))
+        rng = np.random.default_rng(22)
+        target = cc.sample_brickwork(cc.BrickworkSpec(4, 3), "haar", rng)
+        model = nz.sample_error_model(target, rng, 1e-2, 1e-3)
+        built.clear()
+        proxy = cc.cliffordize(target, rng)
+        nz.cliffordization_infidelities(target, model, 3, rng)
+        est.dfe(None, model, None, est.DfeConfig(5, 2, 10), rng, target=target)
+        dn.statevector_simulate(target, model, rng, 200)
+        dn.statevector_simulate(proxy, model, rng, 200)
+        assert built == []
+        assert proxy.layers[0].gates[0] is not None and built
+
+
+class TestMalformedGates:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cc.EulerGate1Q(bad, 0.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            cc.EulerGate1Q(0.0, 0.0, bad)
+        data = cc.circuit_to_dict(cc.LayeredCircuit(1, (cc.OneQubitLayer((cc.EulerGate1Q(0.0, 1.0, 2.0),)),)))
+        data["layers"][0]["gates"][0]["euler"][1] = repr(bad)
+        with pytest.raises(ValueError, match="finite"):
+            cc.circuit_from_dict(data)
+
+    @pytest.mark.parametrize("bad", [-1, 24, 100, 1.5])
+    def test_clifford_index_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="0..23"):
+            cc.CliffordGate1Q(bad)
+        data = {"n": 1, "layers": [{"type": "1q", "gates": [{"clifford": bad}]}]}
+        if float(bad).is_integer():
+            with pytest.raises(ValueError, match="0..23"):
+                cc.circuit_from_dict(data)
+
+    @pytest.mark.parametrize("bad", [3, None, "X", (0.0, 0.0, 0.0)])
+    def test_entry_of_no_gate_type_rejected(self, bad):
+        with pytest.raises(ValueError, match="neither"):
+            cc.OneQubitLayer((bad,))
+        with pytest.raises(ValueError, match="neither"):
+            cc.OneQubitLayer((cc.CliffordGate1Q(0), bad))
 
 
 class TestJsonRoundTrip:
@@ -352,7 +459,7 @@ class TestConcatenate:
         rng = np.random.default_rng(18)
         c1 = cc.sample_brickwork(cc.BrickworkSpec(3, 2), "haar", rng)
         c2 = cc.sample_brickwork(cc.BrickworkSpec(3, 2), "haar", rng)
-        joined = cc.concatenate(c1, c2)
+        joined = concatenate(c1, c2)
         err = phase_aligned_distance(
             circuit_unitary(c2) @ circuit_unitary(c1), circuit_unitary(joined)
         )
@@ -363,7 +470,7 @@ class TestConcatenate:
         rng = np.random.default_rng(19)
         c1 = cc.sample_brickwork(cc.BrickworkSpec(3, 2), "clifford", rng)
         c2 = cc.sample_brickwork(cc.BrickworkSpec(3, 1), "clifford", rng)
-        joined = cc.concatenate(c1, c2)
+        joined = concatenate(c1, c2)
         assert joined.is_clifford
         assert circuit_tableau(joined) == cl.compose(
             circuit_tableau(c1), circuit_tableau(c2)

@@ -16,6 +16,7 @@ from oracles import (
     apply_1q,
     apply_pauli,
     circuit_unitary,
+    gate_unitary,
     layer_unitary_ptm,
     local_pauli,
     per_pattern_simulate,
@@ -531,8 +532,14 @@ class TestBatchedSampler:
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_non_finite_output_rejected_like_choice(self):
-        gate = cc.EulerGate1Q(np.nan, 0.0, 0.0)
-        circ = cc.LayeredCircuit(1, (cc.OneQubitLayer((gate,)),))
+        # a gate rejects a NaN angle when built; a layer that holds one all
+        # the same, built from arrays, still fails the sampler
+        with pytest.raises(ValueError, match="finite"):
+            cc.EulerGate1Q(np.nan, 0.0, 0.0)
+        layer = cc.OneQubitLayer._of(np.array([-1], dtype=np.int8), np.array([[np.nan, 0.0, 0.0]]))
+        circ = cc.LayeredCircuit(1, (layer,))
+        with pytest.raises(ValueError, match="output probabilities sum to nan"):
+            dn.statevector_simulate(circ, None, np.random.default_rng(0), 2)
         for simulate in (dn.statevector_simulate, per_pattern_simulate):
             with pytest.raises(ValueError):
                 simulate(circ, None, np.random.default_rng(0), 2)
@@ -607,7 +614,7 @@ class TestBatchedSampler:
                 want = apply_pauli(want, local_pauli(3, draws[di][1], lab))
             np.testing.assert_array_equal(got, want)
             for q, gate in enumerate(gates):
-                got = apply_1q(got, cc.gate_unitary(gate), q)
+                got = apply_1q(got, gate_unitary(gate), q)
             for apply, *args in steps[0]:
                 apply(got, *args)
             pulse = {(draws[di][1][0], draws[di][2]): lab for di, lab in key[4:]}

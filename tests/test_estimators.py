@@ -11,6 +11,7 @@ from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, sample_uniform_nonidentity
 from oracles import (
     backpropagate,
+    concatenate,
     inverse,
     layer_channel,
     layer_tableau,
@@ -44,7 +45,8 @@ def _walk(circuit, noise, spam, p):
     """``est._walk`` through a Clifford circuit object for a PauliString."""
     tables = nz._walk_tables(noise, circuit.layers, circuit.n)
     codes = [p.code(q) for q in range(p.n)]
-    return est._walk(circuit.layers, nz._index_rows(circuit), tables, spam, codes)
+    rows = [layer.indices.tolist() for layer in circuit.layers[::2]]
+    return est._walk(circuit.layers, rows, tables, spam, codes)
 
 
 def _tableau_walk(circuit, noise, layer_offset):
@@ -267,7 +269,7 @@ class TestMatchesObjectPath:
         rng = np.random.default_rng(41)
         template = _fold_case(n, "ring", gate, rng)
         scr = cc.scrambling_circuit(n, 2, rng)
-        model = nz.sample_error_model(cc.concatenate(template, scr), rng, 2e-2, 2e-3, markovian)
+        model = nz.sample_error_model(concatenate(template, scr), rng, 2e-2, 2e-3, markovian)
         spam = nz.SpamModel.uniform(n, 0.01, 0.02)
         config = est.DfeConfig(6, 3, 50)
         circuit, target = (template, None) if mode == "circuit" else (None, template)
@@ -322,7 +324,7 @@ class TestReference:
         target = cc.sample_brickwork(cc.BrickworkSpec(n, 6), "haar", rng)
         proxy = cc.cliffordize(target, rng)
         scr = cc.scrambling_circuit(n, 4, rng)
-        model = nz.sample_error_model(cc.concatenate(proxy, scr), rng, 0.0, 0.0)
+        model = nz.sample_error_model(concatenate(proxy, scr), rng, 0.0, 0.0)
         spam = nz.SpamModel.uniform(n, 0.02, 0.02)
         res = est.dfe_with_reference(
             proxy, scr, model, spam, est.DfeConfig(40, 16, 100), rng
@@ -335,7 +337,7 @@ class TestReference:
         target = cc.sample_brickwork(cc.BrickworkSpec(n, 12), "haar", rng)
         proxy = cc.cliffordize(target, rng)
         scr = cc.scrambling_circuit(n, 4, rng)
-        model = nz.sample_error_model(cc.concatenate(proxy, scr), rng, 1e-3, 1e-4)
+        model = nz.sample_error_model(concatenate(proxy, scr), rng, 1e-3, 1e-4)
         spam = nz.SpamModel.uniform(n, 0.015, 0.015)
         exact = 1.0 - nz.process_infidelity_exact(proxy, model)
         res = est.dfe_with_reference(
@@ -353,7 +355,7 @@ class TestReference:
         target = cc.sample_brickwork(cc.BrickworkSpec(n, 4), "haar", rng)
         proxy = cc.cliffordize(target, rng)
         scr = cc.scrambling_circuit(n, 2, rng)
-        composed = cc.concatenate(proxy, scr)
+        composed = concatenate(proxy, scr)
         offset = len(proxy.layers) - 1
         loud = nz.sample_error_model(composed, rng, 0.2, 0.02, markovian=False)
         quiet = nz.sample_error_model(composed, rng, 0.0, 0.0, markovian=False)
@@ -374,7 +376,7 @@ class TestReference:
         n = 4
         scr = cc.scrambling_circuit(n, 4, rng)
         proxy, _ = brickwork(n, 2, 12)
-        model = nz.sample_error_model(cc.concatenate(proxy, scr), rng, 0.0, 0.0)
+        model = nz.sample_error_model(concatenate(proxy, scr), rng, 0.0, 0.0)
         with pytest.raises(est.ReferenceTooNoisyError):
             est.dfe_with_reference(
                 proxy, scr, model, None, est.DfeConfig(20, 4, 50), rng
@@ -619,7 +621,8 @@ class TestVolumetric:
             circ = cc.sample_brickwork(spec, "haar", b)
             assert a.bit_generator.state == b.bit_generator.state
             assert layout.layers[1::2] == circ.layers[1::2]
-            assert layout.layers[::2] == (cc.identity_layer(n),) * (depth + 1)
+            assert all(not layer.indices.any() for layer in layout.layers[::2])
+            assert len(layout.layers) == 2 * depth + 1
 
     def test_zero_noise_cells_near_one(self):
         cfg = est.DfeConfig(10, 1, 200)

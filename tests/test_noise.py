@@ -13,12 +13,14 @@ from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, pauli_walsh
 from oracles import (
     circuit_tableau,
+    concatenate,
     gather_fold,
     inverse,
     layer_channel,
     layer_tableau,
     per_gate_compiled_channels,
     per_gate_fold,
+    per_gate_layer_infidelities,
     per_gate_walk,
     tableau_cliffords,
 )
@@ -333,7 +335,7 @@ class TestFolding:
         circ, rng = brickwork(3, 2, 13)
         model = nz.sample_error_model(circ, rng, 1e-2, 1e-3)
         base = nz.fold_to_end(circ, model).p_identity
-        extended = cc.concatenate(circ, cc.LayeredCircuit.identity(3))
+        extended = concatenate(circ, cc.LayeredCircuit.identity(3))
         # give the appended identity layer zero noise while keeping the rest
         model2 = nz.NoiseModel(True, dict(model.one_qubit), dict(model.two_qubit))
         ext_eig = nz.fold_eigenvalues(circ, model2)
@@ -575,7 +577,7 @@ class TestBatchedFold:
                         want = [1.0 - nz.fold_eigenvalues(c, model).mean() for c in circs]
                         worst = max(worst, np.max(np.abs(got - want)))
                         if depth <= 2:
-                            gates = nz._gate_indices(circs)[1]
+                            gates = np.array([[l.indices for l in c.layers[::2]] for c in circs])
                             folded = nz._fold(template, gates, model)
                             assert np.array_equal(folded, gather_fold(template, gates, base, 3))
         assert worst < 1e-14
@@ -815,7 +817,8 @@ class TestPropagateCodes:
                             for _ in range(3):
                                 gates = cc._draw_cliffords(rng, 1, len(layers[::2]), n)[0]
                                 circ = cc.LayeredCircuit(n, tuple(
-                                    cc._clifford_layer(gates[i // 2]) if i % 2 == 0 else layer
+                                    cc.OneQubitLayer(map(cc.CliffordGate1Q, gates[i // 2].tolist()))
+                                    if i % 2 == 0 else layer
                                     for i, layer in enumerate(layers)
                                 ))
                                 for codes in rng.integers(0, 4, (5, n)).tolist():
@@ -918,6 +921,23 @@ class TestProcessInfidelity:
             eig = nz.fold_eigenvalues(circ, model)
             err_ptm = dn.circuit_ptm(circ, model).mat @ dn.circuit_ptm(circ).mat.T
             assert np.max(np.abs(np.diag(err_ptm) - eig)) < 1e-12
+
+
+class TestLayerInfidelities:
+    @pytest.mark.parametrize("markovian", [True, False])
+    def test_matches_per_gate_loop(self, markovian):
+        # layers of Haar, Clifford and mixed gates, so both table rows are read
+        rng = np.random.default_rng(930)
+        for n in (2, 3, 5):
+            circ = cc.sample_brickwork(cc.BrickworkSpec(n, 4), "haar", rng)
+            layers = list(circ.layers)
+            layers[2] = cc.cliffordize(circ, rng).layers[2]
+            mixed = [g if rng.random() < 0.5 else cc.CliffordGate1Q(int(rng.integers(24)))
+                     for g in layers[4].gates]
+            layers[4] = cc.OneQubitLayer(mixed)
+            circ = cc.LayeredCircuit(circ.n, tuple(layers))
+            model = nz.sample_error_model(circ, rng, 2e-2, 2e-3, markovian)
+            assert nz.layer_infidelities(circ, model) == per_gate_layer_infidelities(circ, model)
 
 
 class TestSpamModel:
