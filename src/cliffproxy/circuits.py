@@ -15,7 +15,11 @@ API boundary: a layer is built from them and gives them back as
 
 Generators cover brickwork sampling (disordered and periodic), Haar
 one-qubit gates, Cliffordization, randomized-compiling Pauli twirls, and
-short scrambling circuits.
+short scrambling circuits.  They draw a circuit's one-qubit layers at
+once: a Haar circuit's normals in one call, turned into angles by one
+call of the stacked :func:`~cliffproxy.clifford.zxzxz_angles`, and a
+Clifford circuit's indices as one block.  Either draw consumes the
+random stream as one draw per gate or per layer would.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class EulerGate1Q:
     @cached_property
     def unitary(self) -> np.ndarray:
         """Read-only 2x2 matrix, built once per gate."""
-        u = cl.euler_unitary(*self.angles)
+        u = cl.euler_unitary(self.angles)
         u.setflags(write=False)
         return u
 
@@ -130,11 +134,12 @@ class OneQubitLayer:
     @cached_property
     def unitaries(self) -> np.ndarray:
         """Read-only (n, 2, 2) matrices of the gates, built once per layer:
-        a Clifford's from the group table, an Euler gate's from its angles."""
-        table, angles = cl._element_tables()[1], self.angles.tolist()
-        out = np.empty((self.n, 2, 2), dtype=complex)
-        for q, k in enumerate(self.indices.tolist()):
-            out[q] = table[k] if k >= 0 else cl.euler_unitary(*angles[q])
+        a Clifford's from the group table, the Euler gates' from their angles
+        in one call."""
+        out = cl._element_tables()[1][self.indices]
+        euler = self.indices < 0
+        if euler.any():
+            out[euler] = cl.euler_unitary(self.angles[euler])
         out.setflags(write=False)
         return out
 
@@ -273,12 +278,14 @@ def _draw_cliffords(rng: np.random.Generator, k: int, layers: int, n: int) -> np
     return rng.integers(24, size=(k, layers, n)).astype(np.int8)
 
 
-def _sample_1q_layer(n: int, kind: str, rng: np.random.Generator) -> OneQubitLayer:
+def _sample_1q_layers(n: int, count: int, kind: str, rng: np.random.Generator) -> list[OneQubitLayer]:
+    """``count`` i.i.d. random one-qubit layers in one draw, which consumes
+    ``rng`` as ``count`` draws of one layer each."""
     if kind == "clifford":
-        return OneQubitLayer._of(_draw_cliffords(rng, 1, 1, n)[0, 0])
+        return [OneQubitLayer._of(row) for row in _draw_cliffords(rng, 1, count, n)[0]]
     if kind == "haar":
-        angles = np.array([_haar_angles(rng) for _ in range(n)])
-        return OneQubitLayer._of(np.full(n, -1, dtype=np.int8), angles)
+        euler = np.full(n, -1, dtype=np.int8)
+        return [OneQubitLayer._of(euler, a) for a in _haar_angles(rng, count * n).reshape(count, n, 3)]
     raise ValueError(f"unknown one-qubit gate kind {kind!r}")
 
 
@@ -286,10 +293,10 @@ def sample_brickwork(
     spec: BrickworkSpec, kind: str, rng: np.random.Generator
 ) -> LayeredCircuit:
     """Disordered brickwork circuit with i.i.d. random one-qubit layers."""
-    layers: list[Layer] = [_sample_1q_layer(spec.n, kind, rng)]
-    for d in range(spec.layer_pairs):
-        layers.append(TwoQubitLayer(brickwork_pairs(spec.n, d, spec.topology)))
-        layers.append(_sample_1q_layer(spec.n, kind, rng))
+    first, *rest = _sample_1q_layers(spec.n, spec.layer_pairs + 1, kind, rng)
+    layers: list[Layer] = [first]
+    for d, layer in enumerate(rest):
+        layers += [TwoQubitLayer(brickwork_pairs(spec.n, d, spec.topology)), layer]
     return LayeredCircuit(spec.n, tuple(layers))
 
 
@@ -304,7 +311,7 @@ def sample_periodic(
     """
     brick_parity = int(rng.integers(2))
     entangling = TwoQubitLayer(brickwork_pairs(spec.n, brick_parity, spec.topology))
-    unit_1q = _sample_1q_layer(spec.n, kind, rng)
+    (unit_1q,) = _sample_1q_layers(spec.n, 1, kind, rng)
     layers: list[Layer] = [identity_layer(spec.n)]
     for _ in range(spec.layer_pairs):
         layers.append(entangling)
@@ -331,18 +338,18 @@ def haar_su2(rng: np.random.Generator) -> EulerGate1Q:
     Samples a uniform unit quaternion (a, b, c, d) and converts the unitary
     a*I - i(b*X + c*Y + d*Z) to the five-pulse form.
     """
-    return EulerGate1Q(*_haar_angles(rng))
+    return EulerGate1Q(*_haar_angles(rng, 1)[0].tolist())
 
 
-def _haar_angles(rng: np.random.Generator) -> tuple[float, float, float]:
-    """The five-pulse angles of :func:`haar_su2`."""
-    q = rng.standard_normal(4)
-    q /= math.sqrt(float(q @ q))
-    a, b, c, d = q
-    u = np.array(
-        [[a - 1j * d, -c - 1j * b], [c - 1j * b, a + 1j * d]], dtype=complex
-    )
-    return cl.zxzxz_angles(u)
+def _haar_angles(rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, 3) five-pulse angles of :func:`haar_su2` gates, in one draw
+    that consumes ``rng`` as ``size`` draws of one gate each."""
+    q = rng.standard_normal((size, 4))
+    # a batched matmul sums as the dot product q @ q of one gate
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    a, b, c, d = q.T
+    u = np.array([[a - 1j * d, -c - 1j * b], [c - 1j * b, a + 1j * d]], dtype=complex)
+    return cl.zxzxz_angles(np.moveaxis(u, -1, 0))
 
 
 def cliffordize(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCircuit:
@@ -358,20 +365,6 @@ def cliffordize(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCir
     return LayeredCircuit(circuit.n, tuple(layers))
 
 
-def _add_frame(row, q: int, code: int, after: bool) -> None:
-    """Compile the Pauli frame of letter ``code`` into gate q of ``row``, a
-    one-qubit layer's (indices, angles) as lists: applied after the gate,
-    or before it."""
-    indices, angles = row
-    letter, g = cl.one_qubit_gate_index("IXYZ"[code]), indices[q]
-    if g >= 0:
-        g = indices[q] = cl.clifford_mult(letter, g) if after else cl.clifford_mult(g, letter)
-        angles[q] = cl.one_qubit_cliffords()[g].euler
-    else:
-        frame, u = cl.one_qubit_cliffords()[letter].unitary, cl.euler_unitary(*angles[q])
-        angles[q] = cl.zxzxz_angles(frame @ u if after else u @ frame)
-
-
 def pauli_twirl(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCircuit:
     """Randomized compiling: dress every entangling layer with Pauli frames.
 
@@ -380,26 +373,35 @@ def pauli_twirl(circuit: LayeredCircuit, rng: np.random.Generator) -> LayeredCir
     layers so the layer structure (and therefore the noise exposure) is
     unchanged.  The logical operation is preserved up to global phase.
     """
-    # layers alternate, one-qubit layers at even positions
-    rows = [(l.indices.tolist(), l.angles.tolist()) for l in circuit.layers[::2]]
-    for i, layer in enumerate(circuit.layers):
-        if not isinstance(layer, TwoQubitLayer):
-            continue
-        frame = sample_uniform(circuit.n, rng)
-        codes = [frame.code(q) for q in range(circuit.n)]
+    n = circuit.n
+    # layers alternate, one-qubit layers at even positions; frames[j] holds
+    # the letter codes applied before the gates of one-qubit layer j, in
+    # row 0, and after them, in row 1
+    ones = circuit.layers[::2]
+    frames = np.zeros((2, len(ones), n), dtype=np.intp)
+    for j, layer in enumerate(circuit.layers[1::2]):
+        frame = sample_uniform(n, rng)
+        codes = [frame.code(q) for q in range(n)]
+        frames[1, j] = frames[0, j + 1] = codes
         # letters of C F C': each gate maps the letters of its pair
-        conj = list(codes)
         local_map = cl.twoq_conjugation_codes(layer.gate)
         for a, b in layer.pairs:
-            conj[a], conj[b] = divmod(int(local_map[4 * codes[a] + codes[b]]), 4)
-        for q in range(circuit.n):
-            if codes[q]:
-                _add_frame(rows[i // 2], q, codes[q], after=True)
-            if conj[q]:
-                _add_frame(rows[i // 2 + 1], q, conj[q], after=False)
+            frames[0, j + 1, [a, b]] = divmod(int(local_map[4 * codes[a] + codes[b]]), 4)
+    indices = np.stack([layer.indices for layer in ones])
+    angles = np.stack([layer.angles for layer in ones])
+    euler_table, unitaries = cl._element_tables()
+    letters = np.array([cl.one_qubit_gate_index(p) for p in "IXYZ"])[frames]
+    mult = cl._mult_table()
+    for after, codes, letter in zip((False, True), frames, letters):
+        clifford, euler = (codes > 0) & (indices >= 0), (codes > 0) & (indices < 0)
+        g, f = indices[clifford], letter[clifford]
+        indices[clifford] = mult[f, g] if after else mult[g, f]
+        u, pauli = cl.euler_unitary(angles[euler]), unitaries[letter[euler]]
+        angles[euler] = cl.zxzxz_angles(pauli @ u if after else u @ pauli)
+    angles[indices >= 0] = euler_table[indices[indices >= 0]]
     layers = list(circuit.layers)
-    layers[::2] = [OneQubitLayer._of(np.array(k, dtype=np.int8), np.array(a, dtype=float)) for k, a in rows]
-    return LayeredCircuit(circuit.n, tuple(layers))
+    layers[::2] = [OneQubitLayer._of(k, a) for k, a in zip(indices, angles)]
+    return LayeredCircuit(n, tuple(layers))
 
 
 # ---------------------------------------------------------------------------

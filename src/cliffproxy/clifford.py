@@ -10,9 +10,10 @@ closure from {H, S} on 2x2 unitaries, each element carrying its unitary
 and a fixed-length Euler decomposition Z(phi1) X90 Z(phi2) X90 Z(phi3)
 with angles in {0, +-pi/2, pi}.  Every single-qubit gate in the package
 is expanded in this same five-pulse form so that all of them see
-identical noise exposure.  The signed letter images of each element are
-read from its unitary; the group's multiplication and inverse tables
-compose those rows.
+identical noise exposure; :func:`euler_unitary` and :func:`zxzxz_angles`
+convert stacks of angle rows to 2x2 matrices and back.  The signed
+letter images of each element are read from its unitary; the group's
+multiplication and inverse tables compose those rows.
 
 Read-only letter-code tables serve every circuit walk:
 :func:`inverse_conjugation_codes` over the 24 one-qubit elements,
@@ -67,64 +68,67 @@ class NotCliffordError(ValueError):
     """Raised when an operation requires a Clifford-only circuit or gate."""
 
 
-def _rz(phi: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * phi), 0], [0, np.exp(0.5j * phi)]], dtype=complex)
-
-
-def euler_unitary(phi1: float, phi2: float, phi3: float) -> np.ndarray:
-    """Matrix of Z(phi1) X90 Z(phi2) X90 Z(phi3); phi3 acts first."""
-    return _rz(phi1) @ RX90 @ _rz(phi2) @ RX90 @ _rz(phi3)
-
-
-def _wrap_angle(phi: float) -> float:
-    out = math.remainder(phi, 2 * math.pi)
-    if out <= -math.pi + 1e-15:
-        out = math.pi
+def _rz(phi) -> np.ndarray:
+    """(..., 2, 2) matrices of Z(phi) for each angle of ``phi``."""
+    phi = np.asarray(phi, dtype=float)
+    out = np.zeros(phi.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(-0.5j * phi)
+    out[..., 1, 1] = np.exp(0.5j * phi)
     return out
 
 
-def zxzxz_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Euler angles reproducing a 2x2 unitary up to global phase.
+def euler_unitary(angles) -> np.ndarray:
+    """(..., 2, 2) matrices of Z(phi1) X90 Z(phi2) X90 Z(phi3), phi3 acting
+    first, for each row (phi1, phi2, phi3) of ``angles`` (..., 3)."""
+    angles = np.asarray(angles, dtype=float)
+    phi1, phi2, phi3 = (_rz(angles[..., k]) for k in range(3))
+    return phi1 @ RX90 @ phi2 @ RX90 @ phi3
+
+
+def _wrap_angle(phi: np.ndarray) -> np.ndarray:
+    """Each angle of ``phi`` moved into (-pi, pi]."""
+    # math.remainder is exact; numpy has no IEEE remainder
+    flat = [math.remainder(x, 2 * math.pi) for x in phi.ravel().tolist()]
+    out = np.array(flat, dtype=float).reshape(phi.shape)
+    out[out <= -math.pi + 1e-15] = math.pi
+    return out
+
+
+def _elementwise(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``fn`` of two floats applied element by element."""
+    return np.array(list(map(fn, x.ravel().tolist(), y.ravel().tolist())), dtype=float).reshape(x.shape)
+
+
+def zxzxz_angles(u) -> np.ndarray:
+    """(..., 3) Euler angles (phi1, phi2, phi3) reproducing each 2x2
+    unitary of the stack ``u`` (..., 2, 2) up to global phase.
 
     Uses X90 Z(t) X90 = -i (sin(t/2) X-axis form), which pins |u00| and
     |u01| to sin/cos of phi2/2; the remaining phases fix phi1 and phi3.
+    Raises ValueError if any matrix has a zero first row.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    s = abs(u[0, 0])
-    c = abs(u[0, 1])
-    norm = math.hypot(s, c)
-    if norm < 1e-12:
+    if u.shape[-2:] != (2, 2):
+        raise ValueError("expected 2x2 matrices")
+    u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    # np.hypot on the parts rounds as a complex scalar's abs, while math's
+    # hypot and atan2 differ from numpy's array forms in the last bit
+    s, c = np.hypot(u00.real, u00.imag), np.hypot(u01.real, u01.imag)
+    norm = _elementwise(math.hypot, s, c)
+    if (norm < 1e-12).any():
         raise ValueError("matrix is not unitary")
     s, c = s / norm, c / norm
-    phi2 = 2.0 * math.atan2(s, c)
-    if s > _EULER_TOL and c > _EULER_TOL:
-        gamma = (np.angle(u[0, 1]) + np.angle(u[1, 0]) + math.pi) / 2.0
-        sum13 = 2.0 * (gamma - _HALF_PI - np.angle(u[0, 0]))
-        diff13 = 2.0 * (gamma - _HALF_PI - np.angle(u[0, 1]))
-        phi1 = _wrap_angle((sum13 + diff13) / 2.0)
-        phi3 = _wrap_angle((sum13 - diff13) / 2.0)
-    elif s <= _EULER_TOL:
-        # phi2 = 0: only phi1 - phi3 is determined
-        phi1 = 0.0
-        phi3 = _wrap_angle(np.angle(u[0, 1]) - np.angle(u[1, 0]))
-        phi2 = 0.0
-    else:
-        # phi2 = pi: only phi1 + phi3 is determined
-        phi1 = 0.0
-        phi3 = _wrap_angle(np.angle(u[1, 1]) - np.angle(u[0, 0]) - math.pi)
-        phi2 = math.pi
-    return (_wrap_angle(phi1), _wrap_angle(phi2), _wrap_angle(phi3))
-
-
-def _phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Operator distance between 2x2 matrices modulo global phase."""
-    inner = np.trace(a.conj().T @ b)
-    if abs(inner) < 1e-12:
-        return 2.0
-    phase = inner / abs(inner)
-    return float(np.max(np.abs(a * phase - b)))
+    a00, a01, a10, a11 = np.angle(u00), np.angle(u01), np.angle(u10), np.angle(u11)
+    gamma = (a01 + a10 + math.pi) / 2.0
+    sum13 = 2.0 * (gamma - _HALF_PI - a00)
+    diff13 = 2.0 * (gamma - _HALF_PI - a01)
+    general = (s > _EULER_TOL) & (c > _EULER_TOL)
+    # phi2 = 0 leaves only phi1 - phi3 determined, phi2 = pi only phi1 + phi3
+    zero = s <= _EULER_TOL
+    phi1 = np.where(general, (sum13 + diff13) / 2.0, 0.0)
+    phi2 = np.where(general, 2.0 * _elementwise(math.atan2, s, c), np.where(zero, 0.0, math.pi))
+    phi3 = np.where(general, (sum13 - diff13) / 2.0, np.where(zero, a01 - a10, a11 - a00 - math.pi))
+    return _wrap_angle(np.stack([phi1, phi2, phi3], axis=-1))
 
 
 class CliffordTableau:
@@ -245,23 +249,29 @@ def one_qubit_cliffords() -> tuple[OneQubitClifford, ...]:
                 images.append(new_images)
     if len(mats) != 24:
         raise RuntimeError(f"closure produced {len(mats)} elements, expected 24")
+    euler = _snap_clifford_angles(zxzxz_angles(mats), np.array(mats)).tolist()
     return tuple(
         OneQubitClifford(
             index=idx,
             x_image=(int(img[1, 0]), int(img[1, 1])),
             z_image=(int(img[3, 0]), int(img[3, 1])),
-            euler=_snap_clifford_angles(zxzxz_angles(mat), mat),
+            euler=tuple(angles),
             unitary=mat,
         )
-        for idx, (mat, img) in enumerate(zip(mats, images))
+        for idx, (mat, img, angles) in enumerate(zip(mats, images, euler))
     )
 
 
-def _snap_clifford_angles(angles, mat) -> tuple[float, float, float]:
-    grid = (0.0, _HALF_PI, math.pi, -_HALF_PI)
-    snapped = tuple(min(grid, key=lambda g: abs(math.remainder(a - g, 2 * math.pi))) for a in angles)
-    err = _phase_distance(euler_unitary(*snapped), mat)
-    if err > 1e-12:
+def _snap_clifford_angles(angles: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Each angle of the (..., 3) ``angles`` moved to the nearest multiple
+    of pi/2 in (-pi, pi]; raises if a row then misses its 2x2 of ``mats``
+    by more than 1e-12 up to global phase."""
+    grid = np.array([0.0, _HALF_PI, math.pi, -_HALF_PI])
+    snapped = grid[np.rint(angles / _HALF_PI).astype(int) % 4]
+    recomposed = euler_unitary(snapped)
+    inner = (recomposed.conj() * mats).sum(axis=(-2, -1))
+    err = np.abs(recomposed * (inner / np.abs(inner))[..., None, None] - mats).max()
+    if not err <= 1e-12:  # a zero overlap reads as NaN
         raise RuntimeError(f"angle snapping failed, residual {err}")
     return snapped
 
@@ -335,9 +345,8 @@ def pulse_fault_codes() -> np.ndarray:
     the pulse reaches the end of the gate as V Q V', so the table gives,
     for each letter P at the end, the fault that lands there.
     """
-    angles = [elem.euler for elem in one_qubit_cliffords()]
-    first = [_rz(phi1) @ RX90 @ _rz(phi2) for phi1, phi2, _ in angles]
-    v = np.array([first, [_rz(phi1) for phi1, _, _ in angles]])
+    phi1, phi2 = _rz(_element_tables()[0][:, :2].T)
+    v = np.array([phi1 @ RX90 @ phi2, phi1])
     table = _letter_images(v.conj().swapaxes(-1, -2))[..., 0]
     table.setflags(write=False)
     return table

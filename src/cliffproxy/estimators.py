@@ -47,6 +47,7 @@ from .circuits import (
     brickwork_pairs,
     cliffordize,
     identity_layer,
+    sample_brickwork,
     scrambling_circuit,
 )
 from .noise import (
@@ -530,17 +531,6 @@ def coefficient_of_variation(samples) -> tuple[float, float, float]:
     return mu, sigma, sigma / mu
 
 
-def _haar_layout(spec: BrickworkSpec, rng: np.random.Generator) -> LayeredCircuit:
-    """``sample_brickwork(spec, "haar", rng)`` with identity one-qubit gates."""
-    # every estimator Cliffordizes the sweep's one-qubit gates: their Haar
-    # normals are drawn only to keep the random stream, and never converted
-    rng.standard_normal(((spec.layer_pairs + 1) * spec.n, 4))
-    layers = [identity_layer(spec.n)]
-    for d in range(spec.layer_pairs):
-        layers += [TwoQubitLayer(brickwork_pairs(spec.n, d, spec.topology)), identity_layer(spec.n)]
-    return LayeredCircuit(spec.n, tuple(layers))
-
-
 def volumetric_run(
     widths,
     depths,
@@ -567,7 +557,7 @@ def volumetric_run(
     for n in widths:
         n = int(n)
         spam_model = SpamModel.uniform(n, *spam) if spam is not None else None
-        template = _haar_layout(BrickworkSpec(n, max(max(depths), 2)), rng)
+        template = sample_brickwork(BrickworkSpec(n, max(max(depths), 2)), "haar", rng)
         noise_model = sample_error_model(
             template, rng, noise.two_qubit, noise.one_qubit, noise.markovian
         )
@@ -593,7 +583,7 @@ def volumetric_run(
             fit_error = str(exc)
         for d in depths:
             cell = VolumetricCell(n, d)
-            target = _haar_layout(BrickworkSpec(n, d), rng)
+            target = sample_brickwork(BrickworkSpec(n, d), "haar", rng)
             proxy = cliffordize(target, rng)
 
             def attempt(name, fn):

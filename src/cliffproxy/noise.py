@@ -231,22 +231,20 @@ class NoiseModel:
         # (position or -1, n or entangling layer) -> LayerTables
         self._tables: dict = {}
 
-    @staticmethod
-    def pair_key(name: str, pair) -> tuple:
-        a, b = pair
-        if name == "CZ":
-            a, b = sorted((a, b))
-        return (name, a, b)
+    def entry_key(self, position: int, where, gate: str | None = None):
+        """Entry key of the X90 pulses on qubit ``where``, or with ``gate``
+        of that gate on the pair ``where``, at layer ``position``: only a
+        non-Markovian key holds the position, and a CZ's pair is unordered."""
+        if gate is None:
+            return where if self.markovian else (position, where)
+        a, b = sorted(where) if gate == "CZ" else where
+        return (gate, a, b) if self.markovian else (position, gate, a, b)
 
     def xpi2_noise(self, position: int, qubit: int) -> GateNoise:
-        key = qubit if self.markovian else (position, qubit)
-        return self._entry(key, 1, position, f"qubit {qubit}")
+        return self._entry(self.entry_key(position, qubit), 1, position, f"qubit {qubit}")
 
     def twoq_noise(self, position: int, name: str, pair) -> GateNoise:
-        key = self.pair_key(name, pair)
-        if not self.markovian:
-            key = (position,) + key
-        return self._entry(key, 2, position, f"{name} on {tuple(pair)}")
+        return self._entry(self.entry_key(position, pair, name), 2, position, f"{name} on {tuple(pair)}")
 
     def _entry(self, key, k: int, position=None, gate=None) -> GateNoise:
         # every read checks the size: the entry dicts are public, and filled late
@@ -348,14 +346,12 @@ def _draw_missing_entries(
     for pos, layer in enumerate(circuit.layers):
         if isinstance(layer, OneQubitLayer):
             for q in range(circuit.n):
-                key = q if model.markovian else (pos, q)
+                key = model.entry_key(pos, q)
                 if key not in model.one_qubit:
                     model.one_qubit[key] = sample_gate(1, one_q_budget)
         else:
             for pair in layer.pairs:
-                key = NoiseModel.pair_key(layer.gate, pair)
-                if not model.markovian:
-                    key = (pos,) + key
+                key = model.entry_key(pos, pair, layer.gate)
                 if key not in model.two_qubit:
                     model.two_qubit[key] = sample_gate(2, two_q_budget)
 

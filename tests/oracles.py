@@ -1,6 +1,9 @@
 """Slow, direct implementations that the library's fast paths are checked
 against.
 
+* the Euler decomposition one gate at a time: each Haar gate's normals
+  drawn and converted on their own, and the five-pulse matrix and angles
+  of a single 2x2;
 * gate objects: each gate's unitary, Pauli frames compiled into a gate,
   and circuits joined by merging the boundary one-qubit layers gate by
   gate;
@@ -53,16 +56,80 @@ from cliffproxy.pauli import (
 )
 
 # ---------------------------------------------------------------------------
+# Euler decomposition, one gate at a time
+# ---------------------------------------------------------------------------
+
+
+def rz(phi: float) -> np.ndarray:
+    return np.array([[np.exp(-0.5j * phi), 0], [0, np.exp(0.5j * phi)]], dtype=complex)
+
+
+def euler_unitary(phi1: float, phi2: float, phi3: float) -> np.ndarray:
+    """Matrix of Z(phi1) X90 Z(phi2) X90 Z(phi3); phi3 acts first."""
+    return rz(phi1) @ cl.RX90 @ rz(phi2) @ cl.RX90 @ rz(phi3)
+
+
+def _wrap_angle(phi: float) -> float:
+    out = math.remainder(phi, 2 * math.pi)
+    if out <= -math.pi + 1e-15:
+        out = math.pi
+    return out
+
+
+def zxzxz_angles(u: np.ndarray) -> tuple[float, float, float]:
+    """Euler angles reproducing a 2x2 unitary up to global phase."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    s = abs(u[0, 0])
+    c = abs(u[0, 1])
+    norm = math.hypot(s, c)
+    if norm < 1e-12:
+        raise ValueError("matrix is not unitary")
+    s, c = s / norm, c / norm
+    phi2 = 2.0 * math.atan2(s, c)
+    if s > cl._EULER_TOL and c > cl._EULER_TOL:
+        gamma = (np.angle(u[0, 1]) + np.angle(u[1, 0]) + math.pi) / 2.0
+        sum13 = 2.0 * (gamma - cl._HALF_PI - np.angle(u[0, 0]))
+        diff13 = 2.0 * (gamma - cl._HALF_PI - np.angle(u[0, 1]))
+        phi1 = _wrap_angle((sum13 + diff13) / 2.0)
+        phi3 = _wrap_angle((sum13 - diff13) / 2.0)
+    elif s <= cl._EULER_TOL:
+        # phi2 = 0: only phi1 - phi3 is determined
+        phi1 = 0.0
+        phi3 = _wrap_angle(np.angle(u[0, 1]) - np.angle(u[1, 0]))
+        phi2 = 0.0
+    else:
+        # phi2 = pi: only phi1 + phi3 is determined
+        phi1 = 0.0
+        phi3 = _wrap_angle(np.angle(u[1, 1]) - np.angle(u[0, 0]) - math.pi)
+        phi2 = math.pi
+    return (_wrap_angle(phi1), _wrap_angle(phi2), _wrap_angle(phi3))
+
+
+def haar_angles(rng: np.random.Generator) -> tuple[float, float, float]:
+    """The five-pulse angles of one Haar-random SU(2) gate: a uniform unit
+    quaternion (a, b, c, d) as the unitary a*I - i(b*X + c*Y + d*Z)."""
+    q = rng.standard_normal(4)
+    q /= math.sqrt(float(q @ q))
+    a, b, c, d = q
+    u = np.array(
+        [[a - 1j * d, -c - 1j * b], [c - 1j * b, a + 1j * d]], dtype=complex
+    )
+    return zxzxz_angles(u)
+
+
+# ---------------------------------------------------------------------------
 # gate objects
 # ---------------------------------------------------------------------------
 
 
 def gate_unitary(gate) -> np.ndarray:
     """The 2x2 matrix of a gate object: a Clifford's group representative,
-    an Euler gate's :attr:`EulerGate1Q.unitary`."""
+    an Euler gate's built from its own angles."""
     if isinstance(gate, cc.CliffordGate1Q):
         return cl.one_qubit_cliffords()[gate.index].unitary
-    return gate.unitary
+    return euler_unitary(*gate.angles)
 
 
 def left_multiply(gate, letter_index: int):
@@ -70,7 +137,7 @@ def left_multiply(gate, letter_index: int):
     if isinstance(gate, cc.CliffordGate1Q):
         return cc.CliffordGate1Q(cl.clifford_mult(letter_index, gate.index))
     u = cl.one_qubit_cliffords()[letter_index].unitary @ gate_unitary(gate)
-    return cc.EulerGate1Q(*cl.zxzxz_angles(u))
+    return cc.EulerGate1Q(*zxzxz_angles(u))
 
 
 def right_multiply(gate, letter_index: int):
@@ -78,7 +145,7 @@ def right_multiply(gate, letter_index: int):
     if isinstance(gate, cc.CliffordGate1Q):
         return cc.CliffordGate1Q(cl.clifford_mult(gate.index, letter_index))
     u = gate_unitary(gate) @ cl.one_qubit_cliffords()[letter_index].unitary
-    return cc.EulerGate1Q(*cl.zxzxz_angles(u))
+    return cc.EulerGate1Q(*zxzxz_angles(u))
 
 
 def merge_1q_layers(first, second):
@@ -89,7 +156,7 @@ def merge_1q_layers(first, second):
             merged.append(cc.CliffordGate1Q(cl.clifford_mult(g2.index, g1.index)))
         else:
             u = gate_unitary(g2) @ gate_unitary(g1)
-            merged.append(cc.EulerGate1Q(*cl.zxzxz_angles(u)))
+            merged.append(cc.EulerGate1Q(*zxzxz_angles(u)))
     return cc.OneQubitLayer(tuple(merged))
 
 
@@ -761,8 +828,8 @@ def _gate_error_ptm_1q(noise, position, layer, qubit) -> np.ndarray:
     eps = noise.xpi2_noise(position, qubit).probs
     diag = np.diag(pauli_walsh(eps, 1))
     phi1, phi2, _ = gate.angles
-    r_first = dn.ptm_of_unitary(cl._rz(phi1) @ cl.RX90 @ cl._rz(phi2), 1).mat
-    r_second = dn.ptm_of_unitary(cl._rz(phi1), 1).mat
+    r_first = dn.ptm_of_unitary(rz(phi1) @ cl.RX90 @ rz(phi2), 1).mat
+    r_second = dn.ptm_of_unitary(rz(phi1), 1).mat
     # the first (earlier) fault conjugates through Z(phi2), X90, Z(phi1);
     # the second only through Z(phi1); the second acts after the first
     return (r_second @ diag @ r_second.T) @ (r_first @ diag @ r_first.T)
@@ -900,11 +967,11 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
                         state = apply_1q(state, gate_unitary(gate), q)
                         continue
                     phi1, phi2, phi3 = gate.angles
-                    for u, pulse in ((cl._rz(phi3), None), (cl.RX90, 0), (cl._rz(phi2), None), (cl.RX90, 1)):
+                    for u, pulse in ((rz(phi3), None), (cl.RX90, 0), (rz(phi2), None), (cl.RX90, 1)):
                         state = apply_1q(state, u, q)
                         if pulse in faults:
                             state = apply_pauli(state, local_pauli(n, (q,), faults[pulse]))
-                    state = apply_1q(state, cl._rz(phi1), q)
+                    state = apply_1q(state, rz(phi1), q)
             for fault in post.get(li, []):
                 state = apply_pauli(state, fault)
         probs = np.abs(state) ** 2

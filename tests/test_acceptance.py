@@ -335,7 +335,7 @@ def test_criterion_8_oracle_equivalences(tmp_path):
     )
     checks.append(("24-element closure", closure))
     recompose = all(
-        np.max(np.abs(_phase_align(cl.euler_unitary(*e.euler), e.unitary))) < 1e-12
+        np.max(np.abs(_phase_align(cl.euler_unitary(e.euler), e.unitary))) < 1e-12
         for e in elems
     )
     checks.append(("ZXZXZ recomposition < 1e-12", recompose))

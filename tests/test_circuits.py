@@ -9,7 +9,14 @@ from cliffproxy import dense as dn
 from cliffproxy import estimators as est
 from cliffproxy import noise as nz
 from cliffproxy.pauli import PauliString, sample_uniform_nonidentity
-from oracles import circuit_tableau, circuit_unitary, concatenate, gate_unitary, tableau_twirl
+from oracles import (
+    circuit_tableau,
+    circuit_unitary,
+    concatenate,
+    gate_unitary,
+    haar_angles,
+    tableau_twirl,
+)
 
 
 def phase_aligned_distance(a, b):
@@ -298,9 +305,9 @@ class TestScrambler:
 class TestHaar:
     def test_unitary_built_once_per_gate(self):
         gate = cc.haar_su2(np.random.default_rng(15))
-        u = gate_unitary(gate)
-        assert gate_unitary(gate) is u and not u.flags.writeable
-        assert np.array_equal(u, cl.euler_unitary(*gate.angles))
+        u = gate.unitary
+        assert gate.unitary is u and not u.flags.writeable
+        assert np.array_equal(u, gate_unitary(gate))
         assert gate == cc.EulerGate1Q(*gate.angles)
 
     def test_unitary_to_1e12(self):
@@ -312,22 +319,48 @@ class TestHaar:
     def test_first_moment(self):
         rng = np.random.default_rng(13)
         draws = 100_000
-        z_vals = np.empty(draws)
-        for i in range(draws):
-            u = gate_unitary(cc.haar_su2(rng))
-            z_vals[i] = 1.0 - 2.0 * abs(u[1, 0]) ** 2  # <Z> on U|0>
+        u = cl.euler_unitary(cc._haar_angles(rng, draws))
+        z_vals = 1.0 - 2.0 * np.abs(u[:, 1, 0]) ** 2  # <Z> on U|0>
         # Var(<Z>) = 1/3 for Haar states
         assert abs(z_vals.mean()) < 5 * np.sqrt(1 / 3 / draws)
 
     def test_second_moment(self):
         rng = np.random.default_rng(14)
         draws = 100_000
-        p00 = np.empty(draws)
-        for i in range(draws):
-            u = gate_unitary(cc.haar_su2(rng))
-            p00[i] = abs(u[0, 0]) ** 2
+        u = cl.euler_unitary(cc._haar_angles(rng, draws))
+        p00 = np.abs(u[:, 0, 0]) ** 2
         # |<0|U|0>|^2 is uniform on [0, 1]: mean 1/2, var 1/12
         assert abs(p00.mean() - 0.5) < 5 * np.sqrt(1 / 12 / draws)
+
+    def test_draw_matches_per_gate_oracle(self):
+        # one draw of 10^5 gates against 10^5 draws of one gate: the same
+        # angles to the bit, and the generator left in the same state
+        a, b = np.random.default_rng(16), np.random.default_rng(16)
+        got = cc._haar_angles(a, 100_000)
+        want = np.array([haar_angles(b) for _ in range(100_000)])
+        assert np.array_equal(got, want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["haar", "clifford"])
+    def test_circuit_draw_matches_per_gate_draws(self, kind):
+        # a circuit's one-qubit layers drawn at once, against a draw per
+        # Haar gate or per layer of Cliffords
+        for n, depth, topology in ((2, 1, "line"), (4, 3, "ring"), (5, 6, "line")):
+            spec = cc.BrickworkSpec(n, depth, topology)
+            a, b = np.random.default_rng(17), np.random.default_rng(17)
+            circ = cc.sample_brickwork(spec, kind, a)
+            if kind == "haar":
+                indices = np.full((depth + 1, n), -1)
+                angles = [[haar_angles(b) for _ in range(n)] for _ in range(depth + 1)]
+            else:
+                indices = np.array([b.integers(24, size=n) for _ in range(depth + 1)])
+                angles = cl._element_tables()[0][indices]
+            assert a.bit_generator.state == b.bit_generator.state
+            assert np.array_equal([layer.indices for layer in circ.layers[::2]], indices)
+            assert np.array_equal([layer.angles for layer in circ.layers[::2]], angles)
+            assert circ.layers[1::2] == tuple(
+                cc.TwoQubitLayer(cc.brickwork_pairs(n, d, topology)) for d in range(depth)
+            )
 
 
 def _mixed_layer(n, rng):
@@ -371,7 +404,8 @@ class TestLayerArrays:
         model = nz.sample_error_model(circ, rng, 5e-2, 5e-3)
         dn.ideal_output_probs(circ)
         dn.statevector_simulate(circ, model, rng, 500)
-        assert len(built) == 3 * 5
+        # one stacked build of each layer's three Euler gates
+        assert [np.shape(a) for a, in built] == [(3, 3)] * 5
 
     def test_equality_follows_the_gates(self):
         rng = np.random.default_rng(21)

@@ -11,11 +11,14 @@ from oracles import (
     backpropagate,
     circuit_tableau,
     circuit_unitary,
+    euler_unitary,
     inverse,
+    rz,
     tableau_cliffords,
     tableau_conjugation_table,
     tableau_mult_table,
     tableau_named_indices,
+    zxzxz_angles,
 )
 
 
@@ -229,7 +232,7 @@ class TestTablesMatchTableauClosure:
         loop = np.empty((2, 24, 4), dtype=np.intp)
         for g, elem in enumerate(elements):
             phi1, phi2, _ = elem.euler
-            for pulse, v in enumerate((cl._rz(phi1) @ cl.RX90 @ cl._rz(phi2), cl._rz(phi1))):
+            for pulse, v in enumerate((rz(phi1) @ cl.RX90 @ rz(phi2), rz(phi1))):
                 loop[pulse, g] = cl._letter_images(v.conj().T)[:, 0]
         assert np.array_equal(cl.pulse_fault_codes(), loop)
 
@@ -252,21 +255,21 @@ class TestEulerAngles:
         grid = {0.0, math.pi / 2, -math.pi / 2, math.pi}
         for e in cl.one_qubit_cliffords():
             assert set(e.euler) <= grid
-            err = phase_aligned_distance(cl.euler_unitary(*e.euler), e.unitary)
+            err = phase_aligned_distance(cl.euler_unitary(e.euler), e.unitary)
             assert err < 1e-12
 
     def test_identity_recomposes_to_identity(self):
         e = cl.one_qubit_cliffords()[0]
-        assert phase_aligned_distance(cl.euler_unitary(*e.euler), np.eye(2)) < 1e-12
+        assert phase_aligned_distance(cl.euler_unitary(e.euler), np.eye(2)) < 1e-12
 
     def test_composition_consistency(self):
         elems = cl.one_qubit_cliffords()
         rng = np.random.default_rng(28)
         for _ in range(50):
             i, j = (int(k) for k in rng.integers(24, size=2))
-            u1 = cl.euler_unitary(*elems[i].euler)
-            u2 = cl.euler_unitary(*elems[j].euler)
-            u12 = cl.euler_unitary(*elems[cl.clifford_mult(i, j)].euler)
+            u1 = cl.euler_unitary(elems[i].euler)
+            u2 = cl.euler_unitary(elems[j].euler)
+            u12 = cl.euler_unitary(elems[cl.clifford_mult(i, j)].euler)
             assert phase_aligned_distance(u1 @ u2, u12) < 1e-12
 
     def test_extraction_of_random_unitaries(self):
@@ -278,4 +281,37 @@ class TestEulerAngles:
                 [[q[0] - 1j * q[3], -q[2] - 1j * q[1]], [q[2] - 1j * q[1], q[0] + 1j * q[3]]]
             )
             angles = cl.zxzxz_angles(u)
-            assert phase_aligned_distance(cl.euler_unitary(*angles), u) < 1e-11
+            assert phase_aligned_distance(cl.euler_unitary(angles), u) < 1e-11
+
+    def test_stacked_angles_match_per_gate_oracle(self):
+        rng = np.random.default_rng(30)
+        cliffords = cl._element_tables()[1]
+        paulis = cliffords[[cl.one_qubit_gate_index(p) for p in "XYZ"], None]
+        u = cl.euler_unitary(rng.uniform(-math.pi, math.pi, (300, 3)))
+        diagonal = np.diag(np.exp([-0.3j, 0.7j]))
+        antidiagonal = np.array([[0, np.exp(0.2j)], [np.exp(-1.1j), 0]])
+        mats = np.concatenate([
+            cliffords, (paulis @ u).reshape(-1, 2, 2), (u @ paulis).reshape(-1, 2, 2),
+            [diagonal, antidiagonal],
+        ])
+        want = np.array([zxzxz_angles(m) for m in mats])
+        # the Cliffords reach the general branch and both one-angle ones
+        assert {0.0, math.pi / 2, math.pi} <= set(want[:24, 1])
+        assert want[-2:, 1].tolist() == [math.pi, 0.0]
+        assert np.array_equal(cl.zxzxz_angles(mats), want)
+        assert np.array_equal(cl.zxzxz_angles(mats.reshape(2, -1, 2, 2)), want.reshape(2, -1, 3))
+
+    def test_stacked_unitaries_match_per_gate_oracle(self):
+        rng = np.random.default_rng(31)
+        angles = np.concatenate([cl._element_tables()[0], rng.uniform(-4, 4, (10_000, 3))])
+        want = np.array([euler_unitary(*row) for row in angles.tolist()])
+        assert np.array_equal(cl.euler_unitary(angles), want)
+        assert np.array_equal(cl.euler_unitary(angles.reshape(2, -1, 3)), want.reshape(2, -1, 2, 2))
+
+    def test_singular_matrix_rejected(self):
+        singular = np.array([[0, 0], [1, 0]])
+        for fn in (zxzxz_angles, cl.zxzxz_angles):
+            with pytest.raises(ValueError, match="not unitary"):
+                fn(singular)
+        with pytest.raises(ValueError, match="not unitary"):
+            cl.zxzxz_angles(np.stack([np.eye(2), singular, np.eye(2)]))

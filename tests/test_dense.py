@@ -72,7 +72,7 @@ class TestCircuitPtm:
         # the batched five-pulse builder, noiseless, over all angle triples
         triples = np.array(list(itertools.product(phis, repeat=3)))
         for angles, got in zip(triples, dn._gate_ptms_1q(triples, None), strict=True):
-            want = dn.ptm_of_unitary(cl.euler_unitary(*angles), 1).mat
+            want = dn.ptm_of_unitary(cl.euler_unitary(angles), 1).mat
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_noiseless_clifford_first_row_exact(self):
@@ -102,9 +102,10 @@ def _ptm_case(n, kind, topology, gate, depth, rng):
     reversed, so the control sits above the target and the ring's (n-1, 0)
     wrap becomes (0, n-1); at n = 1 the entangling layers are empty."""
     if n == 1:
-        layers = [cc._sample_1q_layer(1, kind, rng)]
-        for _ in range(depth):
-            layers += [cc.TwoQubitLayer((), gate), cc._sample_1q_layer(1, kind, rng)]
+        first, *rest = cc._sample_1q_layers(1, depth + 1, kind, rng)
+        layers = [first]
+        for layer in rest:
+            layers += [cc.TwoQubitLayer((), gate), layer]
         return cc.LayeredCircuit(1, tuple(layers))
     base = cc.sample_brickwork(cc.BrickworkSpec(n, depth, topology), kind, rng)
     layers = []

@@ -612,18 +612,6 @@ class TestXeb:
 
 
 class TestVolumetric:
-    @pytest.mark.parametrize("topology", ["line", "ring"])
-    def test_layout_draws_as_sample_brickwork(self, topology):
-        for n, depth in ((2, 1), (4, 3), (5, 2)):
-            spec = cc.BrickworkSpec(n, depth, topology)
-            a, b = np.random.default_rng(45), np.random.default_rng(45)
-            layout = est._haar_layout(spec, a)
-            circ = cc.sample_brickwork(spec, "haar", b)
-            assert a.bit_generator.state == b.bit_generator.state
-            assert layout.layers[1::2] == circ.layers[1::2]
-            assert all(not layer.indices.any() for layer in layout.layers[::2])
-            assert len(layout.layers) == 2 * depth + 1
-
     def test_zero_noise_cells_near_one(self):
         cfg = est.DfeConfig(10, 1, 200)
         cells = est.volumetric_run(
