@@ -11,7 +11,7 @@ probability vector.
 A circuit's transfer matrix is built one brick at a time: each pair's
 noisy 16 x 16 takes in the one-qubit gates before it, whose errors sit at
 the X90 pulses inside the five-pulse form, where the statevector sampler
-also puts them.
+also puts them.  Both read noise only through ``NoiseModel.layer_tables``.
 
 Computational-basis integers put qubit 0 on the most significant bit.
 Dense transfer matrices are capped at n <= 4 and the diamond-norm SDP at
@@ -180,9 +180,8 @@ def _ptm_columns(cols: np.ndarray, circuit: LayeredCircuit, noise: NoiseModel | 
     view of the rows.
     """
     n, layers = circuit.n, circuit.layers
-    eig = None if noise is None else np.array(
-        [[noise.xpi2_noise(i, q).eigenvalues for q in range(n)] for i in range(0, len(layers), 2)]
-    )
+    tables = None if noise is None else [noise.layer_tables(i, layer, n) for i, layer in enumerate(layers)]
+    eig = None if noise is None else np.array([[e.eigenvalues for e in t.entries] for t in tables[::2]])
     gates = _gate_ptms_1q(np.stack([layer.angles for layer in layers[::2]]), eig)
 
     pairs = [(i, a, b) for i in range(1, len(layers), 2) for a, b in layers[i].pairs]
@@ -191,9 +190,7 @@ def _ptm_columns(cols: np.ndarray, circuit: LayeredCircuit, noise: NoiseModel | 
         pos, first, second = np.array(pairs).T
         ent = np.stack([_entangler_ptm(layers[i].gate) for i, _, _ in pairs])
         if noise is not None:
-            ent *= np.array(
-                [noise.twoq_noise(i, layers[i].gate, (a, b)).eigenvalues for i, a, b in pairs]
-            )[:, :, None]
+            ent *= np.concatenate([t.eig for t in tables[1::2]])[:, :, None]
         rev = first > second
         ent[rev] = ent[rev][:, _SWAP][:, :, _SWAP]
         lo = gates[pos // 2, np.minimum(first, second)]
@@ -356,15 +353,15 @@ def statevector_simulate(
                 draw([1.0 - p, p, 0.0, 0.0], -1, (q,), None)
     if noise is not None:
         for li, layer in enumerate(circuit.layers):
+            tables = noise.layer_tables(li, layer, n)
             if isinstance(layer, OneQubitLayer):
                 for q, g in enumerate(layer.indices.tolist()):
-                    probs = noise.xpi2_noise(li, q).probs if g < 0 else noise.layer_tables(li, layer, n).probs[q, g]
+                    probs = tables.entries[q].probs if g < 0 else tables.probs[q, g]
                     if probs[0] < 1.0:
                         for pulse in (0, 1) if g < 0 else (None,):
                             draw(probs, li, (q,), pulse)
             else:
-                for pair in layer.pairs:
-                    probs = noise.twoq_noise(li, layer.gate, pair).probs
+                for pair, probs in zip(layer.pairs, tables.probs):
                     if probs[0] < 1.0:
                         draw(probs, li, tuple(pair), None)
 

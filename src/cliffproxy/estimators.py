@@ -567,7 +567,7 @@ def volumetric_run(
             # at layer positions (and brick parities) the template lacks
             for d in dict.fromkeys(depths):
                 composed = LayeredCircuit(n, template.layers[: 2 * d] + scrambler.layers)
-                _draw_missing_entries(
+                noise_model = _draw_missing_entries(
                     noise_model, composed, rng, noise.two_qubit, noise.one_qubit
                 )
         fit_layers = (

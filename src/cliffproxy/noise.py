@@ -17,15 +17,17 @@ Every layer of a circuit is followed by one error channel:
 
 Idle qubits in entangling layers carry no gate and hence no error.
 
-Each noise model compiles each layer position once, into one
-:class:`LayerTables` (:meth:`NoiseModel.layer_tables`) that the fold, the
-Pauli walk, the sampler and :func:`layer_infidelities` all read.  A
-qubit's X90 entry compiles in one step for all gates: its faults are
-relabelled through :func:`cliffproxy.clifford.pulse_fault_codes` and
-convolved into a probability table with one row per Clifford index plus
-the Euler stand-in, and a (24, 4) eigenvalue table over all Clifford
-indices.  A pair's table is its entry's 16 probabilities and
-eigenvalues (:attr:`GateNoise.eigenvalues`).
+A :class:`NoiseModel` is read-only, down to each entry's probabilities.
+It compiles each layer position once, into one :class:`LayerTables`
+(:meth:`NoiseModel.layer_tables`), through which the fold, the Pauli walk,
+:func:`layer_infidelities` and :mod:`cliffproxy.dense`'s transfer matrix
+and sampler all read it.  A qubit's X90 entry compiles in one step for
+all gates: its faults are relabelled through
+:func:`cliffproxy.clifford.pulse_fault_codes` and convolved into a
+probability table with one row per Clifford index plus the Euler
+stand-in, and a (24, 4) eigenvalue table over all Clifford indices.  A
+pair's table is its entry's 16 probabilities and eigenvalues
+(:attr:`GateNoise.eigenvalues`).
 Conjugation through a layer maps per-qubit letter codes (a 4-entry map
 per one-qubit Clifford, a 16-entry map per CZ or CNOT pair).  The exact
 fold applies these maps and tables to a ``(K,) + (4,) * n`` Walsh-domain
@@ -55,6 +57,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -121,7 +124,8 @@ class GateNoise:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)
+        p.setflags(write=False)
         if p.ndim != 1 or len(p) not in (4, 16):
             raise ValueError("expected 4 or 16 local probabilities")
         if not np.isfinite(p).all():
@@ -153,8 +157,10 @@ class GateNoise:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Transfer-matrix diagonal of the gate's channel, computed once."""
-        return pauli_walsh(self.probs, self.num_qubits)
+        """Transfer-matrix diagonal of the gate's channel, computed once; read-only."""
+        eig = pauli_walsh(self.probs, self.num_qubits)
+        eig.setflags(write=False)
+        return eig
 
 
 def _compile_1q(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,21 +219,24 @@ class LayerTables:
 
 
 class NoiseModel:
-    """Per-gate Pauli error rates for a circuit family.
+    """Per-gate Pauli error rates for a circuit family, a read-only value.
 
-    Two-qubit entries are keyed by (gate name, sorted pair) and one-qubit
-    X90 entries by qubit.  In the Markovian mode the same gate reuses its
-    rates at every layer position; otherwise keys carry the layer position
-    and every application gets independently sampled rates.
+    Two-qubit entries are keyed by (gate name, pair), a CZ's pair sorted and
+    a CNOT's control first, and one-qubit X90 entries by qubit.  In the
+    Markovian mode the same gate reuses its rates at every layer position;
+    otherwise keys carry the layer position and every application gets
+    independently sampled rates.  ``one_qubit`` and ``two_qubit`` are
+    read-only maps; to change an entry, build a new model.
     """
 
     def __init__(self, markovian: bool, one_qubit: dict, two_qubit: dict):
         self.markovian = markovian
-        self.one_qubit = dict(one_qubit)
-        self.two_qubit = dict(two_qubit)
+        self.one_qubit = MappingProxyType(dict(one_qubit))
+        self.two_qubit = MappingProxyType(dict(two_qubit))
         for table, k in ((self.one_qubit, 1), (self.two_qubit, 2)):
-            for key in table:
-                self._entry(key, k)
+            for key, entry in table.items():
+                if entry.num_qubits != k:
+                    raise ValueError(f"noise entry {key!r} has {len(entry.probs)} probabilities, expected {4**k}")
         # (position or -1, n or entangling layer) -> LayerTables
         self._tables: dict = {}
 
@@ -241,28 +250,22 @@ class NoiseModel:
         return (gate, a, b) if self.markovian else (position, gate, a, b)
 
     def xpi2_noise(self, position: int, qubit: int) -> GateNoise:
-        return self._entry(self.entry_key(position, qubit), 1, position, f"qubit {qubit}")
+        entry = self.one_qubit.get(self.entry_key(position, qubit))
+        if entry is None:
+            raise KeyError(f"no one-qubit noise entry for qubit {qubit} at layer {position}")
+        return entry
 
     def twoq_noise(self, position: int, name: str, pair) -> GateNoise:
-        return self._entry(self.entry_key(position, pair, name), 2, position, f"{name} on {tuple(pair)}")
-
-    def _entry(self, key, k: int, position=None, gate=None) -> GateNoise:
-        # every read checks the size: the entry dicts are public, and filled late
-        entry = (self.one_qubit if k == 1 else self.two_qubit).get(key)
+        entry = self.two_qubit.get(self.entry_key(position, pair, name))
         if entry is None:
-            kind = "one" if k == 1 else "two"
-            raise KeyError(f"no {kind}-qubit noise entry for {gate} at layer {position}")
-        if entry.num_qubits != k:
-            at = "" if position is None else f" at layer {position}"
-            size = len(entry.probs)
-            raise ValueError(f"noise entry {key!r}{at} has {size} probabilities, expected {4**k}")
+            raise KeyError(f"no two-qubit noise entry for {name} on {tuple(pair)} at layer {position}")
         return entry
 
     def layer_tables(self, position: int, layer, n: int) -> LayerTables:
         """The compiled noise of ``layer`` at ``position`` of an n-qubit
         circuit, built on first use and shared by every reader: once per
         layer position, or once for all positions in the Markovian mode.
-        An entry of the wrong size raises ValueError naming its key."""
+        A missing entry raises KeyError."""
         one_qubit = isinstance(layer, OneQubitLayer)
         key = (-1 if self.markovian else position, n if one_qubit else layer)
         hit = self._tables.get(key)
@@ -321,9 +324,7 @@ def sample_error_model(
     for budget in (two_q_budget, one_q_budget):
         if not 0.0 <= budget < 1.0:
             raise ValueError(f"budget {budget} outside [0, 1)")
-    model = NoiseModel(markovian, {}, {})
-    _draw_missing_entries(model, circuit, rng, two_q_budget, one_q_budget)
-    return model
+    return _draw_missing_entries(NoiseModel(markovian, {}, {}), circuit, rng, two_q_budget, one_q_budget)
 
 
 def _draw_missing_entries(
@@ -332,9 +333,10 @@ def _draw_missing_entries(
     rng: np.random.Generator,
     two_q_budget: float,
     one_q_budget: float,
-) -> None:
-    """Draw, in layer order, an entry for every gate of ``circuit`` that
-    ``model`` has none for; existing entries are kept."""
+) -> NoiseModel:
+    """``model`` with an entry drawn, in layer order, for every gate of
+    ``circuit`` that it has none for; existing entries are kept."""
+    one_qubit, two_qubit = dict(model.one_qubit), dict(model.two_qubit)
 
     def sample_gate(k: int, budget: float) -> GateNoise:
         total = float(rng.uniform(0.0, budget)) if budget > 0 else 0.0
@@ -347,13 +349,14 @@ def _draw_missing_entries(
         if isinstance(layer, OneQubitLayer):
             for q in range(circuit.n):
                 key = model.entry_key(pos, q)
-                if key not in model.one_qubit:
-                    model.one_qubit[key] = sample_gate(1, one_q_budget)
+                if key not in one_qubit:
+                    one_qubit[key] = sample_gate(1, one_q_budget)
         else:
             for pair in layer.pairs:
                 key = model.entry_key(pos, pair, layer.gate)
-                if key not in model.two_qubit:
-                    model.two_qubit[key] = sample_gate(2, two_q_budget)
+                if key not in two_qubit:
+                    two_qubit[key] = sample_gate(2, two_q_budget)
+    return NoiseModel(model.markovian, one_qubit, two_qubit)
 
 
 def _check_width(n: int) -> None:

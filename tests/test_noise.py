@@ -1,6 +1,5 @@
 import json
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -86,30 +85,40 @@ class TestSampleErrorModel:
         with pytest.raises(KeyError, match="no two-qubit noise entry"):
             model.twoq_noise(0, "CZ", (0, 2))
 
-    @pytest.mark.parametrize("markovian", [True, False])
-    def test_entries_mis_sized_after_construction_rejected(self, markovian):
-        # the entry dicts are public and filled after construction, so
-        # every read checks an entry's size and names its key and position
+    def test_entry_maps_are_read_only(self):
+        # a model is a value: its compiled tables cannot go stale
         circ, rng = brickwork(2, 2, 9)
-        one = nz.GateNoise.from_rates(np.full(3, 1e-3))
         pair = nz.GateNoise.from_rates(np.full(15, 1e-3))
-        keys = {"two_qubit": ("CZ", 0, 1), "one_qubit": 1}
-        if not markovian:
-            keys = {"two_qubit": (1, "CZ", 0, 1), "one_qubit": (0, 1)}
-        for table, position, bad in (("two_qubit", 1, one), ("one_qubit", 0, pair)):
-            model = nz.sample_error_model(circ, rng, 1e-3, 1e-4, markovian)
-            key = keys[table]
-            getattr(model, table)[key] = bad
-            size = len(bad.probs)
-            match = re.escape(f"noise entry {key!r} at layer {position} has {size} probabilities")
-            readers = (
-                lambda: nz.process_infidelity_exact(circ, model),
-                lambda: nz.propagate_codes(circ, model, [1, 3]),
-                lambda: dn.statevector_simulate(circ, model, rng, 20),
-            )
-            for run in readers:
-                with pytest.raises(ValueError, match=match):
-                    run()
+        one = nz.GateNoise.from_rates(np.full(3, 1e-3))
+        sampled = nz.sample_error_model(circ, rng, 1e-3, 1e-4, markovian=False)
+        shifted = sampled.shifted(2)
+        assert shifted is not sampled
+        for model in (nz.sample_error_model(circ, rng, 1e-3, 1e-4), sampled, shifted):
+            for table, entry in ((model.one_qubit, one), (model.two_qubit, pair)):
+                key = next(iter(table))
+                before = table[key]
+                with pytest.raises(TypeError):
+                    table[key] = entry
+                with pytest.raises(TypeError):
+                    table["new"] = entry
+                with pytest.raises(TypeError):
+                    del table[key]
+                assert table[key] is before
+
+    def test_rebuilt_model_folds_its_own_entries(self):
+        # after a fold compiles the tables, a model rebuilt with one louder
+        # pair entry folds to what its transfer matrix reads
+        circ, rng = brickwork(3, 4, 94)
+        model = nz.sample_error_model(circ, rng, 1e-3, 1e-4)
+        quiet = nz.process_infidelity_exact(circ, model)
+        key = next(iter(model.two_qubit))
+        loud = nz.GateNoise.from_rates(np.full(15, 1e-2))
+        changed = nz.NoiseModel(model.markovian, model.one_qubit, {**model.two_qubit, key: loud})
+        exact = nz.process_infidelity_exact(circ, changed)
+        dense = 1.0 - dn.process_fidelity(dn.circuit_ptm(circ), dn.circuit_ptm(circ, changed))
+        assert exact == pytest.approx(dense, abs=1e-12)
+        assert exact > 0.1 > quiet
+        assert nz.process_infidelity_exact(circ, model) == quiet
 
     def test_mis_sized_entries_rejected(self):
         one = nz.GateNoise.from_rates(np.full(3, 1e-3))
@@ -127,6 +136,18 @@ class TestSampleErrorModel:
 
 
 class TestGateNoise:
+    def test_keeps_a_read_only_copy(self):
+        probs = np.array([0.97, 0.01, 0.01, 0.01])
+        entry = nz.GateNoise(probs)
+        eig = entry.eigenvalues.copy()
+        probs[0] = probs[1] = 0.5
+        assert np.array_equal(entry.probs, [0.97, 0.01, 0.01, 0.01])
+        assert np.array_equal(entry.eigenvalues, eig)
+        with pytest.raises(ValueError, match="read-only"):
+            entry.probs[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            entry.eigenvalues[0] = 0.5
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_probabilities_rejected(self, bad):
         # a NaN fails every bound comparison, so it needs its own check
@@ -174,33 +195,47 @@ class TestCompiledOneQubit:
 
     @pytest.mark.parametrize("markovian", [True, False])
     def test_every_reader_gets_one_table_per_layer(self, markovian, monkeypatch):
-        # the fold, the walk, layer_infidelities and the sampler read one
-        # LayerTables object per layer position, compiled once per qubit
+        # the fold, the walk, layer_infidelities, the transfer matrix and the
+        # sampler read one LayerTables object per layer position, compiled
+        # once per qubit, and no entry past it
         compile_1q, calls = nz._compile_1q, []
         monkeypatch.setattr(nz, "_compile_1q", lambda eps: calls.append(eps) or compile_1q(eps))
         circ, rng = brickwork(3, 4, 93)
+        # its twin of Euler gates puts the dense readers' X90 pulses in play
+        euler, _ = brickwork(3, 4, 93, "haar")
+        assert euler.layers[1::2] == circ.layers[1::2]
         model = nz.sample_error_model(circ, rng, 1e-2, 1e-3, markovian)
-        layer_tables, read = model.layer_tables, {}
+        layer_tables, twoq_noise, read = model.layer_tables, model.twoq_noise, {}
 
         def spy(position, layer, n):
             tables = layer_tables(position, layer, n)
             read.setdefault(reader, {}).setdefault(position, set()).add(id(tables))
             return tables
 
+        def raw(*args):
+            raise AssertionError(f"{reader} read an entry past its LayerTables")
+
+        # compiled up front: a reader then has no reason to read an entry
+        for pos, layer in enumerate(circ.layers):
+            layer_tables(pos, layer, circ.n)
         monkeypatch.setattr(model, "layer_tables", spy)
+        monkeypatch.setattr(model, "xpi2_noise", raw)
+        monkeypatch.setattr(model, "twoq_noise", raw)
         readers = {
             "fold": lambda: nz.process_infidelity_exact(circ, model),
             "diagonal": lambda: nz.fold_eigenvalues(circ, model),
             "walk": lambda: nz._walk_tables(model, circ.layers, circ.n),
             "layer_infidelities": lambda: nz.layer_infidelities(circ, model),
+            "ptm": lambda: dn.circuit_ptm(circ, model),
             "sampler": lambda: dn.statevector_simulate(circ, model, rng, 50),
+            "euler ptm": lambda: dn.circuit_ptm(euler, model),
+            "euler sampler": lambda: dn.statevector_simulate(euler, model, rng, 50),
         }
         for reader, run in readers.items():
             run()
         positions = range(len(circ.layers))
         for reader in readers:
-            want = positions[::2] if reader == "sampler" else positions
-            assert sorted(read[reader]) == list(want), reader
+            assert sorted(read[reader]) == list(positions), reader
         for pos in positions:
             ids = set().union(*(got.get(pos, set()) for got in read.values()))
             assert len(ids) == 1, pos
@@ -208,7 +243,7 @@ class TestCompiledOneQubit:
             assert ids == {id(tables)}
             layer = circ.layers[pos]
             if isinstance(layer, cc.TwoQubitLayer):
-                entries = tuple(model.twoq_noise(pos, layer.gate, pair) for pair in layer.pairs)
+                entries = tuple(twoq_noise(pos, layer.gate, pair) for pair in layer.pairs)
                 assert tables.entries == entries
                 assert np.array_equal(tables.probs, [e.probs for e in entries])
                 assert np.array_equal(tables.eig, [e.eigenvalues for e in entries])
