@@ -30,25 +30,22 @@ pair's table is its entry's 16 probabilities and eigenvalues
 (:attr:`GateNoise.eigenvalues`).
 Conjugation through a layer maps per-qubit letter codes (a 4-entry map
 per one-qubit Clifford, a 16-entry map per CZ or CNOT pair).  The exact
-fold applies these maps and tables to a ``(K,) + (4,) * n`` Walsh-domain
-array of K circuits sharing their entangling layers, in one step per gate
-of each entangling layer: a step's map and eigenvalue rows are composed
-from the gate's and from the one-qubit layer before it (in the last
-entangling layer also the final one-qubit layer), and qubits the layer
-leaves idle step with their composed one-qubit rows.  The array keeps
-its axes throughout: a gate on its leading axes is one gather, any other
-one batched product with the gate's scaled permutation matrix.  An
-infidelity (:func:`process_infidelities_exact`) needs only the sum of
-the diagonal, so it folds from both ends: the first two and the last two
-entangling layers step per-gate blocks, forward and backward, that merge
-when a gate joins two, each about one pass; the layers between are
-stepped on the forward array; and the backward side's last merge is
-contracted against that array without being built.  At depth D, D - 4
-layers are stepped, and the peak is two 4^n arrays.  Direct fidelity
-estimation walks single Paulis back through the same tables, compiled
-into (eigenvalue, next letters) steps (:attr:`LayerTables.steps`); like
-the fold, a walk reads a circuit as its entangling layers and its
-one-qubit layers' Clifford ``indices`` (:func:`propagate_codes`).
+fold of K circuits sharing their entangling layers takes one step per
+gate of each entangling layer, its map and eigenvalue rows composed from
+the gate's and the one-qubit layer's before it (in the last layer, also
+after it); a qubit the layer leaves idle steps with its one-qubit rows.
+The first layer's steps are per-gate blocks, which later layers step
+and merge when a gate joins two; once one block covers all n qubits,
+each gate steps that ``(K,) + (4,) * n`` array, which keeps its axes: a
+gate on its leading axes is one gather, any other one batched product
+with the gate's scaled permutation matrix.  The diagonal combines the
+blocks left at the end.  An infidelity (:func:`process_infidelities_exact`),
+the sum of the diagonal, steps its last two layers' blocks backward and
+contracts their last merge against the forward blocks, combined, without
+building it.  Direct fidelity estimation walks single Paulis back
+through the same tables, compiled into (eigenvalue, next letters) steps
+(:attr:`LayerTables.steps`); like the fold, a walk reads a circuit as its
+entangling layers and its one-qubit layers' Clifford ``indices``.
 """
 
 from __future__ import annotations
@@ -226,19 +223,24 @@ class NoiseModel:
     Markovian mode the same gate reuses its rates at every layer position;
     otherwise keys carry the layer position and every application gets
     independently sampled rates.  ``one_qubit`` and ``two_qubit`` are
-    read-only maps; to change an entry, build a new model.
+    read-only maps, and no attribute can be set after ``__init__``: to
+    change an entry, build a new model.
     """
 
     def __init__(self, markovian: bool, one_qubit: dict, two_qubit: dict):
-        self.markovian = markovian
-        self.one_qubit = MappingProxyType(dict(one_qubit))
-        self.two_qubit = MappingProxyType(dict(two_qubit))
-        for table, k in ((self.one_qubit, 1), (self.two_qubit, 2)):
+        one_qubit, two_qubit = MappingProxyType(dict(one_qubit)), MappingProxyType(dict(two_qubit))
+        for table, k in ((one_qubit, 1), (two_qubit, 2)):
             for key, entry in table.items():
                 if entry.num_qubits != k:
                     raise ValueError(f"noise entry {key!r} has {len(entry.probs)} probabilities, expected {4**k}")
-        # (position or -1, n or entangling layer) -> LayerTables
-        self._tables: dict = {}
+        # _tables: (position or -1, n or entangling layer) -> LayerTables
+        vars(self).update(markovian=markovian, one_qubit=one_qubit, two_qubit=two_qubit, _tables={})
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"NoiseModel is read-only: build a new model rather than set {name!r}")
+
+    # deletion passes no value
+    __delattr__ = __setattr__
 
     def entry_key(self, position: int, where, gate: str | None = None):
         """Entry key of the X90 pulses on qubit ``where``, or with ``gate``
@@ -295,7 +297,7 @@ class NoiseModel:
 
         out = NoiseModel(False, rebase(self.one_qubit), rebase(self.two_qubit))
         # tables compiled from this model's entries hold for the moved ones
-        out._tables = rebase(self._tables)
+        object.__setattr__(out, "_tables", rebase(self._tables))
         return out
 
 
@@ -481,8 +483,11 @@ def _apply_gate(h, rows, qubits, labels, eig):
 
 def _layer_steps(template, gates, noise: NoiseModel):
     """The steps of each entangling layer of :func:`_fold`, one list per
-    layer, in step order: (qubits ascending, labels, eigenvalue rows) as
-    :func:`_apply_gate` takes them."""
+    layer: (qubits ascending, labels, eigenvalue rows) as
+    :func:`_apply_gate` takes them.  Gates step in order of the deepest
+    axis their qubits would hold if every step moved its gate's axes to
+    the front (``order``), which on one array (:func:`_forward`) fixes the
+    order of each label's products, and so the result's last bits."""
     n = template.n
     depth = gates.shape[1] - 1
 
@@ -685,38 +690,40 @@ def _meet(h, blocks, held):
     return out.reshape(k, -1).sum(axis=1)
 
 
+def _forward(blocks, layers, rows):
+    """Step ``blocks`` forward through ``layers``, the steps of one
+    entangling layer each: while more than one block is left, a layer
+    steps and merges them (:func:`_step_blocks`); then each step is one
+    :func:`_apply_gate` on the one array, with a peak of two such arrays."""
+    for steps in layers:
+        if len(blocks) > 1:
+            blocks = _step_blocks(blocks, steps, rows)
+            continue
+        [(qubits, h)] = blocks
+        # drop the list's reference, so each step frees the array
+        del blocks
+        for step in steps:
+            h = _apply_gate(h, rows, *step)
+        blocks = [(qubits, h)]
+    return blocks
+
+
 def _fold(template, gates, noise: NoiseModel):
     """Transfer-matrix diagonals, shape (K, 4^n), of the folded channels of
     K Clifford circuits: the entangling layers of ``template`` with the
     one-qubit Clifford indices ``gates``, shape (K, one-qubit layers, n).
 
     Walks the layers forward with ``h <- lambda_i * (h o pi_i)``, where
-    pi_i maps a label Q to the label of C_i' Q C_i, in one step per gate of
-    each entangling layer (:func:`_apply_gate`) on a ``(K,) + (4,) * n``
-    array that keeps its axes.  A step also does the one-qubit layer before
-    its gate, and in the last entangling layer the final one-qubit layer
-    after it: a pair's 16-entry map and eigenvalue row are composed from
-    the gate's and both qubits' one-qubit rows, and a qubit the layer
-    leaves idle steps with its composed one-qubit rows alone.  Each layer's
-    gates step in order of the deepest axis their qubits would hold if
-    every step moved its gate's axes to the front (``order``); the step
-    order fixes the order in which each label's eigenvalues multiply, and
-    so the last bits of the result.  The first layer acts on ones, so its
-    steps are blocks of their rows, combined in that order into one array
-    (:func:`_combine`, about one write pass), and every later layer is
-    stepped on it, one pass per gate with a peak of two 4^n arrays.  The
-    full diagonal keeps this order, and so its bits, where the infidelity
-    (:func:`_fold_sum`) merges blocks from both ends.  A circuit without
-    entangling layers is one layer of idle qubits.
+    pi_i maps a label Q to the label of C_i' Q C_i: the first layer's
+    steps (:func:`_layer_steps`) act on ones, so they are blocks of their
+    rows, which :func:`_forward` steps through every later layer and
+    :func:`_combine` multiplies out.  A circuit without entangling layers
+    is one layer of idle qubits.
     """
     k, n = len(gates), template.n
-    rows = np.arange(k)[:, None]
     layers = _layer_steps(template, gates, noise)
-    h = _combine(_first_blocks(next(layers)), n)
-    for steps in layers:
-        for step in steps:
-            h = _apply_gate(h, rows, *step)
-    return h.reshape(k, 4**n)
+    blocks = _forward(_first_blocks(next(layers)), layers, np.arange(k)[:, None])
+    return _combine(blocks, n).reshape(k, 4**n)
 
 
 def _first_blocks(steps):
@@ -728,34 +735,29 @@ def _first_blocks(steps):
 def _fold_sum(template, gates, noise: NoiseModel):
     """Sum over labels of each fold of :func:`_fold`, shape (K,).
 
-    The sum of the diagonal needs no diagonal.  The first two entangling
-    layers step per-gate blocks forward and the last two step them
-    backward (:func:`_step_blocks`), each block reaching 4^n, if at all,
-    at its last merge; the layers between step the forward array.  The
-    backward layers' last merge is contracted against that array
-    (:func:`_meet`).  With two layers or fewer the blocks are all: the sum
-    is the product of their sums.
+    The sum of the diagonal needs no diagonal.  All entangling layers but
+    the last ``min(2, D - 2)`` step forward (:func:`_forward`); those last
+    ones step per-gate blocks backward (:func:`_step_blocks`), and their
+    last merge is contracted, unbuilt, against the forward blocks combined
+    into one array (:func:`_meet`).  With D <= 2 the sum is the product of
+    the block sums.
     """
     k, n = len(gates), template.n
     rows = np.arange(k)[:, None]
+    depth = max(gates.shape[1] - 1, 1)
+    back = max(min(2, depth - 2), 0)
     layers = _layer_steps(template, gates, noise)
-    blocks = _first_blocks(next(layers))
-    for steps in itertools.islice(layers, 1):
-        blocks = _step_blocks(blocks, steps, rows)
-    behind = list(itertools.islice(layers, 2))
-    if not behind:
+    blocks = _forward(_first_blocks(next(layers)), itertools.islice(layers, depth - 1 - back), rows)
+    if not back:
         return np.prod([arr.reshape(k, -1).sum(axis=1) for _, arr in blocks], axis=0)
     # lowest block last, so the product writes the larger ones innermost
     h = _combine(sorted(blocks, key=lambda block: -block[0][0]), n)
-    # a lone block is h itself: drop it, so each step frees the array before
+    # a lone block is h itself: drop it, so each step frees the array
     del blocks
-    for steps in layers:
-        for step in behind.pop(0):
-            h = _apply_gate(h, rows, *step)
-        behind.append(steps)
-    blocks, held = _first_blocks(map(_inverted, behind[-1])), None
-    if len(behind) == 2:
-        blocks, held, after = _step_blocks(blocks, behind[0], rows, backward=True)
+    last = list(layers)
+    blocks, held = _first_blocks(map(_inverted, last[-1])), None
+    if back == 2:
+        blocks, held, after = _step_blocks(blocks, last[0], rows, backward=True)
         for step in after:
             h = _apply_gate(h, rows, *step)
     return _meet(h, blocks, held)
@@ -822,6 +824,8 @@ def propagate_codes(
     layer's gates) multiplies into the running value, then the letters
     map through the layer to those of L' P L.  Returns the product, 1.0
     without noise, and the letters of C' P C with the sign dropped.
+    Public: the README lists it as fidelity estimation's walk, which the
+    estimators run as :func:`_walk_codes` on tables read once.
     """
     tables = _walk_tables(noise, circuit.layers, circuit.n)
     return _walk_codes(circuit.layers, _clifford_indices(circuit).tolist(), tables, codes)
@@ -868,12 +872,8 @@ def process_infidelities_exact(circuits, noise: NoiseModel) -> np.ndarray:
     mismatched circuits raise ValueError.  The fold runs in chunks of at
     most 2^20 amplitudes (at least one circuit), so memory stays bounded.
     Only p_I, the mean of the folded diagonal, is needed, so the fold runs
-    from both ends (:func:`_fold_sum`): the first two and the last two
-    entangling layers fold as blocks that merge, about one pass each, and
-    the last backward merge is contracted against the forward array
-    instead of built; only the D - 4 layers between are stepped, and the
-    peak is two 4^n arrays.  The values agree with
-    ``1 - fold_eigenvalues(c).mean()`` to rounding.
+    from both ends (:func:`_fold_sum`), and the peak is two 4^n arrays.
+    The values agree with ``1 - fold_eigenvalues(c).mean()`` to rounding.
     """
     template, gates = _gate_indices(circuits)
     if template is None:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -105,6 +106,28 @@ class TestSampleErrorModel:
                     del table[key]
                 assert table[key] is before
 
+    def test_attributes_cannot_be_rebound(self):
+        # a rebound entry map would leave every reader on the tables
+        # compiled from the old one
+        circ, rng = brickwork(3, 2, 94)
+        model = nz.sample_error_model(circ, rng, 1e-3, 1e-4)
+        quiet = nz.process_infidelity_exact(circ, model)
+        loud = {key: nz.GateNoise.from_rates(np.full(15, 1 / 16)) for key in model.two_qubit}
+        for name, value in (
+            ("one_qubit", MappingProxyType({})),
+            ("two_qubit", MappingProxyType(loud)),
+            ("markovian", False),
+        ):
+            before = getattr(model, name)
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(model, name, value)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(model, name)
+            assert getattr(model, name) is before
+        fresh = nz.NoiseModel(model.markovian, model.one_qubit, model.two_qubit)
+        assert nz.process_infidelity_exact(circ, model) == quiet == nz.process_infidelity_exact(circ, fresh)
+        assert nz.process_infidelity_exact(circ, nz.NoiseModel(True, model.one_qubit, loud)) > 0.9
+
     def test_rebuilt_model_folds_its_own_entries(self):
         # after a fold compiles the tables, a model rebuilt with one louder
         # pair entry folds to what its transfer matrix reads
@@ -205,22 +228,23 @@ class TestCompiledOneQubit:
         euler, _ = brickwork(3, 4, 93, "haar")
         assert euler.layers[1::2] == circ.layers[1::2]
         model = nz.sample_error_model(circ, rng, 1e-2, 1e-3, markovian)
-        layer_tables, twoq_noise, read = model.layer_tables, model.twoq_noise, {}
+        layer_tables, twoq_noise, read = nz.NoiseModel.layer_tables, model.twoq_noise, {}
 
-        def spy(position, layer, n):
-            tables = layer_tables(position, layer, n)
+        def spy(self, position, layer, n):
+            tables = layer_tables(self, position, layer, n)
             read.setdefault(reader, {}).setdefault(position, set()).add(id(tables))
             return tables
 
-        def raw(*args):
+        def raw(self, *args):
             raise AssertionError(f"{reader} read an entry past its LayerTables")
 
         # compiled up front: a reader then has no reason to read an entry
         for pos, layer in enumerate(circ.layers):
-            layer_tables(pos, layer, circ.n)
-        monkeypatch.setattr(model, "layer_tables", spy)
-        monkeypatch.setattr(model, "xpi2_noise", raw)
-        monkeypatch.setattr(model, "twoq_noise", raw)
+            model.layer_tables(pos, layer, circ.n)
+        # on the class, as a model's attributes cannot be set
+        monkeypatch.setattr(nz.NoiseModel, "layer_tables", spy)
+        monkeypatch.setattr(nz.NoiseModel, "xpi2_noise", raw)
+        monkeypatch.setattr(nz.NoiseModel, "twoq_noise", raw)
         readers = {
             "fold": lambda: nz.process_infidelity_exact(circ, model),
             "diagonal": lambda: nz.fold_eigenvalues(circ, model),
@@ -239,7 +263,7 @@ class TestCompiledOneQubit:
         for pos in positions:
             ids = set().union(*(got.get(pos, set()) for got in read.values()))
             assert len(ids) == 1, pos
-            tables = layer_tables(pos, circ.layers[pos], circ.n)
+            tables = layer_tables(model, pos, circ.layers[pos], circ.n)
             assert ids == {id(tables)}
             layer = circ.layers[pos]
             if isinstance(layer, cc.TwoQubitLayer):
@@ -589,11 +613,12 @@ class TestBatchedFold:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_contracted_last_layer_matches_full_fold(self, n):
-        # the infidelity folds blocks from both ends and contracts them
-        # against the array between; the diagonal steps every layer after
-        # the first.  At shallow depths the diagonal, with its first layer
-        # built as one product of its gates' rows, is also checked bit for
-        # bit against the gather fold.
+        # the infidelity steps blocks forward through all but its last two
+        # layers and backward through those, and contracts the two sides;
+        # the diagonal steps blocks forward through every layer and then
+        # combines them.  At shallow depths the diagonal is also checked
+        # against the gather fold, to 1e-14: its blocks multiply each
+        # label's eigenvalues in another order than the gather fold's steps.
         # Rings with even n carry the wrap pair in the first layer (shift
         # 1) and in the last (shift 0 at even depth, shift 1 at odd depth)
         rng = np.random.default_rng(380 + n)
@@ -614,7 +639,7 @@ class TestBatchedFold:
                         if depth <= 2:
                             gates = np.array([[l.indices for l in c.layers[::2]] for c in circs])
                             folded = nz._fold(template, gates, model)
-                            assert np.array_equal(folded, gather_fold(template, gates, base, 3))
+                            assert np.max(np.abs(folded - gather_fold(template, gates, base, 3))) < 1e-14
         assert worst < 1e-14
 
     def test_batch_matches_single_across_chunks(self):
@@ -678,11 +703,15 @@ class TestFusedFold:
         """(template, model, offset): a lone one-qubit layer, and brickwork
         with idle qubits (line) and the (n-1, 0) brick (even ring), with CZ
         and with CNOT pairs listed high qubit first, Markovian or not, at
-        offsets 0 and 3; n = 1 has empty entangling layers."""
+        offsets 0 and 3; n = 1 has empty entangling layers.  The periodic
+        and crossed layouts of :class:`TestBlockFold` leave the diagonal's
+        blocks apart to the end."""
         templates = [cc.LayeredCircuit(n, (cc.identity_layer(n),))]
         for topology in ("line", "ring"):
             for gate in ("CZ", "CNOT"):
                 templates.append(_fold_case(n, topology, gate, rng))
+        for layout, gate in (("periodic", "CZ"), ("crossed", "CNOT")):
+            templates.append(TestBlockFold._template(n, 5, layout, gate))
         for template in templates:
             for markovian in (True, False):
                 for offset in (0, 3):
@@ -703,24 +732,27 @@ class TestFusedFold:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_gather_fold(self, n):
-        # bit for bit, and a circuit's row is the one it gets folded alone;
-        # one circuit per batch from n = 9 to keep the test short
+        # to 1e-14, as the blocks merge in another multiplication order than
+        # the gather fold's steps; a circuit's row is, bit for bit, the one
+        # it gets folded alone; one circuit per batch from n = 9 to keep the
+        # test short
         rng = np.random.default_rng(360 + n)
         k = 1 if n >= 9 else 5
         for template, model, offset in self._cases(n, rng):
             gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
             shifted = model.shifted(offset)
             got = nz._fold(template, gates, shifted)
-            assert np.array_equal(got, gather_fold(template, gates, model, offset))
+            assert np.max(np.abs(got - gather_fold(template, gates, model, offset))) < 1e-14
             if k > 1:
                 for row, alone in zip(got, gates):
                     assert np.array_equal(nz._fold(template, alone[None], shifted)[0], row)
 
 
 class TestBlockFold:
-    """The infidelity's block fold, forward through the first two entangling
-    layers and backward through the last two, against the per-gate fold
-    and the full diagonal."""
+    """The infidelity's fold: blocks stepped forward, and merged until one
+    array is left, through all but the last two entangling layers, and
+    backward through those two; against the per-gate fold and the full
+    diagonal."""
 
     @staticmethod
     def _template(n, depth, layout, gate):
@@ -791,16 +823,23 @@ class TestBlockFold:
             want = 1.0 - per_gate_fold(template, gates, model).mean(axis=1)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("layout, limit_mb", [("line", 16.0), ("ring", 32.0), ("idle end", 16.0)])
+    @pytest.mark.parametrize(
+        "layout, limit_mb", [("line", 16.0), ("ring", 32.0), ("idle end", 16.0), ("periodic", 16.0)]
+    )
     def test_peak_memory_at_ten_qubits(self, layout, limit_mb):
         # the backward layers' last merge is contracted against the forward
         # array, never built: building it would add a third 4^10 array.
         # With an idle last layer that merge joins two single qubits, and
         # contracting it would read the array into a 4^11 one; it is built,
-        # and a larger block contracted
-        topology = "ring" if layout == "ring" else "line"
+        # and a larger block contracted.  A periodic ring's blocks never
+        # merge, so its forward side becomes one 4^10 array only for the
+        # contraction, at any depth
         rng = np.random.default_rng(520)
-        circ = cc.sample_brickwork(cc.BrickworkSpec(10, 4, topology), "clifford", rng)
+        if layout == "periodic":
+            circ = cc.cliffordize(self._template(10, 20, "periodic", "CZ"), rng)
+        else:
+            topology = "ring" if layout == "ring" else "line"
+            circ = cc.sample_brickwork(cc.BrickworkSpec(10, 4, topology), "clifford", rng)
         if layout == "idle end":
             circ = cc.LayeredCircuit(10, circ.layers[:-2] + (cc.TwoQubitLayer(()), circ.layers[-1]))
         model = nz.sample_error_model(circ, rng)
