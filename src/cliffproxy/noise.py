@@ -144,6 +144,10 @@ class GateNoise:
         p[0] = 1.0
         return cls(p)
 
+    def __reduce__(self):
+        # a copy goes through __post_init__, so its probabilities are read-only too
+        return GateNoise, (self.probs,)
+
     @property
     def total(self) -> float:
         return float(1.0 - self.probs[0])
@@ -241,6 +245,10 @@ class NoiseModel:
 
     # deletion passes no value
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # the read-only entry maps do not pickle; a copy compiles its own tables
+        return NoiseModel, (self.markovian, dict(self.one_qubit), dict(self.two_qubit))
 
     def entry_key(self, position: int, where, gate: str | None = None):
         """Entry key of the X90 pulses on qubit ``where``, or with ``gate``

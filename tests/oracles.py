@@ -29,9 +29,10 @@ against.
   every layer's error multiplied in after it;
 * the noisy statevector sampler before batching, one run per fault
   pattern;
-* the diamond-norm SDP that decomposes each cone matrix once per use,
-  forms every entry of the congruence matrices and multiplies out the
-  dense partial-trace matrix in each Newton system.
+* the diamond-norm SDP that decomposes each cone matrix once per use and
+  assembles each Newton system in an orthonormal basis of Hermitian
+  matrices, forming every entry of the congruence matrices and multiplying
+  out the dense partial-trace matrix, then LU-solves it.
 """
 
 from __future__ import annotations
@@ -1021,7 +1022,37 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def tat_matrix(basis: sdp._HermBasis, t: np.ndarray, chunk: int = 16) -> np.ndarray:
+class HermBasis:
+    """Orthonormal real basis bookkeeping for D x D Hermitian matrices: the
+    diagonal, then sqrt(2) times the real and the imaginary parts of the
+    entries above it."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        iu = np.triu_indices(dim, 1)
+        self.rows = iu[0]
+        self.cols = iu[1]
+        self.num_off = len(iu[0])
+        self.size = dim * dim
+
+    def vec(self, m: np.ndarray) -> np.ndarray:
+        re = np.real(m[self.rows, self.cols])
+        im = np.imag(m[self.rows, self.cols])
+        return np.concatenate(
+            [np.real(np.diagonal(m)), math.sqrt(2.0) * re, math.sqrt(2.0) * im]
+        )
+
+    def unvec(self, v: np.ndarray) -> np.ndarray:
+        d = self.dim
+        m = np.zeros((d, d), dtype=complex)
+        np.fill_diagonal(m, v[:d])
+        off = (v[d : d + self.num_off] + 1j * v[d + self.num_off :]) / math.sqrt(2.0)
+        m[self.rows, self.cols] = off
+        m[self.cols, self.rows] = np.conj(off)
+        return m
+
+
+def tat_matrix(basis: HermBasis, t: np.ndarray, chunk: int = 16) -> np.ndarray:
     """Matrix of the congruence map A -> T A T in ``basis``, every entry of
     every image T B T formed and scattered into its column."""
     d = basis.dim
@@ -1056,9 +1087,9 @@ def tat_matrix(basis: sdp._HermBasis, t: np.ndarray, chunk: int = 16) -> np.ndar
     return g
 
 
-def partial_trace_matrix(basis_big: sdp._HermBasis, d_out: int, d_in: int) -> np.ndarray:
+def partial_trace_matrix(basis_big: HermBasis, d_out: int, d_in: int) -> np.ndarray:
     """Basis matrix of Tr_out: Herm(d_out*d_in) -> Herm(d_in)."""
-    basis_small = sdp._HermBasis(d_in)
+    basis_small = HermBasis(d_in)
     pt = np.zeros((basis_small.size, basis_big.size), dtype=float)
     dim = basis_big.dim
 
@@ -1087,6 +1118,26 @@ def partial_trace_matrix(basis_big: sdp._HermBasis, d_out: int, d_in: int) -> np
     return pt
 
 
+def newton_matrix(
+    basis: HermBasis, basis_rho: HermBasis, pt: np.ndarray, tw: np.ndarray, ts: np.ndarray, trho: np.ndarray
+) -> np.ndarray:
+    """The Newton matrix of the dual step (Y, t) in ``basis``: the congruence
+    matrices of T_w and T_s plus P^T G_rho P, P = ``pt`` the partial trace,
+    bordered by -vec(I_out (x) T_rho^2) and tr T_rho^2."""
+    size = basis.size
+    trho2 = sdp._herm(trho @ trho)
+    c_vec = basis.vec(np.kron(np.eye(basis.dim // basis_rho.dim), trho2))
+    m = np.empty((size + 1, size + 1), dtype=float)
+    top = m[:size, :size]
+    top[...] = tat_matrix(basis, tw)
+    top += tat_matrix(basis, ts)
+    top += pt.T @ tat_matrix(basis_rho, trho) @ pt
+    m[:size, -1] = -c_vec
+    m[-1, :size] = -c_vec
+    m[-1, -1] = float(np.real(np.trace(trho2)))
+    return m
+
+
 def dense_diamond_sdp(
     delta_choi: np.ndarray,
     d_in: int,
@@ -1104,8 +1155,8 @@ def dense_diamond_sdp(
         raise ValueError("Choi matrix shape inconsistent with d_in")
     d_out = big // d_in
 
-    basis = sdp._HermBasis(big)
-    basis_rho = sdp._HermBasis(d_in)
+    basis = HermBasis(big)
+    basis_rho = HermBasis(d_in)
     pt = partial_trace_matrix(basis, d_out, d_in)
     eye_out = np.eye(d_out)
 
@@ -1159,19 +1210,8 @@ def dense_diamond_sdp(
         zs_inv = _inv_psd(zs)
         zrho_inv = _inv_psd(zrho)
 
-        gw = tat_matrix(basis, tw)
-        gs = tat_matrix(basis, ts)
-        grho = tat_matrix(basis_rho, trho)
         trho2 = sdp._herm(trho @ trho)
-        c_mat = np.kron(eye_out, trho2)
-        c_vec = basis.vec(c_mat)
-
-        m_size = basis.size + 1
-        m = np.empty((m_size, m_size), dtype=float)
-        m[: basis.size, : basis.size] = gw + gs + pt.T @ grho @ pt
-        m[: basis.size, -1] = -c_vec
-        m[-1, : basis.size] = -c_vec
-        m[-1, -1] = float(np.real(np.trace(trho2)))
+        m = newton_matrix(basis, basis_rho, pt, tw, ts, trho)
 
         def newton(rw, rs, rrho):
             b_mat = np.kron(eye_out, rrho) - rw - rs

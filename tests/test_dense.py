@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,17 +305,25 @@ class TestDiamond:
         with pytest.raises(ValueError, match="capped"):
             dn.diamond_distance(eye, eye)
 
-    @pytest.mark.slow
     def test_three_qubit_best_effort(self):
-        # one n=3 solve, 9 iterations: about 33 s and 0.7 GB with one BLAS
-        # thread, 22 s with two, mostly two dense solves of order 4097 each
+        # one n=3 solve, 9 iterations, about 0.3 s with one BLAS thread; the
+        # value is the dense Newton solver's (33 s and 0.7 GB) to 1e-13
         rng = np.random.default_rng(60)
         circ = cc.sample_brickwork(cc.BrickworkSpec(3, 4), "clifford", rng)
         model = nz.sample_error_model(circ, rng, 2e-2, 2e-3)
         chan = nz.fold_to_end(circ, model)
-        res = dn.diamond_distance(dn.circuit_ptm(circ), dn.circuit_ptm(circ, model))
+        ideal, noisy = dn.circuit_ptm(circ), dn.circuit_ptm(circ, model)
+        tracemalloc.start()
+        try:
+            res = dn.diamond_distance(ideal, noisy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res.value - 0.05941583521033089) <= 1e-13
         assert res.value == pytest.approx(chan.infidelity, abs=1e-7)
+        assert res.iterations == 9
         assert res.duality_gap <= 1e-8
+        assert peak < 32 * 2**20
 
 
 class TestPauliChannelDiamond:

@@ -61,6 +61,11 @@ CASES = {
         "widths": [2], "targets_per_kind": 1, "cliffordizations": 20,
         "min_depth": 20, "max_depth": 40,
     }),
+    # the diamond-norm SDP at its size limit, n = 3
+    "accuracy-n3": ("accuracy", {
+        "widths": [3], "targets_per_kind": 1, "cliffordizations": 20,
+        "min_depth": 10, "max_depth": 20,
+    }),
     "spam-compare": ("spam-compare", {
         "width": 6, "depths": [4, 8], "randomizations": 10, "shots": 200,
         "calib_shots": 1000, "layer_fit_depths": [2, 4, 8],

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 from types import MappingProxyType
 
@@ -156,6 +158,30 @@ class TestSampleErrorModel:
             model = nz.sample_error_model(circ, rng, 1e-3, 1e-4, markovian)
             nz.NoiseModel(markovian, model.one_qubit, model.two_qubit)
             nz.noise_from_dict(nz.noise_to_dict(model))
+
+    @pytest.mark.parametrize("markovian", [True, False])
+    def test_pickle_and_deepcopy_round_trips(self, markovian):
+        # a model goes to a worker process by pickle; the copy compiles its
+        # own tables from equal entries and is read-only like the original
+        circ, rng = brickwork(3, 4, 12)
+        model = nz.sample_error_model(circ, rng, 1e-2, 1e-3, markovian)
+        layers = list(enumerate(circ.layers))
+        tables = [model.layer_tables(i, layer, 3).eig for i, layer in layers]
+        for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert twin is not model and twin.markovian == markovian
+            for mine, theirs in ((model.one_qubit, twin.one_qubit), (model.two_qubit, twin.two_qubit)):
+                assert list(mine) == list(theirs)
+                assert all(np.array_equal(mine[k].probs, theirs[k].probs) for k in mine)
+            for (i, layer), eig in zip(layers, tables):
+                assert np.array_equal(twin.layer_tables(i, layer, 3).eig, eig)
+            assert nz.process_infidelity_exact(circ, twin) == nz.process_infidelity_exact(circ, model)
+            key = next(iter(twin.two_qubit))
+            with pytest.raises(TypeError):
+                twin.two_qubit[key] = twin.two_qubit[key]
+            with pytest.raises(AttributeError, match="read-only"):
+                twin.markovian = not markovian
+            with pytest.raises(ValueError, match="read-only"):
+                twin.one_qubit[next(iter(twin.one_qubit))].probs[0] = 0.5
 
 
 class TestGateNoise:
