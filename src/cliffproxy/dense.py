@@ -180,7 +180,7 @@ def _ptm_columns(cols: np.ndarray, circuit: LayeredCircuit, noise: NoiseModel | 
     view of the rows.
     """
     n, layers = circuit.n, circuit.layers
-    tables = None if noise is None else [noise.layer_tables(i, layer, n) for i, layer in enumerate(layers)]
+    tables = None if noise is None else [noise.layer_tables(i, layer) for i, layer in enumerate(layers)]
     eig = None if noise is None else np.array([[e.eigenvalues for e in t.entries] for t in tables[::2]])
     gates = _gate_ptms_1q(np.stack([layer.angles for layer in layers[::2]]), eig)
 
@@ -353,7 +353,7 @@ def statevector_simulate(
                 draw([1.0 - p, p, 0.0, 0.0], -1, (q,), None)
     if noise is not None:
         for li, layer in enumerate(circuit.layers):
-            tables = noise.layer_tables(li, layer, n)
+            tables = noise.layer_tables(li, layer)
             if isinstance(layer, OneQubitLayer):
                 for q, g in enumerate(layer.indices.tolist()):
                     probs = tables.entries[q].probs if g < 0 else tables.probs[q, g]

@@ -202,14 +202,14 @@ def _walked(circuit, target, rng, append=None):
 
 
 def _sample_paulis(
-    layers, gates, noise: NoiseModel | None, spam: SpamModel | None,
+    layers, gates, tables: list, spam: SpamModel | None,
     config: DfeConfig, rng: np.random.Generator,
 ) -> list[_PauliSample]:
     """Per-observable parity estimates for all sampled Paulis, walked
-    through ``layers`` with the rows ``gates`` of :func:`_walked`: a fixed
-    circuit's twirls pool into one binomial draw."""
+    through ``layers`` with the rows ``gates`` of :func:`_walked` and the
+    :func:`_walk_tables` ``tables`` of ``layers``: a fixed circuit's twirls
+    pool into one binomial draw."""
     n = layers[0].n
-    tables = _walk_tables(noise, layers, n)
     out = []
     for _ in range(config.num_paulis):
         label = sample_nonidentity_label(n, rng)
@@ -252,7 +252,8 @@ def _aggregate(
 
 
 def _dfe(layers, gates, noise, spam, config, rng) -> FidelityEstimate:
-    samples = _sample_paulis(layers, gates, noise, spam, config, rng)
+    tables = _walk_tables(noise, layers, layers[0].n)
+    samples = _sample_paulis(layers, gates, tables, spam, config, rng)
     return _aggregate(samples, layers[0].n, config, {"protocol": "dfe"})
 
 
@@ -287,20 +288,21 @@ def dfe_with_reference(
 
     Estimates the circuit composed with the scrambler, estimates the
     scrambler alone, and returns the ratio: the SPAM and scrambler error
-    contributions cancel to first order.  The reference run reads the
-    scrambler's noise entries at the layer positions it occupies inside
-    the composed circuit (:meth:`NoiseModel.shifted`), so both runs see
-    identical scrambler errors even in the non-Markovian mode.  A reference
-    at or below ``READOUT_FLOOR`` raises ``ReferenceTooNoisyError``.
-    ``circuit`` and ``target`` are as in :func:`dfe`.
+    contributions cancel to first order.  The reference run walks the
+    composed circuit's noise tables at the layer positions the scrambler
+    occupies in it, so both runs see identical scrambler errors even in
+    the non-Markovian mode.  A reference at or below ``READOUT_FLOOR``
+    raises ``ReferenceTooNoisyError``.  ``circuit`` and ``target`` are as
+    in :func:`dfe`.
     """
     if not scrambler.is_clifford:
         raise cl.NotCliffordError("the scrambling circuit must be Clifford")
     layers, gates = _walked(circuit, target, rng, scrambler)
-    num = _sample_paulis(layers, gates, noise, spam, config, rng)
-    offset = len(layers) - len(scrambler.layers)
-    shifted = None if noise is None else noise.shifted(offset)
-    den = _sample_paulis(*_walked(scrambler, None, rng), shifted, spam, config, rng)
+    tables = _walk_tables(noise, layers, scrambler.n)
+    num = _sample_paulis(layers, gates, tables, spam, config, rng)
+    # the composed run ends with the scrambler's layers
+    tail = tables[-len(scrambler.layers) :]
+    den = _sample_paulis(*_walked(scrambler, None, rng), tail, spam, config, rng)
     est_num = _aggregate(num, scrambler.n, config, {"protocol": "dfe_reference_numerator"})
     est_den = _aggregate(den, scrambler.n, config, {"protocol": "dfe_reference_denominator"})
     if est_den.mean <= READOUT_FLOOR:
@@ -358,7 +360,7 @@ def readout_mitigated_dfe(
                 raise SingularCalibrationError(
                     f"qubit {q} confusion matrix singular: e0+e1 = {e0_hat + e1_hat:.3f}"
                 )
-    samples = _sample_paulis(layers, gates, noise, spam, config, rng)
+    samples = _sample_paulis(layers, gates, _walk_tables(noise, layers, n), spam, config, rng)
     for s in samples:
         for q, letter in enumerate(s.pauli):
             if letter != "I":

@@ -271,17 +271,16 @@ class NoiseModel:
             raise KeyError(f"no two-qubit noise entry for {name} on {tuple(pair)} at layer {position}")
         return entry
 
-    def layer_tables(self, position: int, layer, n: int) -> LayerTables:
-        """The compiled noise of ``layer`` at ``position`` of an n-qubit
-        circuit, built on first use and shared by every reader: once per
-        layer position, or once for all positions in the Markovian mode.
-        A missing entry raises KeyError."""
+    def layer_tables(self, position: int, layer) -> LayerTables:
+        """The compiled noise of ``layer`` at ``position``, built on first use
+        and shared by every reader: once per layer position, or once for all
+        positions in the Markovian mode.  A missing entry raises KeyError."""
         one_qubit = isinstance(layer, OneQubitLayer)
-        key = (-1 if self.markovian else position, n if one_qubit else layer)
+        key = (-1 if self.markovian else position, layer.n if one_qubit else layer)
         hit = self._tables.get(key)
         if hit is None:
             if one_qubit:
-                entries = tuple(self.xpi2_noise(position, q) for q in range(n))
+                entries = tuple(self.xpi2_noise(position, q) for q in range(layer.n))
                 probs, eig = map(np.stack, zip(*(_compile_1q(e.probs) for e in entries)))
             else:
                 entries = tuple(self.twoq_noise(position, layer.gate, p) for p in layer.pairs)
@@ -292,21 +291,6 @@ class NoiseModel:
             gate = None if one_qubit else layer.gate
             hit = self._tables[key] = LayerTables(entries, probs, eig, gate)
         return hit
-
-    def shifted(self, offset: int) -> "NoiseModel":
-        """The model a circuit run from layer ``offset`` on sees: position
-        ``i`` of the result holds this model's entries at ``i + offset``.
-        A Markovian model has no positions and is returned as it is."""
-        if self.markovian or offset == 0:
-            return self
-
-        def rebase(table: dict) -> dict:
-            return {(key[0] - offset,) + key[1:]: v for key, v in table.items()}
-
-        out = NoiseModel(False, rebase(self.one_qubit), rebase(self.two_qubit))
-        # tables compiled from this model's entries hold for the moved ones
-        object.__setattr__(out, "_tables", rebase(self._tables))
-        return out
 
 
 @dataclass(frozen=True)
@@ -500,7 +484,7 @@ def _layer_steps(template, gates, noise: NoiseModel):
     depth = gates.shape[1] - 1
 
     def one_qubit_layer(j):
-        table = noise.layer_tables(2 * j, template.layers[2 * j], n).eig
+        table = noise.layer_tables(2 * j, template.layers[2 * j]).eig
         return gates[:, j].T.astype(np.intp), table
 
     order = list(range(n))
@@ -510,7 +494,7 @@ def _layer_steps(template, gates, noise: NoiseModel):
         post = one_qubit_layer(depth) if j == depth - 1 else None
         paired = [q for pair in layer.pairs for q in pair]
         idle = [(q,) for q in range(n) if q not in paired]
-        pair_eig = noise.layer_tables(2 * j + 1, layer, n).eig
+        pair_eig = noise.layer_tables(2 * j + 1, layer).eig
         steps = []
         for flip in (False, True):
             # pairs listed high qubit first step with their letters swapped
@@ -788,7 +772,7 @@ def _walk_tables(noise: NoiseModel | None, layers, n: int) -> list:
     every walk over them; without noise, steps of eigenvalue 1.0, an exact
     product, shared by all walks."""
     if noise is not None:
-        return [noise.layer_tables(i, layer, n).steps for i, layer in enumerate(layers)]
+        return [noise.layer_tables(i, layer).steps for i, layer in enumerate(layers)]
     # a layer has at most n qubits or pairs to step
     return [_noise_free_steps(getattr(layer, "gate", None), n) for layer in layers]
 
@@ -914,7 +898,7 @@ def layer_infidelities(circuit: LayeredCircuit, noise: NoiseModel) -> list[float
     estimate of (and an upper bound on the worst-case error of) the circuit."""
     out = []
     for pos, layer in enumerate(circuit.layers):
-        probs = noise.layer_tables(pos, layer, circuit.n).probs
+        probs = noise.layer_tables(pos, layer).probs
         if isinstance(layer, OneQubitLayer):
             # row 24 is the Euler gates' Pauli stand-in
             factors = [probs[q, g if g >= 0 else 24, 0] for q, g in enumerate(layer.indices.tolist())]

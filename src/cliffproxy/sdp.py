@@ -54,6 +54,11 @@ class DiamondResult:
 
 
 _FLOOR = 1e-300
+# a solve stops at a duality gap of _GAP_TOL; stalled, it returns its best
+# iterate if that gap is at most _GAP_REQUIRED
+_GAP_TOL = 1e-9
+_GAP_REQUIRED = 1e-8
+_MAX_ITER = 200
 # fraction of the distance to a cone's boundary that each step covers
 _STEP_FRACTION = 0.98
 
@@ -150,27 +155,28 @@ def _newton_solver(tw: np.ndarray, ts: np.ndarray, trho: np.ndarray, d_in: int):
 
 
 @np.errstate(all="ignore")  # non-finite values are checked, not warned about
-def solve_diamond_sdp(
-    delta_choi: np.ndarray,
-    d_in: int,
-    gap_tol: float = 1e-9,
-    gap_required: float = 1e-8,
-    max_iter: int = 200,
-) -> DiamondResult:
+def solve_diamond_sdp(delta_choi: np.ndarray, d_in: int) -> DiamondResult:
     """Half diamond norm of the Hermitian-preserving map with Choi ``delta_choi``.
 
     ``delta_choi`` is (d_out*d_in) x (d_out*d_in) with the output factor
-    first.  Returns the midpoint of the final primal/dual objectives along
-    with the duality gap achieved; raises :class:`SdpConvergenceError` if
-    the gap cannot be pushed below ``gap_required``, or if an iteration's
-    linear algebra breaks down (a singular Newton system, an eigensolver
-    that does not converge, a step that overflows once scaled), whatever
-    gap was reached before.
+    first, Hermitian to 1e-10 (else ValueError).  Returns the midpoint of
+    the final primal/dual objectives and the duality gap, stopping at a
+    gap of 1e-9 (``_GAP_TOL``); raises :class:`SdpConvergenceError` if in
+    200 iterations (``_MAX_ITER``) the gap cannot be pushed to 1e-8
+    (``_GAP_REQUIRED``), or if an iteration's linear algebra breaks down
+    (a singular Newton system, an eigensolver that does not converge, a
+    step that overflows once scaled), whatever gap was reached before.
+    The gap certifies the value only for feasible iterates, which inexact
+    Newton steps do not keep: on generic channel differences, solves at
+    gaps of at most 1e-9 have differed by up to 3e-6.
     """
-    j = _herm(np.asarray(delta_choi, dtype=complex))
+    j = np.asarray(delta_choi, dtype=complex)
     big = j.shape[0]
     if j.shape != (big, big) or big % d_in != 0:
         raise ValueError("Choi matrix shape inconsistent with d_in")
+    if np.max(np.abs(j - j.conj().T)) > 1e-10:
+        raise ValueError("Choi matrix must be Hermitian")
+    j = _herm(j)
     d_out = big // d_in
 
     eye_in = np.eye(d_in)
@@ -198,7 +204,7 @@ def solve_diamond_sdp(
     clips = 0
 
     try:
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             iterations = it
             gap = _ip(w, zw) + _ip(s, zs) + _ip(rho, zrho)
             primal = _ip(j, w)
@@ -206,7 +212,7 @@ def solve_diamond_sdp(
             value = 0.5 * (primal + dual)
             if not (np.isfinite(gap) and np.isfinite(value)):
                 break
-            if abs(gap) <= gap_tol:
+            if abs(gap) <= _GAP_TOL:
                 return DiamondResult(value, abs(gap), it - 1, clips)
             if abs(gap) < best_gap * 0.9999:
                 best_gap = abs(gap)
@@ -295,9 +301,9 @@ def solve_diamond_sdp(
     if np.isfinite(gap) and np.isfinite(value) and abs(gap) < best_gap:
         best_gap = abs(gap)
         best_value = value
-    if best_gap > gap_required:
+    if best_gap > _GAP_REQUIRED:
         raise SdpConvergenceError(
-            f"diamond SDP stalled at duality gap {best_gap:.3e} (required {gap_required:.1e})",
+            f"diamond SDP stalled at duality gap {best_gap:.3e} (required {_GAP_REQUIRED:.1e})",
             best_gap,
         )
     return DiamondResult(best_value, best_gap, iterations, clips)

@@ -14,6 +14,7 @@ against.
 * one qubit's gate noise compiled one gate at a time: each X90 fault
   relabelled through the group element that follows its pulse, the two
   faults convolved letter by letter;
+* a noise model's position keys moved to a layer offset;
 * the exact fold one gather per gate, every layer on its own, and the
   fused fold that gathers each gate's axes to the front of the array;
 * the Pauli walk that looks up each gate's eigenvalues in the model, and
@@ -380,6 +381,19 @@ def per_gate_compiled_channels(noise, position, qubit, elements) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def rebased(model, offset: int):
+    """The model a circuit run from layer ``offset`` on sees: position
+    ``i`` of the result holds ``model``'s entries at ``i + offset``.  A
+    Markovian model has no positions and is returned as it is."""
+    if model.markovian or offset == 0:
+        return model
+
+    def rebase(table):
+        return {(key[0] - offset,) + key[1:]: v for key, v in table.items()}
+
+    return nz.NoiseModel(False, rebase(model.one_qubit), rebase(model.two_qubit))
+
+
 def _gather_map(h, order, batch, qubits, local_map, eig):
     """``h <- eig * (h o map)`` on the axes of ``qubits``, for ``local_map``
     and ``eig`` with 4^k entries per circuit (or one shared row); moves the
@@ -413,7 +427,7 @@ def per_gate_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
         if isinstance(layer, cc.OneQubitLayer):
             for q in range(n):
                 g = gates[:, i // 2, q]
-                eig = noise.layer_tables(pos, layer, n).eig[q][g]
+                eig = noise.layer_tables(pos, layer).eig[q][g]
                 h, order = _gather_map(h, order, batch, (q,), inverse_conj[g], eig)
         else:
             local_map = cl.twoq_conjugation_codes(layer.gate)[None]
@@ -451,7 +465,7 @@ def gather_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
     rows = np.arange(k)[:, None]
 
     def one_qubit_layer(j):
-        table = noise.layer_tables(2 * j + layer_offset, template.layers[2 * j], n).eig
+        table = noise.layer_tables(2 * j + layer_offset, template.layers[2 * j]).eig
         return gates[:, j].T.astype(np.intp), table
 
     def letters(labels, w):
@@ -504,7 +518,7 @@ def per_gate_walk(circuit, noise, codes, layer_offset=0) -> tuple[float, list[in
             gates = [gate.index for gate in layer.gates]
             if noise is not None:
                 for q, g in enumerate(gates):
-                    eig = noise.layer_tables(pos, layer, circuit.n).eig[q]
+                    eig = noise.layer_tables(pos, layer).eig[q]
                     layer_eig *= eig[g].tolist()[codes[q]]
             codes = [inverse_conj[g][c] for g, c in zip(gates, codes)]
         else:
@@ -527,7 +541,7 @@ def per_gate_layer_infidelities(circuit, noise) -> list[float]:
     for pos, layer in enumerate(circuit.layers):
         p_identity = 1.0
         if isinstance(layer, cc.OneQubitLayer):
-            probs = noise.layer_tables(pos, layer, circuit.n).probs
+            probs = noise.layer_tables(pos, layer).probs
             for q, gate in enumerate(layer.gates):
                 p_identity *= probs[q, gate.index if isinstance(gate, cc.CliffordGate1Q) else 24, 0]
         else:
@@ -807,7 +821,7 @@ def layer_channel(circuit, layer_index, noise, layer_offset=0) -> LayerErrorChan
             probs = noise.twoq_noise(pos, layer.gate, pair).probs
             terms.append((tuple(pair), probs))
     else:
-        table = noise.layer_tables(pos, layer, circuit.n).probs
+        table = noise.layer_tables(pos, layer).probs
         for q, gate in enumerate(layer.gates):
             probs = table[q, gate.index if isinstance(gate, cc.CliffordGate1Q) else 24]
             terms.append(((q,), probs))
@@ -824,7 +838,7 @@ def _gate_error_ptm_1q(noise, position, layer, qubit) -> np.ndarray:
     """
     gate = layer.gates[qubit]
     if isinstance(gate, cc.CliffordGate1Q):
-        probs = noise.layer_tables(position, layer, layer.n).probs[qubit, gate.index]
+        probs = noise.layer_tables(position, layer).probs[qubit, gate.index]
         return np.diag(pauli_walsh(probs, 1))
     eps = noise.xpi2_noise(position, qubit).probs
     diag = np.diag(pauli_walsh(eps, 1))
@@ -920,7 +934,7 @@ def per_pattern_simulate(circuit, noise, rng, shots, spam=None, layer_offset=0):
                             labels = rng.choice(4, size=shots, p=eps)
                             draws.append(("pulse", li, q, pulse, labels))
                     else:
-                        probs = noise.layer_tables(pos, layer, n).probs[q, gate.index]
+                        probs = noise.layer_tables(pos, layer).probs[q, gate.index]
                         if probs[0] >= 1.0:
                             continue
                         labels = rng.choice(4, size=shots, p=probs)

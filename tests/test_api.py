@@ -2,8 +2,9 @@
 
 Each bullet of that section names a module and the names the package takes
 from it; both sides must list the same names, and each name must be in its
-module's ``__all__``.  A last test pins numpy as the only third-party
-module the package loads.
+module's ``__all__``.  Every ``module.name`` or ``Name.attr`` the README
+cites, of a package module or an exported name, must resolve.  A last
+test pins numpy as the only third-party module the package loads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import ast
 import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -59,6 +61,24 @@ def test_public_names_are_in_module_all():
     for module, names in _package_api().items():
         exported = set(importlib.import_module(f"cliffproxy.{module}").__all__)
         assert names <= exported, (module, sorted(names - exported))
+
+
+def test_readme_dotted_references_resolve():
+    # other dotted references, such as `Generator.choice` or `layer.gates`,
+    # are not the package's and are skipped
+    modules = {info.name for info in pkgutil.iter_modules(cliffproxy.__path__)}
+    exported = set().union(*_package_api().values())
+    checked = 0
+    for owner, attr in re.findall(r"`(\w+)\.(\w+)[^`]*`", README.read_text(encoding="utf-8")):
+        if owner in modules:
+            obj = importlib.import_module(f"cliffproxy.{owner}")
+        elif owner in exported:
+            obj = getattr(cliffproxy, owner)
+        else:
+            continue
+        assert hasattr(obj, attr), f"README cites `{owner}.{attr}`, which does not exist"
+        checked += 1
+    assert checked
 
 
 _LOADED = """

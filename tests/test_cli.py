@@ -41,6 +41,23 @@ SMALL_SPAM = {
 }
 
 
+# each scenario at its smallest valid size: one target or randomization,
+# width 2, depths 1 and 2
+TINY = {
+    **{
+        scenario: {"widths": [2], "targets_per_kind": 1, "cliffordizations": 2,
+                   "min_depth": 1, "max_depth": 2}
+        for scenario in ("uniformity", "accuracy")
+    },
+    "spam-compare": {"width": 2, "depths": [1, 2], "randomizations": 1},
+    "volumetric": {"widths": [2], "depths": [1, 2], "randomizations": 1},
+    "xeb-compare": {"width": 2, "depths": [1, 2], "randomizations": 1},
+}
+
+# the CSV columns that hold text rather than numbers
+TEXT_COLUMNS = {"experiment_id", "protocol", "pauli", "seed", "kind", "group", "series"}
+
+
 class TestSeedDerive:
     def test_same_path_same_stream(self):
         a = seed_derive(7, "x", 1).integers(1 << 30, size=100)
@@ -278,6 +295,27 @@ class TestCliCommands:
                        "--out", str(svg_out)])
             assert rc == 0
             assert svg_out.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("scenario", sorted(TINY))
+    def test_smallest_config_writes_plain_cells(self, tmp_path, scenario):
+        # one observable once gave an np.float64 stderr, written as
+        # "np.float64(...)", and the run stopped reading it back (exit 3)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(TINY[scenario]))
+        out = tmp_path / "out"
+        assert main(["run", scenario, "--config", str(cfg_file), "--out", str(out)]) == 0
+        tables = sorted(out.glob("*.csv"))
+        assert tables
+        for path in tables:
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows, path.name
+            for row in rows:
+                for column, cell in row.items():
+                    assert not cell.startswith("np."), (path.name, column, cell)
+                    if cell in ("", "true", "false") or column in TEXT_COLUMNS:
+                        continue
+                    float(cell)
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -21,6 +21,7 @@ from oracles import (
     layer_unitary_ptm,
     local_pauli,
     per_pattern_simulate,
+    rebased,
 )
 from test_noise import _fold_model
 
@@ -141,7 +142,7 @@ class TestGateByGatePtm:
                 circ = _ptm_case(n, kind, topology, gate, min(depth, 5) if n == 4 else depth, rng)
                 model = None if markovian is None else _fold_model(circ, rng, markovian, offset)
                 spam = nz.SpamModel((0.01,) * n, (0.02,) * n, (0.05,) * n) if with_spam else None
-                shifted = None if model is None else model.shifted(offset)
+                shifted = None if model is None else rebased(model, offset)
                 got = dn.circuit_ptm(circ, shifted, spam).mat
                 want = layer_unitary_ptm(circ, model, spam, layer_offset=offset).mat
                 worst = max(worst, np.max(np.abs(got - want)))
@@ -369,7 +370,7 @@ def _same_seed_case(kind, n, spam, markovian, offset, seed=20):
 def _assert_same_samples(circ, model, spam, offset, shots=1500, seed=21):
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = per_pattern_simulate(circ, model, want_rng, shots, spam, offset)
-    shifted = None if model is None else model.shifted(offset)
+    shifted = None if model is None else rebased(model, offset)
     got = dn.statevector_simulate(circ, shifted, got_rng, shots, spam=spam)
     np.testing.assert_array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -591,7 +592,7 @@ class TestBatchedSampler:
                2: nz.GateNoise([0.7, 0.1, 0.1, 0.1])}
         two = {("CZ", 0, 1): nz.GateNoise.from_rates(np.full(15, 0.01))}
         model = nz.NoiseModel(True, one, two)
-        assert model.layer_tables(0, circ.layers[0], 3).probs[1, h.index, 0] < 0.5
+        assert model.layer_tables(0, circ.layers[0]).probs[1, h.index, 0] < 0.5
         _assert_same_samples(circ, model, None, 0, shots=800)
 
     @pytest.mark.parametrize("kind, per_chunk", [("haar", 1), ("clifford", 3)])

@@ -20,6 +20,7 @@ from oracles import (
     object_layer_fidelity_estimate,
     object_readout_mitigated_dfe,
     object_walk,
+    rebased,
 )
 from test_noise import _fold_case, _fold_model
 
@@ -99,7 +100,7 @@ class TestPauliExpectation:
         for n, gate, topology, markovian, offset in cases:
             template = _fold_case(n, topology, gate, rng)
             model = _fold_model(template, rng, markovian, offset)
-            shifted = model.shifted(offset)
+            shifted = rebased(model, offset)
             circ = cc.cliffordize(template, rng)
             eig = nz.fold_eigenvalues(circ, shifted)
             oracle = _tableau_walk(circ, model, offset)

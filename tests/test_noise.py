@@ -24,6 +24,7 @@ from oracles import (
     per_gate_fold,
     per_gate_layer_infidelities,
     per_gate_walk,
+    rebased,
     tableau_cliffords,
 )
 
@@ -94,7 +95,7 @@ class TestSampleErrorModel:
         pair = nz.GateNoise.from_rates(np.full(15, 1e-3))
         one = nz.GateNoise.from_rates(np.full(3, 1e-3))
         sampled = nz.sample_error_model(circ, rng, 1e-3, 1e-4, markovian=False)
-        shifted = sampled.shifted(2)
+        shifted = rebased(sampled, 2)
         assert shifted is not sampled
         for model in (nz.sample_error_model(circ, rng, 1e-3, 1e-4), sampled, shifted):
             for table, entry in ((model.one_qubit, one), (model.two_qubit, pair)):
@@ -166,14 +167,14 @@ class TestSampleErrorModel:
         circ, rng = brickwork(3, 4, 12)
         model = nz.sample_error_model(circ, rng, 1e-2, 1e-3, markovian)
         layers = list(enumerate(circ.layers))
-        tables = [model.layer_tables(i, layer, 3).eig for i, layer in layers]
+        tables = [model.layer_tables(i, layer).eig for i, layer in layers]
         for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
             assert twin is not model and twin.markovian == markovian
             for mine, theirs in ((model.one_qubit, twin.one_qubit), (model.two_qubit, twin.two_qubit)):
                 assert list(mine) == list(theirs)
                 assert all(np.array_equal(mine[k].probs, theirs[k].probs) for k in mine)
             for (i, layer), eig in zip(layers, tables):
-                assert np.array_equal(twin.layer_tables(i, layer, 3).eig, eig)
+                assert np.array_equal(twin.layer_tables(i, layer).eig, eig)
             assert nz.process_infidelity_exact(circ, twin) == nz.process_infidelity_exact(circ, model)
             key = next(iter(twin.two_qubit))
             with pytest.raises(TypeError):
@@ -234,7 +235,7 @@ class TestCompiledOneQubit:
         circ, rng = brickwork(3, 2, 90)
         model = nz.sample_error_model(circ, rng, 1e-3, budget, markovian)
         for pos in range(0, len(circ.layers), 2):
-            tables = model.layer_tables(pos, circ.layers[pos], circ.n)
+            tables = model.layer_tables(pos, circ.layers[pos])
             assert not tables.probs.flags.writeable
             assert not tables.eig.flags.writeable
             for q in range(circ.n):
@@ -256,8 +257,8 @@ class TestCompiledOneQubit:
         model = nz.sample_error_model(circ, rng, 1e-2, 1e-3, markovian)
         layer_tables, twoq_noise, read = nz.NoiseModel.layer_tables, model.twoq_noise, {}
 
-        def spy(self, position, layer, n):
-            tables = layer_tables(self, position, layer, n)
+        def spy(self, position, layer):
+            tables = layer_tables(self, position, layer)
             read.setdefault(reader, {}).setdefault(position, set()).add(id(tables))
             return tables
 
@@ -266,7 +267,7 @@ class TestCompiledOneQubit:
 
         # compiled up front: a reader then has no reason to read an entry
         for pos, layer in enumerate(circ.layers):
-            model.layer_tables(pos, layer, circ.n)
+            model.layer_tables(pos, layer)
         # on the class, as a model's attributes cannot be set
         monkeypatch.setattr(nz.NoiseModel, "layer_tables", spy)
         monkeypatch.setattr(nz.NoiseModel, "xpi2_noise", raw)
@@ -289,7 +290,7 @@ class TestCompiledOneQubit:
         for pos in positions:
             ids = set().union(*(got.get(pos, set()) for got in read.values()))
             assert len(ids) == 1, pos
-            tables = layer_tables(model, pos, circ.layers[pos], circ.n)
+            tables = layer_tables(model, pos, circ.layers[pos])
             assert ids == {id(tables)}
             layer = circ.layers[pos]
             if isinstance(layer, cc.TwoQubitLayer):
@@ -554,37 +555,6 @@ def _fold_model(template, rng, markovian, layer_offset):
     )
 
 
-def test_shifted_reads_entries_at_the_offset():
-    rng = np.random.default_rng(370)
-    template = _fold_case(3, "ring", "CNOT", rng)
-    markovian = _fold_model(template, rng, True, 0)
-    assert markovian.shifted(3) is markovian
-    model = _fold_model(template, rng, False, 3)
-    assert model.shifted(0) is model
-    keys = (set(model.one_qubit), set(model.two_qubit))
-    one, two = template.layers[2], template.layers[1]
-    compiled = model.layer_tables(5, one, 3), model.layer_tables(4, two, 3)
-    base = model.shifted(3)
-    # tables compiled before the shift are reused at their new positions
-    assert base.layer_tables(2, one, 3) is compiled[0]
-    assert base.layer_tables(1, two, 3) is compiled[1]
-    assert not base.markovian
-    assert (set(model.one_qubit), set(model.two_qubit)) == keys
-    assert set(base.one_qubit) == {(pos - 3, q) for pos, q in keys[0]}
-    assert set(base.two_qubit) == {(key[0] - 3,) + key[1:] for key in keys[1]}
-    for pos, layer in enumerate(template.layers):
-        if isinstance(layer, cc.OneQubitLayer):
-            for q in range(3):
-                assert base.xpi2_noise(pos, q) is model.xpi2_noise(pos + 3, q)
-        else:
-            for pair in layer.pairs:
-                assert base.twoq_noise(pos, layer.gate, pair) is model.twoq_noise(
-                    pos + 3, layer.gate, pair
-                )
-    with pytest.raises(KeyError):
-        base.xpi2_noise(len(template.layers), 0)
-
-
 class TestBatchedFold:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("gate", ["CZ", "CNOT"])
@@ -596,7 +566,7 @@ class TestBatchedFold:
             for markovian in (True, False):
                 for offset in (0, 3):
                     model = _fold_model(template, rng, markovian, offset)
-                    shifted = model.shifted(offset)
+                    shifted = rebased(model, offset)
                     for k in (1, 5):
                         circs = [cc.cliffordize(template, rng) for _ in range(k)]
                         batch = nz.process_infidelities_exact((c for c in circs), shifted)
@@ -657,7 +627,7 @@ class TestBatchedFold:
                     template = self._end_layer_case(n, depth, topology, gate, shift, rng)
                     for markovian in (True, False):
                         base = _fold_model(template, rng, markovian, 3)
-                        model = base.shifted(3)
+                        model = rebased(base, 3)
                         circs = [cc.cliffordize(template, rng) for _ in range(k)]
                         got = nz.process_infidelities_exact(circs, model)
                         want = [1.0 - nz.fold_eigenvalues(c, model).mean() for c in circs]
@@ -673,7 +643,7 @@ class TestBatchedFold:
         rng = np.random.default_rng(334)
         assert nz._FOLD_AMPLITUDES // 4**9 == 4
         template = self._end_layer_case(9, 3, "line", "CNOT", 0, rng)
-        model = _fold_model(template, rng, False, 3).shifted(3)
+        model = rebased(_fold_model(template, rng, False, 3), 3)
         circs = [cc.cliffordize(template, rng) for _ in range(5)]
         batch = nz.process_infidelities_exact(iter(circs), model)
         single = [nz.process_infidelity_exact(c, model) for c in circs]
@@ -750,7 +720,7 @@ class TestFusedFold:
         for template, model, offset in self._cases(n, rng):
             for k in (1, 5):
                 gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
-                got = nz._fold(template, gates, model.shifted(offset))
+                got = nz._fold(template, gates, rebased(model, offset))
                 want = per_gate_fold(template, gates, model, offset)
                 assert got.shape == want.shape == (k, 4**n)
                 worst = max(worst, np.max(np.abs(got - want)))
@@ -766,7 +736,7 @@ class TestFusedFold:
         k = 1 if n >= 9 else 5
         for template, model, offset in self._cases(n, rng):
             gates = cc._draw_cliffords(rng, k, len(template.layers[::2]), n)
-            shifted = model.shifted(offset)
+            shifted = rebased(model, offset)
             got = nz._fold(template, gates, shifted)
             assert np.max(np.abs(got - gather_fold(template, gates, model, offset))) < 1e-14
             if k > 1:
@@ -894,7 +864,7 @@ class TestPropagateCodes:
                         model = _fold_model(template, rng, markovian, offset)
                         for _ in range(2):
                             circ = cc.cliffordize(template, rng)
-                            for noise, walked in ((model, model.shifted(offset)), (None, None)):
+                            for noise, walked in ((model, rebased(model, offset)), (None, None)):
                                 for codes in rng.integers(0, 4, (10, n)).tolist():
                                     got = nz.propagate_codes(circ, walked, codes)
                                     assert got == per_gate_walk(circ, noise, codes, offset)
@@ -912,7 +882,7 @@ class TestPropagateCodes:
                 for markovian in (True, False):
                     for offset in (0, 3):
                         model = _fold_model(template, rng, markovian, offset)
-                        for noise, walked in ((model, model.shifted(offset)), (None, None)):
+                        for noise, walked in ((model, rebased(model, offset)), (None, None)):
                             tables = nz._walk_tables(walked, layers, n)
                             for _ in range(3):
                                 gates = cc._draw_cliffords(rng, 1, len(layers[::2]), n)[0]
@@ -961,7 +931,7 @@ class TestCliffordizationInfidelities:
         assert not target.is_clifford
         for markovian in (True, False):
             for offset in (0, 3):
-                model = _fold_model(target, rng, markovian, offset).shifted(offset)
+                model = rebased(_fold_model(target, rng, markovian, offset), offset)
                 for k in (1, 5):
                     got, want = self._both(target, model, k, int(rng.integers(2**32)))
                     assert got.shape == (k,)

@@ -56,15 +56,23 @@ INSTANCES = {
 }
 
 
-def _same_as_dense(delta, d_in, **kwargs):
-    """The solve, after checking it against the dense solver: the same
-    iterations, and value and gap within the benchmark check's 1e-13."""
-    res = solve_diamond_sdp(delta, d_in, **kwargs)
-    ref = dense_diamond_sdp(delta, d_in, **kwargs)
+def _same_as_dense(delta, d_in):
+    """The solve, after checking it against the dense solver at the same
+    tolerances: the same iterations, and value and gap within the
+    benchmark check's 1e-13."""
+    res = solve_diamond_sdp(delta, d_in)
+    ref = dense_diamond_sdp(delta, d_in, sdp._GAP_TOL, sdp._GAP_REQUIRED, sdp._MAX_ITER)
     assert res.iterations == ref.iterations
     assert abs(res.value - ref.value) <= 1e-13
     assert abs(res.duality_gap - ref.duality_gap) <= 1e-13
     return res
+
+
+def _past_round_off(monkeypatch, gap_required):
+    """Ask the solver for a 1e-18 gap within 40 iterations."""
+    monkeypatch.setattr(sdp, "_GAP_TOL", 1e-18)
+    monkeypatch.setattr(sdp, "_GAP_REQUIRED", gap_required)
+    monkeypatch.setattr(sdp, "_MAX_ITER", 40)
 
 
 def _scaling(rng, d, spread):
@@ -111,31 +119,44 @@ class TestDiagnostics:
         assert res.iterations > 0
         assert res.duality_gap <= 1e-9
 
-    def test_unreachable_gap_raises_with_gap(self):
+    def test_unreachable_gap_raises_with_gap(self, monkeypatch):
+        _past_round_off(monkeypatch, 1e-17)
         with pytest.raises(SdpConvergenceError) as err:
-            solve_diamond_sdp(*INSTANCES["x_flip"], gap_tol=1e-18, gap_required=1e-17, max_iter=40)
+            solve_diamond_sdp(*INSTANCES["x_flip"])
         assert err.value.gap > 0
 
     @pytest.mark.parametrize("name", ["depolarizing", "pauli_1q", "pauli_2q"])
-    def test_linear_algebra_breakdown_raises_with_gap(self, name):
+    def test_linear_algebra_breakdown_raises_with_gap(self, name, monkeypatch):
         # driven past round-off, the Newton system turns singular (one qubit)
         # or a step overflows once scaled (two qubits); neither numpy's error
         # nor its floating-point warnings escape
+        _past_round_off(monkeypatch, 1e-8)
         with pytest.raises(SdpConvergenceError, match="broke down") as err:
-            solve_diamond_sdp(*INSTANCES[name], gap_tol=1e-18, gap_required=1e-8, max_iter=40)
+            solve_diamond_sdp(*INSTANCES[name])
         assert 0 < err.value.gap < 1e-14
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_eigenvalue_clips_counted(self):
+    def test_eigenvalue_clips_counted(self, monkeypatch):
         # pushed past a 1e-15 gap, two of the last iterations' spectra fall
         # below the 1e-300 floor: the solve clips them, goes on and reports them
-        res = _same_as_dense(*INSTANCES["x_flip"], gap_tol=1e-18, gap_required=1e-8, max_iter=40)
+        _past_round_off(monkeypatch, 1e-8)
+        res = _same_as_dense(*INSTANCES["x_flip"])
         assert res.duality_gap < 1e-14
         assert res.eig_clips == 2
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             solve_diamond_sdp(np.zeros((5, 5), dtype=complex), 2)
+
+    def test_non_hermitian_input_rejected(self):
+        # symmetrised, |0><1| (x) I would have solved to 0.5
+        with pytest.raises(ValueError, match="Hermitian"):
+            solve_diamond_sdp(np.kron([[0, 1], [0, 0]], np.eye(2)), 2)
+        # within ChoiMatrix's 1e-10, the input is symmetrised as before
+        delta, d_in = INSTANCES["x_flip"]
+        skew = np.zeros_like(delta)
+        skew[0, 1] = 5e-11
+        assert solve_diamond_sdp(delta + skew, d_in).value == pytest.approx(1.0, abs=1e-8)
 
 
 class TestDenseOracle:
