@@ -39,13 +39,19 @@ and merge when a gate joins two; once one block covers all n qubits,
 each gate steps that ``(K,) + (4,) * n`` array, which keeps its axes: a
 gate on its leading axes is one gather, any other one batched product
 with the gate's scaled permutation matrix.  The diagonal combines the
-blocks left at the end.  An infidelity (:func:`process_infidelities_exact`),
-the sum of the diagonal, steps its last two layers' blocks backward and
-contracts their last merge against the forward blocks, combined, without
-building it.  Direct fidelity estimation walks single Paulis back
-through the same tables, compiled into (eigenvalue, next letters) steps
-(:attr:`LayerTables.steps`); like the fold, a walk reads a circuit as its
-entangling layers and its one-qubit layers' Clifford ``indices``.
+blocks left at the end.  An infidelity (:func:`process_infidelities_exact`)
+needs only the sum of the diagonal.  Each step is then a tensor on the
+letters of its qubits before and after its layer, with one nonzero per
+label, and the sum contracts them qubit by qubit into one frontier over
+the letters still open, at most about 4^D entries for D layers on a
+line.  Where that frontier would reach 4^n, as when brickwork is deeper
+than it is wide, the fold steps its last two layers' blocks backward
+instead and contracts their last merge against the forward blocks,
+combined, without building it.  Direct fidelity estimation walks single
+Paulis back through the same tables, compiled into (eigenvalue, next
+letters) steps (:attr:`LayerTables.steps`); like the fold, a walk reads a
+circuit as its entangling layers and its one-qubit layers' Clifford
+``indices``.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -473,42 +479,59 @@ def _apply_gate(h, rows, qubits, labels, eig):
     return out.reshape(h.shape[: 1 + a] + (4,) * (size.bit_length() // 2) + h.shape[2 + b :])
 
 
+def _layer_gates(template):
+    """The gates of each entangling layer of ``template``: its pairs as it
+    lists them, then a 1-tuple for each qubit it leaves idle.  A circuit
+    without entangling layers is one layer of idle qubits."""
+    n = template.n
+    for pairs in [layer.pairs for layer in template.layers[1::2]] or [()]:
+        paired = {q for pair in pairs for q in pair}
+        yield list(pairs) + [(q,) for q in range(n) if q not in paired]
+
+
+def _gate_steps(template, gates, noise: NoiseModel, j, group):
+    """The steps of the gates ``group`` of entangling layer ``j``, some
+    of its :func:`_layer_gates`: (gate, labels, eigenvalue rows), the
+    tables on the gate's qubits ascending as :func:`_apply_gate` takes
+    them.  Each gate's tables are composed with the one-qubit layer before
+    it (in the last layer, also after it)."""
+    depth = gates.shape[1] - 1
+    layer = template.layers[2 * j + 1] if depth else TwoQubitLayer(())
+
+    def one_qubit_layer(i):
+        table = noise.layer_tables(2 * i, template.layers[2 * i]).eig
+        return gates[:, i].T.astype(np.intp), table
+
+    pre = one_qubit_layer(j)
+    post = one_qubit_layer(depth) if j == depth - 1 else None
+    pair_eig = noise.layer_tables(2 * j + 1, layer).eig
+    steps = []
+    for flip in (False, True):
+        # pairs listed high qubit first step with their letters swapped
+        pairs = [gate for gate in group if len(gate) == 2 and (gate[0] > gate[1]) == flip]
+        if not pairs:
+            continue
+        qubits, twoq = np.array(pairs), pair_eig[[layer.pairs.index(pair) for pair in pairs]]
+        if flip:
+            qubits, twoq = qubits[:, ::-1], twoq[:, _SWAP]
+        steps += zip(pairs, *_fused_tables(qubits, _pair_digits(layer.gate, flip), twoq, pre, post))
+    idle = [gate for gate in group if len(gate) == 1]
+    if idle:
+        steps += zip(idle, *_fused_tables(np.array(idle), _DIGITS[1], None, pre, post))
+    return steps
+
+
 def _layer_steps(template, gates, noise: NoiseModel):
     """The steps of each entangling layer of :func:`_fold`, one list per
     layer: (qubits ascending, labels, eigenvalue rows) as
-    :func:`_apply_gate` takes them.  Gates step in order of the deepest
-    axis their qubits would hold if every step moved its gate's axes to
-    the front (``order``), which on one array (:func:`_forward`) fixes the
-    order of each label's products, and so the result's last bits."""
-    n = template.n
-    depth = gates.shape[1] - 1
-
-    def one_qubit_layer(j):
-        table = noise.layer_tables(2 * j, template.layers[2 * j]).eig
-        return gates[:, j].T.astype(np.intp), table
-
-    order = list(range(n))
-    for j in range(max(depth, 1)):
-        layer = template.layers[2 * j + 1] if depth else TwoQubitLayer(())
-        pre = one_qubit_layer(j)
-        post = one_qubit_layer(depth) if j == depth - 1 else None
-        paired = [q for pair in layer.pairs for q in pair]
-        idle = [(q,) for q in range(n) if q not in paired]
-        pair_eig = noise.layer_tables(2 * j + 1, layer).eig
-        steps = []
-        for flip in (False, True):
-            # pairs listed high qubit first step with their letters swapped
-            group = [i for i, pair in enumerate(layer.pairs) if (pair[0] > pair[1]) == flip]
-            if not group:
-                continue
-            pairs = [layer.pairs[i] for i in group]
-            qubits, twoq = np.array(pairs), pair_eig[group]
-            if flip:
-                qubits, twoq = qubits[:, ::-1], twoq[:, _SWAP]
-            digits = _pair_digits(layer.gate, flip)
-            steps += zip(pairs, *_fused_tables(qubits, digits, twoq, pre, post))
-        if idle:
-            steps += zip(idle, *_fused_tables(np.array(idle), _DIGITS[1], None, pre, post))
+    :func:`_apply_gate` takes them (:func:`_gate_steps`).  Gates step in
+    order of the deepest axis their qubits would hold if every step moved
+    its gate's axes to the front (``order``), which on one array
+    (:func:`_forward`) fixes the order of each label's products, and so
+    the result's last bits."""
+    order = list(range(template.n))
+    for j, group in enumerate(_layer_gates(template)):
+        steps = _gate_steps(template, gates, noise, j, group)
         steps.sort(key=lambda step: max(order.index(q) for q in step[0]))
         for qubits, _, _ in steps:
             order = list(qubits) + [q for q in order if q not in qubits]
@@ -725,7 +748,8 @@ def _first_blocks(steps):
 
 
 def _fold_sum(template, gates, noise: NoiseModel):
-    """Sum over labels of each fold of :func:`_fold`, shape (K,).
+    """Sum over labels of each fold of :func:`_fold`, shape (K,), where
+    :func:`_sweep_sum`'s frontier would reach 4^n.
 
     The sum of the diagonal needs no diagonal.  All entangling layers but
     the last ``min(2, D - 2)`` step forward (:func:`_forward`); those last
@@ -755,15 +779,121 @@ def _fold_sum(template, gates, noise: NoiseModel):
     return _meet(h, blocks, held)
 
 
+def _legs(j, qubits, depth):
+    """The in and the out legs of the step on ``qubits`` in entangling
+    layer ``j`` of ``depth``, the letters it reads and writes: leg (q, i)
+    is qubit q's letter before layer i.  The letters before the first
+    layer and after the last are summed at once, so they are no legs."""
+    return [(q, j) for q in qubits if j], [(q, j + 1) for q in qubits if j + 1 < depth]
+
+
+def _sweep_plan(template):
+    """The steps of :func:`_sweep_sum`, as (layer, gate) in order of
+    (lowest qubit, layer), gates as :func:`_gate_steps` takes them, and
+    the most legs its frontier holds, both read from the template's pair
+    lists alone.  Once the frontier reaches n legs, where the fold is
+    taken instead, the plan stops: (None, n)."""
+    n = template.n
+    # each layer's gates by their lowest qubit
+    layers = [{min(gate): gate for gate in group} for group in _layer_gates(template)]
+    order, frontier, widest = [], set(), 0
+    for q in range(n):
+        for j, gates in enumerate(layers):
+            if q in gates:
+                order.append((j, gates[q]))
+                # a leg opens at its first step and closes at its second
+                ins, outs = _legs(j, gates[q], len(layers))
+                frontier ^= set(ins + outs)
+                widest = max(widest, len(frontier))
+                if widest >= n:
+                    return None, n
+    return order, widest
+
+
+def _absorb(f, legs, ins, outs, labels, eig):
+    """The frontier ``f`` (K, 4^m) on ``legs`` times one step's tensor,
+    summed over their shared legs: the new frontier and its legs, the
+    step's others, then those of ``f`` the step lacks.
+
+    ``ins`` and ``outs`` are the step's in and out legs (:func:`_legs`),
+    and ``labels`` and ``eig`` its (K, L) tables (:func:`_gate_steps`).
+    Its tensor holds each out label's eigenvalue at the letters of that
+    label and of the label it reads: a monomial, one nonzero per label.  A
+    step that reads shared legs and writes new ones gathers the frontier
+    at the labels it reads; any other is built dense on the new legs
+    against the shared ones and taken in one batched product.  New legs
+    go in front, where the next step on their qubit reads them.
+    """
+    k = len(f)
+    step = ins + outs
+    shared = [leg for leg in legs if leg in step]
+    kept = [leg for leg in legs if leg not in step]
+    new = [leg for leg in step if leg not in legs]
+    at = [legs.index(leg) for leg in shared + kept]
+    if at != sorted(at):
+        f = f.reshape((k,) + (4,) * len(legs)).transpose([0] + [1 + a for a in at])
+    f = f.reshape(k, 4 ** len(shared), 4 ** len(kept))
+    # L = 4^w labels on w qubits
+    digits = _DIGITS[labels.shape[1].bit_length() // 2]
+
+    def index(of):
+        # an in leg's letter is that of the label read, an out leg's the label's own
+        out = 0
+        for leg in of:
+            out = 4 * out + (digits[ins.index(leg)][labels] if leg in ins else digits[outs.index(leg)])
+        return out
+
+    rows = np.arange(k)[:, None]
+    if outs and new == outs:
+        if shared:
+            read = labels if shared == ins else index(shared)
+            f = np.take(f.reshape(-1, f.shape[2]), read + rows * f.shape[1], axis=0)
+        return f * eig[..., None], new + kept
+    # summed legs can send labels to one entry, which bincount adds up
+    size = 4 ** len(step)
+    flat = np.broadcast_to(rows * size + index(new + shared), eig.shape)
+    tensor = np.bincount(flat.ravel(), eig.ravel(), k * size)
+    return tensor.reshape(k, -1, f.shape[1]) @ f, new + kept
+
+
+def _sweep_sum(template, gates, noise: NoiseModel, order):
+    """:func:`_fold_sum` contracted qubit by qubit, over a frontier of
+    4^m entries for m legs (:func:`_legs`) in place of a 4^n array.
+
+    Each gate's step (:func:`_gate_steps`) is a tensor on its legs, taken
+    into the frontier (:func:`_absorb`) in the ``order`` of
+    :func:`_sweep_plan`: a brickwork of D layers on a line holds about D
+    legs open, whatever n.  The steps' tables are built a batch of steps
+    at a time, one pass per layer, as many as ``_FOLD_AMPLITUDES`` holds.
+    """
+    k = len(gates)
+    depth = max(gates.shape[1] - 1, 1)
+    # a step's labels and eigenvalues take at most 2 * 16 amplitudes per circuit
+    batch = max(1, _FOLD_AMPLITUDES // (32 * k))
+    f, legs = np.ones((k, 1)), []
+    for start in range(0, len(order), batch):
+        steps = order[start : start + batch]
+        tables = {}
+        for j in dict.fromkeys(j for j, _ in steps):
+            group = [gate for i, gate in steps if i == j]
+            tables.update(((j, gate), step) for gate, *step in _gate_steps(template, gates, noise, j, group))
+        for j, gate in steps:
+            f, legs = _absorb(f, legs, *_legs(j, sorted(gate), depth), *tables.pop((j, gate)))
+    return f.reshape(k)
+
+
 def _infidelities(template, gates, noise: NoiseModel):
     """1 - p_I of each fold of :func:`_fold`, over chunks of at most
     ``_FOLD_AMPLITUDES`` amplitudes; circuits fold independently.  p_I is
-    the mean of the diagonal (:func:`_fold_sum`)."""
+    the mean of the diagonal: :func:`_sweep_sum` where its largest
+    frontier is smaller than 4^n, else :func:`_fold_sum`."""
     n = template.n
-    chunk = max(1, _FOLD_AMPLITUDES // 4**n)
+    order, width = _sweep_plan(template)
+    fold_sum = partial(_sweep_sum, order=order) if width < n else _fold_sum
+    chunk = max(1, _FOLD_AMPLITUDES // 4**width)
     out = np.empty(len(gates))
     for start in range(0, len(gates), chunk):
-        out[start : start + chunk] = 1.0 - _fold_sum(template, gates[start : start + chunk], noise) / 4**n
+        out[start : start + chunk] = 1.0 - fold_sum(template, gates[start : start + chunk], noise) / 4**n
     return out
 
 
@@ -861,11 +991,15 @@ def process_infidelities_exact(circuits, noise: NoiseModel) -> np.ndarray:
     ``circuits`` is any iterable, a generator included; each circuit is read
     once and not kept.  The circuits must share their width, layer count
     and entangling layers, as the Cliffordizations of one target do;
-    mismatched circuits raise ValueError.  The fold runs in chunks of at
-    most 2^20 amplitudes (at least one circuit), so memory stays bounded.
-    Only p_I, the mean of the folded diagonal, is needed, so the fold runs
-    from both ends (:func:`_fold_sum`), and the peak is two 4^n arrays.
-    The values agree with ``1 - fold_eigenvalues(c).mean()`` to rounding.
+    mismatched circuits raise ValueError.  Only p_I, the mean of the
+    folded diagonal, is needed.  Where the circuits' pair lists allow it,
+    the sum is contracted qubit by qubit (:func:`_sweep_sum`) over a
+    frontier smaller than 4^n, about 4^D for D brickwork layers on a line;
+    otherwise the fold runs from both ends (:func:`_fold_sum`), and the
+    peak is two 4^n arrays.  Either runs in chunks of at most 2^20
+    amplitudes (at least one circuit), and the sweep builds its steps'
+    tables in batches of at most as many, so memory stays bounded.  The
+    values agree with ``1 - fold_eigenvalues(c).mean()`` to rounding.
     """
     template, gates = _gate_indices(circuits)
     if template is None:

@@ -97,7 +97,13 @@ def _tr_out(m: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     return np.einsum("aiaj->ij", m.reshape(d_out, d_in, d_out, d_in))
 
 
-def _newton_solver(tw: np.ndarray, ts: np.ndarray, trho: np.ndarray, d_in: int):
+def _units(d_out: int, d_in: int) -> np.ndarray:
+    """The (d_in^2, D, D) stack of I_out (x) E_ab, E_ab the d_in x d_in
+    matrix units in row-major order: a constant of the solve."""
+    return np.kron(np.eye(d_out), np.eye(d_in * d_in).reshape(-1, d_in, d_in))
+
+
+def _newton_solver(tw: np.ndarray, ts: np.ndarray, trho: np.ndarray, units: np.ndarray):
     """Factor the Newton system of the dual step (dY, dt) once per iteration.
 
     The system is  G(dY) - dt*C = B,  -<C, dY> + kappa*dt = r0,  where
@@ -116,9 +122,9 @@ def _newton_solver(tw: np.ndarray, ts: np.ndarray, trho: np.ndarray, d_in: int):
     K^-1 = g (1 + g^dag K_L g)^-1 g^dag, so the solve factors a Hermitian
     positive definite d_in^2 x d_in^2 matrix on row-major vec(Z) and never
     forms T_rho^-1, whose rounding T_rho would amplify when it is
-    ill-conditioned.
+    ill-conditioned.  ``units`` is :func:`_units` of the solve.
     """
-    big = tw.shape[0]
+    big, d_in = len(tw), len(trho)
     d_out = big // d_in
     m_isqrt = _isqrt(np.linalg.eigh(_herm(tw + ts)))
     alpha, v = np.linalg.eigh(_herm(m_isqrt @ tw @ m_isqrt))
@@ -126,9 +132,9 @@ def _newton_solver(tw: np.ndarray, ts: np.ndarray, trho: np.ndarray, d_in: int):
     fh = f.conj().T
     beta = np.real(np.diagonal(fh @ ts @ f))
     den = np.outer(alpha, alpha) + np.outer(beta, beta)
-    # row ab of xs is F^dag (I_out (x) E_ab) F, E_ab the d_in x d_in matrix
-    # units in row-major order, so K_L's column ab is Tr_out of image ab
-    xs = fh @ np.kron(np.eye(d_out), np.eye(d_in * d_in).reshape(-1, d_in, d_in)) @ f
+    # row ab of xs is F^dag (I_out (x) E_ab) F, so K_L's column ab is Tr_out
+    # of image ab
+    xs = fh @ units @ f
     images = (f @ (xs / den) @ fh).reshape(-1, d_out, d_in, d_out, d_in)
     xs = xs.reshape(d_in * d_in, big * big)
     k_l = np.einsum("kaiaj->ijk", images).reshape(d_in**2, -1)
@@ -180,6 +186,7 @@ def solve_diamond_sdp(delta_choi: np.ndarray, d_in: int) -> DiamondResult:
     d_out = big // d_in
 
     eye_in = np.eye(d_in)
+    units = _units(d_out, d_in)
 
     # feasible interior start
     w = np.eye(big, dtype=complex) / (2.0 * d_in)
@@ -241,7 +248,7 @@ def solve_diamond_sdp(delta_choi: np.ndarray, d_in: int) -> DiamondResult:
 
             trho2 = _herm(trho @ trho)
 
-            newton_solve = _newton_solver(tw, ts, trho, d_in)
+            newton_solve = _newton_solver(tw, ts, trho, units)
 
             def newton(rw, rs, rrho):
                 dy, dt = newton_solve(rw + rs, rrho)

@@ -745,19 +745,20 @@ class TestFusedFold:
 
 
 class TestBlockFold:
-    """The infidelity's fold: blocks stepped forward, and merged until one
-    array is left, through all but the last two entangling layers, and
-    backward through those two; against the per-gate fold and the full
-    diagonal."""
+    """The infidelity: the fold of blocks stepped forward, and merged until
+    one array is left, through all but the last two entangling layers, and
+    backward through those two, or the sweep qubit by qubit; against each
+    other, the per-gate fold and the full diagonal."""
 
     @staticmethod
     def _template(n, depth, layout, gate):
         """Entangling layers of ``layout``: ``line`` or ``ring`` brickwork;
         ``("wrap", j)``, line brickwork whose layer j is a ring layer, so
         on even n the (n-1, 0) pair sits in layer j alone; ``periodic``,
-        one ring layer repeated, so no two blocks ever merge; or
+        one ring layer repeated, so no two blocks ever merge;
         ``crossed``, the pairs (q, q + n // 2) repeated, so no block sits
-        on the first and last qubits alone.  CNOT pairs are listed high
+        on the first and last qubits alone; or ``idle end``, line
+        brickwork whose last layer is empty.  CNOT pairs are listed high
         qubit first."""
         layers = [cc.identity_layer(n)]
         for j in range(depth):
@@ -765,12 +766,14 @@ class TestBlockFold:
                 pairs = cc.brickwork_pairs(n, 1, "ring")
             elif layout == "crossed":
                 pairs = tuple((q, q + n // 2) for q in range(n // 2))
+            elif layout == "idle end" and j == depth - 1:
+                pairs = ()
             elif isinstance(layout, tuple):
                 wrap = layout[1]
                 shift = (wrap + 1) % 2
                 pairs = cc.brickwork_pairs(n, j + shift, "ring" if j == wrap else "line")
             else:
-                pairs = cc.brickwork_pairs(n, j, layout)
+                pairs = cc.brickwork_pairs(n, j, "line" if layout == "idle end" else layout)
             if gate == "CNOT":
                 pairs = tuple((b, a) for a, b in pairs)
             layers += [cc.TwoQubitLayer(pairs, gate), cc.identity_layer(n)]
@@ -780,9 +783,10 @@ class TestBlockFold:
     def _cases(cls, n, rng):
         """Depths 0-8, so the two ends overlap, touch and leave middle
         layers; the wrap pair in the first two, the last two and a middle
-        layer; CZ and CNOT and both noise modes in turn."""
+        layer; an idle last layer; CZ and CNOT and both noise modes in
+        turn."""
         for depth in range(9):
-            layouts = ["line", "ring", "periodic", "crossed"]
+            layouts = ["line", "ring", "periodic", "crossed", "idle end"]
             layouts += [("wrap", j) for j in sorted({0, 1, depth // 2, depth - 2, depth - 1}) if 0 <= j < depth]
             for i, layout in enumerate(layouts):
                 gate = ("CZ", "CNOT")[(depth + i) % 2]
@@ -805,24 +809,120 @@ class TestBlockFold:
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_chunks_across_a_boundary(self, n, monkeypatch):
-        # two circuits per chunk, so five circuits fold in three chunks
+        # two circuits per chunk, so five circuits fold in three chunks: a
+        # chunk of the fold holds 4^n amplitudes per circuit, and one of
+        # the sweep (a periodic ring here) its largest frontier
         rng = np.random.default_rng(510 + n)
         for layout in ("line", "ring", ("wrap", 3), "periodic"):
             template = self._template(n, 6, layout, "CNOT")
             model = nz.sample_error_model(template, rng, 5e-2, 5e-3, False)
             gates = cc._draw_cliffords(rng, 5, 7, n)
             whole = nz._infidelities(template, gates, model)
-            monkeypatch.setattr(nz, "_FOLD_AMPLITUDES", 2 * 4**n)
+            monkeypatch.setattr(nz, "_FOLD_AMPLITUDES", 2 * 4 ** nz._sweep_plan(template)[1])
             got = nz._infidelities(template, gates, model)
             monkeypatch.undo()
             assert np.array_equal(got, whole)
             want = 1.0 - per_gate_fold(template, gates, model).mean(axis=1)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sweep_matches_fold_sum_and_diagonal(self, n):
+        # the sweep on every case the infidelity sweeps, against the fold's
+        # sum and the mean of the diagonal, both relative to 1e-12, in one
+        # batch and alone
+        rng = np.random.default_rng(530 + n)
+        layouts = ["line", "ring", "periodic", "crossed", "idle end"]
+        layouts += [("wrap", j) for j in sorted({0, 1, n // 2})]
+        swept = 0
+        for depth in sorted({1, 2, 4, n + 2}):
+            for i, layout in enumerate(layouts):
+                template = self._template(n, depth, layout, ("CZ", "CNOT")[(depth + i) % 2])
+                order, width = nz._sweep_plan(template)
+                if width == n:
+                    continue
+                markovian = (depth + i) % 3 != 0
+                model = rebased(_fold_model(template, rng, markovian, 3), 3)
+                circs = [cc.cliffordize(template, rng) for _ in range(1 if n >= 9 else 3)]
+                gates = np.array([[layer.indices for layer in c.layers[::2]] for c in circs])
+                got = 1.0 - nz._sweep_sum(template, gates, model, order) / 4**n
+                alone = [1.0 - nz._sweep_sum(template, row[None], model, order)[0] / 4**n for row in gates]
+                assert np.array_equal(got, alone)
+                fold_sum = 1.0 - nz._fold_sum(template, gates, model) / 4**n
+                diagonal = [1.0 - nz.fold_eigenvalues(c, model).mean() for c in circs]
+                np.testing.assert_allclose(got, fold_sum, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got, diagonal, rtol=1e-12, atol=0)
+                swept += 1
+        assert swept >= len(layouts)
+
+    @pytest.mark.parametrize(
+        "n, depth, layout, picked",
+        [(10, 4, "line", "sweep"), (10, 20, "periodic", "sweep"), (3, 50, "periodic", "sweep"),
+         (2, 100, "ring", "fold"), (4, 4, "line", "fold"), (6, 6, "ring", "fold")],
+    )
+    def test_picks_the_sweep_below_four_to_the_n(self, n, depth, layout, picked, monkeypatch):
+        # the sweep where its largest frontier is smaller than 4^n, else
+        # the fold: an n = 2 ring at depth 100 (accuracy's targets) and
+        # brickwork deeper than it is wide keep the fold
+        calls = []
+        for name in ("_sweep_sum", "_fold_sum"):
+            def spy(*args, _run=getattr(nz, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(nz, name, spy)
+        rng = np.random.default_rng(540 + n)
+        circ = cc.cliffordize(self._template(n, depth, layout, "CZ"), rng)
+        model = nz.sample_error_model(circ, rng)
+        nz.process_infidelity_exact(circ, model)
+        assert calls == ["_sweep_sum" if picked == "sweep" else "_fold_sum"]
+
+    @staticmethod
+    def _peak_case(layout):
+        """An n = 10 Clifford circuit of ``layout`` and a model for it:
+        depth-4 brickwork on a line or a ring, a depth-8 line (``deep
+        line``), a depth-4 line with an idle last layer, or a depth-20
+        periodic ring."""
+        rng = np.random.default_rng(520)
+        if layout == "periodic":
+            circ = cc.cliffordize(TestBlockFold._template(10, 20, "periodic", "CZ"), rng)
+        else:
+            topology = "ring" if layout == "ring" else "line"
+            depth = 8 if layout == "deep line" else 4
+            circ = cc.sample_brickwork(cc.BrickworkSpec(10, depth, topology), "clifford", rng)
+        if layout == "idle end":
+            circ = cc.LayeredCircuit(10, circ.layers[:-2] + (cc.TwoQubitLayer(()), circ.layers[-1]))
+        return circ, nz.sample_error_model(circ, rng)
+
+    @staticmethod
+    def _traced_peak(run):
+        """Peak traced memory, in bytes, of ``run``'s second call."""
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "layout, limit_mb",
+        [("line", 1.0), ("deep line", 2.0), ("ring", 1.0), ("idle end", 1.0), ("periodic", 1.0)],
+    )
+    def test_peak_memory_at_ten_qubits(self, layout, limit_mb):
+        # every case is swept: its frontier holds the letters of at most 4
+        # legs at depth 4 (line, idle end), 6 on the ring, whose (9, 0)
+        # pair keeps qubit 9's legs open, 8 at depth 8 (deep line) and 2
+        # for a periodic ring at any depth, where the fold would hold one
+        # or two 4^10 arrays, 8 MiB each
+        circ, model = self._peak_case(layout)
+        peak = self._traced_peak(lambda: nz.process_infidelity_exact(circ, model))
+        assert peak <= limit_mb * 2**20
+
     @pytest.mark.parametrize(
         "layout, limit_mb", [("line", 16.0), ("ring", 32.0), ("idle end", 16.0), ("periodic", 16.0)]
     )
-    def test_peak_memory_at_ten_qubits(self, layout, limit_mb):
+    def test_fold_sum_peak_memory_at_ten_qubits(self, layout, limit_mb):
+        # the fold that deep circuits keep, on the same shallow circuits:
         # the backward layers' last merge is contracted against the forward
         # array, never built: building it would add a third 4^10 array.
         # With an idle last layer that merge joins two single qubits, and
@@ -830,22 +930,9 @@ class TestBlockFold:
         # and a larger block contracted.  A periodic ring's blocks never
         # merge, so its forward side becomes one 4^10 array only for the
         # contraction, at any depth
-        rng = np.random.default_rng(520)
-        if layout == "periodic":
-            circ = cc.cliffordize(self._template(10, 20, "periodic", "CZ"), rng)
-        else:
-            topology = "ring" if layout == "ring" else "line"
-            circ = cc.sample_brickwork(cc.BrickworkSpec(10, 4, topology), "clifford", rng)
-        if layout == "idle end":
-            circ = cc.LayeredCircuit(10, circ.layers[:-2] + (cc.TwoQubitLayer(()), circ.layers[-1]))
-        model = nz.sample_error_model(circ, rng)
-        nz.process_infidelity_exact(circ, model)
-        tracemalloc.start()
-        try:
-            nz.process_infidelity_exact(circ, model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        circ, model = self._peak_case(layout)
+        template, gates = nz._gate_indices([circ])
+        peak = self._traced_peak(lambda: nz._fold_sum(template, gates, model))
         assert peak <= limit_mb * 2**20
 
 

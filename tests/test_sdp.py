@@ -185,7 +185,7 @@ class TestDenseOracle:
         tw, ts = _scaling(rng, dim, wide), _scaling(rng, dim, wide)
         trho = _scaling(rng, d_in, spread in ("rho", "all"))
         r_ws, r_rho = _hermitian(rng, dim), _hermitian(rng, d_in)
-        dy, dt = sdp._newton_solver(tw, ts, trho, d_in)(r_ws, r_rho)
+        dy, dt = sdp._newton_solver(tw, ts, trho, sdp._units(dim // d_in, d_in))(r_ws, r_rho)
 
         basis, small = HermBasis(dim), HermBasis(d_in)
         m = newton_matrix(basis, small, partial_trace_matrix(basis, dim // d_in, d_in), tw, ts, trho)
