@@ -57,6 +57,7 @@ from .dense import (  # noqa: F401
     Ptm,
     circuit_ptm,
     diamond_distance,
+    diamond_distances,
     ideal_output_probs,
     process_fidelity,
     statevector_simulate,

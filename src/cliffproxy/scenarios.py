@@ -329,66 +329,84 @@ def _sample_target(kind: str, spec: cc.BrickworkSpec, rng) -> cc.LayeredCircuit:
 
 def _uniformity_like(config: ExperimentConfig, with_diamond: bool, out: "_OutputSet"):
     p = config.params
-    rows = []
     summary = []
     for n in p["widths"]:
-        for kind in p["kinds"]:
-            for t in range(p["targets_per_kind"]):
-                label = (config.scenario, n, kind, t)
-                rng = seed_derive(config.seed, *label)
-                depth = int(rng.integers(p["min_depth"], p["max_depth"] + 1))
-                spec = cc.BrickworkSpec(n, depth, "ring")
-                target = _sample_target(kind, spec, rng)
-                noise = nz.sample_error_model(
-                    target, rng, p["two_qubit_budget"], p["one_qubit_budget"],
-                    p["markovian"],
-                )
-                exp_id = f"{config.scenario}-n{n}-{kind}-{t:03d}"
-                rs = nz.cliffordization_infidelities(
-                    target, noise, p["cliffordizations"], rng
-                ).tolist()
-                for k, r in enumerate(rs):
-                    rows.append(
+        # with diamond distances, a width's targets wait for their SDPs, solved
+        # together once its last target is folded, or once a target fails
+        pending = []
+        try:
+            for kind in p["kinds"]:
+                for t in range(p["targets_per_kind"]):
+                    label = (config.scenario, n, kind, t)
+                    rng = seed_derive(config.seed, *label)
+                    depth = int(rng.integers(p["min_depth"], p["max_depth"] + 1))
+                    spec = cc.BrickworkSpec(n, depth, "ring")
+                    target = _sample_target(kind, spec, rng)
+                    noise = nz.sample_error_model(
+                        target, rng, p["two_qubit_budget"], p["one_qubit_budget"],
+                        p["markovian"],
+                    )
+                    exp_id = f"{config.scenario}-n{n}-{kind}-{t:03d}"
+                    rs = nz.cliffordization_infidelities(
+                        target, noise, p["cliffordizations"], rng
+                    ).tolist()
+                    rows = [
                         _result_row(exp_id, "exact_r", n, depth, k, "",
                                     r, 0.0, 0, "/".join(map(str, label)))
-                    )
-                mu, sigma, cov = est.coefficient_of_variation(rs)
-                entry = {
-                    "experiment_id": exp_id,
-                    "n": n,
-                    "kind": kind,
-                    "depth": depth,
-                    "mu_r": mu,
-                    "sigma_r": sigma,
-                    "cov": cov,
-                    "value": cov,
-                }
-                if with_diamond:
-                    ptm_ideal = dn.circuit_ptm(target)
-                    ptm_noisy = dn.circuit_ptm(target, noise)
-                    res = dn.diamond_distance(ptm_ideal, ptm_noisy)
-                    r_target = 1.0 - dn.process_fidelity(ptm_ideal, ptm_noisy)
-                    r_bar = sum(nz.layer_infidelities(target, noise))
-                    entry.update(
-                        {
-                            "d_diamond": res.value,
-                            "sdp_gap": res.duality_gap,
-                            "abs_diff": abs(res.value - mu),
-                            "r_target": r_target,
-                            "r_bar": r_bar,
-                            "x": res.value,
-                            "y": abs(res.value - mu),
-                        }
-                    )
-                    rows.append(
-                        _result_row(exp_id, "diamond_distance", n, depth, None, "",
-                                    res.value, res.duality_gap, 0,
-                                    "/".join(map(str, label)))
-                    )
-                summary.append(entry)
-                out.stage_results(rows)
-                rows = []
+                        for k, r in enumerate(rs)
+                    ]
+                    mu, sigma, cov = est.coefficient_of_variation(rs)
+                    entry = {
+                        "experiment_id": exp_id,
+                        "n": n,
+                        "kind": kind,
+                        "depth": depth,
+                        "mu_r": mu,
+                        "sigma_r": sigma,
+                        "cov": cov,
+                        "value": cov,
+                    }
+                    if not with_diamond:
+                        summary.append(entry)
+                        out.stage_results(rows)
+                        continue
+                    ptms = dn.circuit_ptm(target), dn.circuit_ptm(target, noise)
+                    pending.append((rows, entry, target, noise, ptms))
+        except Exception:
+            _stage_with_diamonds(pending, summary, out)
+            raise
+        _stage_with_diamonds(pending, summary, out)
     return summary
+
+
+def _stage_with_diamonds(pending, summary: list, out: "_OutputSet") -> None:
+    """Solve the pending targets' diamond-norm SDPs in one call, then stage
+    each target's rows and summary entry in order.  A failed solve is raised
+    once the targets before it are staged, as if each target's SDP had been
+    solved in turn."""
+    results = dn.diamond_distances(ptms for *_, ptms in pending)
+    for (rows, entry, target, noise, (ptm_ideal, ptm_noisy)), res in zip(pending, results):
+        if isinstance(res, Exception):
+            raise res
+        mu = entry["mu_r"]
+        entry.update(
+            {
+                "d_diamond": res.value,
+                "sdp_gap": res.duality_gap,
+                "abs_diff": abs(res.value - mu),
+                "r_target": 1.0 - dn.process_fidelity(ptm_ideal, ptm_noisy),
+                "r_bar": sum(nz.layer_infidelities(target, noise)),
+                "x": res.value,
+                "y": abs(res.value - mu),
+            }
+        )
+        first = rows[0]
+        rows.append(
+            _result_row(first["experiment_id"], "diamond_distance", first["n"], first["depth"],
+                        None, "", res.value, res.duality_gap, 0, first["seed"])
+        )
+        summary.append(entry)
+        out.stage_results(rows)
 
 
 def _run_uniformity(config: ExperimentConfig, out: "_OutputSet"):

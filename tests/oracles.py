@@ -33,7 +33,10 @@ against.
 * the diamond-norm SDP that decomposes each cone matrix once per use and
   assembles each Newton system in an orthonormal basis of Hermitian
   matrices, forming every entry of the congruence matrices and multiplying
-  out the dense partial-trace matrix, then LU-solves it.
+  out the dense partial-trace matrix, then LU-solves it;
+* the structured diamond-norm SDP one problem at a time, each cone matrix,
+  step length and Newton factorisation on its own 2-D arrays, which the
+  lockstep solver must match bit for bit.
 """
 
 from __future__ import annotations
@@ -1290,3 +1293,173 @@ def dense_diamond_sdp(
             best_gap,
         )
     return sdp.DiamondResult(best_value, best_gap, iterations)
+
+
+def _one_with_spectrum(eig, f):
+    return sdp._herm((eig[1] * f) @ eig[1].conj().T)
+
+
+def _one_isqrt(eig):
+    return (eig[1] / np.sqrt(np.clip(eig[0], sdp._FLOOR, None))) @ eig[1].conj().T
+
+
+def _one_max_step(isqrt, dx):
+    scaled = sdp._herm(isqrt @ dx @ isqrt)
+    if not np.isfinite(scaled).all():
+        raise np.linalg.LinAlgError("scaled step is not finite")
+    lam_min = float(np.linalg.eigvalsh(scaled)[0])
+    return np.inf if lam_min >= 0.0 else -1.0 / lam_min
+
+
+def _one_newton_solver(tw, ts, trho, units):
+    """``sdp._newton_solver`` of one problem, on 2-D arrays."""
+    big, d_in = len(tw), len(trho)
+    d_out = big // d_in
+    m_isqrt = _one_isqrt(np.linalg.eigh(sdp._herm(tw + ts)))
+    alpha, v = np.linalg.eigh(sdp._herm(m_isqrt @ tw @ m_isqrt))
+    f = m_isqrt @ v
+    fh = f.conj().T
+    beta = np.real(np.diagonal(fh @ ts @ f))
+    den = np.outer(alpha, alpha) + np.outer(beta, beta)
+    xs = fh @ units @ f
+    images = (f @ (xs / den) @ fh).reshape(-1, d_out, d_in, d_out, d_in)
+    xs = xs.reshape(d_in * d_in, big * big)
+    k_l = np.einsum("kaiaj->ijk", images).reshape(d_in**2, -1)
+    lam, q = np.linalg.eigh(trho)
+    g = q * np.sqrt(np.clip(lam, 0.0, None))
+    gh = np.kron(g.conj().T, g.T)
+    k = np.eye(d_in**2) + gh @ k_l @ gh.conj().T
+    k = 0.5 * (k + k.conj().T)
+    g_eye = (g.conj().T @ g).ravel()
+    k_eye = np.linalg.solve(k, g_eye)
+    tr_k_eye = sdp._ip(g_eye, k_eye)
+
+    def solve(r_ws, r_rho):
+        b = (r_rho.ravel() @ xs).reshape(big, big) - fh @ r_ws @ f
+        k_u = np.linalg.solve(k, gh @ (xs.conj() @ (b / den).ravel()))
+        r0 = -float(np.real(np.trace(r_rho)))
+        dt = (r0 + sdp._ip(g_eye, k_u)) / tr_k_eye
+        z = ((gh.conj().T @ (k_u - dt * k_eye)) @ xs).reshape(big, big)
+        return sdp._herm(f @ ((b - z) / den) @ fh), dt
+
+    return solve
+
+
+@np.errstate(all="ignore")
+def unstacked_diamond_sdp(delta_choi: np.ndarray, d_in: int) -> sdp.DiamondResult:
+    """``solve_diamond_sdp`` one problem at a time, as it was before the
+    lockstep groups, with the tolerances read from ``sdp`` when called."""
+    j = np.asarray(delta_choi, dtype=complex)
+    big = j.shape[0]
+    if j.shape != (big, big) or big % d_in != 0:
+        raise ValueError("Choi matrix shape inconsistent with d_in")
+    if np.max(np.abs(j - j.conj().T)) > 1e-10:
+        raise ValueError("Choi matrix must be Hermitian")
+    j = sdp._herm(j)
+    d_out = big // d_in
+    eye_in = np.eye(d_in)
+    units = sdp._units(d_out, d_in)
+    fraction = sdp._STEP_FRACTION
+
+    w = np.eye(big, dtype=complex) / (2.0 * d_in)
+    s = w.copy()
+    rho = np.eye(d_in, dtype=complex) / d_in
+    beta = float(np.linalg.norm(j, 2)) + 1.0
+    y = -beta * np.eye(big, dtype=complex)
+    t = -(beta * d_out + 1.0)
+
+    def slacks(yv, tv):
+        return -j - yv, -yv, sdp._tr_out(yv, d_out, d_in) - tv * eye_in
+
+    zw, zs, zrho = slacks(y, t)
+    total_dim = 2 * big + d_in
+    best_gap, best_value = np.inf, 0.0
+    stall = iterations = clips = 0
+    try:
+        for it in range(1, sdp._MAX_ITER + 1):
+            iterations = it
+            gap = sdp._ip(w, zw) + sdp._ip(s, zs) + sdp._ip(rho, zrho)
+            value = 0.5 * (sdp._ip(j, w) + -t)
+            if not (np.isfinite(gap) and np.isfinite(value)):
+                break
+            if abs(gap) <= sdp._GAP_TOL:
+                return sdp.DiamondResult(value, abs(gap), it - 1, clips)
+            if abs(gap) < best_gap * 0.9999:
+                best_gap, best_value, stall = abs(gap), value, 0
+            else:
+                stall += 1
+                if stall >= 10:
+                    break
+            mu = gap / total_dim
+            if mu <= 0:
+                break
+
+            eigs = [np.linalg.eigh(sdp._herm(x)) for x in (w, s, rho, zw, zs, zrho)]
+            isqrts = [_one_isqrt(e) for e in eigs]
+            roots = [_one_with_spectrum(e, np.sqrt(np.clip(e[0], 0.0, None))) for e in eigs[:3]]
+            inners = [np.linalg.eigh(sdp._herm(lx @ z @ lx)) for lx, z in zip(roots, (zw, zs, zrho))]
+            tw, ts, trho = (
+                sdp._herm(lx @ _one_with_spectrum(e, 1.0 / np.sqrt(np.clip(e[0], sdp._FLOOR, None))) @ lx)
+                for lx, e in zip(roots, inners)
+            )
+            zw_inv, zs_inv, zrho_inv = (_one_with_spectrum(e, 1.0 / e[0]) for e in eigs[3:])
+            clips += sum(int(e[0][0] < sdp._FLOOR) for e in eigs + inners)
+            trho2 = sdp._herm(trho @ trho)
+            newton_solve = _one_newton_solver(tw, ts, trho, units)
+
+            def newton(rw, rs, rrho):
+                dy, dt = newton_solve(rw + rs, rrho)
+                dy_in = sdp._tr_out(dy, d_out, d_in)
+                dw = sdp._herm(rw + tw @ dy @ tw)
+                ds = sdp._herm(rs + ts @ dy @ ts)
+                drho = sdp._herm(rrho - trho @ dy_in @ trho + dt * trho2)
+                return dw, ds, drho, dy, dt, -dy, -dy, dy_in - dt * eye_in
+
+            def step_sizes(*dx):
+                steps = [_one_max_step(r, d) for r, d in zip(isqrts, dx)]
+                ap = min(*steps[:3], 1.0 / fraction)
+                ad = min(*steps[3:], 1.0 / fraction)
+                return min(1.0, fraction * ap), min(1.0, fraction * ad)
+
+            aff = newton(-w, -s, -rho)
+            ap, ad = step_sizes(aff[0], aff[1], aff[2], aff[5], aff[6], aff[7])
+            mu_aff = (
+                sdp._ip(w + ap * aff[0], zw + ad * aff[5])
+                + sdp._ip(s + ap * aff[1], zs + ad * aff[6])
+                + sdp._ip(rho + ap * aff[2], zrho + ad * aff[7])
+            ) / total_dim
+            sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
+
+            def corr(x, dx_aff, z_inv, dz_aff):
+                second = dx_aff @ dz_aff @ z_inv
+                return sdp._herm(sigma * mu * z_inv - x - 0.5 * (second + second.conj().T))
+
+            dw, ds, drho, dy, dt, dzw, dzs, dzrho = newton(
+                corr(w, aff[0], zw_inv, aff[5]),
+                corr(s, aff[1], zs_inv, aff[6]),
+                corr(rho, aff[2], zrho_inv, aff[7]),
+            )
+            if not all(np.all(np.isfinite(a)) for a in (dw, ds, drho, dy)) or not np.isfinite(dt):
+                break
+            ap, ad = step_sizes(dw, ds, drho, dzw, dzs, dzrho)
+            w = sdp._herm(w + ap * dw)
+            s = sdp._herm(s + ap * ds)
+            rho = sdp._herm(rho + ap * drho)
+            y = sdp._herm(y + ad * dy)
+            t = t + ad * dt
+            zw, zs, zrho = slacks(y, t)
+    except np.linalg.LinAlgError as exc:
+        raise sdp.SdpConvergenceError(
+            f"diamond SDP broke down ({exc}) at duality gap {best_gap:.3e}", best_gap
+        ) from exc
+
+    gap = sdp._ip(w, zw) + sdp._ip(s, zs) + sdp._ip(rho, zrho)
+    value = 0.5 * (sdp._ip(j, w) - t)
+    if np.isfinite(gap) and np.isfinite(value) and abs(gap) < best_gap:
+        best_gap, best_value = abs(gap), value
+    if best_gap > sdp._GAP_REQUIRED:
+        raise sdp.SdpConvergenceError(
+            f"diamond SDP stalled at duality gap {best_gap:.3e} (required {sdp._GAP_REQUIRED:.1e})",
+            best_gap,
+        )
+    return sdp.DiamondResult(best_value, best_gap, iterations, clips)

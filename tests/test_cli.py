@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from cliffproxy import noise as nz
+from cliffproxy import sdp
 from cliffproxy.cli import main
 from cliffproxy.scenarios import (
     ConfigError,
@@ -271,6 +273,85 @@ class TestRunScenario:
             protocols = {r["protocol"] for r in csv.DictReader(fh)}
         assert "readout_failed" in protocols
         assert not protocols & {"readout", "readout_pauli"}
+
+
+# two widths of one target per kind: the n=2 SDPs are solved in one call,
+# then the n=3 ones
+ACCURACY_TWO_WIDTHS = {
+    "widths": [2, 3],
+    "targets_per_kind": 1,
+    "cliffordizations": 3,
+    "min_depth": 2,
+    "max_depth": 4,
+}
+
+
+class TestPartialAccuracyRun:
+    """A run that fails at its k-th target stops as it did when each target's
+    SDP was solved with it: the same error and exit code 3, and a partial
+    results.csv with every earlier target's rows and none of the k-th's."""
+
+    @staticmethod
+    def _run(tmp_path, name, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(ACCURACY_TWO_WIDTHS))
+        out = tmp_path / name
+        rc = main(["run", "accuracy", "--config", str(cfg_file), "--seed", "2", "--out", str(out)])
+        return rc, out, capsys.readouterr().err
+
+    def _expected_partial(self, tmp_path, capsys, k):
+        rc, out, _ = self._run(tmp_path, "full", capsys)
+        assert rc == 0
+        lines = (out / "results.csv").read_text().splitlines(keepends=True)
+        ids = list(dict.fromkeys(line.split(",")[0] for line in lines[1:]))
+        assert len(ids) == 4
+        return "".join(lines[:1] + [line for line in lines[1:] if line.split(",")[0] in ids[:k]])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_failed_sdp(self, tmp_path, capsys, monkeypatch, k):
+        # k = 1 fails the second n=2 target, k = 2 the first n=3 one
+        expected = self._expected_partial(tmp_path, capsys, k)
+        error = sdp.SdpConvergenceError(
+            "diamond SDP stalled at duality gap 1.000e-03 (required 1.0e-08)", 1e-3
+        )
+        solve, solved = sdp.solve_diamond_sdps, []
+
+        def failing(deltas, d_in):
+            outcomes = solve(deltas, d_in)
+            for i in range(len(outcomes)):
+                if len(solved) == k:
+                    outcomes[i] = error
+                solved.append(i)
+            return outcomes
+
+        monkeypatch.setattr(sdp, "solve_diamond_sdps", failing)
+        rc, out, err = self._run(tmp_path, "failed", capsys)
+        assert rc == 3
+        assert err == f"error: {error}\n"
+        assert (out / "results.csv").read_text() == expected
+        assert not (out / "manifest.json").exists()
+        solved.clear()
+        with pytest.raises(sdp.SdpConvergenceError) as raised:
+            run_scenario(validate_config("accuracy", ACCURACY_TWO_WIDTHS, 2, str(tmp_path / "api")))
+        assert raised.value is error
+
+    def test_failed_fold_keeps_earlier_diamond_rows(self, tmp_path, capsys, monkeypatch):
+        # the second n=2 target fails before its SDP: the first one's SDP
+        # is still solved and its rows written
+        expected = self._expected_partial(tmp_path, capsys, 1)
+        fold, calls = nz.cliffordization_infidelities, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("fold failed")
+            return fold(*args)
+
+        monkeypatch.setattr(nz, "cliffordization_infidelities", failing)
+        rc, out, err = self._run(tmp_path, "failed", capsys)
+        assert rc == 3
+        assert err == "error: fold failed\n"
+        assert (out / "results.csv").read_text() == expected
 
 
 class TestCliCommands:

@@ -1,14 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import HermBasis, dense_diamond_sdp, newton_matrix, partial_trace_matrix
+from oracles import (
+    HermBasis,
+    dense_diamond_sdp,
+    newton_matrix,
+    partial_trace_matrix,
+    unstacked_diamond_sdp,
+)
 
 from cliffproxy import circuits as cc
 from cliffproxy import dense as dn
 from cliffproxy import noise as nz
 from cliffproxy import sdp
-from cliffproxy.sdp import DiamondResult, SdpConvergenceError, solve_diamond_sdp
+from cliffproxy.sdp import (
+    DiamondResult,
+    SdpConvergenceError,
+    solve_diamond_sdp,
+    solve_diamond_sdps,
+)
 
 
 def choi_unitary(v):
@@ -54,6 +66,51 @@ INSTANCES = {
         4,
     ),
 }
+
+
+def _circuit_choi(n, depth, gates, seed, budgets):
+    """The Choi difference of a noisy brickwork circuit from its ideal."""
+    rng = np.random.default_rng(seed)
+    circ = cc.sample_brickwork(cc.BrickworkSpec(n, depth), gates, rng)
+    model = nz.sample_error_model(circ, rng, *budgets)
+    ideal, noisy = dn.circuit_ptm(circ), dn.circuit_ptm(circ, model)
+    return dn.choi_of_ptm(noisy).mat - dn.choi_of_ptm(ideal).mat
+
+
+# two noisy ten-layer Haar brickwork circuits on two qubits
+CIRCUITS_2Q = [_circuit_choi(2, 10, "haar", 70 + seed, (5e-3, 5e-4)) for seed in (0, 1)]
+ONE_QUBIT = [name for name, (_, d_in) in INSTANCES.items() if d_in == 2]
+
+
+def _outcome(solve, *args):
+    """What a solve returns, or the error it raises."""
+    try:
+        return solve(*args)
+    except (SdpConvergenceError, ValueError) as exc:
+        return exc
+
+
+def _bits(outcome):
+    """A result's fields with floats as hex, or an error's type, message and gap."""
+    if isinstance(outcome, Exception):
+        gap = getattr(outcome, "gap", None)
+        return type(outcome), str(outcome), None if gap is None else float(gap).hex()
+    return (
+        float(outcome.value).hex(),
+        float(outcome.duality_gap).hex(),
+        outcome.iterations,
+        outcome.eig_clips,
+    )
+
+
+def _same_as_unstacked(deltas, d_in):
+    """The batch's outcomes, after checking each against the one-problem
+    solver bit for bit."""
+    batch = solve_diamond_sdps(np.array(deltas), d_in)
+    assert len(batch) == len(deltas)
+    for got, delta in zip(batch, deltas):
+        assert _bits(got) == _bits(_outcome(unstacked_diamond_sdp, delta, d_in))
+    return batch
 
 
 def _same_as_dense(delta, d_in):
@@ -169,11 +226,7 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_two_qubit_circuits(self, seed):
-        rng = np.random.default_rng(70 + seed)
-        circ = cc.sample_brickwork(cc.BrickworkSpec(2, 10), "haar", rng)
-        model = nz.sample_error_model(circ, rng, 5e-3, 5e-4)
-        ideal, noisy = dn.circuit_ptm(circ), dn.circuit_ptm(circ, model)
-        _same_as_dense(dn.choi_of_ptm(noisy).mat - dn.choi_of_ptm(ideal).mat, 4)
+        _same_as_dense(CIRCUITS_2Q[seed], 4)
 
     @pytest.mark.parametrize("spread", ["none", "scalings", "rho", "all"])
     @pytest.mark.parametrize("dim, d_in", [(4, 2), (16, 4), (64, 8)])
@@ -185,7 +238,9 @@ class TestDenseOracle:
         tw, ts = _scaling(rng, dim, wide), _scaling(rng, dim, wide)
         trho = _scaling(rng, d_in, spread in ("rho", "all"))
         r_ws, r_rho = _hermitian(rng, dim), _hermitian(rng, d_in)
-        dy, dt = sdp._newton_solver(tw, ts, trho, sdp._units(dim // d_in, d_in))(r_ws, r_rho)
+        # the solver takes stacks: here stacks of one
+        solve = sdp._newton_solver(tw[None], ts[None], trho[None], sdp._units(dim // d_in, d_in))
+        (dy,), (dt,) = solve(r_ws[None], r_rho[None])
 
         basis, small = HermBasis(dim), HermBasis(d_in)
         m = newton_matrix(basis, small, partial_trace_matrix(basis, dim // d_in, d_in), tw, ts, trho)
@@ -193,3 +248,86 @@ class TestDenseOracle:
         x = np.append(basis.vec(dy), dt)
         residual = np.linalg.norm(m @ x - rhs)
         assert residual <= 1e-12 * (np.linalg.norm(m) * np.linalg.norm(x) + np.linalg.norm(rhs))
+
+
+class TestLockstep:
+    """Batches against the one-problem solver they replaced, bit for bit:
+    value, gap, iterations and clips, or the error's message and gap."""
+
+    def test_one_qubit_closed_forms_stop_apart(self):
+        batch = _same_as_unstacked([INSTANCES[name][0] for name in ONE_QUBIT], 2)
+        assert len({res.iterations for res in batch}) > 1
+
+    def test_two_qubit_instances(self):
+        _same_as_unstacked([INSTANCES["pauli_2q"][0], *CIRCUITS_2Q], 4)
+
+    def test_single_solve_is_a_batch_of_one(self):
+        for delta in CIRCUITS_2Q:
+            assert _bits(solve_diamond_sdp(delta, 4)) == _bits(unstacked_diamond_sdp(delta, 4))
+
+    def test_three_qubit_group(self):
+        # test_dense's n=3 instance with a second, Haar one: two problems fill
+        # one group, whose peak stays below 64 MiB
+        deltas = [
+            _circuit_choi(3, 4, "clifford", 60, (2e-2, 2e-3)),
+            _circuit_choi(3, 6, "haar", 61, (1e-2, 1e-3)),
+        ]
+        assert sdp._GROUP_AMPLITUDES // 8**2 // 64**2 == 2
+        tracemalloc.start()
+        try:
+            batch = solve_diamond_sdps(np.array(deltas), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        for got, delta in zip(batch, deltas):
+            assert _bits(got) == _bits(unstacked_diamond_sdp(delta, 8))
+
+    def test_batch_straddles_group_boundaries(self, monkeypatch):
+        # three one-qubit problems to a group: seven problems in groups of 3, 3, 1
+        whole = solve_diamond_sdps(np.array([INSTANCES[name][0] for name in ONE_QUBIT]), 2)
+        monkeypatch.setattr(sdp, "_GROUP_AMPLITUDES", 3 * 2**2 * 4**2)
+        batch = _same_as_unstacked([INSTANCES[name][0] for name in ONE_QUBIT], 2)
+        assert [_bits(res) for res in batch] == [_bits(res) for res in whole]
+
+    def test_breakdown_stays_with_its_problem(self, monkeypatch):
+        # past round-off, five of the seven break down, each at its own
+        # iteration and gap, while zero and x_flip finish, x_flip with two clips
+        _past_round_off(monkeypatch, 1e-8)
+        batch = _same_as_unstacked([INSTANCES[name][0] for name in ONE_QUBIT], 2)
+        outcomes = dict(zip(ONE_QUBIT, batch))
+        assert outcomes["x_flip"].eig_clips == 2
+        assert isinstance(outcomes["zero"], DiamondResult)
+        broken = [res for res in batch if isinstance(res, SdpConvergenceError)]
+        assert len(broken) == 5
+        assert len({res.gap for res in broken}) == 5
+        for err in broken:
+            assert "broke down" in str(err)
+            assert 0 < err.gap < 1e-13
+            assert isinstance(err.__cause__, np.linalg.LinAlgError)
+
+    def test_stall_stays_with_its_problem(self, monkeypatch):
+        # cut at five iterations, the zero difference ends within the required
+        # gap and every other problem stalls above it, each with its own gap
+        monkeypatch.setattr(sdp, "_MAX_ITER", 5)
+        batch = _same_as_unstacked([INSTANCES[name][0] for name in ONE_QUBIT], 2)
+        outcomes = dict(zip(ONE_QUBIT, batch))
+        assert isinstance(outcomes.pop("zero"), DiamondResult)
+        for err in outcomes.values():
+            assert isinstance(err, SdpConvergenceError)
+            assert "stalled" in str(err)
+            assert err.gap > sdp._GAP_REQUIRED
+        assert len({err.gap for err in outcomes.values()}) == len(outcomes)
+
+    def test_non_hermitian_problem_reported_alone(self):
+        bad = np.kron([[0, 1], [0, 0]], np.eye(2))
+        batch = _same_as_unstacked([bad, INSTANCES["x_flip"][0]], 2)
+        assert isinstance(batch[0], ValueError)
+        assert isinstance(batch[1], DiamondResult)
+
+    def test_stack_shape_validated(self):
+        with pytest.raises(ValueError, match="shape"):
+            solve_diamond_sdps(np.zeros((2, 5, 5), dtype=complex), 2)
+        with pytest.raises(ValueError, match="shape"):
+            solve_diamond_sdps(np.zeros((4, 4), dtype=complex), 2)
+        assert solve_diamond_sdps(np.zeros((0, 4, 4), dtype=complex), 2) == []
