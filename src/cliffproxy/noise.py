@@ -21,10 +21,10 @@ A :class:`NoiseModel` is read-only, down to each entry's probabilities.
 It compiles each layer position once, into one :class:`LayerTables`
 (:meth:`NoiseModel.layer_tables`), through which the fold, the Pauli walk,
 :func:`layer_infidelities` and :mod:`cliffproxy.dense`'s transfer matrix
-and sampler all read it.  A qubit's X90 entry compiles in one step for
-all gates: its faults are relabelled through
-:func:`cliffproxy.clifford.pulse_fault_codes` and convolved into a
-probability table with one row per Clifford index plus the Euler
+and sampler all read it.  A one-qubit layer's X90 entries compile in one
+stacked pass for all its qubits and gates: the faults are relabelled
+through :func:`cliffproxy.clifford.pulse_fault_codes` and convolved into
+a probability table per qubit, one row per Clifford index plus the Euler
 stand-in, and a (24, 4) eigenvalue table over all Clifford indices.  A
 pair's table is its entry's 16 probabilities and eigenvalues
 (:attr:`GateNoise.eigenvalues`).
@@ -34,6 +34,13 @@ fold of K circuits sharing their entangling layers takes one step per
 gate of each entangling layer, its map and eigenvalue rows composed from
 the gate's and the one-qubit layer's before it (in the last layer, also
 after it); a qubit the layer leaves idle steps with its one-qubit rows.
+Those rows are gathered, not rebuilt layer by layer: a pair's labels
+from a (576, 16) table indexed by its Clifford indices 24 g + h, its
+eigenvalue products from a table its one-qubit layer builds once per
+kind and pairs (:meth:`LayerTables.products`), or factor by factor where
+the circuits would read fewer rows than it holds; each kind is one
+gather per batch of layers (:func:`_step_tables`), in a step order
+derived once per layout (:func:`_plan`).
 The first layer's steps are per-gate blocks, which later layers step
 and merge when a gate joins two; once one block covers all n qubits,
 each gate steps that ``(K,) + (4,) * n`` array, which keeps its axes: a
@@ -57,8 +64,9 @@ circuit as its entangling layers and its one-qubit layers' Clifford
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 
@@ -68,7 +76,6 @@ from . import clifford as cl
 from .circuits import (
     LayeredCircuit,
     OneQubitLayer,
-    TwoQubitLayer,
     _draw_cliffords,
 )
 from .pauli import CODE_FROM_XZ, WALSH_KERNEL_1Q, XZ_FROM_CODE, PauliChannel, PauliString, pauli_walsh
@@ -97,6 +104,8 @@ FOLD_LIMIT = 10
 
 # amplitude budget of one batched fold chunk (8 MB), at least one circuit
 _FOLD_AMPLITUDES = 2**20
+# amplitude budget of the gate tables gathered at once (512 kB), at least one layer
+_TABLE_AMPLITUDES = 2**16
 
 # largest total probability fold_to_end may clip away as rounding noise
 CLIP_TOLERANCE = 1e-12
@@ -108,10 +117,8 @@ _CODE_XOR = np.array(
 )
 
 
-# bit shift of each qubit's letter in a label on one or two qubits
-_SHIFTS = {1: np.array([[0]]), 2: np.array([[2], [0]])}
-# the letters (w, 4^w) of each label on one or two qubits
-_DIGITS = {w: (np.arange(4**w) >> shifts) & 3 for w, shifts in _SHIFTS.items()}
+# the letters (w, 4^w) of each label on one or two qubits, the first the high digit
+_DIGITS = {w: np.arange(4**w) >> 2 * np.arange(w)[::-1, None] & 3 for w in (1, 2)}
 # a two-qubit label with its two letters swapped
 _SWAP = (np.arange(16) & 3) << 2 | np.arange(16) >> 2
 
@@ -171,24 +178,24 @@ class GateNoise:
 
 
 def _compile_1q(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One qubit's X90 faults pushed to the end of each one-qubit gate.
+    """The X90 faults of m qubits, ``eps`` (m, 4), pushed to the end of
+    each one-qubit gate, in one stacked pass.
 
-    Returns the (25, 4) probability table of the product of the two pushed
-    faults, rows 0-23 for the Clifford indices and row 24 for the Euler
-    stand-in (faults not pushed), and the (24, 4) eigenvalue table of the
-    Clifford rows.
+    Returns the (m, 25, 4) probability tables of the product of the two
+    pushed faults, rows 0-23 for the Clifford indices and row 24 for the
+    Euler stand-in (faults not pushed), and the (m, 24, 4) eigenvalue
+    tables of the Clifford rows.
     """
     codes = cl.pulse_fault_codes()
-    first = np.vstack([eps[codes[0]], eps])
-    second = np.vstack([eps[codes[1]], eps])
-    probs = np.zeros((25, 4))
+    first = np.concatenate([eps[:, codes[0]], eps[:, None]], axis=1)
+    second = np.concatenate([eps[:, codes[1]], eps[:, None]], axis=1)
+    probs = np.zeros(first.shape)
     # entry k sums first[i] * second[j] over the letters i, in code order,
     # with j the letter that i multiplies to k
     for i in range(4):
-        probs += first[:, i, None] * second[:, _CODE_XOR[i]]
-    # row by row, as pauli_walsh does: a batched product sums in another
-    # order, off by an ulp
-    eig = np.array([np.dot(WALSH_KERNEL_1Q, row.reshape(4, 1)).reshape(4) for row in probs[:24]])
+        probs += first[..., i, None] * second[..., _CODE_XOR[i]]
+    # a stack of (4, 4) by (4, 1) products, one per row: pauli_walsh's sums
+    eig = (WALSH_KERNEL_1Q @ probs[:, :24, :, None])[..., 0]
     return probs, eig
 
 
@@ -208,6 +215,21 @@ class LayerTables:
     probs: np.ndarray
     eig: np.ndarray
     gate: str | None
+    # a one-qubit layer's tables of :meth:`products`, by (kind, pair)
+    _products: dict = field(default_factory=dict, repr=False)
+
+    def products(self, kind: tuple, pair: tuple) -> np.ndarray:
+        """A one-qubit layer's eigenvalue products (576, 16) on ``pair``,
+        ascending, built once, read-only: row 24 g + h holds, for Clifford
+        indices g and h on its lower and upper qubit, the product of their
+        rows at the letters of each label under ``kind`` (:func:`_pair_digits`)."""
+        hit = self._products.get((kind, pair))
+        if hit is None:
+            (a, b), digits = pair, _pair_digits(*kind)
+            hit = self.eig[a][:, None, digits[0]] * self.eig[b][None, :, digits[1]]
+            hit = self._products[kind, pair] = hit.reshape(576, 16)
+            hit.setflags(write=False)
+        return hit
 
     @cached_property
     def steps(self) -> list:
@@ -287,7 +309,7 @@ class NoiseModel:
         if hit is None:
             if one_qubit:
                 entries = tuple(self.xpi2_noise(position, q) for q in range(layer.n))
-                probs, eig = map(np.stack, zip(*(_compile_1q(e.probs) for e in entries)))
+                probs, eig = _compile_1q(np.array([e.probs for e in entries]))
             else:
                 entries = tuple(self.twoq_noise(position, layer.gate, p) for p in layer.pairs)
                 probs = np.array([e.probs for e in entries]).reshape(-1, 16)
@@ -393,52 +415,33 @@ def _gate_indices(circuits):
 
 
 @lru_cache(maxsize=None)
-def _pair_digits(gate: str, swapped: bool) -> np.ndarray:
+def _pair_digits(gate: str | None, swapped: bool) -> np.ndarray:
     """The letters (2, 16) of the image of each label under
-    :func:`cliffproxy.clifford.twoq_conjugation_codes`, with both sides'
-    letters swapped if ``swapped``: the map of a pair listed high qubit
-    first, on its qubits in ascending order."""
-    codes = cl.twoq_conjugation_codes(gate)
+    :func:`cliffproxy.clifford.twoq_conjugation_codes`, or of the label
+    itself if ``gate`` is None, with both sides' letters swapped if
+    ``swapped``: the map of a pair listed high qubit first, on its qubits
+    in ascending order."""
+    codes = np.arange(16) if gate is None else cl.twoq_conjugation_codes(gate)
     digits = _DIGITS[2][:, _SWAP[codes[_SWAP]] if swapped else codes]
     digits.setflags(write=False)
     return digits
 
 
-def _one_qubit_rows(qubits, layer, digits):
-    """Labels before a one-qubit layer, and the products of its
-    eigenvalues, for G gates on ``qubits`` (G, w) whose labels after it
-    carry the letters ``digits`` (w, L): both (G, K, L).  ``layer`` is the
-    layer's (n, K) Clifford indices and its (n, 24, 4) eigenvalue table."""
-    gates, table = layer
-    at = gates[qubits], np.arange(len(digits))[:, None]
-    shifted = (cl.inverse_conjugation_codes()[:, digits] << _SHIFTS[len(digits)])[at]
-    eig = table[:, :, digits][(qubits[..., None],) + at]
-    if len(digits) == 1:
-        return shifted[:, 0], eig[:, 0]
-    return shifted[:, 0] | shifted[:, 1], eig[:, 0] * eig[:, 1]
-
-
-def _fused_tables(qubits, digits, gate_eig, pre, post):
-    """Tables of G gates of width w on ``qubits`` (G, w), composed with the
-    one-qubit layers around them.
-
-    ``digits`` (w, 4^w) holds the letters of the image of each of a gate's
-    labels under its conjugation, and ``gate_eig`` (G, 4^w) the gates'
-    eigenvalues, or is None for idle qubits.  ``pre`` and ``post`` are the
-    one-qubit layers before and after the gates, as :func:`_one_qubit_rows`
-    takes them; ``post`` may be None.
-    Returns the mapped labels and the eigenvalue rows, both (G, K, 4^w),
-    that :func:`_apply_gate` takes.
-    """
-    labels, eig = _one_qubit_rows(qubits, pre, digits)
-    if gate_eig is not None:
-        eig = gate_eig[:, None] * eig
-    if post is not None:
-        # each output label reads the tables at its label before ``post``
-        before, post_eig = _one_qubit_rows(qubits, post, _DIGITS[qubits.shape[1]])
-        eig = post_eig * np.take_along_axis(eig, before, axis=-1)
-        labels = np.take_along_axis(labels, before, axis=-1)
-    return labels, eig
+@lru_cache(maxsize=None)
+def _kind_tables(kind) -> tuple[np.ndarray, np.ndarray]:
+    """The letters (w, 4^w) of each label's image under ``kind``, the
+    identity on one qubit if None, else on a pair as :func:`_pair_digits`
+    takes it, and the labels (24^w, 4^w) before a one-qubit layer: row
+    24 g + h holds, for Clifford indices g and h on a pair's lower and
+    upper qubit (g alone on one qubit), the label that reads each label."""
+    codes = cl.inverse_conjugation_codes().astype(np.uint8)
+    if kind is None:
+        return _DIGITS[1], codes
+    digits = _pair_digits(*kind)
+    low, high = codes[:, digits].transpose(1, 0, 2)
+    labels = (low[:, None] << 2 | high[None]).reshape(576, 16)
+    labels.setflags(write=False)
+    return digits, labels
 
 
 def _apply_gate(h, rows, qubits, labels, eig):
@@ -479,63 +482,142 @@ def _apply_gate(h, rows, qubits, labels, eig):
     return out.reshape(h.shape[: 1 + a] + (4,) * (size.bit_length() // 2) + h.shape[2 + b :])
 
 
-def _layer_gates(template):
-    """The gates of each entangling layer of ``template``: its pairs as it
-    lists them, then a 1-tuple for each qubit it leaves idle.  A circuit
-    without entangling layers is one layer of idle qubits."""
-    n = template.n
-    for pairs in [layer.pairs for layer in template.layers[1::2]] or [()]:
+def _layer_gates(n: int, entangling: tuple):
+    """The gates of each of the ``entangling`` layers on n qubits: its
+    pairs as it lists them, then a 1-tuple for each qubit it leaves idle.
+    A circuit without entangling layers is one layer of idle qubits."""
+    for pairs in [layer.pairs for layer in entangling] or [()]:
         paired = {q for pair in pairs for q in pair}
         yield list(pairs) + [(q,) for q in range(n) if q not in paired]
 
 
-def _gate_steps(template, gates, noise: NoiseModel, j, group):
-    """The steps of the gates ``group`` of entangling layer ``j``, some
-    of its :func:`_layer_gates`: (gate, labels, eigenvalue rows), the
-    tables on the gate's qubits ascending as :func:`_apply_gate` takes
-    them.  Each gate's tables are composed with the one-qubit layer before
-    it (in the last layer, also after it)."""
-    depth = gates.shape[1] - 1
-    layer = template.layers[2 * j + 1] if depth else TwoQubitLayer(())
+# the steps of one layout (:func:`_plan`)
+_Plan = namedtuple("_Plan", "steps starts tables fields")
 
-    def one_qubit_layer(i):
-        table = noise.layer_tables(2 * i, template.layers[2 * i]).eig
-        return gates[:, i].T.astype(np.intp), table
 
-    pre = one_qubit_layer(j)
-    post = one_qubit_layer(depth) if j == depth - 1 else None
-    pair_eig = noise.layer_tables(2 * j + 1, layer).eig
-    steps = []
-    for flip in (False, True):
-        # pairs listed high qubit first step with their letters swapped
-        pairs = [gate for gate in group if len(gate) == 2 and (gate[0] > gate[1]) == flip]
-        if not pairs:
-            continue
-        qubits, twoq = np.array(pairs), pair_eig[[layer.pairs.index(pair) for pair in pairs]]
-        if flip:
-            qubits, twoq = qubits[:, ::-1], twoq[:, _SWAP]
-        steps += zip(pairs, *_fused_tables(qubits, _pair_digits(layer.gate, flip), twoq, pre, post))
-    idle = [gate for gate in group if len(gate) == 1]
-    if idle:
-        steps += zip(idle, *_fused_tables(np.array(idle), _DIGITS[1], None, pre, post))
-    return steps
+@lru_cache(maxsize=32)
+def _plan(n: int, entangling: tuple, markovian: bool) -> _Plan:
+    """The steps over the layers ``entangling`` on n qubits, once per
+    layout and mode: ``steps`` (j, gate) of :func:`_layer_gates`, layer by
+    layer from ``starts``, in the fold's order, that of the deepest axis a
+    gate's qubits would hold if every step moved its axes to the front,
+    which on one array (:func:`_forward`) fixes the result's last bits.
+
+    A gate reads the one-qubit layer before it, and in the last layer the
+    one after it too, under a kind: None for an idle qubit, else (gate,
+    swapped) as :func:`_pair_digits` takes it, (None, False) after.
+    ``tables`` holds each (one-qubit layer, kind, qubits) read, layer 0 in
+    the Markovian mode, and the fewest circuits that read as many rows as
+    its :meth:`LayerTables.products` hold.  ``fields`` holds each step's
+    layer, lower and upper qubit, pair eigenvalue row among all layers'
+    (-1 if idle), and table before and after its layer (-1 but in the
+    last layer).
+    """
+    depth, order, steps, starts = len(entangling), list(range(n)), [], []
+    for j, group in enumerate(_layer_gates(n, entangling)):
+        # pairs listed low qubit first, then those listed high first, then idle qubits
+        group.sort(key=lambda gate: (len(gate) == 1, gate[0] > gate[-1]))
+        group.sort(key=lambda gate: max(order.index(q) for q in gate))
+        for gate in group:
+            order = list(gate) + [q for q in order if q not in gate]
+        starts.append(len(steps))
+        steps += [(j, gate) for gate in group]
+    starts.append(len(steps))
+    offsets = np.cumsum([0] + [len(layer.pairs) for layer in entangling])
+    fields, index, reads = np.full((6, len(steps)), -1), {}, {}
+    for s, (j, gate) in enumerate(steps):
+        kind = None if len(gate) == 1 else (entangling[j].gate, gate[0] > gate[1])
+        qubits = tuple(sorted(gate))
+        fields[:3, s] = j, qubits[0], qubits[-1]
+        if kind:
+            fields[3, s] = offsets[j] + entangling[j].pairs.index(gate)
+        read = [(0 if markovian else j, kind, qubits)]
+        if j == depth - 1:
+            read.append((0 if markovian else depth, kind and (None, False), qubits))
+        for at, key in zip((4, 5), read):
+            fields[at, s], reads[key] = index.setdefault(key, len(index)), reads.get(key, 0) + 1
+    fields.setflags(write=False)
+    # the fewest circuits that read 576 rows of a pair
+    return _Plan(steps, starts, [(*key, key[1] and -(-576 // reads[key])) for key in index], fields)
+
+
+def _step_tables(template, gates, noise: NoiseModel, plan: _Plan):
+    """A function of some step numbers of ``plan`` that returns their
+    (labels, eigenvalue rows), both (K, 4^w) as :func:`_apply_gate` takes
+    them.  A kind's labels are one gather (:func:`_kind_tables`), and its
+    rows one from each table whose circuits read as many rows as its
+    :meth:`LayerTables.products` hold, else one per factor, all layers at
+    once, multiplied: the same product.  A pair's rows are multiplied by
+    its eigenvalues; in the last layer each is read at the labels of the
+    one-qubit layer after it and multiplied by its rows."""
+    k, layers = len(gates), template.layers
+    one_qubit = [noise.layer_tables(2 * i, layer) for i, layer in enumerate(layers[::2])]
+    pair_eig = [noise.layer_tables(i, layer).eig for i, layer in enumerate(layers) if i % 2]
+    pair_eig = np.concatenate([np.empty((0, 16))] + pair_eig)
+    # the one-qubit tables' rows, one table for all layers in the Markovian mode
+    stacked = np.stack([tables.eig for tables in one_qubit[: 1 if noise.markovian else None]]).reshape(-1, 4)
+    # a table's own rows, or its kind's factors (negative)
+    kinds = {}
+    source = np.array([
+        t if build and k >= build else ~kinds.setdefault(kind, len(kinds))
+        for t, (_, kind, _, build) in enumerate(plan.tables)
+    ])
+
+    def gathered(ids, at, after):
+        """(labels, eig) by step of ``ids``, from their tables in fields
+        ``at``, at the indices of the one-qubit layer ``after`` theirs"""
+        j, low, high, rows, table = plan.fields[[0, 1, 2, 3, at]][:, ids]
+        j = j + after
+        # each step's first row of its one-qubit table in ``stacked``
+        first = 24 * template.n * (0 * j if noise.markovian else j)[:, None]
+        # int8 indices times 24 overflow
+        g, h = (gates[:, j, q].T.astype(np.intp) for q in (low, high))
+        out, sources = {}, source[table]
+        for got in dict.fromkeys(sources.tolist()):
+            sel = np.flatnonzero(sources == got)
+            layer, kind, pair, _ = plan.tables[table[sel[0]]]
+            digits, labels = _kind_tables(kind)
+            index = g[sel] if kind is None else 24 * g[sel] + h[sel]
+            labels = np.take(labels, index, axis=0)
+            if got >= 0:
+                eig = np.take(one_qubit[layer].products(kind, pair), index, axis=0)
+            else:
+                # np.take keeps the rows C-ordered, on which the sweep's last bits depend
+                eig = np.take(stacked[first[sel] + 24 * low[sel, None] + g[sel]], digits[0], axis=-1)
+                if kind:
+                    eig = eig * np.take(stacked[first[sel] + 24 * high[sel, None] + h[sel]], digits[1], axis=-1)
+            if kind and kind[0]:
+                gate_eig = pair_eig[rows[sel]]
+                eig *= (gate_eig[:, _SWAP] if kind[1] else gate_eig)[:, None]
+            out.update(zip(ids[sel].tolist(), zip(labels, eig)))
+        return out
+
+    def tables(ids):
+        ids = np.asarray(ids)
+        out = gathered(ids, 4, 0)
+        last = ids[plan.fields[5, ids] >= 0]
+        for s, (before, eig) in gathered(last, 5, 1).items() if len(last) else ():
+            labels, pre = out[s]
+            out[s] = np.take_along_axis(labels, before, -1), eig * np.take_along_axis(pre, before, -1)
+        return [out[s] for s in ids.tolist()]
+
+    return tables
 
 
 def _layer_steps(template, gates, noise: NoiseModel):
     """The steps of each entangling layer of :func:`_fold`, one list per
-    layer: (qubits ascending, labels, eigenvalue rows) as
-    :func:`_apply_gate` takes them (:func:`_gate_steps`).  Gates step in
-    order of the deepest axis their qubits would hold if every step moved
-    its gate's axes to the front (``order``), which on one array
-    (:func:`_forward`) fixes the order of each label's products, and so
-    the result's last bits."""
-    order = list(range(template.n))
-    for j, group in enumerate(_layer_gates(template)):
-        steps = _gate_steps(template, gates, noise, j, group)
-        steps.sort(key=lambda step: max(order.index(q) for q in step[0]))
-        for qubits, _, _ in steps:
-            order = list(qubits) + [q for q in order if q not in qubits]
-        yield [(tuple(sorted(qubits)), labels, eig) for qubits, labels, eig in steps]
+    layer in :func:`_plan`'s order: (qubits ascending, labels, eigenvalue
+    rows) as :func:`_apply_gate` takes them (:func:`_step_tables`),
+    gathered for as many layers at a time as ``_TABLE_AMPLITUDES`` holds."""
+    plan = _plan(template.n, template.layers[1::2], noise.markovian)
+    tables, starts = _step_tables(template, gates, noise, plan), plan.starts
+    # a step's labels and eigenvalues take at most 2 * 16 amplitudes per circuit
+    batch = max(1, _TABLE_AMPLITUDES // (32 * len(gates) * max(np.diff(starts))))
+    for first in range(0, len(starts) - 1, batch):
+        last = min(first + batch, len(starts) - 1)
+        steps = iter(tables(range(starts[first], starts[last])))
+        for j in range(first, last):
+            yield [(tuple(sorted(gate)), *next(steps)) for _, gate in plan.steps[starts[j] : starts[j + 1]]]
 
 
 def _inverted(step):
@@ -787,98 +869,91 @@ def _legs(j, qubits, depth):
     return [(q, j) for q in qubits if j], [(q, j + 1) for q in qubits if j + 1 < depth]
 
 
-def _sweep_plan(template):
-    """The steps of :func:`_sweep_sum`, as (layer, gate) in order of
-    (lowest qubit, layer), gates as :func:`_gate_steps` takes them, and
-    the most legs its frontier holds, both read from the template's pair
-    lists alone.  Once the frontier reaches n legs, where the fold is
-    taken instead, the plan stops: (None, n)."""
-    n = template.n
+@lru_cache(maxsize=32)
+def _sweep_plan(n: int, entangling: tuple):
+    """The steps of :func:`_sweep_sum` over the layers ``entangling`` on n
+    qubits by (lowest qubit, layer), as (step number of :func:`_plan`,
+    :func:`_absorb`'s bookkeeping), and the most legs its frontier holds,
+    once per layout; (None, n) once that reaches n, where the fold runs.
+
+    The frontier is transposed by ``axes`` (None to keep it) to (K, shared
+    legs, kept legs).  A step that reads shared legs and writes new ones
+    gathers it at ``read[label]`` (the label itself if None), with ``own``
+    None; any other is built dense, its nonzeros at ``read[label] + own``
+    of ``size`` entries on its new legs, then the shared ones."""
     # each layer's gates by their lowest qubit
-    layers = [{min(gate): gate for gate in group} for group in _layer_gates(template)]
-    order, frontier, widest = [], set(), 0
-    for q in range(n):
-        for j, gates in enumerate(layers):
-            if q in gates:
-                order.append((j, gates[q]))
-                # a leg opens at its first step and closes at its second
-                ins, outs = _legs(j, gates[q], len(layers))
-                frontier ^= set(ins + outs)
-                widest = max(widest, len(frontier))
-                if widest >= n:
-                    return None, n
-    return order, widest
+    layers = [{min(gate): gate for gate in group} for group in _layer_gates(n, entangling)]
+    steps, legs, widest = [], [], 0
+    for j, gate in [(j, gates[q]) for q in range(n) for j, gates in enumerate(layers) if q in gates]:
+        # a leg opens at its first step and closes at its second
+        ins, outs = _legs(j, sorted(gate), len(layers))
+        shared = [leg for leg in legs if leg in ins + outs]
+        kept = [leg for leg in legs if leg not in ins + outs]
+        new = [leg for leg in ins + outs if leg not in legs]
+        at = [legs.index(leg) for leg in shared + kept]
+        axes = None if at == sorted(at) else [0] + [1 + a for a in at]
+        read, own = np.zeros((2, 4 ** len(gate)), dtype=np.intp)
+        # an in leg's letter is that of the label read, an out leg's the label's own
+        for leg in shared if outs and new == outs else new + shared:
+            read, own = 4 * read, 4 * own
+            if leg in ins:
+                read += _DIGITS[len(gate)][ins.index(leg)]
+            else:
+                own += _DIGITS[len(gate)][outs.index(leg)]
+        if outs and new == outs:
+            read, own, size = None if shared == ins else read, None, None
+        else:
+            size = 4 ** len(ins + outs)
+        steps.append(((j, gate), (axes, (4 ** len(shared), 4 ** len(kept)), read, own, size)))
+        legs = new + kept
+        widest = max(widest, len(legs))
+        if widest >= n:
+            return None, n
+    number = {step: s for s, step in enumerate(_plan(n, entangling, True).steps)}
+    return [(number[step], absorb) for step, absorb in steps], widest
 
 
-def _absorb(f, legs, ins, outs, labels, eig):
-    """The frontier ``f`` (K, 4^m) on ``legs`` times one step's tensor,
-    summed over their shared legs: the new frontier and its legs, the
-    step's others, then those of ``f`` the step lacks.
-
-    ``ins`` and ``outs`` are the step's in and out legs (:func:`_legs`),
-    and ``labels`` and ``eig`` its (K, L) tables (:func:`_gate_steps`).
-    Its tensor holds each out label's eigenvalue at the letters of that
-    label and of the label it reads: a monomial, one nonzero per label.  A
-    step that reads shared legs and writes new ones gathers the frontier
-    at the labels it reads; any other is built dense on the new legs
-    against the shared ones and taken in one batched product.  New legs
-    go in front, where the next step on their qubit reads them.
+def _absorb(f, rows, labels, eig, axes, shape, read, own, size):
+    """The frontier ``f`` (K, 4^m) times one step's tensor, summed over
+    their shared legs, with :func:`_sweep_plan`'s bookkeeping; ``rows``
+    (K, 1) numbers the circuits.  The step's (K, L) ``labels`` and ``eig``
+    (:func:`_step_tables`) make a monomial: each out label's eigenvalue
+    at the letters of that label and of the label it reads.  A gather
+    reads the frontier there, a dense step is one batched product, and
+    new legs go in front, where the next step on their qubit reads them.
     """
     k = len(f)
-    step = ins + outs
-    shared = [leg for leg in legs if leg in step]
-    kept = [leg for leg in legs if leg not in step]
-    new = [leg for leg in step if leg not in legs]
-    at = [legs.index(leg) for leg in shared + kept]
-    if at != sorted(at):
-        f = f.reshape((k,) + (4,) * len(legs)).transpose([0] + [1 + a for a in at])
-    f = f.reshape(k, 4 ** len(shared), 4 ** len(kept))
-    # L = 4^w labels on w qubits
-    digits = _DIGITS[labels.shape[1].bit_length() // 2]
-
-    def index(of):
-        # an in leg's letter is that of the label read, an out leg's the label's own
-        out = 0
-        for leg in of:
-            out = 4 * out + (digits[ins.index(leg)][labels] if leg in ins else digits[outs.index(leg)])
-        return out
-
-    rows = np.arange(k)[:, None]
-    if outs and new == outs:
-        if shared:
-            read = labels if shared == ins else index(shared)
-            f = np.take(f.reshape(-1, f.shape[2]), read + rows * f.shape[1], axis=0)
-        return f * eig[..., None], new + kept
+    if axes is not None:
+        f = f.reshape((k,) + (4,) * (len(axes) - 1)).transpose(axes)
+    f = f.reshape((k,) + shape)
+    if own is None:
+        if shape[0] > 1:
+            at = labels if read is None else read[labels]
+            f = np.take(f.reshape(-1, shape[1]), at + rows * shape[0], axis=0)
+        return f * eig[..., None]
     # summed legs can send labels to one entry, which bincount adds up
-    size = 4 ** len(step)
-    flat = np.broadcast_to(rows * size + index(new + shared), eig.shape)
+    flat = np.broadcast_to(rows * size + read[labels] + own, eig.shape)
     tensor = np.bincount(flat.ravel(), eig.ravel(), k * size)
-    return tensor.reshape(k, -1, f.shape[1]) @ f, new + kept
+    return tensor.reshape(k, -1, shape[0]) @ f
 
 
 def _sweep_sum(template, gates, noise: NoiseModel, order):
     """:func:`_fold_sum` contracted qubit by qubit, over a frontier of
-    4^m entries for m legs (:func:`_legs`) in place of a 4^n array.
-
-    Each gate's step (:func:`_gate_steps`) is a tensor on its legs, taken
-    into the frontier (:func:`_absorb`) in the ``order`` of
-    :func:`_sweep_plan`: a brickwork of D layers on a line holds about D
-    legs open, whatever n.  The steps' tables are built a batch of steps
-    at a time, one pass per layer, as many as ``_FOLD_AMPLITUDES`` holds.
-    """
+    4^m entries for m legs (:func:`_legs`) in place of a 4^n array: each
+    gate's step, a tensor on its legs, is taken into the frontier
+    (:func:`_absorb`) in the ``order`` of :func:`_sweep_plan`, so D
+    brickwork layers on a line hold about D legs open, whatever n.  The
+    steps' tables are gathered (:func:`_step_tables`) as many at a time as
+    ``_TABLE_AMPLITUDES`` holds."""
     k = len(gates)
-    depth = max(gates.shape[1] - 1, 1)
+    tables = _step_tables(template, gates, noise, _plan(template.n, template.layers[1::2], noise.markovian))
     # a step's labels and eigenvalues take at most 2 * 16 amplitudes per circuit
-    batch = max(1, _FOLD_AMPLITUDES // (32 * k))
-    f, legs = np.ones((k, 1)), []
+    batch = max(1, _TABLE_AMPLITUDES // (32 * k))
+    f, rows = np.ones((k, 1)), np.arange(k)[:, None]
     for start in range(0, len(order), batch):
         steps = order[start : start + batch]
-        tables = {}
-        for j in dict.fromkeys(j for j, _ in steps):
-            group = [gate for i, gate in steps if i == j]
-            tables.update(((j, gate), step) for gate, *step in _gate_steps(template, gates, noise, j, group))
-        for j, gate in steps:
-            f, legs = _absorb(f, legs, *_legs(j, sorted(gate), depth), *tables.pop((j, gate)))
+        for (_, absorb), step in zip(steps, tables([s for s, _ in steps])):
+            f = _absorb(f, rows, *step, *absorb)
     return f.reshape(k)
 
 
@@ -888,7 +963,7 @@ def _infidelities(template, gates, noise: NoiseModel):
     the mean of the diagonal: :func:`_sweep_sum` where its largest
     frontier is smaller than 4^n, else :func:`_fold_sum`."""
     n = template.n
-    order, width = _sweep_plan(template)
+    order, width = _sweep_plan(n, template.layers[1::2])
     fold_sum = partial(_sweep_sum, order=order) if width < n else _fold_sum
     chunk = max(1, _FOLD_AMPLITUDES // 4**width)
     out = np.empty(len(gates))

@@ -441,6 +441,44 @@ def per_gate_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
     return h.reshape(len(gates), 4**n)
 
 
+def _one_qubit_rows(qubits, layer, digits):
+    """Labels before a one-qubit layer, and the products of its
+    eigenvalues, for G gates on ``qubits`` (G, w) whose labels after it
+    carry the letters ``digits`` (w, L): both (G, K, L).  ``layer`` is the
+    layer's (n, K) Clifford indices and its (n, 24, 4) eigenvalue table."""
+    gates, table = layer
+    at = gates[qubits], np.arange(len(digits))[:, None]
+    shifted = (cl.inverse_conjugation_codes()[:, digits] << 2 * np.arange(len(digits))[::-1, None])[at]
+    eig = table[:, :, digits][(qubits[..., None],) + at]
+    if len(digits) == 1:
+        return shifted[:, 0], eig[:, 0]
+    return shifted[:, 0] | shifted[:, 1], eig[:, 0] * eig[:, 1]
+
+
+def fused_tables(qubits, digits, gate_eig, pre, post):
+    """Tables of G gates of width w on ``qubits`` (G, w), composed with the
+    one-qubit layers around them, one layer at a time: the rows that
+    ``noise._step_tables`` gathers from its per-model tables.
+
+    ``digits`` (w, 4^w) holds the letters of the image of each of a gate's
+    labels under its conjugation, and ``gate_eig`` (G, 4^w) the gates'
+    eigenvalues, or is None for idle qubits.  ``pre`` and ``post`` are the
+    one-qubit layers before and after the gates, as :func:`_one_qubit_rows`
+    takes them; ``post`` may be None.
+    Returns the mapped labels and the eigenvalue rows, both (G, K, 4^w),
+    that ``noise._apply_gate`` takes.
+    """
+    labels, eig = _one_qubit_rows(qubits, pre, digits)
+    if gate_eig is not None:
+        eig = gate_eig[:, None] * eig
+    if post is not None:
+        # each output label reads the tables at its label before ``post``
+        before, post_eig = _one_qubit_rows(qubits, post, nz._DIGITS[qubits.shape[1]])
+        eig = post_eig * np.take_along_axis(eig, before, axis=-1)
+        labels = np.take_along_axis(labels, before, axis=-1)
+    return labels, eig
+
+
 def _gather(h, order, rows, qubits, letters, eig):
     """``h <- eig * (h o map)`` on the axes of ``qubits``, which move to
     axes 1..k; the axes behind the gate's deepest one stay in place.
@@ -472,7 +510,7 @@ def gather_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
         return gates[:, j].T.astype(np.intp), table
 
     def letters(labels, w):
-        return (labels[:, None] >> nz._SHIFTS[w][..., None]) & 3
+        return (labels[:, None] >> 2 * np.arange(w)[::-1, None, None]) & 3
 
     h = np.ones((k,) + (4,) * n)
     order = list(range(n))
@@ -489,10 +527,10 @@ def gather_fold(template, gates, noise, layer_offset=0) -> np.ndarray:
                 for pair in layer.pairs
             ])
             digits = nz._DIGITS[2][:, cl.twoq_conjugation_codes(layer.gate)]
-            labels, eig = nz._fused_tables(np.array(layer.pairs), digits, twoq, pre, post)
+            labels, eig = fused_tables(np.array(layer.pairs), digits, twoq, pre, post)
             gathers += zip(layer.pairs, letters(labels, 2), eig)
         if idle:
-            labels, eig = nz._fused_tables(np.array(idle), nz._DIGITS[1], None, pre, post)
+            labels, eig = fused_tables(np.array(idle), nz._DIGITS[1], None, pre, post)
             gathers += zip(idle, letters(labels, 1), eig)
         gathers.sort(key=lambda gate: max(order.index(q) for q in gate[0]))
         for qubits, gate_letters, eig in gathers:

@@ -16,6 +16,7 @@ from cliffproxy.pauli import PauliString, pauli_walsh
 from oracles import (
     circuit_tableau,
     concatenate,
+    fused_tables,
     gather_fold,
     inverse,
     layer_channel,
@@ -211,9 +212,9 @@ class TestGateNoise:
 
 
 class TestCompiledOneQubit:
-    def test_eigenvalue_rows_match_pauli_walsh(self):
-        # bit for bit, row by row: identity, single-letter and random faults
-        rng = np.random.default_rng(91)
+    @staticmethod
+    def _faults(rng):
+        # identity, single-letter and random faults
         faults = list(np.eye(4))
         faults += [np.array([1 - p, 0.0, 0.0, 0.0]) + p * np.eye(4)[c] for p in (1e-4, 0.3) for c in (1, 2, 3)]
         faults += [rng.dirichlet(np.ones(4)) for _ in range(100)]
@@ -221,9 +222,29 @@ class TestCompiledOneQubit:
             nz.GateNoise.from_rates(rng.uniform(0, 1e-3) * rng.dirichlet(np.ones(3))).probs
             for _ in range(100)
         ]
-        for eps in faults:
-            probs, eig = nz._compile_1q(eps)
-            for row, got in zip(probs[:24], eig):
+        return faults
+
+    def test_eigenvalue_rows_match_pauli_walsh(self):
+        # bit for bit, row by row, each fault compiled alone
+        for eps in self._faults(np.random.default_rng(91)):
+            probs, eig = nz._compile_1q(eps[None])
+            assert probs.shape == (1, 25, 4) and eig.shape == (1, 24, 4)
+            for row, got in zip(probs[0, :24], eig[0]):
+                assert np.array_equal(got, pauli_walsh(row, 1))
+
+    def test_stacked_compile_matches_each_qubit_alone(self):
+        # one pass over a stack that mixes identity, single-letter and
+        # random rows gives each qubit's tables bit for bit, and each
+        # eigenvalue row is pauli_walsh's
+        faults = self._faults(np.random.default_rng(92))
+        order = np.random.default_rng(93).permutation(len(faults))
+        stack = np.array(faults)[order]
+        probs, eig = nz._compile_1q(stack)
+        for q, eps in enumerate(stack):
+            alone = nz._compile_1q(eps[None])
+            assert np.array_equal(probs[q], alone[0][0])
+            assert np.array_equal(eig[q], alone[1][0])
+            for row, got in zip(probs[q, :24], eig[q]):
                 assert np.array_equal(got, pauli_walsh(row, 1))
 
     @pytest.mark.parametrize("markovian", [True, False])
@@ -246,8 +267,8 @@ class TestCompiledOneQubit:
     @pytest.mark.parametrize("markovian", [True, False])
     def test_every_reader_gets_one_table_per_layer(self, markovian, monkeypatch):
         # the fold, the walk, layer_infidelities, the transfer matrix and the
-        # sampler read one LayerTables object per layer position, compiled
-        # once per qubit, and no entry past it
+        # sampler read one LayerTables object per layer position, each
+        # one-qubit table compiled in one stacked pass, and no entry past it
         compile_1q, calls = nz._compile_1q, []
         monkeypatch.setattr(nz, "_compile_1q", lambda eps: calls.append(eps) or compile_1q(eps))
         circ, rng = brickwork(3, 4, 93)
@@ -311,7 +332,8 @@ class TestCompiledOneQubit:
                             assert step == (tables.eig[q, g, c], codes[g, c])
             assert len(tables.steps) == len(tables.eig)
         one_qubit_tables = 1 if markovian else len(positions[::2])
-        assert len(calls) == circ.n * one_qubit_tables
+        assert len(calls) == one_qubit_tables
+        assert all(eps.shape == (circ.n, 4) for eps in calls)
 
 
 class TestLayerChannel:
@@ -744,6 +766,150 @@ class TestFusedFold:
                     assert np.array_equal(nz._fold(template, alone[None], shifted)[0], row)
 
 
+class TestGatherTables:
+    """The steps' tables gathered from per-model tables (``_layer_steps``
+    and ``_step_tables``), bit for bit against ``oracles.fused_tables``,
+    which builds each layer's tables on their own."""
+
+    @staticmethod
+    def _oracle(template, gates, model):
+        """Each gate's (labels, eig) by (layer, gate as listed)."""
+        n, layers = template.n, template.layers
+        depth = gates.shape[1] - 1
+
+        def one_qubit_layer(i):
+            return gates[:, i].T.astype(np.intp), model.layer_tables(2 * i, layers[2 * i]).eig
+
+        want = {}
+        for j, group in enumerate(nz._layer_gates(n, layers[1::2])):
+            pre = one_qubit_layer(j)
+            post = one_qubit_layer(depth) if j == depth - 1 else None
+            for gate in group:
+                if len(gate) == 1:
+                    digits, twoq = nz._DIGITS[1], None
+                else:
+                    layer = layers[2 * j + 1]
+                    flip = gate[0] > gate[1]
+                    digits = nz._pair_digits(layer.gate, flip)
+                    twoq = model.layer_tables(2 * j + 1, layer).eig[[layer.pairs.index(gate)]]
+                    twoq = twoq[:, nz._SWAP] if flip else twoq
+                labels, eig = fused_tables(np.array([sorted(gate)]), digits, twoq, pre, post)
+                want[j, gate] = labels[0], eig[0]
+        return want
+
+    @staticmethod
+    def _cases(n, rng):
+        # line, ring (its (n-1, 0) pair), CNOT listed high first, pairs
+        # apart, an idle last layer; depth 12 reads the Markovian pair
+        # tables often enough to build them at K = 100
+        for depth in (1, 2, 12):
+            for layout in ("line", "ring", "crossed", "idle end"):
+                for gate in ("CZ", "CNOT"):
+                    if layout == "crossed" and n < 4 or layout == "idle end" and depth == 1:
+                        continue
+                    yield TestBlockFold._template(n, depth, layout, gate)
+
+    @staticmethod
+    def _same(got, want):
+        return all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("markovian", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_layer_steps_match_fused_tables(self, n, markovian):
+        rng = np.random.default_rng(380 + n)
+        for template in self._cases(n, rng):
+            model = nz.sample_error_model(template, rng, 1e-2, 1e-2, markovian)
+            layers = len(template.layers[::2])
+            # indices from 6 up, where an int8 index times 24 overflows
+            high = rng.integers(6, 24, (100, layers, n)).astype(np.int8)
+            for gates in (cc._draw_cliffords(rng, 1, layers, n), high):
+                want = self._oracle(template, gates, model)
+                plan = nz._plan(n, template.layers[1::2], markovian)
+                got = list(nz._layer_steps(template, gates, model))
+                assert len(got) == len(plan.starts) - 1
+                for j, steps in enumerate(got):
+                    listed = plan.steps[plan.starts[j] : plan.starts[j + 1]]
+                    assert [qubits for qubits, _, _ in steps] == [tuple(sorted(gate)) for _, gate in listed]
+                    for (_, gate), (_, labels, eig) in zip(listed, steps):
+                        assert self._same((labels, eig), want[j, gate]), (j, gate)
+
+    @pytest.mark.parametrize("markovian", [True, False])
+    def test_both_row_sources_are_read(self, markovian, monkeypatch):
+        # K = 1 gathers every pair's rows factor by factor; K = 100 at depth
+        # 12 reads the Markovian pair tables, built once per model, kind and
+        # pairs; the non-Markovian ones, read by one layer each, and those
+        # after the last layer only from K = 576
+        template = TestBlockFold._template(4, 12, "ring", "CZ")
+        rng = np.random.default_rng(397)
+        model = nz.sample_error_model(template, rng, 1e-2, 1e-2, markovian)
+        built, products = [], nz.LayerTables.products
+
+        def spy(tables, kind, pair):
+            got = products(tables, kind, pair)
+            built.append((id(tables), kind, pair, id(got)))
+            return got
+
+        monkeypatch.setattr(nz.LayerTables, "products", spy)
+        for k in (1, 100, 100, 600):
+            gates = cc._draw_cliffords(rng, k, 13, 4)
+            want = self._oracle(template, gates, model)
+            plan = nz._plan(4, template.layers[1::2], markovian)
+            tables = nz._step_tables(template, gates, model, plan)(range(len(plan.steps)))
+            assert all(self._same(got, want[step]) for got, step in zip(tables, plan.steps))
+            kinds = {key[1] for key in built}
+            # the pairs' tables, the even layers' and the odd ones' with the
+            # flipped (3, 0), then those after the last layer
+            if k == 1 or k == 100 and not markovian:
+                assert built == []
+            elif k == 100:
+                assert kinds == {("CZ", False), ("CZ", True)}
+            else:
+                assert kinds == {("CZ", False), ("CZ", True), (None, False)}
+        # each table is built once and then read from the model's cache
+        assert len({key[:3] for key in built}) == len(set(built))
+        if markovian:
+            # four pairs' tables, then the last layer's two pairs after it
+            assert len(model.layer_tables(0, template.layers[0])._products) == 6
+
+    @pytest.mark.parametrize("markovian", [True, False])
+    def test_batches_gather_like_one(self, markovian, monkeypatch):
+        # a budget of two steps a batch: at least three batches, each
+        # layer's tables as the one-batch fold's and the sweep's sums as
+        # its one-batch sums, bit for bit
+        swept = 0
+        for n, layout, depth in ((2, "ring", 6), (5, "line", 6), (6, "line", 3)):
+            template = TestBlockFold._template(n, depth, layout, "CNOT")
+            rng = np.random.default_rng(398 + n)
+            model = nz.sample_error_model(template, rng, 1e-2, 1e-2, markovian)
+            gates = cc._draw_cliffords(rng, 100, depth + 1, n)
+            alone = list(nz._layer_steps(template, gates, model))
+            step_tables, calls = nz._step_tables, []
+
+            def spy(*args):
+                tables = step_tables(*args)
+                return lambda ids: calls.append(list(ids)) or tables(ids)
+
+            monkeypatch.setattr(nz, "_step_tables", spy)
+            monkeypatch.setattr(nz, "_TABLE_AMPLITUDES", 2 * 32 * 100)
+            batched = list(nz._layer_steps(template, gates, model))
+            assert len(calls) >= 3
+            steps = nz._plan(n, template.layers[1::2], markovian).steps
+            assert sorted(sum(calls, [])) == list(range(len(steps)))
+            for got, want in zip(batched, alone, strict=True):
+                for a, b in zip(got, want, strict=True):
+                    assert a[0] == b[0] and self._same(a[1:], b[1:])
+            order, _ = nz._sweep_plan(template.n, template.layers[1::2])
+            if order is not None:
+                calls.clear()
+                got = nz._sweep_sum(template, gates, model, order)
+                assert len(calls) >= 3 and sorted(sum(calls, [])) == list(range(len(steps)))
+                monkeypatch.setattr(nz, "_TABLE_AMPLITUDES", 2**16)
+                assert np.array_equal(got, nz._sweep_sum(template, gates, model, order))
+                swept += 1
+            monkeypatch.undo()
+        assert swept == 1
+
+
 class TestBlockFold:
     """The infidelity: the fold of blocks stepped forward, and merged until
     one array is left, through all but the last two entangling layers, and
@@ -818,7 +984,8 @@ class TestBlockFold:
             model = nz.sample_error_model(template, rng, 5e-2, 5e-3, False)
             gates = cc._draw_cliffords(rng, 5, 7, n)
             whole = nz._infidelities(template, gates, model)
-            monkeypatch.setattr(nz, "_FOLD_AMPLITUDES", 2 * 4 ** nz._sweep_plan(template)[1])
+            width = nz._sweep_plan(n, template.layers[1::2])[1]
+            monkeypatch.setattr(nz, "_FOLD_AMPLITUDES", 2 * 4**width)
             got = nz._infidelities(template, gates, model)
             monkeypatch.undo()
             assert np.array_equal(got, whole)
@@ -837,7 +1004,7 @@ class TestBlockFold:
         for depth in sorted({1, 2, 4, n + 2}):
             for i, layout in enumerate(layouts):
                 template = self._template(n, depth, layout, ("CZ", "CNOT")[(depth + i) % 2])
-                order, width = nz._sweep_plan(template)
+                order, width = nz._sweep_plan(template.n, template.layers[1::2])
                 if width == n:
                     continue
                 markovian = (depth + i) % 3 != 0
