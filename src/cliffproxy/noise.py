@@ -1072,8 +1072,8 @@ def process_infidelities_exact(circuits, noise: NoiseModel) -> np.ndarray:
     frontier smaller than 4^n, about 4^D for D brickwork layers on a line;
     otherwise the fold runs from both ends (:func:`_fold_sum`), and the
     peak is two 4^n arrays.  Either runs in chunks of at most 2^20
-    amplitudes (at least one circuit), and the sweep builds its steps'
-    tables in batches of at most as many, so memory stays bounded.  The
+    amplitudes (at least one circuit), and both gather their steps'
+    tables in batches of at most 2^16, so memory stays bounded.  The
     values agree with ``1 - fold_eigenvalues(c).mean()`` to rounding.
     """
     template, gates = _gate_indices(circuits)
