@@ -104,7 +104,7 @@ FOLD_LIMIT = 10
 
 # amplitude budget of one batched fold chunk (8 MB), at least one circuit
 _FOLD_AMPLITUDES = 2**20
-# amplitude budget of the gate tables gathered at once (512 kB), at least one layer
+# amplitude budget of the gate tables gathered at once (at most 512 kB), at least one layer
 _TABLE_AMPLITUDES = 2**16
 
 # largest total probability fold_to_end may clip away as rounding noise
