@@ -37,8 +37,9 @@ after it); a qubit the layer leaves idle steps with its one-qubit rows.
 Those rows are gathered, not rebuilt layer by layer: a pair's labels
 from a (576, 16) table indexed by its Clifford indices 24 g + h, its
 eigenvalue products from a table its one-qubit layer builds once per
-kind and pairs (:meth:`LayerTables.products`), or factor by factor where
-the circuits would read fewer rows than it holds; each kind is one
+kind and pairs (:meth:`LayerTables.products`) where several layers
+share it, or factor by factor where one layer reads it or the circuits
+would read fewer rows than it holds; each kind is one
 gather per batch of layers (:func:`_step_tables`), in a step order
 derived once per layout (:func:`_plan`).
 The first layer's steps are per-gate blocks, which later layers step
@@ -104,7 +105,7 @@ FOLD_LIMIT = 10
 
 # amplitude budget of one batched fold chunk (8 MB), at least one circuit
 _FOLD_AMPLITUDES = 2**20
-# amplitude budget of the gate tables gathered at once (at most 512 kB), at least one layer
+# amplitude budget of the gate tables gathered at once (512 kB), or of one fold layer or sweep step
 _TABLE_AMPLITUDES = 2**16
 
 # largest total probability fold_to_end may clip away as rounding noise
@@ -507,8 +508,9 @@ def _plan(n: int, entangling: tuple, markovian: bool) -> _Plan:
     one after it too, under a kind: None for an idle qubit, else (gate,
     swapped) as :func:`_pair_digits` takes it, (None, False) after.
     ``tables`` holds each (one-qubit layer, kind, qubits) read, layer 0 in
-    the Markovian mode, and the fewest circuits that read as many rows as
-    its :meth:`LayerTables.products` hold.  ``fields`` holds each step's
+    the Markovian mode, and, for a pair's table that two steps or more
+    read, the fewest circuits that read as many rows as its
+    :meth:`LayerTables.products` hold (else 0).  ``fields`` holds each step's
     layer, lower and upper qubit, pair eigenvalue row among all layers'
     (-1 if idle), and table before and after its layer (-1 but in the
     last layer).
@@ -537,17 +539,19 @@ def _plan(n: int, entangling: tuple, markovian: bool) -> _Plan:
         for at, key in zip((4, 5), read):
             fields[at, s], reads[key] = index.setdefault(key, len(index)), reads.get(key, 0) + 1
     fields.setflags(write=False)
-    # the fewest circuits that read 576 rows of a pair
-    return _Plan(steps, starts, [(*key, key[1] and -(-576 // reads[key])) for key in index], fields)
+    # the fewest circuits that read a pair's 576 rows, where several steps
+    # share its table (the Markovian tables before the layers)
+    builds = [-(-576 // reads[key]) if key[1] and reads[key] > 1 else 0 for key in index]
+    return _Plan(steps, starts, [(*key, build) for key, build in zip(index, builds)], fields)
 
 
 def _step_tables(template, gates, noise: NoiseModel, plan: _Plan):
     """A function of some step numbers of ``plan`` that returns their
     (labels, eigenvalue rows), both (K, 4^w) as :func:`_apply_gate` takes
     them.  A kind's labels are one gather (:func:`_kind_tables`), and its
-    rows one from each table whose circuits read as many rows as its
-    :meth:`LayerTables.products` hold, else one per factor, all layers at
-    once, multiplied: the same product.  A pair's rows are multiplied by
+    rows one from each table whose :meth:`LayerTables.products` the plan
+    builds for as many circuits, else one per factor, all layers at once,
+    multiplied: the same product.  A pair's rows are multiplied by
     its eigenvalues; in the last layer each is read at the labels of the
     one-qubit layer after it and multiplied by its rows."""
     k, layers = len(gates), template.layers
@@ -608,7 +612,8 @@ def _layer_steps(template, gates, noise: NoiseModel):
     """The steps of each entangling layer of :func:`_fold`, one list per
     layer in :func:`_plan`'s order: (qubits ascending, labels, eigenvalue
     rows) as :func:`_apply_gate` takes them (:func:`_step_tables`),
-    gathered for as many layers at a time as ``_TABLE_AMPLITUDES`` holds."""
+    gathered for as many layers at a time as ``_TABLE_AMPLITUDES`` holds,
+    or one."""
     plan = _plan(template.n, template.layers[1::2], noise.markovian)
     tables, starts = _step_tables(template, gates, noise, plan), plan.starts
     # a step's labels and eigenvalues take at most 2 * 16 amplitudes per circuit
@@ -944,7 +949,7 @@ def _sweep_sum(template, gates, noise: NoiseModel, order):
     (:func:`_absorb`) in the ``order`` of :func:`_sweep_plan`, so D
     brickwork layers on a line hold about D legs open, whatever n.  The
     steps' tables are gathered (:func:`_step_tables`) as many at a time as
-    ``_TABLE_AMPLITUDES`` holds."""
+    ``_TABLE_AMPLITUDES`` holds, or one."""
     k = len(gates)
     tables = _step_tables(template, gates, noise, _plan(template.n, template.layers[1::2], noise.markovian))
     # a step's labels and eigenvalues take at most 2 * 16 amplitudes per circuit
@@ -1073,7 +1078,8 @@ def process_infidelities_exact(circuits, noise: NoiseModel) -> np.ndarray:
     otherwise the fold runs from both ends (:func:`_fold_sum`), and the
     peak is two 4^n arrays.  Either runs in chunks of at most 2^20
     amplitudes (at least one circuit), and both gather their steps'
-    tables in batches of at most 2^16, so memory stays bounded.  The
+    tables in batches of at most 2^16 amplitudes (at least one layer, or
+    one step for the sweep), so memory stays bounded.  The
     values agree with ``1 - fold_eigenvalues(c).mean()`` to rounding.
     """
     template, gates = _gate_indices(circuits)

@@ -838,7 +838,7 @@ class TestGatherTables:
         # K = 1 gathers every pair's rows factor by factor; K = 100 at depth
         # 12 reads the Markovian pair tables, built once per model, kind and
         # pairs; the non-Markovian ones, read by one layer each, and those
-        # after the last layer only from K = 576
+        # after the last layer are gathered factor by factor at any K
         template = TestBlockFold._template(4, 12, "ring", "CZ")
         rng = np.random.default_rng(397)
         model = nz.sample_error_model(template, rng, 1e-2, 1e-2, markovian)
@@ -858,18 +858,36 @@ class TestGatherTables:
             assert all(self._same(got, want[step]) for got, step in zip(tables, plan.steps))
             kinds = {key[1] for key in built}
             # the pairs' tables, the even layers' and the odd ones' with the
-            # flipped (3, 0), then those after the last layer
-            if k == 1 or k == 100 and not markovian:
+            # flipped (3, 0)
+            if k == 1 or not markovian:
                 assert built == []
-            elif k == 100:
-                assert kinds == {("CZ", False), ("CZ", True)}
             else:
-                assert kinds == {("CZ", False), ("CZ", True), (None, False)}
+                assert kinds == {("CZ", False), ("CZ", True)}
         # each table is built once and then read from the model's cache
         assert len({key[:3] for key in built}) == len(set(built))
         if markovian:
-            # four pairs' tables, then the last layer's two pairs after it
-            assert len(model.layer_tables(0, template.layers[0])._products) == 6
+            # four pairs' tables, none for the last layer's pairs after it
+            assert len(model.layer_tables(0, template.layers[0])._products) == 4
+
+    def test_tables_read_once_keep_no_products(self):
+        # non-Markovian, K = 600: each position's tables are read by one
+        # step, gathered factor by factor in bounded batches; a (576, 16)
+        # product table per position and pair would keep 74 kB each, about
+        # 14 MiB over a depth-200 ring, for the model's lifetime
+        template = TestBlockFold._template(2, 200, "ring", "CZ")
+        rng = np.random.default_rng(399)
+        model = nz.sample_error_model(template, rng, 1e-2, 1e-2, False)
+        gates = cc._draw_cliffords(rng, 600, 201, 2)
+        for i, layer in enumerate(template.layers):
+            model.layer_tables(i, layer)
+        tracemalloc.start()
+        try:
+            nz._infidelities(template, gates, model)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20 and held <= 2**20
+        assert not any(tables._products for tables in model._tables.values())
 
     @pytest.mark.parametrize("markovian", [True, False])
     def test_batches_gather_like_one(self, markovian, monkeypatch):
